@@ -11,6 +11,7 @@ from .abelian import (
     Presentation,
     parse_group,
     render_group,
+    smith_diagonal,
     smith_normal_form,
     subgroup_and_quotient,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "parse_group",
     "render_group",
     "render_table",
+    "smith_diagonal",
     "smith_normal_form",
     "subgroup_and_quotient",
     "validate_db",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 
 
@@ -314,6 +314,88 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(um, dm, vm)
 
 
+def smith_diagonal(rows) -> list[int]:
+    """The diagonal of the Smith normal form of ``rows`` (a list of equal-length
+    integer rows): ``min(rows, cols)`` nonnegative invariant factors.
+
+    Same elimination and pivoting as :func:`smith_normal_form`, on the matrix
+    alone: no transforms are tracked and no :class:`IntMatrix` is built, so it
+    is the cheap entry point when only the group's type is wanted.
+
+    >>> smith_diagonal([[2, 4], [6, 8]])
+    [2, 4]
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    c = len(a[0]) if a else 0
+    for row in a:
+        if len(row) != c:
+            raise AbelianError("ragged rows")
+    k = min(n, c)
+    t = 0
+    while t < k:
+        # pivot: smallest |value| in a[t:][t:]; scanning in (row, col) order
+        # and replacing only on a strictly smaller value keeps the lowest pair
+        best = 0
+        pi = pj = t
+        for i in range(t, n):
+            row = a[i]
+            for j in range(t, c):
+                x = row[j]
+                if x:
+                    x = -x if x < 0 else x
+                    if not best or x < best:
+                        best, pi, pj = x, i, j
+        if not best:
+            break
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        top = a[t]
+        if top[t] < 0:
+            top = a[t] = [-x for x in top]
+        p = top[t]
+        # clear column t
+        dirty = False
+        for i in range(t + 1, n):
+            row = a[i]
+            if row[t]:
+                q = row[t] // p
+                for j in range(t, c):
+                    row[j] -= q * top[j]
+                if row[t]:
+                    dirty = True
+        if dirty:
+            continue
+        # clear row t; column t is zero off the pivot now, so the column
+        # operation only reduces top[j] modulo p
+        for j in range(t + 1, c):
+            if top[j]:
+                top[j] %= p
+                if top[j]:
+                    dirty = True
+        if dirty:
+            continue
+        # enforce divisibility: pivot must divide the remaining submatrix
+        fix = None
+        for i in range(t + 1, n):
+            row = a[i]
+            for j in range(t + 1, c):
+                if row[j] % p:
+                    fix = row
+                    break
+            if fix is not None:
+                break
+        if fix is not None:
+            for j in range(t, c):
+                top[j] += fix[j]
+            continue
+        t += 1
+    return [a[i][i] for i in range(k)]
+
+
 def kernel_lattice(m: IntMatrix) -> list[list[int]]:
     """Basis (rows) of { x in Z^rows : x @ m == 0 }."""
     s = smith_normal_form(m)
@@ -524,12 +606,18 @@ class Presentation:
     def group(self) -> FinAbGroup:
         return group_from_presentation(self.relations)
 
+    @cached_property
+    def smith(self) -> SmithDecomposition:
+        """Smith normal form of ``relations``, computed once per presentation
+        (the dataclass is frozen, so it cannot go stale)."""
+        return smith_normal_form(self.relations)
+
     def element_order(self, vec):
         """Order of the class of ``vec``; None if infinite."""
         vec = list(vec)
         if len(vec) != self.num_generators:
             raise AbelianError("element length != number of generators")
-        s = smith_normal_form(self.relations)
+        s = self.smith
         w = row_vector_times(vec, s.v)
         d = s.d.diagonal()
         order = 1
@@ -552,7 +640,7 @@ class Presentation:
         coordinate system; the two callables convert between generator
         coordinates and canonical coordinates.
         """
-        s = smith_normal_form(self.relations)
+        s = self.smith
         d = s.d.diagonal()
         g = self.num_generators
         orders = [(d[j] if j < len(d) else 0) for j in range(g)]
@@ -571,7 +659,7 @@ class Presentation:
 
 
 def group_from_presentation(relations: IntMatrix) -> FinAbGroup:
-    d = smith_normal_form(relations).d.diagonal()
+    d = smith_diagonal(relations.to_rows())
     g = relations.cols
     orders = [(d[j] if j < len(d) else 0) for j in range(g)]
     return FinAbGroup.from_factors(orders)

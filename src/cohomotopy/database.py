@@ -49,6 +49,14 @@ GROUP_CONTEXTS = {
     "sphere-gottlieb": ("m", "k"),
 }
 
+# The context kinds each record type accepts, with their parameters.
+RECORD_CONTEXTS = {
+    "group": GROUP_CONTEXTS,
+    "whitehead": {"whitehead": ("n", "m")},
+    "evidence": {"extension": ("k", "n")},
+    "components": {"components": ("n",)},
+}
+
 
 class DbError(Exception):
     pass
@@ -104,10 +112,37 @@ class Context:
                 return v
         return default
 
+    def n_range(self) -> NRange:
+        """The ``n`` parameter; a :class:`DbError` when the context has none
+        (``loads_db`` checks the parameters of group contexts only, the other
+        record types are left to ``validate_db``)."""
+        nr = self.get("n")
+        if nr is None:
+            raise DbError(f"context {self} lacks the n parameter")
+        return nr
+
     def __str__(self) -> str:
         order = {"k": 0, "n": 1, "p": 2, "m": -1}
         items = sorted(self.params, key=lambda kv: order.get(kv[0], 9))
         return " ".join([self.kind] + [f"{k}={v}" for k, v in items])
+
+
+def _context_problem(rtype: str, ctx: Context) -> str | None:
+    """Why ``ctx`` is not a valid context for a ``[rtype]`` record, if it is
+    not: an unknown kind, or missing or extra parameters."""
+    kinds = RECORD_CONTEXTS[rtype]
+    if ctx.kind not in kinds:
+        return f"unknown {rtype} context {ctx.kind!r}"
+    want = set(kinds[ctx.kind])
+    got = {k for k, _ in ctx.params}
+    if want == got:
+        return None
+    wrong = []
+    if want - got:
+        wrong.append(f"lacks {', '.join(sorted(want - got))}")
+    if got - want:
+        wrong.append(f"has extra {', '.join(sorted(got - want))}")
+    return f"context {ctx.kind} needs parameters {sorted(want)}: {' and '.join(wrong)}"
 
 
 def parse_context(text: str) -> Context:
@@ -465,14 +500,9 @@ def _add_record(db, rtype, fields, where, seen_contexts):
             raise DbParseError(path, line0, f"duplicate context {key!r}")
         seen_contexts.add(key)
     if rtype == "group":
-        if ctx.kind not in GROUP_CONTEXTS:
-            raise DbParseError(path, line0, f"unknown group context {ctx.kind!r}")
-        want = set(GROUP_CONTEXTS[ctx.kind])
-        got = {k for k, _ in ctx.params}
-        if want != got:
-            raise DbParseError(
-                path, line0, f"context {ctx.kind} needs parameters {sorted(want)}"
-            )
+        problem = _context_problem(rtype, ctx)
+        if problem:
+            raise DbParseError(path, line0, problem)
         orders = _parse_group_expr(fields["group"])
         terms = tuple(_parse_gen_list(fields.get("generators", "")))
         flags = tuple(fields.get("flags", "").split()) if fields.get("flags") else ()
@@ -657,6 +687,15 @@ def validate_db(db: Database) -> list[str]:
                         f"{where}: generator {name!r} references "
                         f"unregistered symbol family {fam!r}"
                     )
+
+    contexts = [("group", g.context) for entries in db.groups.values() for g in entries]
+    contexts += [("whitehead", w.context) for w in db.whitehead]
+    contexts += [("evidence", e.context) for e in db.evidence]
+    contexts += [("components", c.context) for c in db.components]
+    for rtype, ctx in contexts:
+        problem = _context_problem(rtype, ctx)
+        if problem:
+            problems.append(f"{ctx}: [{rtype}] {problem}")
 
     for entries in db.groups.values():
         for g in entries:

@@ -3,22 +3,71 @@
 A finite abelian group G contains a subgroup isomorphic to A with quotient
 isomorphic to C exactly when, at every prime p, the p-part of G contains a
 subgroup of the right type with the right quotient type.  This oracle decides
-that by brute force: subgroups of Z^g / diag(p^lam) correspond one-to-one to
-Hermite-normal-form bases of the full-rank sublattices of Z^g lying over
-diag(p^lam), which are enumerated outright.  Since subgroup types are
-invariant under conjugating all three partitions, each query is first
-conjugated to whichever orientation has fewer generators, keeping g small.
+that by exhaustive search: subgroups of Z^g / diag(p^lam) correspond one-to-one
+to the full-rank sublattices L of Z^g containing M = diag(p^lam), and each L
+has exactly one Hermite-normal-form basis: upper-triangular rows, row i with
+p^a_i on the diagonal (a_i <= lam_i) and entries right of it reduced modulo
+the diagonal entry of their column.  The subgroup L/M is Z^g modulo the
+coordinates of M's rows in that basis, the quotient Z^g/L is Z^g modulo the
+basis itself; both types are read off as p-adic valuations of the Smith
+diagonal.
+
+The bases are built bottom-up, row g-1 first.  Because the basis is upper
+triangular, the coordinates of p^lam_i e_i in it involve only rows i..g-1, so
+they are solved as soon as row i is fixed.  When they are not integral, L does
+not contain M for any choice of rows 0..i-1, so dropping that prefix discards
+no basis that lies over M: the search still visits every such basis exactly
+once.  :func:`_subgroup_quotient_types_bruteforce` keeps the plain
+enumeration of every basis, for the tests to compare against.
+
+Since subgroup types are invariant under conjugating all three partitions,
+each query is first conjugated to whichever orientation has fewer generators,
+keeping g small.
 """
 
 from functools import lru_cache, reduce
 from itertools import product
 
-from cohomotopy.abelian import IntMatrix, group_from_presentation
+from cohomotopy.abelian import IntMatrix, group_from_presentation, smith_diagonal
 from cohomotopy.extensions import conjugate_partition
 
 
-def _divisor_exponents(e):
-    return range(e + 1)
+@lru_cache(maxsize=None)
+def subgroup_quotient_types(p, lam):
+    """All (subgroup type, quotient type) pairs realized inside the abelian
+    p-group of type ``lam`` (a descending partition)."""
+    lam = tuple(lam)
+    g = len(lam)
+    exponent = {p**e: e for e in range(sum(lam) + 1)}
+
+    def type_of(rows):
+        # every invariant factor divides p^|lam|; the chain ascends
+        return tuple(exponent[d] for d in reversed(smith_diagonal(rows)) if d > 1)
+
+    rows = [None] * g  # rows[i]: basis row i
+    coords = [None] * g  # coords[i]: p^lam_i e_i in the basis rows i..g-1
+    out = set()
+
+    def place(i):
+        if i < 0:
+            out.add((type_of(coords), type_of(rows)))
+            return
+        pivots = [rows[j][j] for j in range(i + 1, g)]
+        for a in range(lam[i] + 1):
+            for tail in product(*map(range, pivots)):
+                row = [0] * i + [p**a, *tail]
+                x = [0] * i + [p ** (lam[i] - a)]
+                for j in range(i + 1, g):
+                    s = x[i] * row[j] + sum(x[l] * rows[l][j] for l in range(i + 1, j))
+                    if s % rows[j][j]:
+                        break
+                    x.append(-s // rows[j][j])
+                else:
+                    rows[i], coords[i] = row, x
+                    place(i - 1)
+
+    place(g - 1)
+    return frozenset(out)
 
 
 def _solve_rows_over(h_rows, lam, p):
@@ -43,16 +92,15 @@ def _type_of(rows, p):
     return g.exponents_at(p)
 
 
-@lru_cache(maxsize=None)
-def subgroup_quotient_types(p, lam):
-    """All (subgroup type, quotient type) pairs realized inside the abelian
-    p-group of type ``lam`` (a descending partition)."""
+def _subgroup_quotient_types_bruteforce(p, lam):
+    """:func:`subgroup_quotient_types` by building every HNF basis in full,
+    then testing it; uncached, for the tests."""
     lam = tuple(lam)
     if not lam:
         return frozenset({((), ())})
     g = len(lam)
     out = set()
-    diag_choices = [[p ** a for a in _divisor_exponents(e)] for e in lam]
+    diag_choices = [[p**a for a in range(e + 1)] for e in lam]
     for diag in product(*diag_choices):
         # upper-triangular HNF rows: row i has diag[i] at i, free entries right
         free = [(i, j) for i in range(g) for j in range(i + 1, g)]

@@ -92,6 +92,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "--db", str(bad), "verify")
         assert code == EXIT_DB
 
+    def test_context_without_n_is_2(self, capsys, tmp_path, db_text):
+        broken = tmp_path / "broken.cohdb"
+        broken.write_text(
+            db_text.replace("context = components n=1\n", "context = components m=1\n")
+        )
+        code, _, err = run(capsys, "--db", str(broken), "verify")
+        assert code == EXIT_DB
+        assert "lacks the n parameter" in err
+
     def test_verify_failure_is_1(self, capsys, tmp_path, db):
         text = dumps_db(db).replace(
             "context = bracket k=6 n=5\ngroup = Z/4 + Z/9",

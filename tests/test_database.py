@@ -2,6 +2,7 @@ import pytest
 
 from cohomotopy.abelian import FinAbGroup
 from cohomotopy.database import (
+    DbError,
     DbParseError,
     NRange,
     dumps_db,
@@ -10,6 +11,7 @@ from cohomotopy.database import (
     validate_db,
 )
 from cohomotopy.extensions import EhpInjectivity, RelationFact
+from cohomotopy.pipeline import verify_all
 
 
 class TestNRange:
@@ -180,3 +182,32 @@ class TestValidation:
         assert broken != db_text
         problems = validate_db(loads_db(broken))
         assert any("odd-part records sum" in p for p in problems)
+
+    def test_components_context_without_n_is_flagged_not_a_crash(self, db_text):
+        broken = db_text.replace(
+            "context = components n=1\n", "context = components m=1\n"
+        )
+        assert broken != db_text
+        db = loads_db(broken)
+        problems = validate_db(db)
+        assert any(
+            p.startswith("components m=1: [components]") and "lacks n" in p
+            for p in problems
+        ), problems
+        with pytest.raises(DbError, match="lacks the n parameter"):
+            verify_all(db)
+
+    @pytest.mark.parametrize(
+        "old, new, wrong",
+        [
+            ("context = whitehead n=3 m=4\n", "context = whitehead n=3\n", "lacks m"),
+            ("context = whitehead n=3 m=4\n", "context = whitehead n=3 m=4 k=1\n", "has extra k"),
+            ("context = extension k=6 n=6\n", "context = extension n=6\n", "lacks k"),
+            ("context = extension k=6 n=6\n", "context = ext k=6 n=6\n", "unknown evidence context"),
+            ("context = components n=2\n", "context = components n=2 p=3\n", "has extra p"),
+        ],
+    )
+    def test_context_parameters_checked_for_every_record_type(self, db_text, old, new, wrong):
+        broken = db_text.replace(old, new, 1)
+        assert broken != db_text
+        assert any(wrong in p for p in validate_db(loads_db(broken)))

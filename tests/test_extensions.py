@@ -23,7 +23,11 @@ from cohomotopy.extensions import (
 )
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import oracle_middle_groups  # noqa: E402
+from oracles import (  # noqa: E402
+    _subgroup_quotient_types_bruteforce,
+    oracle_middle_groups,
+    subgroup_quotient_types,
+)
 
 
 def G(*orders):
@@ -96,6 +100,26 @@ class TestEnumeration:
             for c in groups:
                 got = set(enumerate_middle_groups(a, c).candidates)
                 assert got == oracle_middle_groups(a, c), (a, c)
+
+
+class TestOracle:
+    def test_pruned_search_matches_bruteforce(self):
+        # every rank-minimised key (len(lam) <= lam[0]) with p^|lam| <= 256,
+        # at each prime that divides an order <= 64 (criterion 5's range)
+        primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+        keys = [
+            (p, lam)
+            for p in primes
+            for n in range(1, 9)
+            if p**n <= 256
+            for lam in partitions(n)
+            if len(lam) <= lam[0]
+        ]
+        assert len(keys) == 71
+        for p, lam in keys:
+            want = _subgroup_quotient_types_bruteforce(p, lam)
+            assert subgroup_quotient_types(p, lam) == want, (p, lam)
+        assert subgroup_quotient_types(2, ()) == _subgroup_quotient_types_bruteforce(2, ())
 
 
 class TestApplyEvidence:

@@ -3,6 +3,9 @@
 import random
 from math import gcd
 
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
+
 from cohomotopy.abelian import (
     FinAbGroup,
     GroupHom,
@@ -10,6 +13,7 @@ from cohomotopy.abelian import (
     Presentation,
     group_from_presentation,
     minor_gcds,
+    smith_diagonal,
     smith_normal_form,
     subgroup_and_quotient,
 )
@@ -45,6 +49,24 @@ class TestSmithProperties:
             for i, d in enumerate(diag):
                 prod *= d
                 assert gcds[i] == abs(prod)
+            # the transform-free diagonal is the same, and agrees with an
+            # independent implementation up to the signs of its entries
+            assert smith_diagonal(m.to_rows()) == diag
+            assert [abs(x) for x in sympy_diagonal(m)] == diag
+
+    def test_smith_diagonal_edge_cases(self):
+        assert smith_diagonal([]) == []
+        assert smith_diagonal([[], []]) == []
+        assert smith_diagonal([[0, 0, 0], [0, 0, 0]]) == [0, 0]
+        assert smith_diagonal([[-7]]) == [7]
+        for rows in ([[0, 0, 0], [0, 0, 0]], [[-7]], [[0, -4], [6, 0], [0, 0]]):
+            assert smith_diagonal(rows) == smith_normal_form(IntMatrix.from_rows(rows)).d.diagonal()
+
+
+def sympy_diagonal(m):
+    """Diagonal of sympy's Smith normal form of ``m``, over the integers."""
+    d = sympy_smith_normal_form(Matrix(m.to_rows()), domain=ZZ)
+    return [int(d[i, i]) for i in range(min(m.rows, m.cols))]
 
 
 def random_hom(rng):
