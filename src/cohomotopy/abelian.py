@@ -28,7 +28,7 @@ FinAbGroup(free_rank=0, torsion=(2, 4))
 
 from __future__ import annotations
 
-import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, lcm
@@ -524,17 +524,6 @@ class FinAbGroup:
         powers = self.primary_decomposition().get(p, ())
         return tuple(_factorint(x)[p] for x in powers)
 
-    def presentation(self) -> "Presentation":
-        """The canonical presentation: one generator per invariant factor/Z."""
-        orders = list(self.torsion) + [0] * self.free_rank
-        g = len(orders)
-        rel = [
-            [orders[i] if i == j else 0 for j in range(g)]
-            for i in range(g)
-            if orders[i] != 0
-        ]
-        return Presentation(g, IntMatrix.from_rows(rel) if rel else IntMatrix(0, g, ()))
-
     def __str__(self) -> str:
         return render_group(self)
 
@@ -553,25 +542,28 @@ def render_group(g: FinAbGroup) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+_GROUP_TERM = re.compile(r"Z(?:\^([0-9]+)|/([0-9]+))?")
+
+
 def parse_group(text: str) -> FinAbGroup:
-    """Inverse of :func:`render_group` (accepts any term order)."""
+    """Inverse of :func:`render_group` (accepts any term order): ``0``, or
+    terms ``Z``, ``Z^r`` and ``Z/n`` (n >= 2) joined by ``+``."""
     text = text.strip()
     if text == "0":
         return FinAbGroup.trivial()
     orders = []
     for term in text.split("+"):
         term = term.strip()
-        if term == "Z":
-            orders.append(0)
-        elif term.startswith("Z^"):
-            orders.extend([0] * int(term[2:]))
-        elif term.startswith("Z/"):
-            n = int(term[2:])
-            if n < 2:
-                raise AbelianError(f"bad torsion coefficient in {term!r}")
-            orders.append(n)
-        else:
+        m = _GROUP_TERM.fullmatch(term)
+        if not m:
             raise AbelianError(f"cannot parse group term {term!r}")
+        rank, n = m.groups()
+        if n is None:
+            orders.extend([0] * int(rank or 1))
+        elif int(n) < 2:
+            raise AbelianError(f"bad torsion coefficient in {term!r}")
+        else:
+            orders.append(int(n))
     return FinAbGroup.from_factors(orders)
 
 
@@ -737,47 +729,3 @@ class GroupHom:
 
     def cokernel(self) -> FinAbGroup:
         return group_from_presentation(self.target.relations.vstack(self.matrix))
-
-
-def is_zero_hom(h: GroupHom) -> bool:
-    return all(
-        h.target.contains_zero(h.apply(row))
-        for row in IntMatrix.identity(h.source.num_generators).to_rows()
-    )
-
-
-# ---------------------------------------------------------------------------
-# Oracles used by the test-suite (kept here so they are importable, tiny)
-# ---------------------------------------------------------------------------
-
-
-def minor_gcds(m: IntMatrix) -> list[int]:
-    """gcd of all k x k minors, k = 1..min(rows, cols); exact and independent
-    of Smith normal form (used to cross-check d_1*...*d_k)."""
-    n, c = m.rows, m.cols
-    rows = m.to_rows()
-    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-    def det(rsel: tuple[int, ...], csel: tuple[int, ...]) -> int:
-        if len(rsel) == 1:
-            return rows[rsel[0]][csel[0]]
-        key = (rsel, csel)
-        if key in cache:
-            return cache[key]
-        total = 0
-        rest = rsel[1:]
-        for idx, col in enumerate(csel):
-            sub = det(rest, csel[:idx] + csel[idx + 1 :])
-            term = rows[rsel[0]][col] * sub
-            total += term if idx % 2 == 0 else -term
-        cache[key] = total
-        return total
-
-    out = []
-    for k in range(1, min(n, c) + 1):
-        g = 0
-        for rsel in itertools.combinations(range(n), k):
-            for csel in itertools.combinations(range(c), k):
-                g = gcd(g, det(rsel, csel))
-        out.append(g)
-    return out

@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .database import DbError, load_db, validate_db
-from .extensions import DEFAULT_BOUND, ExtensionError, UnresolvedExtensionError
+from .extensions import ExtensionError, UnresolvedExtensionError
 from .gottlieb import classify_components, fibration_equivalences, gottlieb_group
 from .pipeline import (
     MAPSPACE_RANGE,
@@ -75,10 +75,6 @@ def build_parser() -> _Parser:
         help="database file (default: ./data/paper.cohdb, falling back to the "
         "packaged copy)",
     )
-    parser.add_argument(
-        "--bound", type=int, default=DEFAULT_BOUND,
-        help="torsion-order bound for extension enumeration",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute one bracket group [Sigma^(n+k) CP^2, S^n]")
@@ -128,19 +124,19 @@ def main(argv=None) -> int:
 
 def _dispatch(args, db) -> int:
     if args.command == "compute":
-        row = compute_group(db, args.k, args.n, args.bound)
+        row = compute_group(db, args.k, args.n)
         print(f"[Sigma^({args.n}+{args.k}) CP^2, S^{args.n}]")
         _print_row(row, args.show_evidence)
         return EXIT_OK
 
     if args.command == "table":
-        print(render_table(db, args.k, args.format, args.bound))
+        print(render_table(db, args.k, args.format))
         return EXIT_OK
 
     if args.command == "mapspace":
         ns = [args.n] if args.n is not None else list(MAPSPACE_RANGE)
         for n in ns:
-            row = mapping_space_pi(db, n, args.bound)
+            row = mapping_space_pi(db, n)
             gens = " ; ".join(
                 f"{name} : {_fmt_order(o)}" for o, name in row.generators
             )
@@ -183,7 +179,7 @@ def _dispatch(args, db) -> int:
         return EXIT_VERIFY if failures else EXIT_OK
 
     if args.command == "verify":
-        results = verify_all(db, args.bound)
+        results = verify_all(db)
         failures = 0
         for r in results:
             mark = "ok " if r.status == "ok" else ("DOC" if r.passed() else "FAIL")

@@ -24,16 +24,20 @@ full grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .abelian import FinAbGroup, Presentation, render_group
+from .abelian import AbelianError, FinAbGroup, Presentation, parse_group, render_group
 from .extensions import (
-    EhpInjectivity,
-    ElementOrderLift,
-    ExternalFact,
-    RelationFact,
-    Retraction,
+    EVIDENCE_KINDS,
+    INT,
+    NAME,
+    OPT_NAME,
+    ORDER,
+    PAIRS,
+    RENAMES,
+    TERMS,
+    TEXT,
 )
 from .symbols import NameParseError, families_of
 
@@ -175,7 +179,6 @@ class GroupEntry:
     terms: tuple[tuple[int, str], ...]
     cite: str
     note: str = ""
-    flags: tuple[str, ...] = ()
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.terms)
@@ -195,19 +198,17 @@ class SymbolEntry:
 class WhiteheadEntry:
     """The Whitehead-pairing map f |-> [f, identity-class] on a bracket-id row.
 
-    ``target_terms`` present the target group; ``images`` map each source
-    generator name to its image coordinates (integers, or "odd" for an
-    undetermined odd unit, evaluated as 1).
+    ``target`` is the stated target group and ``target_terms`` present it;
+    ``images`` map each source generator name to its image coordinates
+    (integers, or "odd" for an undetermined odd unit, evaluated as 1).
     """
 
     context: Context  # kind "whitehead", params n, m
+    target: FinAbGroup
     target_terms: tuple[tuple[int, str], ...]
     images: tuple[tuple[str, tuple[object, ...]], ...]
     cite: str
     note: str = ""
-
-    def target_group(self) -> FinAbGroup:
-        return FinAbGroup.from_factors([o for o, _ in self.target_terms])
 
     def target_presentation(self) -> Presentation:
         return Presentation.from_orders([o for o, _ in self.target_terms])
@@ -225,8 +226,7 @@ class WhiteheadEntry:
 @dataclass(frozen=True)
 class EvidenceEntry:
     context: Context  # kind "extension", params k, n
-    item: object  # Retraction | ElementOrderLift | RelationFact | ...
-    cite: str
+    item: object  # an instance of a class in EVIDENCE_KINDS
 
 
 @dataclass(frozen=True)
@@ -278,56 +278,23 @@ class Database:
         return best
 
     def evidence_for(self, k: int, n: int) -> list[EvidenceEntry]:
-        out = []
-        for e in self.evidence:
-            if e.context.get("k") != k:
-                continue
-            nr = e.context.get("n")
-            if nr is not None and n in nr:
-                out.append(e)
-        return out
+        return [e for e in self.evidence if e.context.get("k") == k and _covers(e, n)]
 
     def whitehead_for(self, n: int) -> WhiteheadEntry | None:
-        for e in self.whitehead:
-            nr = e.context.get("n")
-            if nr and n in nr:
-                return e
-        return None
+        return next((e for e in self.whitehead if _covers(e, n)), None)
 
     def components_for(self, n: int) -> ComponentsEntry | None:
-        for e in self.components:
-            nr = e.context.get("n")
-            if nr and n in nr:
-                return e
-        return None
+        return next((e for e in self.components if _covers(e, n)), None)
+
+
+def _covers(entry, n: int) -> bool:
+    nr = entry.context.get("n")
+    return nr is not None and n in nr
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-
-def _parse_group_expr(text: str):
-    """Parse a written group expression into a list of term orders
-    (0 = Z), expanding ``Z^r``."""
-    text = text.strip()
-    if text == "0":
-        return []
-    orders = []
-    for term in text.split("+"):
-        term = term.strip()
-        if term == "Z":
-            orders.append(0)
-        elif re.fullmatch(r"Z\^\d+", term):
-            orders.extend([0] * int(term[2:]))
-        elif re.fullmatch(r"Z/\d+", term):
-            n = int(term[2:])
-            if n < 2:
-                raise ValueError(f"bad torsion order in {term!r}")
-            orders.append(n)
-        else:
-            raise ValueError(f"bad group term {term!r}")
-    return orders
 
 
 def _parse_gen_list(text: str):
@@ -368,68 +335,58 @@ def _parse_images(text: str):
     return out
 
 
-_EVIDENCE_KINDS = {
-    "retraction",
-    "element-order-lift",
-    "relation-fact",
-    "external-fact",
-    "ehp-injectivity",
+def _parse_pairs(text: str):
+    """Parse ``a -> b ; ...`` into (a, b) pairs."""
+    out = []
+    for item in text.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        if "->" not in item:
+            raise ValueError(f"pair item {item!r} lacks '->'")
+        a, b = item.split("->", 1)
+        out.append((a.strip(), b.strip()))
+    return tuple(out)
+
+
+def _fmt_pairs(pairs) -> str:
+    return " ; ".join(f"{a} -> {b}" for a, b in pairs)
+
+
+def _fmt_gen_list(terms) -> str:
+    return " ; ".join(
+        f"{name} : {'inf' if order == 0 else order}" for order, name in terms
+    )
+
+
+# How each evidence field type reads and writes its record value.
+_CODECS = {
+    TEXT: (str, str),
+    NAME: (str, str),
+    OPT_NAME: (lambda v: v or None, lambda v: v or ""),
+    INT: (int, str),
+    ORDER: (lambda v: None if v == "inf" else int(v), lambda v: "inf" if v is None else str(v)),
+    PAIRS: (_parse_pairs, _fmt_pairs),
+    RENAMES: (_parse_pairs, _fmt_pairs),
+    TERMS: (lambda v: tuple(_parse_gen_list(v)), _fmt_gen_list),
 }
 
 
-def _build_evidence(kind: str, fields: dict, where):
-    cite = fields.get("cite", "")
-    if kind == "retraction":
-        sections = []
-        for item in fields.get("sections", "").split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            if "->" not in item:
-                raise DbParseError(*where, f"bad section {item!r}")
-            a, b = item.split("->", 1)
-            sections.append((a.strip(), b.strip()))
-        return Retraction(tuple(sections), cite)
-    if kind == "element-order-lift":
-        order = fields["order"].strip()
-        return ElementOrderLift(
-            lift_name=fields["lift"].strip(),
-            order=None if order == "inf" else int(order),
-            maps_to=fields["maps-to"].strip(),
-            absorbs=fields.get("absorbs", "").strip() or None,
-            remainder_name=fields.get("remainder-name", "").strip() or None,
-            cite=cite,
-        )
-    if kind == "relation-fact":
-        return RelationFact(
-            lift_name=fields["lift"].strip(),
-            lift_of=fields["lift-of"].strip(),
-            multiplier=int(fields["multiplier"]),
-            rhs=fields["rhs"].strip(),
-            rhs_mult=int(fields.get("rhs-mult", "1")),
-            remainder_name=fields.get("remainder-name", "").strip() or None,
-            cite=cite,
-        )
-    if kind == "external-fact":
-        return ExternalFact(
-            factors=tuple(_parse_gen_list(fields["factors"])),
-            statement=fields.get("statement", "").strip(),
-            cite=cite,
-        )
-    if kind == "ehp-injectivity":
-        names = []
-        for item in fields.get("names", "").split(";"):
-            item = item.strip()
-            if not item:
-                continue
-            if "->" not in item:
-                raise DbParseError(*where, f"bad name translation {item!r}")
-            a, b = item.split("->", 1)
-            names.append((a.strip(), b.strip()))
-        return EhpInjectivity(
-            source_n=int(fields["source-n"]), names=tuple(names), cite=cite
-        )
-    raise DbParseError(*where, f"unknown evidence kind {kind!r}")
+def _parse_evidence(record: dict, where):
+    """Build the evidence item of an ``[evidence]`` record, consuming the
+    keys its kind's schema reads."""
+    kind = record.pop("kind")
+    cls = EVIDENCE_KINDS.get(kind)
+    if cls is None:
+        raise DbParseError(*where, f"unknown evidence kind {kind!r}")
+    values = {}
+    for f in fields(cls):
+        key = f.metadata["key"]
+        if key in record:
+            values[f.name] = _CODECS[f.metadata["type"]][0](record.pop(key))
+        elif f.default is MISSING:
+            raise DbParseError(*where, f"{kind} evidence lacks {key!r}")
+    return cls(**values)
 
 
 def _blocks(lines):
@@ -472,28 +429,35 @@ def loads_db(text: str, path: str = "<string>") -> Database:
             _add_record(db, rtype, fields, where, seen_contexts)
         except DbParseError:
             raise
-        except (ValueError, KeyError) as e:
+        except (ValueError, KeyError, AbelianError) as e:
             raise DbParseError(path, line0, f"bad [{rtype}] record: {e}") from e
+        unknown = sorted(set(fields) - {"cite"})
+        if unknown:
+            raise DbParseError(
+                path, line0, f"unknown key(s) in [{rtype}] record: {', '.join(unknown)}"
+            )
     return db
 
 
 def _add_record(db, rtype, fields, where, seen_contexts):
+    """Add one record to ``db``, popping every key it reads from ``fields``
+    (``cite`` is read in place)."""
     path, line0 = where
     cite = fields.get("cite", "")
     if not cite:
         raise DbParseError(path, line0, f"[{rtype}] record lacks a cite")
     if rtype == "symbol":
-        name = fields["name"]
+        name = fields.pop("name")
         if name in db.symbols:
             raise DbParseError(path, line0, f"duplicate symbol {name!r}")
-        db.symbols[name] = SymbolEntry(name, cite, fields.get("note", ""))
+        db.symbols[name] = SymbolEntry(name, cite, fields.pop("note", ""))
         return
     if rtype == "relation":
         db.relations.append(
-            RelationEntry(fields["id"], fields["statement"], cite)
+            RelationEntry(fields.pop("id"), fields.pop("statement"), cite)
         )
         return
-    ctx = parse_context(fields["context"])
+    ctx = parse_context(fields.pop("context"))
     key = str(ctx)
     if rtype != "evidence":
         if key in seen_contexts:
@@ -503,43 +467,38 @@ def _add_record(db, rtype, fields, where, seen_contexts):
         problem = _context_problem(rtype, ctx)
         if problem:
             raise DbParseError(path, line0, problem)
-        orders = _parse_group_expr(fields["group"])
-        terms = tuple(_parse_gen_list(fields.get("generators", "")))
-        flags = tuple(fields.get("flags", "").split()) if fields.get("flags") else ()
         db.groups.setdefault(ctx.kind, []).append(
             GroupEntry(
                 context=ctx,
-                group=FinAbGroup.from_factors(orders),
-                terms=terms,
+                group=parse_group(fields.pop("group")),
+                terms=tuple(_parse_gen_list(fields.pop("generators", ""))),
                 cite=cite,
-                note=fields.get("note", ""),
-                flags=flags,
+                note=fields.pop("note", ""),
             )
         )
         return
     if rtype == "whitehead":
+        images = fields.pop("images", "")
         db.whitehead.append(
             WhiteheadEntry(
                 context=ctx,
-                target_terms=tuple(_parse_gen_list(fields.get("target-generators", ""))),
-                images=tuple(_parse_images(fields["images"])) if fields.get("images") else (),
+                target=parse_group(fields.pop("target")),
+                target_terms=tuple(_parse_gen_list(fields.pop("target-generators", ""))),
+                images=tuple(_parse_images(images)) if images else (),
                 cite=cite,
-                note=fields.get("note", ""),
+                note=fields.pop("note", ""),
             )
         )
         return
     if rtype == "evidence":
-        kind = fields["kind"]
-        if kind not in _EVIDENCE_KINDS:
-            raise DbParseError(path, line0, f"unknown evidence kind {kind!r}")
-        db.evidence.append(
-            EvidenceEntry(ctx, _build_evidence(kind, fields, where), cite)
-        )
+        db.evidence.append(EvidenceEntry(ctx, _parse_evidence(fields, where)))
         return
     if rtype == "components":
-        flags = tuple(fields.get("flags", "").split()) if fields.get("flags") else ()
         db.components.append(
-            ComponentsEntry(ctx, int(fields["expected"]), flags, cite, fields.get("note", ""))
+            ComponentsEntry(
+                ctx, int(fields.pop("expected")), tuple(fields.pop("flags", "").split()),
+                cite, fields.pop("note", ""),
+            )
         )
         return
     raise DbParseError(path, line0, f"unknown record type [{rtype}]")
@@ -555,15 +514,11 @@ def load_db(path) -> Database:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_gen_list(terms) -> str:
-    return " ; ".join(
-        f"{name} : {'inf' if order == 0 else order}" for order, name in terms
-    )
-
-
-def _fmt_group_terms(terms) -> str:
+def _fmt_group_terms(terms, group: FinAbGroup) -> str:
+    """The group as written: one term per generator, in table order; the
+    canonical form when there are no generators."""
     if not terms:
-        return "0"
+        return render_group(group)
     return " + ".join("Z" if o == 0 else f"Z/{o}" for o, _ in terms)
 
 
@@ -585,9 +540,8 @@ def dumps_db(db: Database) -> str:
                 "group",
                 [
                     ("context", str(g.context)),
-                    ("group", _fmt_group_terms(g.terms) if g.terms else render_group(g.group)),
+                    ("group", _fmt_group_terms(g.terms, g.group)),
                     ("generators", _fmt_gen_list(g.terms)),
-                    ("flags", " ".join(g.flags)),
                     ("cite", g.cite),
                     ("note", g.note),
                 ],
@@ -600,7 +554,7 @@ def dumps_db(db: Database) -> str:
             "whitehead",
             [
                 ("context", str(w.context)),
-                ("target", _fmt_group_terms(w.target_terms)),
+                ("target", _fmt_group_terms(w.target_terms, w.target)),
                 ("target-generators", _fmt_gen_list(w.target_terms)),
                 ("images", images),
                 ("cite", w.cite),
@@ -609,45 +563,14 @@ def dumps_db(db: Database) -> str:
         )
     for e in db.evidence:
         item = e.item
-        pairs = [("context", str(e.context))]
-        if isinstance(item, Retraction):
-            pairs += [
-                ("kind", "retraction"),
-                ("sections", " ; ".join(f"{a} -> {b}" for a, b in item.sections)),
-            ]
-        elif isinstance(item, ElementOrderLift):
-            pairs += [
-                ("kind", "element-order-lift"),
-                ("lift", item.lift_name),
-                ("order", "inf" if item.order is None else str(item.order)),
-                ("maps-to", item.maps_to),
-                ("absorbs", item.absorbs or ""),
-                ("remainder-name", item.remainder_name or ""),
-            ]
-        elif isinstance(item, RelationFact):
-            pairs += [
-                ("kind", "relation-fact"),
-                ("lift", item.lift_name),
-                ("lift-of", item.lift_of),
-                ("multiplier", str(item.multiplier)),
-                ("rhs", item.rhs),
-                ("rhs-mult", str(item.rhs_mult)),
-                ("remainder-name", item.remainder_name or ""),
-            ]
-        elif isinstance(item, ExternalFact):
-            pairs += [
-                ("kind", "external-fact"),
-                ("factors", _fmt_gen_list(item.factors)),
-                ("statement", item.statement),
-            ]
-        elif isinstance(item, EhpInjectivity):
-            pairs += [
-                ("kind", "ehp-injectivity"),
-                ("source-n", str(item.source_n)),
-                ("names", " ; ".join(f"{a} -> {b}" for a, b in item.names)),
-            ]
-        pairs.append(("cite", e.cite))
-        emit("evidence", pairs)
+        emit(
+            "evidence",
+            [("context", str(e.context)), ("kind", item.KIND)]
+            + [
+                (f.metadata["key"], _CODECS[f.metadata["type"]][1](getattr(item, f.name)))
+                for f in fields(item)
+            ],
+        )
     for r in db.relations:
         emit("relation", [("id", r.rel_id), ("statement", r.statement), ("cite", r.cite)])
     for c in db.components:
@@ -697,18 +620,21 @@ def validate_db(db: Database) -> list[str]:
         if problem:
             problems.append(f"{ctx}: [{rtype}] {problem}")
 
+    def check_orders(terms, group, where):
+        if terms:
+            written = FinAbGroup.from_factors([o for o, _ in terms])
+            if written != group:
+                problems.append(
+                    f"{where}: generator orders disagree with the group "
+                    f"({written} vs {group})"
+                )
+        elif not group.is_trivial():
+            problems.append(f"{where}: nontrivial group without generators")
+
     for entries in db.groups.values():
         for g in entries:
             where = str(g.context)
-            if g.terms:
-                written = FinAbGroup.from_factors([o for o, _ in g.terms])
-                if written != g.group:
-                    problems.append(
-                        f"{where}: generator orders disagree with the group "
-                        f"({written} vs {g.group})"
-                    )
-            elif not g.group.is_trivial():
-                problems.append(f"{where}: nontrivial group without generators")
+            check_orders(g.terms, g.group, where)
             check_names(g.terms, where)
             if g.context.kind == "odd-part":
                 p = g.context.get("p")
@@ -722,6 +648,7 @@ def validate_db(db: Database) -> list[str]:
 
     for w in db.whitehead:
         where = str(w.context)
+        check_orders(w.target_terms, w.target, where)
         check_names(w.target_terms, where)
         n = w.context.get("n")
         src = db.lookup("bracket-id", n=n.lo) if n else None
@@ -756,16 +683,16 @@ def validate_db(db: Database) -> list[str]:
                     )
 
     for e in db.evidence:
-        item = e.item
         names = []
-        if isinstance(item, Retraction):
-            names = [b for _, b in item.sections]
-        elif isinstance(item, ElementOrderLift):
-            names = [item.lift_name]
-        elif isinstance(item, RelationFact):
-            names = [item.lift_name, item.rhs]
-        elif isinstance(item, ExternalFact):
-            names = [n for _, n in item.factors]
+        for f in fields(e.item):
+            value = getattr(e.item, f.name)
+            vtype = f.metadata["type"]
+            if vtype == NAME or (vtype == OPT_NAME and value):
+                names.append(value)
+            elif vtype in (PAIRS, RENAMES):
+                names.extend(name for pair in value for name in pair)
+            elif vtype == TERMS:
+                names.extend(name for _, name in value)
         check_names([(1, n) for n in names], str(e.context))
 
     for r in db.relations:

@@ -13,7 +13,7 @@ positivity is decided by an exhaustive skew-tableau search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, reduce
 from math import gcd
 
@@ -196,6 +196,24 @@ def enumerate_middle_groups(
 # ---------------------------------------------------------------------------
 
 
+# Each evidence class is the schema of its ``[evidence]`` record: ``KIND`` is
+# the record's ``kind`` value and every field carries its record key and value
+# type, from which ``database`` parses, dumps and validates the record and
+# ``map_names`` rewrites it.  The value types:
+TEXT = "text"  # free text
+NAME = "name"  # a generator name
+OPT_NAME = "optional name"  # a generator name or None
+INT = "int"
+ORDER = "order"  # an int, or None written ``inf``
+PAIRS = "pairs"  # ``name -> name ; ...``
+RENAMES = "renames"  # ``source-row name -> local name ; ...``
+TERMS = "terms"  # ``name : order ; ...`` as (order, name) pairs, 0 = Z
+
+
+def _key(key: str, vtype: str, **default):
+    return field(metadata={"key": key, "type": vtype}, **default)
+
+
 @dataclass(frozen=True)
 class Retraction:
     """The quotient map admits a section, so the sequence splits.
@@ -204,8 +222,10 @@ class Retraction:
     lifts in the middle group.
     """
 
-    sections: tuple[tuple[str, str], ...] = ()
-    cite: str = ""
+    KIND = "retraction"
+
+    sections: tuple[tuple[str, str], ...] = _key("sections", PAIRS, default=())
+    cite: str = _key("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
@@ -217,12 +237,14 @@ class ElementOrderLift:
     the lift cyclically extends.
     """
 
-    lift_name: str
-    order: int | None
-    maps_to: str
-    absorbs: str | None = None
-    remainder_name: str | None = None
-    cite: str = ""
+    KIND = "element-order-lift"
+
+    lift_name: str = _key("lift", NAME)
+    order: int | None = _key("order", ORDER)
+    maps_to: str = _key("maps-to", NAME)
+    absorbs: str | None = _key("absorbs", OPT_NAME, default=None)
+    remainder_name: str | None = _key("remainder-name", OPT_NAME, default=None)
+    cite: str = _key("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
@@ -234,22 +256,26 @@ class RelationFact:
     coefficient (odd unknowns normalized to their odd part).
     """
 
-    lift_name: str
-    lift_of: str
-    multiplier: int
-    rhs: str
-    rhs_mult: int = 1
-    remainder_name: str | None = None
-    cite: str = ""
+    KIND = "relation-fact"
+
+    lift_name: str = _key("lift", NAME)
+    lift_of: str = _key("lift-of", NAME)
+    multiplier: int = _key("multiplier", INT)
+    rhs: str = _key("rhs", NAME)
+    rhs_mult: int = _key("rhs-mult", INT, default=1)
+    remainder_name: str | None = _key("remainder-name", OPT_NAME, default=None)
+    cite: str = _key("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
 class ExternalFact:
     """An external theorem pinning the middle group outright."""
 
-    factors: tuple[tuple[int, str], ...]  # (order, generator name); 0 = Z
-    statement: str = ""
-    cite: str = ""
+    KIND = "external-fact"
+
+    factors: tuple[tuple[int, str], ...] = _key("factors", TERMS)
+    statement: str = _key("statement", TEXT, default="")
+    cite: str = _key("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
@@ -258,9 +284,36 @@ class EhpInjectivity:
     translated into that row's concrete evidence before reaching the solver.
     ``names`` maps source-row lift names to their local counterparts."""
 
-    source_n: int
-    names: tuple[tuple[str, str], ...] = ()
-    cite: str = ""
+    KIND = "ehp-injectivity"
+
+    source_n: int = _key("source-n", INT)
+    names: tuple[tuple[str, str], ...] = _key("names", RENAMES, default=())
+    cite: str = _key("cite", TEXT, default="")
+
+
+EVIDENCE_KINDS = {
+    cls.KIND: cls
+    for cls in (Retraction, ElementOrderLift, RelationFact, ExternalFact, EhpInjectivity)
+}
+
+
+def map_names(item, f):
+    """``item`` with ``f`` applied to every generator name it holds.  The
+    source-row side of a ``RENAMES`` map is left as it is: it names
+    generators of another row."""
+    changes = {}
+    for fld in fields(item):
+        value = getattr(item, fld.name)
+        vtype = fld.metadata["type"]
+        if vtype == NAME or (vtype == OPT_NAME and value):
+            changes[fld.name] = f(value)
+        elif vtype == PAIRS:
+            changes[fld.name] = tuple((f(a), f(b)) for a, b in value)
+        elif vtype == RENAMES:
+            changes[fld.name] = tuple((a, f(b)) for a, b in value)
+        elif vtype == TERMS:
+            changes[fld.name] = tuple((o, f(name)) for o, name in value)
+    return replace(item, **changes)
 
 
 @dataclass(frozen=True)
@@ -296,9 +349,7 @@ def _find_for(evidence, cls, pred):
     return [e for e in evidence if isinstance(e, cls) and pred(e)]
 
 
-def apply_evidence(
-    problem: ExtensionProblem, evidence, bound: int = DEFAULT_BOUND
-) -> ResolvedExtension:
+def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
     """Resolve an extension problem to a unique middle group.
 
     Raises :class:`UnresolvedExtensionError` if the evidence leaves more than
@@ -308,7 +359,7 @@ def apply_evidence(
     evidence = list(evidence)
     a_group = problem.sub_group()
     c_group = problem.quot_group()
-    candidates = enumerate_middle_groups(a_group, c_group, bound)
+    candidates = enumerate_middle_groups(a_group, c_group)
 
     external = [e for e in evidence if isinstance(e, ExternalFact)]
     if external:

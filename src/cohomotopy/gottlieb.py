@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .abelian import FinAbGroup, GroupHom, IntMatrix
 from .database import Database, DbError
-from .pipeline import CheckResult
 
 
 def whitehead_hom(db: Database, n: int) -> GroupHom:
@@ -36,23 +35,6 @@ def whitehead_hom(db: Database, n: int) -> GroupHom:
 def gottlieb_group(db: Database, n: int) -> FinAbGroup:
     """G_n as the kernel of the Whitehead pairing."""
     return whitehead_hom(db, n).kernel()
-
-
-def check_gottlieb(db: Database, n: int) -> CheckResult:
-    label = f"G_{n}"
-    entry = db.lookup("gottlieb", n=n)
-    if entry is None:
-        return CheckResult("gottlieb", label, "fail", f"no gottlieb row for n={n}")
-    try:
-        computed = gottlieb_group(db, n)
-    except DbError as e:
-        return CheckResult("gottlieb", label, "fail", str(e))
-    if computed != entry.group:
-        return CheckResult(
-            "gottlieb", label, "fail",
-            f"kernel {computed} != recorded {entry.group}",
-        )
-    return CheckResult("gottlieb", label, "ok", str(computed))
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +108,6 @@ def classify_components(db: Database, n: int) -> ComponentsResult:
     else:
         status = "fail"
     return ComponentsResult(n, computed, entry.expected, status, entry.note)
-
-
-def check_components(db: Database, n: int) -> CheckResult:
-    label = f"components n={n}"
-    try:
-        r = classify_components(db, n)
-    except DbError as e:
-        return CheckResult("components", label, "fail", str(e))
-    detail = f"computed {r.computed}, recorded {r.expected}"
-    if r.note:
-        detail += f" ({r.note})"
-    return CheckResult("components", label, r.status, detail)
 
 
 def fibration_equivalences(db: Database, n: int) -> dict[str, list[tuple[int, ...]]]:

@@ -13,21 +13,18 @@ introduced by evidence (lifts, sections, remainders) are used verbatim.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abelian import FinAbGroup
 from .database import Database, DbError
 from .extensions import (
-    DEFAULT_BOUND,
     EhpInjectivity,
-    ElementOrderLift,
     ExtensionError,
     ExtensionProblem,
-    ExternalFact,
-    RelationFact,
-    Retraction,
     apply_evidence,
+    map_names,
 )
+from .gottlieb import classify_components, gottlieb_group
 
 
 @dataclass(frozen=True)
@@ -76,59 +73,9 @@ def _instantiate_terms(terms, n: int):
     return [(order, instantiate_name(name, n)) for order, name in terms]
 
 
-def _instantiate_item(item, n: int):
-    """Instantiate every generator name inside an evidence item."""
-    sub = lambda s: instantiate_name(s, n) if s else s  # noqa: E731
-    if isinstance(item, Retraction):
-        return Retraction(
-            tuple((sub(a), sub(b)) for a, b in item.sections), item.cite
-        )
-    if isinstance(item, ElementOrderLift):
-        return ElementOrderLift(
-            sub(item.lift_name), item.order, sub(item.maps_to),
-            sub(item.absorbs), sub(item.remainder_name), item.cite,
-        )
-    if isinstance(item, RelationFact):
-        return RelationFact(
-            sub(item.lift_name), sub(item.lift_of), item.multiplier,
-            sub(item.rhs), item.rhs_mult, sub(item.remainder_name), item.cite,
-        )
-    if isinstance(item, ExternalFact):
-        return ExternalFact(
-            tuple((o, sub(nm)) for o, nm in item.factors),
-            item.statement, item.cite,
-        )
-    if isinstance(item, EhpInjectivity):
-        return EhpInjectivity(
-            item.source_n,
-            tuple((a, sub(b)) for a, b in item.names),
-            item.cite,
-        )
-    return item
-
-
 # ---------------------------------------------------------------------------
 # EHP transport: reuse the resolution evidence of another row
 # ---------------------------------------------------------------------------
-
-
-def _translate_item(item, rename):
-    tr = lambda s: rename.get(s, s) if s else s  # noqa: E731
-    if isinstance(item, Retraction):
-        return Retraction(
-            tuple((tr(a), tr(b)) for a, b in item.sections), item.cite
-        )
-    if isinstance(item, ElementOrderLift):
-        return ElementOrderLift(
-            tr(item.lift_name), item.order, tr(item.maps_to),
-            tr(item.absorbs), tr(item.remainder_name), item.cite,
-        )
-    if isinstance(item, RelationFact):
-        return RelationFact(
-            tr(item.lift_name), tr(item.lift_of), item.multiplier,
-            tr(item.rhs), item.rhs_mult, tr(item.remainder_name), item.cite,
-        )
-    return item
 
 
 def _two_primary_rows(db: Database, k: int, n: int):
@@ -155,12 +102,16 @@ def _expand_ehp(db: Database, k: int, n: int, item: EhpInjectivity, sub_terms, q
         rename.setdefault(a, b)
     for (_, a), (_, b) in zip(src_quot, quot_terms):
         rename.setdefault(a, b)
-    out = []
-    for entry in db.evidence_for(k, src_n):
-        src_item = _instantiate_item(entry.item, src_n)
-        if isinstance(src_item, EhpInjectivity):
-            continue
-        out.append(_translate_item(src_item, rename))
+
+    def to_local(name: str) -> str:
+        name = instantiate_name(name, src_n)
+        return rename.get(name, name)
+
+    out = [
+        map_names(entry.item, to_local)
+        for entry in db.evidence_for(k, src_n)
+        if entry.item.KIND != EhpInjectivity.KIND
+    ]
     if not out:
         raise ExtensionError(
             f"k={k} n={n}: EHP source row n={src_n} carries no usable evidence"
@@ -173,25 +124,25 @@ def _expand_ehp(db: Database, k: int, n: int, item: EhpInjectivity, sub_terms, q
 # ---------------------------------------------------------------------------
 
 
-def compute_group(db: Database, k: int, n: int, bound: int = DEFAULT_BOUND) -> ComputedRow:
+def compute_group(db: Database, k: int, n: int) -> ComputedRow:
     """Compute ``[Sigma^{n+k} CP^2, S^n]`` with named generators."""
     sub_terms, quot_terms, coker, ker = _two_primary_rows(db, k, n)
     cites = [coker.cite, ker.cite]
 
     items = []
     for entry in db.evidence_for(k, n):
-        item = _instantiate_item(entry.item, n)
-        if isinstance(item, EhpInjectivity):
-            cites.append(entry.cite)
+        item = map_names(entry.item, lambda name: instantiate_name(name, n))
+        if item.KIND == EhpInjectivity.KIND:
+            cites.append(item.cite)
             items.extend(_expand_ehp(db, k, n, item, sub_terms, quot_terms))
         else:
             items.append(item)
-    cites.extend(i.cite for i in items if getattr(i, "cite", ""))
+    cites.extend(i.cite for i in items if i.cite)
 
     problem = ExtensionProblem(
         sub=tuple(sub_terms), quot=tuple(quot_terms), context=f"bracket k={k} n={n}"
     )
-    resolved = apply_evidence(problem, items, bound)
+    resolved = apply_evidence(problem, items)
 
     suffix = f" . S^{n + k} p"
     raw_sub = {name for _, name in sub_terms}
@@ -230,11 +181,11 @@ def golden_row(db: Database, k: int, n: int) -> ComputedRow:
     )
 
 
-def check_bracket(db: Database, k: int, n: int, bound: int = DEFAULT_BOUND) -> CheckResult:
+def check_bracket(db: Database, k: int, n: int) -> CheckResult:
     """Compare the computed bracket row against the golden row."""
     label = f"k={k} n={n}"
     try:
-        computed = compute_group(db, k, n, bound)
+        computed = compute_group(db, k, n)
         golden = golden_row(db, k, n)
     except (DbError, ExtensionError) as e:
         return CheckResult("bracket", label, "fail", str(e))
@@ -259,7 +210,7 @@ def check_bracket(db: Database, k: int, n: int, bound: int = DEFAULT_BOUND) -> C
 MAPSPACE_RANGE = range(4, 14)
 
 
-def mapping_space_pi(db: Database, n: int, bound: int = DEFAULT_BOUND) -> ComputedRow:
+def mapping_space_pi(db: Database, n: int) -> ComputedRow:
     """pi_n of the based self-mapping space of CP^2, 4 <= n <= 13.
 
     For n >= 11 the group equals the bracket row (k = n - 5, n = 5) and is
@@ -269,10 +220,7 @@ def mapping_space_pi(db: Database, n: int, bound: int = DEFAULT_BOUND) -> Comput
     if n not in MAPSPACE_RANGE:
         raise DbError(f"mapping-space groups are recorded for n = 4..13, not {n}")
     if n >= 11:
-        row = compute_group(db, n - 5, 5, bound)
-        return ComputedRow(k=row.k, n=n, group=row.group,
-                           generators=row.generators, cites=row.cites,
-                           evidence_used=row.evidence_used)
+        return replace(compute_group(db, n - 5, 5), n=n)
     entry = db.lookup("mapspace", n=n)
     if entry is None:
         raise DbError(f"no mapspace row for n={n}")
@@ -280,13 +228,13 @@ def mapping_space_pi(db: Database, n: int, bound: int = DEFAULT_BOUND) -> Comput
                        generators=tuple(entry.terms), cites=(entry.cite,))
 
 
-def check_mapspace(db: Database, n: int, bound: int = DEFAULT_BOUND) -> CheckResult:
+def check_mapspace(db: Database, n: int) -> CheckResult:
     label = f"pi_{n}"
     entry = db.lookup("mapspace", n=n)
     if entry is None:
         return CheckResult("mapspace", label, "fail", f"no mapspace row for n={n}")
     try:
-        row = mapping_space_pi(db, n, bound)
+        row = mapping_space_pi(db, n)
     except (DbError, ExtensionError) as e:
         return CheckResult("mapspace", label, "fail", str(e))
     if row.group != entry.group:
@@ -300,6 +248,40 @@ def check_mapspace(db: Database, n: int, bound: int = DEFAULT_BOUND) -> CheckRes
             f"generators {sorted(row.generators)} != recorded {sorted(entry.terms)}",
         )
     return CheckResult("mapspace", label, "ok", str(row.group))
+
+
+# ---------------------------------------------------------------------------
+# Gottlieb groups and path components
+# ---------------------------------------------------------------------------
+
+
+def check_gottlieb(db: Database, n: int) -> CheckResult:
+    label = f"G_{n}"
+    entry = db.lookup("gottlieb", n=n)
+    if entry is None:
+        return CheckResult("gottlieb", label, "fail", f"no gottlieb row for n={n}")
+    try:
+        computed = gottlieb_group(db, n)
+    except DbError as e:
+        return CheckResult("gottlieb", label, "fail", str(e))
+    if computed != entry.group:
+        return CheckResult(
+            "gottlieb", label, "fail",
+            f"kernel {computed} != recorded {entry.group}",
+        )
+    return CheckResult("gottlieb", label, "ok", str(computed))
+
+
+def check_components(db: Database, n: int) -> CheckResult:
+    label = f"components n={n}"
+    try:
+        r = classify_components(db, n)
+    except DbError as e:
+        return CheckResult("components", label, "fail", str(e))
+    detail = f"computed {r.computed}, recorded {r.expected}"
+    if r.note:
+        detail += f" ({r.note})"
+    return CheckResult("components", label, r.status, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +321,7 @@ def paper_notation(g: FinAbGroup) -> str:
     return "+".join(parts)
 
 
-def table_rows(db: Database, k: int, bound: int = DEFAULT_BOUND):
+def table_rows(db: Database, k: int):
     """(label, ComputedRow) pairs for every recorded row of a k-table,
     computed at the first n of each range."""
     entries = sorted(
@@ -352,12 +334,12 @@ def table_rows(db: Database, k: int, bound: int = DEFAULT_BOUND):
     for e in entries:
         nr = e.context.get("n")
         label = f"n={nr.lo}" if nr.is_single() else f"n>={nr.lo}"
-        out.append((label, compute_group(db, k, nr.lo, bound)))
+        out.append((label, compute_group(db, k, nr.lo)))
     return out
 
 
-def render_table(db: Database, k: int, fmt: str = "ascii", bound: int = DEFAULT_BOUND) -> str:
-    rows = table_rows(db, k, bound)
+def render_table(db: Database, k: int, fmt: str = "ascii") -> str:
+    rows = table_rows(db, k)
     if fmt == "csv":
         lines = ["k,n,paper,canonical"]
         for label, row in rows:
@@ -386,15 +368,13 @@ def render_table(db: Database, k: int, fmt: str = "ascii", bound: int = DEFAULT_
 # ---------------------------------------------------------------------------
 
 
-def verify_all(db: Database, bound: int = DEFAULT_BOUND) -> list[CheckResult]:
+def verify_all(db: Database) -> list[CheckResult]:
     """Recompute every recorded golden value and compare.
 
     Covers all bracket rows of every k-table (open ranges checked at two
     representative n), all mapping-space rows, and the Gottlieb and
     path-component classifications.
     """
-    from .gottlieb import check_components, check_gottlieb
-
     results = []
     ks = sorted({e.context.get("k") for e in db.groups.get("bracket", ())})
     for k in ks:
@@ -407,9 +387,9 @@ def verify_all(db: Database, bound: int = DEFAULT_BOUND) -> list[CheckResult]:
             for n in ns:
                 if nr.hi is not None and n > nr.hi:
                     continue
-                results.append(check_bracket(db, k, n, bound))
+                results.append(check_bracket(db, k, n))
     for n in MAPSPACE_RANGE:
-        results.append(check_mapspace(db, n, bound))
+        results.append(check_mapspace(db, n))
     for e in sorted(db.groups.get("gottlieb", ()), key=lambda e: e.context.get("n").lo):
         results.append(check_gottlieb(db, e.context.get("n").lo))
     for c in sorted(db.components, key=lambda c: c.context.n_range().lo):

@@ -8,14 +8,20 @@ from cohomotopy.abelian import (
     IntMatrix,
     Presentation,
     group_from_presentation,
-    is_zero_hom,
     kernel_lattice,
-    minor_gcds,
     parse_group,
     render_group,
     smith_normal_form,
     subgroup_and_quotient,
 )
+from test_properties import minor_gcds
+
+
+def is_zero_hom(h: GroupHom) -> bool:
+    return all(
+        h.target.contains_zero(h.apply(row))
+        for row in IntMatrix.identity(h.source.num_generators).to_rows()
+    )
 
 
 class TestIntMatrix:
@@ -90,6 +96,11 @@ class TestFinAbGroup:
         for orders in ([], [0], [0, 0, 2, 4], [6], [2, 2, 2]):
             g = FinAbGroup.from_factors(orders)
             assert parse_group(render_group(g)) == g
+
+    @pytest.mark.parametrize("text", ["Z/1", "Z/x", "Q", "Z^ 2", "Z/ 2", "Z/8 +", ""])
+    def test_parse_rejects(self, text):
+        with pytest.raises(AbelianError):
+            parse_group(text)
 
     def test_rejects_bad_chain(self):
         with pytest.raises(AbelianError):

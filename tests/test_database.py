@@ -131,6 +131,32 @@ class TestParsing:
         with pytest.raises(DbParseError):
             loads_db("[group]\ncontext = coker-eta n=4\ngroup = 0\ncite = x\n")
 
+    @pytest.mark.parametrize("bad", ["Z/x", "Z^ 2", "Z/1", "Q"])
+    def test_bad_group_line_rejected(self, bad):
+        text = MINI.replace("group = Z/8\n", f"group = {bad}\n")
+        assert text != MINI
+        with pytest.raises(DbParseError):
+            loads_db(text)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("rhs = nu_4\n", "rhs = nu_4\nremainder_name = R\n"),
+            ("group = Z/8\n", "group = Z/8\nflags = x\n"),
+            ("name = nu\n", "name = nu\nnote = a\nnotes = b\n"),
+        ],
+    )
+    def test_unknown_key_rejected(self, old, new):
+        text = MINI.replace(old, new, 1)
+        assert text != MINI
+        with pytest.raises(DbParseError, match="unknown key"):
+            loads_db(text)
+
+    def test_evidence_without_required_key_rejected(self):
+        text = MINI.replace("lift = L\n", "")
+        with pytest.raises(DbParseError, match="lacks 'lift'"):
+            loads_db(text)
+
 
 class TestRoundTrip:
     def test_shipped_db_roundtrips(self, db, db_text):
@@ -164,6 +190,14 @@ class TestValidation:
         )
         problems = validate_db(loads_db(text))
         assert any("odd torsion" in p for p in problems)
+
+    def test_detects_whitehead_target_disagreeing_with_its_generators(self, db_text):
+        broken = db_text.replace("target = Z/4 + Z/3 + Z/3\n", "target = Z/8 + Z/3 + Z/3\n")
+        assert broken != db_text
+        problems = validate_db(loads_db(broken))
+        assert any(
+            p.startswith("whitehead m=4 n=3: generator orders disagree") for p in problems
+        ), problems
 
     def test_detects_missing_whitehead_image(self, db_text):
         broken = db_text.replace(

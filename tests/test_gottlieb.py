@@ -3,14 +3,13 @@ import pytest
 from cohomotopy.abelian import parse_group
 from cohomotopy.database import DbError, dumps_db, loads_db
 from cohomotopy.gottlieb import (
-    check_components,
-    check_gottlieb,
     classify_components,
     fibration_equivalences,
     gottlieb_group,
     null_component_gottlieb,
     whitehead_hom,
 )
+from cohomotopy.pipeline import check_components, check_gottlieb
 
 
 def G(text):

@@ -118,6 +118,24 @@ class TestFailureModes:
         result = check_bracket(broken, 6, 5)
         assert result.status == "fail"
 
+    def test_ehp_transports_an_external_fact(self, db):
+        # resolve row n=9 by an external fact; rows 7 and 8 pull it back
+        # along EHP and must name its generators in their own terms
+        blocks = [
+            b
+            for b in dumps_db(db).split("\n\n")
+            if not (b.startswith("[evidence]") and "context = extension k=7 n=9\n" in b)
+        ]
+        blocks.append(
+            "[evidence]\ncontext = extension k=7 n=9\nkind = external-fact\n"
+            "factors = ext(eta_9 . eps_10) : 8 ; nubar_9 . nu_17 : 2 ; "
+            "nu_9^2 . g_15(C) : 2\ncite = x\n"
+        )
+        broken = loads_db("\n\n".join(blocks))
+        assert len(broken.evidence) == len(db.evidence) - 1
+        for n in (7, 8, 9):
+            assert check_bracket(broken, 7, n).status == "ok", check_bracket(broken, 7, n)
+
     def test_ehp_shape_mismatch_detected(self, db):
         text = dumps_db(db).replace("source-n = 9", "source-n = 5")
         broken = loads_db(text)

@@ -1,5 +1,6 @@
 """Randomized property checks for the exact linear algebra (seeded)."""
 
+import itertools
 import random
 from math import gcd
 
@@ -12,11 +13,42 @@ from cohomotopy.abelian import (
     IntMatrix,
     Presentation,
     group_from_presentation,
-    minor_gcds,
     smith_diagonal,
     smith_normal_form,
     subgroup_and_quotient,
 )
+
+def minor_gcds(m: IntMatrix) -> list[int]:
+    """gcd of all k x k minors, k = 1..min(rows, cols); exact and independent
+    of Smith normal form (used to cross-check d_1*...*d_k)."""
+    n, c = m.rows, m.cols
+    rows = m.to_rows()
+    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def det(rsel: tuple[int, ...], csel: tuple[int, ...]) -> int:
+        if len(rsel) == 1:
+            return rows[rsel[0]][csel[0]]
+        key = (rsel, csel)
+        if key in cache:
+            return cache[key]
+        total = 0
+        rest = rsel[1:]
+        for idx, col in enumerate(csel):
+            sub = det(rest, csel[:idx] + csel[idx + 1 :])
+            term = rows[rsel[0]][col] * sub
+            total += term if idx % 2 == 0 else -term
+        cache[key] = total
+        return total
+
+    out = []
+    for k in range(1, min(n, c) + 1):
+        g = 0
+        for rsel in itertools.combinations(range(n), k):
+            for csel in itertools.combinations(range(c), k):
+                g = gcd(g, det(rsel, csel))
+        out.append(g)
+    return out
+
 
 SNF_TRIALS = 1000
 ISO_TRIALS = 500
