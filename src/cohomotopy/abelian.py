@@ -76,20 +76,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def diagonal_matrix(cls, diag, rows=None, cols=None) -> "IntMatrix":
-        diag = list(diag)
-        n = rows if rows is not None else len(diag)
-        m = cols if cols is not None else len(diag)
-        e = [[0] * m for _ in range(n)]
-        for i, d in enumerate(diag):
-            e[i][i] = d
-        return cls.from_rows(e) if n else cls(0, m, ())
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -99,13 +85,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -164,25 +143,6 @@ class IntMatrix:
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and self.det() in (1, -1)
 
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a unimodular matrix (exact, via adjugate)."""
-        d = self.det()
-        if d not in (1, -1):
-            raise AbelianError("matrix is not unimodular")
-        n = self.rows
-        rows = self.to_rows()
-        inv = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [rows[r][c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-                cof = IntMatrix.from_rows(minor).det() if n > 1 else 1
-                inv[i][j] = d * ((-1) ** (i + j)) * cof
-        return IntMatrix.from_rows(inv) if n else IntMatrix(0, 0, ())
-
 
 def row_vector_times(vec, m: IntMatrix) -> list[int]:
     """(1 x r) @ (r x c) as plain lists."""
@@ -213,129 +173,25 @@ class SmithDecomposition:
         )
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms: u @ m @ v == d.
+def _eliminate(a, n, c) -> None:
+    """Bring the top-left ``n x c`` block of ``a`` (a list of lists) to Smith
+    normal form in place.
 
-    Deterministic pivoting: among nonzero entries of the active submatrix the
-    one with the smallest absolute value is chosen, ties broken by the lowest
-    (row, col) pair.
+    Deterministic pivoting: among nonzero entries of the active block the one
+    with the smallest absolute value is chosen, ties broken by the lowest
+    (row, col) pair.  Row operations act on whole rows ``0..n-1``; column
+    operations act on the columns ``< c`` of every row of ``a``.  So columns
+    beyond ``c`` of the first ``n`` rows record the row transform, and rows
+    beyond ``n`` record the column transform.
     """
-    n, c = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(n).to_rows()
-    v = IntMatrix.identity(c).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        arow, usrc = a[src], u[src]
-        adst, udst = a[dst], u[dst]
-        for j in range(c):
-            adst[j] += q * arow[j]
-        for j in range(n):
-            udst[j] += q * usrc[j]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(n, c):
-        # pick pivot: smallest |value| among nonzero entries of a[t:][t:]
-        best = None
-        for i in range(t, n):
-            for j in range(t, c):
-                x = a[i][j]
-                if x != 0:
-                    key = (abs(x), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        if a[t][t] < 0:
-            negate_row(t)
-        p = a[t][t]
-        # clear column t
-        dirty = False
-        for i in range(t + 1, n):
-            if a[i][t] != 0:
-                q = a[i][t] // p
-                add_row(t, i, -q)
-                if a[i][t] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # clear row t
-        for j in range(t + 1, c):
-            if a[t][j] != 0:
-                q = a[t][j] // p
-                add_col(t, j, -q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce divisibility: pivot must divide the remaining submatrix
-        fix = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, c):
-                if a[i][j] % p != 0:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            add_row(fix, t, 1)
-            continue
-        t += 1
-
-    um = IntMatrix.from_rows(u) if n else IntMatrix(0, 0, ())
-    vm = IntMatrix.from_rows(v) if c else IntMatrix(0, 0, ())
-    dm = IntMatrix.from_rows(a) if n else IntMatrix(0, c, ())
-    return SmithDecomposition(um, dm, vm)
-
-
-def smith_diagonal(rows) -> list[int]:
-    """The diagonal of the Smith normal form of ``rows`` (a list of equal-length
-    integer rows): ``min(rows, cols)`` nonnegative invariant factors.
-
-    Same elimination and pivoting as :func:`smith_normal_form`, on the matrix
-    alone: no transforms are tracked and no :class:`IntMatrix` is built, so it
-    is the cheap entry point when only the group's type is wanted.
-
-    >>> smith_diagonal([[2, 4], [6, 8]])
-    [2, 4]
-    """
-    a = [list(r) for r in rows]
-    n = len(a)
-    c = len(a[0]) if a else 0
-    for row in a:
-        if len(row) != c:
-            raise AbelianError("ragged rows")
+    below = a[n:]
     k = min(n, c)
+    w = len(a[0]) if a else 0
     t = 0
     while t < k:
-        # pivot: smallest |value| in a[t:][t:]; scanning in (row, col) order
-        # and replacing only on a strictly smaller value keeps the lowest pair
+        # pivot: smallest |value| in a[t:n][t:c]; scanning in (row, col) order
+        # and replacing only on a strictly smaller value keeps the lowest pair,
+        # so the scan may stop after the row where it first finds a 1
         best = 0
         pi = pj = t
         for i in range(t, n):
@@ -346,6 +202,8 @@ def smith_diagonal(rows) -> list[int]:
                     x = -x if x < 0 else x
                     if not best or x < best:
                         best, pi, pj = x, i, j
+            if best == 1:
+                break
         if not best:
             break
         if pi != t:
@@ -357,28 +215,32 @@ def smith_diagonal(rows) -> list[int]:
         if top[t] < 0:
             top = a[t] = [-x for x in top]
         p = top[t]
-        # clear column t
+        # clear column t; columns < t of rows >= t are zero already
         dirty = False
         for i in range(t + 1, n):
             row = a[i]
             if row[t]:
                 q = row[t] // p
-                for j in range(t, c):
+                for j in range(t, w):
                     row[j] -= q * top[j]
                 if row[t]:
                     dirty = True
         if dirty:
             continue
-        # clear row t; column t is zero off the pivot now, so the column
-        # operation only reduces top[j] modulo p
+        # clear row t; column t of the block is zero off the pivot now, so
+        # the column operation only reduces top[j] modulo p there
         for j in range(t + 1, c):
             if top[j]:
+                if below:
+                    q = top[j] // p
+                    for row in below:
+                        row[j] -= q * row[t]
                 top[j] %= p
                 if top[j]:
                     dirty = True
         if dirty:
             continue
-        # enforce divisibility: pivot must divide the remaining submatrix
+        # enforce divisibility: pivot must divide the remaining block
         fix = None
         for i in range(t + 1, n):
             row = a[i]
@@ -389,11 +251,48 @@ def smith_diagonal(rows) -> list[int]:
             if fix is not None:
                 break
         if fix is not None:
-            for j in range(t, c):
+            for j in range(t, w):
                 top[j] += fix[j]
             continue
         t += 1
-    return [a[i][i] for i in range(k)]
+
+
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with transforms: u @ m @ v == d.
+
+    Runs :func:`_eliminate` on ``m`` bordered by ``I_n`` on the right (each
+    row carries its row of ``u``) and by ``I_c`` below (those rows become
+    ``v``).
+    """
+    n, c = m.rows, m.cols
+    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    a += [[int(i == j) for j in range(c)] for i in range(c)]
+    _eliminate(a, n, c)
+    u = IntMatrix(n, n, tuple(x for row in a[:n] for x in row[c:]))
+    d = IntMatrix(n, c, tuple(x for row in a[:n] for x in row[:c]))
+    v = IntMatrix(c, c, tuple(x for row in a[n:] for x in row))
+    return SmithDecomposition(u, d, v)
+
+
+def smith_diagonal(rows) -> list[int]:
+    """The diagonal of the Smith normal form of ``rows`` (a list of equal-length
+    integer rows): ``min(rows, cols)`` nonnegative invariant factors.
+
+    The elimination of :func:`smith_normal_form` on the matrix alone: no
+    transforms are tracked and no :class:`IntMatrix` is built, so it is the
+    cheap entry point when only the group's type is wanted.
+
+    >>> smith_diagonal([[2, 4], [6, 8]])
+    [2, 4]
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    c = len(a[0]) if a else 0
+    for row in a:
+        if len(row) != c:
+            raise AbelianError("ragged rows")
+    _eliminate(a, n, c)
+    return [a[i][i] for i in range(min(n, c))]
 
 
 def kernel_lattice(m: IntMatrix) -> list[list[int]]:
@@ -509,9 +408,6 @@ class FinAbGroup:
         primary = _primary_from_orders(self.torsion)
         return {p: tuple(sorted(v, reverse=True)) for p, v in sorted(primary.items())}
 
-    def p_part(self, p: int) -> "FinAbGroup":
-        return FinAbGroup.from_factors(self.primary_decomposition().get(p, ()))
-
     def odd_part(self) -> "FinAbGroup":
         orders = []
         for p, powers in self.primary_decomposition().items():
@@ -626,17 +522,17 @@ class Presentation:
         return self.element_order(vec) == 1
 
     def canonical_form_map(self):
-        """Return (orders, to_canonical, from_canonical).
+        """Return (orders, to_canonical).
 
         ``orders`` lists cyclic orders (0 = infinite) of a canonical
-        coordinate system; the two callables convert between generator
-        coordinates and canonical coordinates.
+        coordinate system; ``to_canonical`` converts generator coordinates
+        into canonical coordinates, so two vectors have the same image iff
+        they represent the same element.
         """
         s = self.smith
         d = s.d.diagonal()
         g = self.num_generators
         orders = [(d[j] if j < len(d) else 0) for j in range(g)]
-        vinv = s.v.inverse_unimodular()
 
         def to_canonical(vec):
             w = row_vector_times(list(vec), s.v)
@@ -644,10 +540,7 @@ class Presentation:
                 w[j] % orders[j] if orders[j] else w[j] for j in range(g)
             )
 
-        def from_canonical(w):
-            return row_vector_times(list(w), vinv)
-
-        return orders, to_canonical, from_canonical
+        return orders, to_canonical
 
 
 def group_from_presentation(relations: IntMatrix) -> FinAbGroup:

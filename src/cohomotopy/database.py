@@ -102,6 +102,8 @@ class NRange:
         if ".." not in text:
             return cls(lo, lo)
         hi = int(m.group(2)) if m.group(2) else None
+        if hi is not None and hi < lo:
+            raise ValueError(f"empty n range {text!r}")
         return cls(lo, hi)
 
 
@@ -159,6 +161,8 @@ def parse_context(text: str) -> Context:
         if "=" not in part:
             raise ValueError(f"bad context parameter {part!r}")
         k, v = part.split("=", 1)
+        if any(k == seen for seen, _ in params):
+            raise ValueError(f"repeated context parameter {k!r}")
         if k == "n":
             params.append((k, NRange.parse(v)))
         else:

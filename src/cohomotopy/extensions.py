@@ -345,8 +345,10 @@ class ResolvedExtension:
         return tuple(name for _, name in self.generators)
 
 
-def _find_for(evidence, cls, pred):
-    return [e for e in evidence if isinstance(e, cls) and pred(e)]
+def _label(item) -> str:
+    """An evidence item's kind with its lift name or citation, for messages."""
+    name = getattr(item, "lift_name", None) or item.cite
+    return f"{item.KIND} {name!r}" if name else item.KIND
 
 
 def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
@@ -354,63 +356,79 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
 
     Raises :class:`UnresolvedExtensionError` if the evidence leaves more than
     one candidate, and :class:`ExtensionError` on inconsistent evidence (a
-    claimed middle group outside the candidate set).
+    claimed middle group outside the candidate set) or on an item it would
+    not consume: an external fact or retraction that does not stand alone,
+    a lift or relation fact naming no quotient generator, or a second one
+    for the same quotient generator.
     """
     evidence = list(evidence)
     a_group = problem.sub_group()
     c_group = problem.quot_group()
     candidates = enumerate_middle_groups(a_group, c_group)
+    ctx = problem.context
 
-    external = [e for e in evidence if isinstance(e, ExternalFact)]
-    if external:
-        factors = list(external[0].factors)
-        return _finish(problem, candidates, factors, evidence)
-
-    retractions = [e for e in evidence if isinstance(e, Retraction)]
-    if retractions:
-        sections = dict(retractions[0].sections)
+    whole = [e for e in evidence if isinstance(e, (ExternalFact, Retraction))]
+    if whole and len(evidence) > 1:
+        other = next(e for e in evidence if e is not whole[0])
+        raise ExtensionError(
+            f"{ctx}: {_label(whole[0])} settles the extension alone, "
+            f"but {_label(other)} is given too"
+        )
+    if whole and isinstance(whole[0], ExternalFact):
+        return _finish(problem, candidates, list(whole[0].factors), evidence)
+    if whole:
+        sections = dict(whole[0].sections)
         factors = list(problem.sub)
-        for order, name in problem.quot:
-            factors.append((order, sections.get(name, f"ext({name})")))
+        factors += [(o, sections.get(name, f"ext({name})")) for o, name in problem.quot]
         return _finish(problem, candidates, factors, evidence)
+
+    # every remaining item lifts one quotient generator, and none shares it
+    quot_names = {name for _, name in problem.quot}
+    lift_for: dict[str, RelationFact | ElementOrderLift] = {}
+    for e in evidence:
+        if isinstance(e, RelationFact):
+            name = e.lift_of
+        elif isinstance(e, ElementOrderLift):
+            name = e.maps_to
+        else:
+            continue  # an EHP transport item, expanded before it gets here
+        if name not in quot_names:
+            raise ExtensionError(
+                f"{ctx}: {_label(e)} names {name!r}, which is no quotient generator"
+            )
+        if name in lift_for:
+            raise ExtensionError(
+                f"{ctx}: {_label(e)} and {_label(lift_for[name])} both lift {name}"
+            )
+        lift_for[name] = e
 
     factors = list(problem.sub)
     unresolved: list[str] = []
     for order, name in problem.quot:
-        if order == 0:
-            lifts = _find_for(
-                evidence, ElementOrderLift, lambda e: e.maps_to == name
-            )
-            lift_name = lifts[0].lift_name if lifts else f"ext({name})"
-            factors.append((0, lift_name))
-            continue
-        rels = _find_for(evidence, RelationFact, lambda e: e.lift_of == name)
-        lifts = _find_for(
-            evidence, ElementOrderLift, lambda e: e.maps_to == name
-        )
-        if rels:
-            r = rels[0]
-            if r.multiplier != order:
+        e = lift_for.get(name)
+        if isinstance(e, RelationFact):
+            if e.multiplier != order or not order:
                 raise ExtensionError(
-                    f"{problem.context}: relation multiplier {r.multiplier} != "
-                    f"order {order} of quotient generator {name}"
+                    f"{ctx}: relation multiplier {e.multiplier} != "
+                    f"order {order or 'inf'} of quotient generator {name}"
                 )
-            idx = _factor_index(factors, r.rhs, problem.context)
+            idx = _factor_index(factors, e.rhs, ctx)
             o_a = factors[idx][0]
-            rhs_order = o_a // gcd(o_a, r.rhs_mult)
-            lift_order = r.multiplier * rhs_order
+            rhs_order = o_a // gcd(o_a, e.rhs_mult)
+            lift_order = e.multiplier * rhs_order
             leftover = o_a * order // lift_order
             del factors[idx]
-            factors.insert(idx, (lift_order, r.lift_name))
+            factors.insert(idx, (lift_order, e.lift_name))
             if leftover > 1:
-                rem = r.remainder_name or f"{leftover}-part({r.rhs})"
+                rem = e.remainder_name or f"{leftover}-part({e.rhs})"
                 factors.insert(idx + 1, (leftover, rem))
-        elif lifts:
-            e = lifts[0]
+        elif order == 0:
+            factors.append((0, e.lift_name if e else f"ext({name})"))
+        elif e is not None:
             if e.order == order:
                 factors.append((order, e.lift_name))
             elif e.order is not None and e.order > order and e.absorbs:
-                idx = _factor_index(factors, e.absorbs, problem.context)
+                idx = _factor_index(factors, e.absorbs, ctx)
                 o_a = factors[idx][0]
                 leftover = o_a * order // e.order
                 del factors[idx]
@@ -420,7 +438,7 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                     factors.insert(idx + 1, (leftover, rem))
             else:
                 raise ExtensionError(
-                    f"{problem.context}: lift {e.lift_name} has order {e.order} "
+                    f"{ctx}: lift {e.lift_name} has order {e.order} "
                     f"incompatible with quotient generator {name} of order {order}"
                 )
         else:
@@ -432,7 +450,7 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                 unresolved.append(name)
     if unresolved:
         raise UnresolvedExtensionError(
-            problem.context,
+            ctx,
             candidates.candidates,
             "no evidence for quotient generator(s) " + ", ".join(unresolved),
         )

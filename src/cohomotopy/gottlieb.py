@@ -47,7 +47,7 @@ def _image_elements(h: GroupHom):
 
     Requires a finite target; returns (orders, set of coordinate tuples).
     """
-    orders, to_canonical, _ = h.target.canonical_form_map()
+    orders, to_canonical = h.target.canonical_form_map()
     if any(o == 0 for o in orders):
         raise DbError("pairing target is infinite; cannot enumerate")
 
@@ -121,7 +121,7 @@ def fibration_equivalences(db: Database, n: int) -> dict[str, list[tuple[int, ..
     if src is None:
         raise DbError(f"no bracket-id row for n={n}")
     h = whitehead_hom(db, n)
-    orders, to_canonical, _ = h.target.canonical_form_map()
+    orders, to_canonical = h.target.canonical_form_map()
     out: dict[str, list[tuple[int, ...]]] = {}
     for i, (order, name) in enumerate(src.terms):
         classes: dict[tuple, list[int]] = {}

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class NameParseError(Exception):
@@ -243,6 +244,8 @@ def parse_name(text: str) -> Expr:
     return _Parser(text.strip()).parse()
 
 
-def families_of(text: str) -> set[str]:
-    """All symbol families referenced by a generator name."""
-    return parse_name(text).families()
+@lru_cache(maxsize=None)
+def families_of(text: str) -> frozenset[str]:
+    """All symbol families referenced by a generator name (cached: a database
+    repeats its names; a :class:`NameParseError` is not cached)."""
+    return frozenset(parse_name(text).families())

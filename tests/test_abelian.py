@@ -11,6 +11,7 @@ from cohomotopy.abelian import (
     kernel_lattice,
     parse_group,
     render_group,
+    smith_diagonal,
     smith_normal_form,
     subgroup_and_quotient,
 )
@@ -34,14 +35,6 @@ class TestIntMatrix:
         # expansion by hand: 2*(2+15) - 3*(8-0) + 1*(20-0)
         assert m.det() == 2 * 17 - 3 * 8 + 1 * 20
 
-    def test_inverse_unimodular(self):
-        u = IntMatrix.from_rows([[2, 1], [1, 1]])
-        assert (u @ u.inverse_unimodular()) == IntMatrix.identity(2)
-
-    def test_inverse_rejects_non_unimodular(self):
-        with pytest.raises(AbelianError):
-            IntMatrix.from_rows([[2, 0], [0, 1]]).inverse_unimodular()
-
 
 class TestSmithNormalForm:
     def test_diagonal_and_certificate(self):
@@ -58,6 +51,19 @@ class TestSmithNormalForm:
         s = smith_normal_form(m)
         assert s.check(m)
         assert s.d.diagonal() == [0, 0]
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0)])
+    def test_empty_shapes(self, rows, cols):
+        m = IntMatrix(rows, cols, ())
+        s = smith_normal_form(m)
+        assert s.u == IntMatrix.identity(rows)
+        assert s.v == IntMatrix.identity(cols)
+        assert s.d == m
+        assert s.check(m)
+
+    def test_smith_diagonal_rejects_ragged_rows(self):
+        with pytest.raises(AbelianError):
+            smith_diagonal([[1, 2], [3]])
 
     def test_minor_gcd_identity(self):
         m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -123,16 +129,16 @@ class TestPresentation:
         assert p.element_order([0, 1]) == 2
 
     def test_canonical_form_roundtrip(self):
+        # canonical coordinates agree exactly on vectors of the same class
         rel = IntMatrix.from_rows([[2, 4], [0, 6]])
         p = Presentation(2, rel)
-        orders, to_can, from_can = p.canonical_form_map()
-        g = group_from_presentation(rel)
-        assert FinAbGroup.from_factors(orders) == g
-        for vec in ([1, 0], [0, 1], [3, 5]):
-            w = to_can(vec)
-            back = from_can(w)
-            diff = [a - b for a, b in zip(vec, back)]
-            assert p.contains_zero(diff)
+        orders, to_can = p.canonical_form_map()
+        assert FinAbGroup.from_factors(orders) == group_from_presentation(rel)
+        grid = [[a, b] for a in range(-3, 4) for b in range(-3, 4)]
+        for x in grid:
+            for y in grid:
+                diff = [a - b for a, b in zip(x, y)]
+                assert (to_can(x) == to_can(y)) == p.contains_zero(diff)
 
     def test_subgroup_and_quotient(self):
         p = Presentation.from_orders([8, 2])

@@ -152,6 +152,21 @@ class TestParsing:
         with pytest.raises(DbParseError, match="unknown key"):
             loads_db(text)
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("k=6 n=4\n", "k=6 k=7 n=4\n", "repeated context parameter 'k'"),
+            ("k=6 n=4\n", "k=6 n=4 n=5\n", "repeated context parameter 'n'"),
+            ("k=6 n=5..\n", "k=6 n=5..3\n", "empty n range '5..3'"),
+            ("extension k=6 n=7\n", "extension k=6 n=7..6\n", "empty n range"),
+        ],
+    )
+    def test_malformed_context_rejected(self, old, new, match):
+        text = MINI.replace(old, new, 1)
+        assert text != MINI
+        with pytest.raises(DbParseError, match=match):
+            loads_db(text)
+
     def test_evidence_without_required_key_rejected(self):
         text = MINI.replace("lift = L\n", "")
         with pytest.raises(DbParseError, match="lacks 'lift'"):

@@ -257,3 +257,60 @@ class TestApplyEvidence:
         )
         with pytest.raises(UnresolvedExtensionError):
             apply_evidence(problem, [EhpInjectivity(source_n=9)])
+
+    @pytest.mark.parametrize(
+        "evidence, match",
+        [
+            (
+                [ExternalFact(((8, "L"),), cite="[A]"), ExternalFact(((8, "M"),), cite="[B]")],
+                "external-fact '\\[A\\]' settles the extension alone, but external-fact '\\[B\\]'",
+            ),
+            (
+                [Retraction(cite="[A]"), Retraction(cite="[B]")],
+                "retraction '\\[A\\]' settles .* retraction '\\[B\\]'",
+            ),
+            (
+                [ExternalFact(((8, "L"),), cite="[A]"), ElementOrderLift("L", 2, maps_to="c")],
+                "but element-order-lift 'L' is given too",
+            ),
+            (
+                [RelationFact("L", lift_of="c", multiplier=2, rhs="a"), Retraction()],
+                "retraction settles .* relation-fact 'L'",
+            ),
+            (
+                [
+                    RelationFact("L", lift_of="c", multiplier=2, rhs="a"),
+                    RelationFact("M", lift_of="c", multiplier=2, rhs="a"),
+                ],
+                "relation-fact 'M' and relation-fact 'L' both lift c",
+            ),
+            (
+                [ElementOrderLift("L", 2, maps_to="c"), ElementOrderLift("M", 2, maps_to="c")],
+                "element-order-lift 'M' and element-order-lift 'L' both lift c",
+            ),
+            (
+                [
+                    RelationFact("L", lift_of="c", multiplier=2, rhs="a"),
+                    ElementOrderLift("M", 2, maps_to="c"),
+                ],
+                "element-order-lift 'M' and relation-fact 'L' both lift c",
+            ),
+            (
+                [RelationFact("L", lift_of="x", multiplier=2, rhs="a")],
+                "relation-fact 'L' names 'x', which is no quotient generator",
+            ),
+            (
+                [ElementOrderLift("L", 2, maps_to="a")],
+                "element-order-lift 'L' names 'a', which is no quotient generator",
+            ),
+        ],
+    )
+    def test_unconsumed_evidence_rejected(self, evidence, match):
+        problem = ExtensionProblem(sub=((4, "a"),), quot=((2, "c"),), context="t")
+        with pytest.raises(ExtensionError, match=match):
+            apply_evidence(problem, evidence)
+
+    def test_relation_fact_for_infinite_generator_rejected(self):
+        problem = ExtensionProblem(sub=((4, "a"),), quot=((0, "c"),), context="t")
+        with pytest.raises(ExtensionError, match="order inf of quotient generator c"):
+            apply_evidence(problem, [RelationFact("L", lift_of="c", multiplier=2, rhs="a")])
