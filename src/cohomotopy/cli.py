@@ -167,7 +167,7 @@ def _dispatch(args, db) -> int:
         ns = (
             [args.n]
             if args.n is not None
-            else sorted(c.context.n_range().lo for c in db.components)
+            else sorted(c.context.get("n").lo for c in db.components)
         )
         failures = 0
         for n in ns:

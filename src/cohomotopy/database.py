@@ -24,7 +24,8 @@ full grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from .abelian import AbelianError, FinAbGroup, Presentation, parse_group, render_group
@@ -38,28 +39,18 @@ from .extensions import (
     RENAMES,
     TERMS,
     TEXT,
+    record_field,
+    schema,
 )
 from .symbols import NameParseError, families_of
 
-GROUP_CONTEXTS = {
-    "coker-eta": ("k", "n"),
-    "ker-eta": ("k", "n"),
-    "odd-part": ("k", "n", "p"),
-    "bracket": ("k", "n"),
-    "mapspace": ("n",),
-    "bracket-id": ("n",),
-    "gottlieb": ("n",),
-    "sphere": ("m", "k"),
-    "sphere-gottlieb": ("m", "k"),
-}
-
-# The context kinds each record type accepts, with their parameters.
-RECORD_CONTEXTS = {
-    "group": GROUP_CONTEXTS,
-    "whitehead": {"whitehead": ("n", "m")},
-    "evidence": {"extension": ("k", "n")},
-    "components": {"components": ("n",)},
-}
+# Value types of the record fields beyond those the evidence kinds share:
+CONTEXT = "context"  # ``kind key=value ...``, checked against the record's CONTEXTS
+GROUP = "group"  # a group expression, written from the field its ``terms`` name
+IMAGES = "images"  # ``name -> (c, ...) ; ...``, coordinates int or ``odd``
+WORDS = "words"  # space-separated words
+EQUATION = "equation"  # ``name = name``
+EVIDENCE = "evidence"  # the ``kind`` value; its class reads the other keys
 
 
 class DbError(Exception):
@@ -118,28 +109,18 @@ class Context:
                 return v
         return default
 
-    def n_range(self) -> NRange:
-        """The ``n`` parameter; a :class:`DbError` when the context has none
-        (``loads_db`` checks the parameters of group contexts only, the other
-        record types are left to ``validate_db``)."""
-        nr = self.get("n")
-        if nr is None:
-            raise DbError(f"context {self} lacks the n parameter")
-        return nr
-
     def __str__(self) -> str:
         order = {"k": 0, "n": 1, "p": 2, "m": -1}
         items = sorted(self.params, key=lambda kv: order.get(kv[0], 9))
         return " ".join([self.kind] + [f"{k}={v}" for k, v in items])
 
 
-def _context_problem(rtype: str, ctx: Context) -> str | None:
-    """Why ``ctx`` is not a valid context for a ``[rtype]`` record, if it is
-    not: an unknown kind, or missing or extra parameters."""
-    kinds = RECORD_CONTEXTS[rtype]
-    if ctx.kind not in kinds:
-        return f"unknown {rtype} context {ctx.kind!r}"
-    want = set(kinds[ctx.kind])
+def _context_problem(cls, ctx: Context) -> str | None:
+    """Why ``ctx`` is not a valid context for a record of class ``cls``, if
+    it is not: an unknown kind, or missing or extra parameters."""
+    if ctx.kind not in cls.CONTEXTS:
+        return f"unknown {cls.TAG} context {ctx.kind!r}"
+    want = set(cls.CONTEXTS[ctx.kind])
     got = {k for k, _ in ctx.params}
     if want == got:
         return None
@@ -170,6 +151,23 @@ def parse_context(text: str) -> Context:
     return Context(kind, tuple(sorted(params)))
 
 
+# Each record class is the schema of its ``[TAG]`` record: ``CONTEXTS`` maps
+# the context kinds it accepts to their parameters, ``UNIQUE`` names the field
+# no two records of the file may share, and every field carries its record
+# key and value type (``extensions.record_field``), from which the record is
+# parsed, dumped and validated.  Fields are written in the order declared.
+
+
+@dataclass(frozen=True)
+class SymbolEntry:
+    TAG = "symbol"
+    UNIQUE = "name"
+
+    name: str = record_field("name", TEXT)
+    cite: str = record_field("cite", TEXT, default="")
+    note: str = record_field("note", TEXT, default="")
+
+
 @dataclass(frozen=True)
 class GroupEntry:
     """A group with named generators, as written in the source tables.
@@ -178,24 +176,31 @@ class GroupEntry:
     generator name, in table order; ``group`` is the canonical form.
     """
 
-    context: Context
-    group: FinAbGroup
-    terms: tuple[tuple[int, str], ...]
-    cite: str
-    note: str = ""
+    TAG = "group"
+    UNIQUE = "context"
+    CONTEXTS = {
+        "coker-eta": ("k", "n"),
+        "ker-eta": ("k", "n"),
+        "odd-part": ("k", "n", "p"),
+        "bracket": ("k", "n"),
+        "mapspace": ("n",),
+        "bracket-id": ("n",),
+        "gottlieb": ("n",),
+        "sphere": ("m", "k"),
+        "sphere-gottlieb": ("m", "k"),
+    }
+
+    context: Context = record_field("context", CONTEXT)
+    group: FinAbGroup = record_field("group", GROUP, terms="terms")
+    terms: tuple[tuple[int, str], ...] = record_field("generators", TERMS, default=())
+    cite: str = record_field("cite", TEXT, default="")
+    note: str = record_field("note", TEXT, default="")
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.terms)
 
     def presentation(self) -> Presentation:
         return Presentation.from_orders([o for o, _ in self.terms])
-
-
-@dataclass(frozen=True)
-class SymbolEntry:
-    name: str
-    cite: str
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -207,12 +212,20 @@ class WhiteheadEntry:
     (integers, or "odd" for an undetermined odd unit, evaluated as 1).
     """
 
-    context: Context  # kind "whitehead", params n, m
-    target: FinAbGroup
-    target_terms: tuple[tuple[int, str], ...]
-    images: tuple[tuple[str, tuple[object, ...]], ...]
-    cite: str
-    note: str = ""
+    TAG = "whitehead"
+    UNIQUE = "context"
+    CONTEXTS = {"whitehead": ("n", "m")}
+
+    context: Context = record_field("context", CONTEXT)
+    target: FinAbGroup = record_field("target", GROUP, terms="target_terms")
+    target_terms: tuple[tuple[int, str], ...] = record_field(
+        "target-generators", TERMS, default=()
+    )
+    images: tuple[tuple[str, tuple[object, ...]], ...] = record_field(
+        "images", IMAGES, default=()
+    )
+    cite: str = record_field("cite", TEXT, default="")
+    note: str = record_field("note", TEXT, default="")
 
     def target_presentation(self) -> Presentation:
         return Presentation.from_orders([o for o, _ in self.target_terms])
@@ -229,24 +242,43 @@ class WhiteheadEntry:
 
 @dataclass(frozen=True)
 class EvidenceEntry:
-    context: Context  # kind "extension", params k, n
-    item: object  # an instance of a class in EVIDENCE_KINDS
+    TAG = "evidence"
+    UNIQUE = None
+    CONTEXTS = {"extension": ("k", "n")}
+
+    context: Context = record_field("context", CONTEXT)
+    item: object = record_field("kind", EVIDENCE)  # an instance of an EVIDENCE_KINDS class
 
 
 @dataclass(frozen=True)
 class RelationEntry:
-    rel_id: str
-    statement: str
-    cite: str
+    TAG = "relation"
+    UNIQUE = None
+
+    rel_id: str = record_field("id", TEXT)
+    statement: str = record_field("statement", EQUATION)
+    cite: str = record_field("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
 class ComponentsEntry:
-    context: Context  # kind "components", params n
-    expected: int
-    flags: tuple[str, ...]
-    cite: str
-    note: str = ""
+    TAG = "components"
+    UNIQUE = "context"
+    CONTEXTS = {"components": ("n",)}
+
+    context: Context = record_field("context", CONTEXT)
+    expected: int = record_field("expected", INT)
+    flags: tuple[str, ...] = record_field("flags", WORDS, default=())
+    cite: str = record_field("cite", TEXT, default="")
+    note: str = record_field("note", TEXT, default="")
+
+
+RECORD_TYPES = {
+    cls.TAG: cls
+    for cls in (
+        SymbolEntry, GroupEntry, WhiteheadEntry, EvidenceEntry, RelationEntry, ComponentsEntry
+    )
+}
 
 
 @dataclass
@@ -258,6 +290,25 @@ class Database:
     evidence: list[EvidenceEntry] = field(default_factory=list)
     relations: list[RelationEntry] = field(default_factory=list)
     components: list[ComponentsEntry] = field(default_factory=list)
+
+    def add(self, entry) -> None:
+        if isinstance(entry, SymbolEntry):
+            self.symbols[entry.name] = entry
+        elif isinstance(entry, GroupEntry):
+            self.groups.setdefault(entry.context.kind, []).append(entry)
+        else:
+            lists = {WhiteheadEntry: self.whitehead, EvidenceEntry: self.evidence,
+                     RelationEntry: self.relations, ComponentsEntry: self.components}
+            lists[type(entry)].append(entry)
+
+    def entries(self):
+        """Every entry, in the order ``dumps_db`` writes them: symbols, groups
+        by context kind, whitehead, evidence, relation, components."""
+        yield from self.symbols.values()
+        for entries in self.groups.values():
+            yield from entries
+        for entries in (self.whitehead, self.evidence, self.relations, self.components):
+            yield from entries
 
     # -- lookups ----------------------------------------------------------
     def lookup(self, kind: str, **params) -> GroupEntry | None:
@@ -282,18 +333,13 @@ class Database:
         return best
 
     def evidence_for(self, k: int, n: int) -> list[EvidenceEntry]:
-        return [e for e in self.evidence if e.context.get("k") == k and _covers(e, n)]
+        return [e for e in self.evidence if e.context.get("k") == k and n in e.context.get("n")]
 
     def whitehead_for(self, n: int) -> WhiteheadEntry | None:
-        return next((e for e in self.whitehead if _covers(e, n)), None)
+        return next((e for e in self.whitehead if n in e.context.get("n")), None)
 
     def components_for(self, n: int) -> ComponentsEntry | None:
-        return next((e for e in self.components if _covers(e, n)), None)
-
-
-def _covers(entry, n: int) -> bool:
-    nr = entry.context.get("n")
-    return nr is not None and n in nr
+        return next((e for e in self.components if n in e.context.get("n")), None)
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +350,20 @@ def _covers(entry, n: int) -> bool:
 def _parse_gen_list(text: str):
     """Parse ``name : order ; name : order`` into (order, name) pairs."""
     out = []
-    if not text.strip():
-        return out
-    for item in text.split(";"):
+    for item in text.split(";") if text.strip() else ():
         item = item.strip()
         if ":" not in item:
             raise ValueError(f"generator item {item!r} lacks ': order'")
         name, order = item.rsplit(":", 1)
         order = order.strip()
         out.append((0 if order == "inf" else int(order), name.strip()))
-    return out
+    return tuple(out)
 
 
 def _parse_images(text: str):
+    """Parse ``name -> (c, ...) ; ...`` into (name, coordinates) pairs."""
     out = []
-    for item in text.split(";"):
+    for item in text.split(";") if text else ():
         item = item.strip()
         if "->" not in item:
             raise ValueError(f"image item {item!r} lacks '->'")
@@ -336,7 +381,7 @@ def _parse_images(text: str):
                 else:
                     coeffs.append(int(c))
         out.append((name.strip(), tuple(coeffs)))
-    return out
+    return tuple(out)
 
 
 def _parse_pairs(text: str):
@@ -363,7 +408,8 @@ def _fmt_gen_list(terms) -> str:
     )
 
 
-# How each evidence field type reads and writes its record value.
+# How each field type reads and writes its record value (a group is written
+# by ``_fmt_group_terms``, an evidence item by its own fields).
 _CODECS = {
     TEXT: (str, str),
     NAME: (str, str),
@@ -372,24 +418,40 @@ _CODECS = {
     ORDER: (lambda v: None if v == "inf" else int(v), lambda v: "inf" if v is None else str(v)),
     PAIRS: (_parse_pairs, _fmt_pairs),
     RENAMES: (_parse_pairs, _fmt_pairs),
-    TERMS: (lambda v: tuple(_parse_gen_list(v)), _fmt_gen_list),
+    TERMS: (_parse_gen_list, _fmt_gen_list),
+    CONTEXT: (parse_context, str),
+    GROUP: (parse_group, None),
+    IMAGES: (
+        _parse_images,
+        lambda v: " ; ".join(f"{name} -> ({', '.join(map(str, vec))})" for name, vec in v),
+    ),
+    WORDS: (lambda v: tuple(v.split()), " ".join),
+    EQUATION: (str, str),
 }
 
 
-def _parse_evidence(record: dict, where):
-    """Build the evidence item of an ``[evidence]`` record, consuming the
-    keys its kind's schema reads."""
-    kind = record.pop("kind")
-    cls = EVIDENCE_KINDS.get(kind)
-    if cls is None:
-        raise DbParseError(*where, f"unknown evidence kind {kind!r}")
+def _parse_record(cls, record: dict, where, label: str):
+    """A ``cls`` built from a record's ``key -> value`` strings, popping
+    every key it reads; an evidence record's ``kind`` selects the item class
+    that reads the keys left."""
     values = {}
-    for f in fields(cls):
-        key = f.metadata["key"]
-        if key in record:
-            values[f.name] = _CODECS[f.metadata["type"]][0](record.pop(key))
-        elif f.default is MISSING:
-            raise DbParseError(*where, f"{kind} evidence lacks {key!r}")
+    for attr, key, vtype, required, _ in schema(cls):
+        if key not in record:
+            if required:
+                raise DbParseError(*where, f"{label} lacks {key!r}")
+            continue
+        text = record.pop(key)
+        if vtype == EVIDENCE:
+            item_cls = EVIDENCE_KINDS.get(text)
+            if item_cls is None:
+                raise DbParseError(*where, f"unknown evidence kind {text!r}")
+            values[attr] = _parse_record(item_cls, record, where, f"{text} evidence")
+            continue
+        values[attr] = value = _CODECS[vtype][0](text)
+        if vtype == CONTEXT:
+            problem = _context_problem(cls, value)
+            if problem:
+                raise DbParseError(*where, problem)
     return cls(**values)
 
 
@@ -412,100 +474,42 @@ def _blocks(lines):
 
 def loads_db(text: str, path: str = "<string>") -> Database:
     db = Database(path=path)
-    seen_contexts: set[str] = set()
+    seen: set[tuple[str, str]] = set()
     for block in _blocks(text.splitlines()):
         line0, header = block[0]
         m = re.fullmatch(r"\[([a-z-]+)\]", header.strip())
         if not m:
             raise DbParseError(path, line0, f"expected a [record-type] header, got {header!r}")
-        rtype = m.group(1)
-        fields: dict[str, str] = {}
+        tag = m.group(1)
+        cls = RECORD_TYPES.get(tag)
+        if cls is None:
+            raise DbParseError(path, line0, f"unknown record type [{tag}]")
+        record: dict[str, str] = {}
         for line_no, line in block[1:]:
             if "=" not in line:
                 raise DbParseError(path, line_no, f"expected 'key = value', got {line!r}")
             k, v = line.split("=", 1)
             k = k.strip()
-            if k in fields:
+            if k in record:
                 raise DbParseError(path, line_no, f"duplicate key {k!r}")
-            fields[k] = v.strip()
-        where = (path, line0)
+            record[k] = v.strip()
+        if not record.get("cite"):
+            raise DbParseError(path, line0, f"[{tag}] record lacks a cite")
         try:
-            _add_record(db, rtype, fields, where, seen_contexts)
-        except DbParseError:
-            raise
-        except (ValueError, KeyError, AbelianError) as e:
-            raise DbParseError(path, line0, f"bad [{rtype}] record: {e}") from e
-        unknown = sorted(set(fields) - {"cite"})
-        if unknown:
+            entry = _parse_record(cls, record, (path, line0), f"[{tag}] record")
+        except (ValueError, AbelianError) as e:
+            raise DbParseError(path, line0, f"bad [{tag}] record: {e}") from e
+        if record:
             raise DbParseError(
-                path, line0, f"unknown key(s) in [{rtype}] record: {', '.join(unknown)}"
+                path, line0, f"unknown key(s) in [{tag}] record: {', '.join(sorted(record))}"
             )
+        if cls.UNIQUE:
+            key = (cls.UNIQUE, str(getattr(entry, cls.UNIQUE)))
+            if key in seen:
+                raise DbParseError(path, line0, f"duplicate {key[0]} {key[1]!r}")
+            seen.add(key)
+        db.add(entry)
     return db
-
-
-def _add_record(db, rtype, fields, where, seen_contexts):
-    """Add one record to ``db``, popping every key it reads from ``fields``
-    (``cite`` is read in place)."""
-    path, line0 = where
-    cite = fields.get("cite", "")
-    if not cite:
-        raise DbParseError(path, line0, f"[{rtype}] record lacks a cite")
-    if rtype == "symbol":
-        name = fields.pop("name")
-        if name in db.symbols:
-            raise DbParseError(path, line0, f"duplicate symbol {name!r}")
-        db.symbols[name] = SymbolEntry(name, cite, fields.pop("note", ""))
-        return
-    if rtype == "relation":
-        db.relations.append(
-            RelationEntry(fields.pop("id"), fields.pop("statement"), cite)
-        )
-        return
-    ctx = parse_context(fields.pop("context"))
-    key = str(ctx)
-    if rtype != "evidence":
-        if key in seen_contexts:
-            raise DbParseError(path, line0, f"duplicate context {key!r}")
-        seen_contexts.add(key)
-    if rtype == "group":
-        problem = _context_problem(rtype, ctx)
-        if problem:
-            raise DbParseError(path, line0, problem)
-        db.groups.setdefault(ctx.kind, []).append(
-            GroupEntry(
-                context=ctx,
-                group=parse_group(fields.pop("group")),
-                terms=tuple(_parse_gen_list(fields.pop("generators", ""))),
-                cite=cite,
-                note=fields.pop("note", ""),
-            )
-        )
-        return
-    if rtype == "whitehead":
-        images = fields.pop("images", "")
-        db.whitehead.append(
-            WhiteheadEntry(
-                context=ctx,
-                target=parse_group(fields.pop("target")),
-                target_terms=tuple(_parse_gen_list(fields.pop("target-generators", ""))),
-                images=tuple(_parse_images(images)) if images else (),
-                cite=cite,
-                note=fields.pop("note", ""),
-            )
-        )
-        return
-    if rtype == "evidence":
-        db.evidence.append(EvidenceEntry(ctx, _parse_evidence(fields, where)))
-        return
-    if rtype == "components":
-        db.components.append(
-            ComponentsEntry(
-                ctx, int(fields.pop("expected")), tuple(fields.pop("flags", "").split()),
-                cite, fields.pop("note", ""),
-            )
-        )
-        return
-    raise DbParseError(path, line0, f"unknown record type [{rtype}]")
 
 
 def load_db(path) -> Database:
@@ -526,68 +530,25 @@ def _fmt_group_terms(terms, group: FinAbGroup) -> str:
     return " + ".join("Z" if o == 0 else f"Z/{o}" for o, _ in terms)
 
 
+def _dump_record(obj):
+    """(record key, value text) for every field of a record."""
+    for attr, key, vtype, _, terms in schema(type(obj)):
+        value = getattr(obj, attr)
+        if vtype == EVIDENCE:
+            yield key, value.KIND
+            yield from _dump_record(value)
+        elif vtype == GROUP:
+            yield key, _fmt_group_terms(getattr(obj, terms), value)
+        else:
+            yield key, _CODECS[vtype][1](value)
+
+
 def dumps_db(db: Database) -> str:
     out = []
-
-    def emit(header, pairs):
-        out.append(f"[{header}]")
-        for k, v in pairs:
-            if v:
-                out.append(f"{k} = {v}")
+    for entry in db.entries():
+        out.append(f"[{entry.TAG}]")
+        out.extend(f"{k} = {v}" for k, v in _dump_record(entry) if v)
         out.append("")
-
-    for s in db.symbols.values():
-        emit("symbol", [("name", s.name), ("cite", s.cite), ("note", s.note)])
-    for entries in db.groups.values():
-        for g in entries:
-            emit(
-                "group",
-                [
-                    ("context", str(g.context)),
-                    ("group", _fmt_group_terms(g.terms, g.group)),
-                    ("generators", _fmt_gen_list(g.terms)),
-                    ("cite", g.cite),
-                    ("note", g.note),
-                ],
-            )
-    for w in db.whitehead:
-        images = " ; ".join(
-            f"{name} -> ({', '.join(str(c) for c in vec)})" for name, vec in w.images
-        )
-        emit(
-            "whitehead",
-            [
-                ("context", str(w.context)),
-                ("target", _fmt_group_terms(w.target_terms, w.target)),
-                ("target-generators", _fmt_gen_list(w.target_terms)),
-                ("images", images),
-                ("cite", w.cite),
-                ("note", w.note),
-            ],
-        )
-    for e in db.evidence:
-        item = e.item
-        emit(
-            "evidence",
-            [("context", str(e.context)), ("kind", item.KIND)]
-            + [
-                (f.metadata["key"], _CODECS[f.metadata["type"]][1](getattr(item, f.name)))
-                for f in fields(item)
-            ],
-        )
-    for r in db.relations:
-        emit("relation", [("id", r.rel_id), ("statement", r.statement), ("cite", r.cite)])
-    for c in db.components:
-        emit(
-            "components",
-            [
-                ("context", str(c.context)),
-                ("expected", str(c.expected)),
-                ("flags", " ".join(c.flags)),
-                ("cite", c.cite),
-                ("note", c.note),
-            ],
-        )
     return "\n".join(out)
 
 
@@ -596,66 +557,90 @@ def dumps_db(db: Database) -> str:
 # ---------------------------------------------------------------------------
 
 
+# The generator names a value of each field type holds.
+_NAMES = {
+    NAME: lambda v: (v,),
+    OPT_NAME: lambda v: (v,) if v else (),
+    PAIRS: lambda v: [name for pair in v for name in pair],
+    RENAMES: lambda v: [name for pair in v for name in pair],
+    TERMS: lambda v: [name for _, name in v],
+    EQUATION: lambda v: [side.strip() for side in v.split("=")],
+}
+
+
+@cache
+def _checked_fields(cls):
+    """(attribute, value type, terms attribute) of each field of a record
+    class that ``validate_db`` reads: names, groups and evidence items."""
+    return tuple(
+        (attr, vtype, terms)
+        for attr, _, vtype, _, terms in schema(cls)
+        if vtype in _NAMES or vtype in (GROUP, EVIDENCE)
+    )
+
+
+def _where(entry) -> str:
+    return f"relation {entry.rel_id}" if isinstance(entry, RelationEntry) else str(entry.context)
+
+
 def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
     (empty list = valid)."""
     problems: list[str] = []
+    symbols = set(db.symbols)
 
-    def check_names(terms, where):
-        for order, name in terms:
+    def check_names(names, entry):
+        for name in names:
             try:
                 fams = families_of(name)
             except NameParseError as e:
-                problems.append(f"{where}: {e}")
+                problems.append(f"{_where(entry)}: {e}")
                 continue
-            for fam in sorted(fams):
-                if fam not in db.symbols:
-                    problems.append(
-                        f"{where}: generator {name!r} references "
-                        f"unregistered symbol family {fam!r}"
-                    )
+            for fam in sorted(fams - symbols):
+                problems.append(
+                    f"{_where(entry)}: generator {name!r} references "
+                    f"unregistered symbol family {fam!r}"
+                )
 
-    contexts = [("group", g.context) for entries in db.groups.values() for g in entries]
-    contexts += [("whitehead", w.context) for w in db.whitehead]
-    contexts += [("evidence", e.context) for e in db.evidence]
-    contexts += [("components", c.context) for c in db.components]
-    for rtype, ctx in contexts:
-        problem = _context_problem(rtype, ctx)
-        if problem:
-            problems.append(f"{ctx}: [{rtype}] {problem}")
-
-    def check_orders(terms, group, where):
+    def check_orders(terms, group, entry):
         if terms:
             written = FinAbGroup.from_factors([o for o, _ in terms])
             if written != group:
                 problems.append(
-                    f"{where}: generator orders disagree with the group "
+                    f"{_where(entry)}: generator orders disagree with the group "
                     f"({written} vs {group})"
                 )
         elif not group.is_trivial():
-            problems.append(f"{where}: nontrivial group without generators")
+            problems.append(f"{_where(entry)}: nontrivial group without generators")
+
+    def check_fields(obj, entry):
+        for attr, vtype, terms in _checked_fields(type(obj)):
+            value = getattr(obj, attr)
+            if vtype == GROUP:
+                check_orders(getattr(obj, terms), value, entry)
+            elif vtype == EVIDENCE:
+                check_fields(value, entry)
+            else:
+                check_names(_NAMES[vtype](value), entry)
+
+    for entry in db.entries():
+        check_fields(entry, entry)
 
     for entries in db.groups.values():
         for g in entries:
-            where = str(g.context)
-            check_orders(g.terms, g.group, where)
-            check_names(g.terms, where)
             if g.context.kind == "odd-part":
                 p = g.context.get("p")
                 dec = g.group.primary_decomposition()
                 if g.group.free_rank or any(q != p for q in dec):
-                    problems.append(f"{where}: entry is not a {p}-group")
+                    problems.append(f"{g.context}: entry is not a {p}-group")
             if g.context.kind in ("coker-eta", "ker-eta"):
                 dec = g.group.primary_decomposition()
                 if any(q != 2 for q in dec):
-                    problems.append(f"{where}: entry has odd torsion")
+                    problems.append(f"{g.context}: entry has odd torsion")
 
     for w in db.whitehead:
         where = str(w.context)
-        check_orders(w.target_terms, w.target, where)
-        check_names(w.target_terms, where)
-        n = w.context.get("n")
-        src = db.lookup("bracket-id", n=n.lo) if n else None
+        src = db.lookup("bracket-id", n=w.context.get("n").lo)
         if src is None:
             problems.append(f"{where}: no bracket-id entry for this n")
             continue
@@ -685,23 +670,6 @@ def validate_db(db: Database) -> list[str]:
                         f"{where}: image of {name!r} has order {im_order}, "
                         f"not a divisor of {src_order}"
                     )
-
-    for e in db.evidence:
-        names = []
-        for f in fields(e.item):
-            value = getattr(e.item, f.name)
-            vtype = f.metadata["type"]
-            if vtype == NAME or (vtype == OPT_NAME and value):
-                names.append(value)
-            elif vtype in (PAIRS, RENAMES):
-                names.extend(name for pair in value for name in pair)
-            elif vtype == TERMS:
-                names.extend(name for _, name in value)
-        check_names([(1, n) for n in names], str(e.context))
-
-    for r in db.relations:
-        for side in r.statement.split("="):
-            check_names([(1, side.strip())], f"relation {r.rel_id}")
 
     # odd parts must reassemble to the odd part of the golden bracket rows
     for bracket in db.groups.get("bracket", ()):

@@ -13,8 +13,8 @@ positivity is decided by an exhaustive skew-tableau search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache, reduce
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache, lru_cache, reduce
 from math import gcd
 
 from .abelian import FinAbGroup
@@ -199,7 +199,8 @@ def enumerate_middle_groups(
 # Each evidence class is the schema of its ``[evidence]`` record: ``KIND`` is
 # the record's ``kind`` value and every field carries its record key and value
 # type, from which ``database`` parses, dumps and validates the record and
-# ``map_names`` rewrites it.  The value types:
+# ``map_names`` rewrites it (the other record types follow the same
+# convention in ``database``).  The value types shared with ``database``:
 TEXT = "text"  # free text
 NAME = "name"  # a generator name
 OPT_NAME = "optional name"  # a generator name or None
@@ -210,8 +211,22 @@ RENAMES = "renames"  # ``source-row name -> local name ; ...``
 TERMS = "terms"  # ``name : order ; ...`` as (order, name) pairs, 0 = Z
 
 
-def _key(key: str, vtype: str, **default):
-    return field(metadata={"key": key, "type": vtype}, **default)
+def record_field(key: str, vtype: str, terms: str | None = None, **default):
+    """A field read from and written to record key ``key`` as a ``vtype``
+    value; a group-valued field names the field of its ``terms``, from which
+    it is written."""
+    return field(metadata={"key": key, "type": vtype, "terms": terms}, **default)
+
+
+@cache
+def schema(cls) -> tuple[tuple[str, str, str, bool, str | None], ...]:
+    """(attribute, record key, value type, required, terms attribute) for each
+    field of a record class, read once per class."""
+    return tuple(
+        (f.name, f.metadata["key"], f.metadata["type"],
+         f.default is MISSING and f.default_factory is MISSING, f.metadata["terms"])
+        for f in fields(cls)
+    )
 
 
 @dataclass(frozen=True)
@@ -224,8 +239,8 @@ class Retraction:
 
     KIND = "retraction"
 
-    sections: tuple[tuple[str, str], ...] = _key("sections", PAIRS, default=())
-    cite: str = _key("cite", TEXT, default="")
+    sections: tuple[tuple[str, str], ...] = record_field("sections", PAIRS, default=())
+    cite: str = record_field("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
@@ -239,12 +254,12 @@ class ElementOrderLift:
 
     KIND = "element-order-lift"
 
-    lift_name: str = _key("lift", NAME)
-    order: int | None = _key("order", ORDER)
-    maps_to: str = _key("maps-to", NAME)
-    absorbs: str | None = _key("absorbs", OPT_NAME, default=None)
-    remainder_name: str | None = _key("remainder-name", OPT_NAME, default=None)
-    cite: str = _key("cite", TEXT, default="")
+    lift_name: str = record_field("lift", NAME)
+    order: int | None = record_field("order", ORDER)
+    maps_to: str = record_field("maps-to", NAME)
+    absorbs: str | None = record_field("absorbs", OPT_NAME, default=None)
+    remainder_name: str | None = record_field("remainder-name", OPT_NAME, default=None)
+    cite: str = record_field("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
@@ -258,13 +273,13 @@ class RelationFact:
 
     KIND = "relation-fact"
 
-    lift_name: str = _key("lift", NAME)
-    lift_of: str = _key("lift-of", NAME)
-    multiplier: int = _key("multiplier", INT)
-    rhs: str = _key("rhs", NAME)
-    rhs_mult: int = _key("rhs-mult", INT, default=1)
-    remainder_name: str | None = _key("remainder-name", OPT_NAME, default=None)
-    cite: str = _key("cite", TEXT, default="")
+    lift_name: str = record_field("lift", NAME)
+    lift_of: str = record_field("lift-of", NAME)
+    multiplier: int = record_field("multiplier", INT)
+    rhs: str = record_field("rhs", NAME)
+    rhs_mult: int = record_field("rhs-mult", INT, default=1)
+    remainder_name: str | None = record_field("remainder-name", OPT_NAME, default=None)
+    cite: str = record_field("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
@@ -273,9 +288,9 @@ class ExternalFact:
 
     KIND = "external-fact"
 
-    factors: tuple[tuple[int, str], ...] = _key("factors", TERMS)
-    statement: str = _key("statement", TEXT, default="")
-    cite: str = _key("cite", TEXT, default="")
+    factors: tuple[tuple[int, str], ...] = record_field("factors", TERMS)
+    statement: str = record_field("statement", TEXT, default="")
+    cite: str = record_field("cite", TEXT, default="")
 
 
 @dataclass(frozen=True)
@@ -286,9 +301,9 @@ class EhpInjectivity:
 
     KIND = "ehp-injectivity"
 
-    source_n: int = _key("source-n", INT)
-    names: tuple[tuple[str, str], ...] = _key("names", RENAMES, default=())
-    cite: str = _key("cite", TEXT, default="")
+    source_n: int = record_field("source-n", INT)
+    names: tuple[tuple[str, str], ...] = record_field("names", RENAMES, default=())
+    cite: str = record_field("cite", TEXT, default="")
 
 
 EVIDENCE_KINDS = {
@@ -302,17 +317,16 @@ def map_names(item, f):
     source-row side of a ``RENAMES`` map is left as it is: it names
     generators of another row."""
     changes = {}
-    for fld in fields(item):
-        value = getattr(item, fld.name)
-        vtype = fld.metadata["type"]
+    for attr, _, vtype, _, _ in schema(type(item)):
+        value = getattr(item, attr)
         if vtype == NAME or (vtype == OPT_NAME and value):
-            changes[fld.name] = f(value)
+            changes[attr] = f(value)
         elif vtype == PAIRS:
-            changes[fld.name] = tuple((f(a), f(b)) for a, b in value)
+            changes[attr] = tuple((f(a), f(b)) for a, b in value)
         elif vtype == RENAMES:
-            changes[fld.name] = tuple((a, f(b)) for a, b in value)
+            changes[attr] = tuple((a, f(b)) for a, b in value)
         elif vtype == TERMS:
-            changes[fld.name] = tuple((o, f(name)) for o, name in value)
+            changes[attr] = tuple((o, f(name)) for o, name in value)
     return replace(item, **changes)
 
 
@@ -359,7 +373,8 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
     claimed middle group outside the candidate set) or on an item it would
     not consume: an external fact or retraction that does not stand alone,
     a lift or relation fact naming no quotient generator, or a second one
-    for the same quotient generator.
+    for the same quotient generator, or a lift of an infinite-order quotient
+    generator that claims a finite order or an ``absorbs``.
     """
     evidence = list(evidence)
     a_group = problem.sub_group()
@@ -423,6 +438,11 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                 rem = e.remainder_name or f"{leftover}-part({e.rhs})"
                 factors.insert(idx + 1, (leftover, rem))
         elif order == 0:
+            if e is not None and (e.order is not None or e.absorbs):
+                raise ExtensionError(
+                    f"{ctx}: {_label(e)} lifts {name}, which has infinite "
+                    f"order, so it takes order inf and no absorbs"
+                )
             factors.append((0, e.lift_name if e else f"ext({name})"))
         elif e is not None:
             if e.order == order:

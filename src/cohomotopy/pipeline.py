@@ -392,6 +392,6 @@ def verify_all(db: Database) -> list[CheckResult]:
         results.append(check_mapspace(db, n))
     for e in sorted(db.groups.get("gottlieb", ()), key=lambda e: e.context.get("n").lo):
         results.append(check_gottlieb(db, e.context.get("n").lo))
-    for c in sorted(db.components, key=lambda c: c.context.n_range().lo):
-        results.append(check_components(db, c.context.n_range().lo))
+    for c in sorted(db.components, key=lambda c: c.context.get("n").lo):
+        results.append(check_components(db, c.context.get("n").lo))
     return results

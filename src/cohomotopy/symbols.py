@@ -49,7 +49,7 @@ FAMILY_RE = re.compile(r"^[A-Za-z]+'*")
 SUSP_RE = re.compile(r"S(?:\^(?:[0-9]+|\{[^}]+\}))?(?=[ (\[])")
 NUMBER_RE = re.compile(r"[0-9]+")
 
-_TOKENS = ("(", ")", "[", "]", ",", "+", "-", ".")
+MAX_NESTING = 50  # nested atoms (up to 7 frames each); the shipped names nest 3
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str):
         raise NameParseError(self.text, self.pos, msg)
@@ -181,6 +182,14 @@ class _Parser:
         return Compose(tuple(parts))
 
     def atom(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nested deeper than {MAX_NESTING} atoms")
+        node = self._atom()
+        self.depth -= 1
+        return node
+
+    def _atom(self):
         self.skip_ws()
         ch = self.peek()
         if ch == "[":

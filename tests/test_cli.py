@@ -99,7 +99,17 @@ class TestExitCodes:
         )
         code, _, err = run(capsys, "--db", str(broken), "verify")
         assert code == EXIT_DB
-        assert "lacks the n parameter" in err
+        assert "cannot load database" in err and "lacks n" in err
+
+    def test_deeply_nested_name_is_2(self, capsys, tmp_path, db_text):
+        old = "generators = eta_2 . mu_3 : 2\n"
+        assert old in db_text
+        deep = db_text.replace(old, "generators = " + "S " * 2000 + "eta_2 . mu_3 : 2\n")
+        path = tmp_path / "deep.cohdb"
+        path.write_text(deep)
+        code, out, _ = run(capsys, "--db", str(path), "db-check")
+        assert code == EXIT_DB
+        assert "problem:" in out and "nested deeper than" in out
 
     def test_verify_failure_is_1(self, capsys, tmp_path, db):
         text = dumps_db(db).replace(

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomotopy.abelian import FinAbGroup
 from cohomotopy.database import (
@@ -11,7 +13,6 @@ from cohomotopy.database import (
     validate_db,
 )
 from cohomotopy.extensions import EhpInjectivity, RelationFact
-from cohomotopy.pipeline import verify_all
 
 
 class TestNRange:
@@ -173,14 +174,103 @@ class TestParsing:
             loads_db(text)
 
 
+# One record of every type and one evidence record of every kind, with the
+# optional keys that the shipped database leaves out.
+EVERY_RECORD = """
+[symbol]
+name = nu
+cite = [T]
+note = a symbol note
+
+[group]
+context = bracket k=6 n=4..
+group = Z/8 + Z
+generators = nu_n : 8 ; S^{n+1} nu : inf
+cite = [T]
+
+[group]
+context = sphere m=3 k=2
+group = 0
+cite = [T]
+
+[whitehead]
+context = whitehead n=3 m=4
+target = Z/2
+target-generators = nu_4 : 2
+cite = [T]
+note = no images
+
+[evidence]
+context = extension k=6 n=5
+kind = retraction
+sections = nu_5 -> s ; nu_6 -> t
+cite = [T]
+
+[evidence]
+context = extension k=6 n=6
+kind = element-order-lift
+lift = L
+order = inf
+maps-to = nu_6
+absorbs = nu_5
+remainder-name = R
+cite = [T]
+
+[evidence]
+context = extension k=6 n=7..9
+kind = relation-fact
+lift = L
+lift-of = nu_7
+multiplier = 2
+rhs = nu_4
+rhs-mult = 3
+remainder-name = R
+cite = [T]
+
+[evidence]
+context = extension k=6 n=10..
+kind = external-fact
+factors = a : 4 ; b : inf
+statement = a theorem
+cite = [T]
+
+[evidence]
+context = extension k=6 n=4
+kind = ehp-injectivity
+source-n = 5
+names = a -> b ; c -> d
+cite = [T]
+
+[relation]
+id = r1
+statement = 2 nu_4 = nu_4 . S^3 p
+cite = [T]
+
+[components]
+context = components n=7
+expected = 6
+flags = documented-discrepancy other-flag
+note = recorded value kept
+cite = [T]
+"""
+
+
 class TestRoundTrip:
     def test_shipped_db_roundtrips(self, db, db_text):
         again = loads_db(dumps_db(db))
-        assert {k: len(v) for k, v in again.groups.items()} == {
-            k: len(v) for k, v in db.groups.items()
+        assert list(again.entries()) == list(db.entries())
+        assert dumps_db(again) == dumps_db(db)
+
+    def test_every_record_type_roundtrips(self):
+        db = loads_db(EVERY_RECORD)
+        kinds = {type(e.item).__name__ for e in db.evidence}
+        assert kinds == {
+            "Retraction", "ElementOrderLift", "RelationFact", "ExternalFact", "EhpInjectivity"
         }
-        assert len(again.evidence) == len(db.evidence)
-        assert len(again.whitehead) == len(db.whitehead)
+        assert db.whitehead[0].images == () and db.components[0].flags[0] == "documented-discrepancy"
+        assert len(db.relations) == 1
+        again = loads_db(dumps_db(db))
+        assert list(again.entries()) == list(db.entries())
         assert dumps_db(again) == dumps_db(db)
 
 
@@ -237,14 +327,8 @@ class TestValidation:
             "context = components n=1\n", "context = components m=1\n"
         )
         assert broken != db_text
-        db = loads_db(broken)
-        problems = validate_db(db)
-        assert any(
-            p.startswith("components m=1: [components]") and "lacks n" in p
-            for p in problems
-        ), problems
-        with pytest.raises(DbError, match="lacks the n parameter"):
-            verify_all(db)
+        with pytest.raises(DbParseError, match="components needs parameters.*lacks n"):
+            loads_db(broken)
 
     @pytest.mark.parametrize(
         "old, new, wrong",
@@ -259,4 +343,58 @@ class TestValidation:
     def test_context_parameters_checked_for_every_record_type(self, db_text, old, new, wrong):
         broken = db_text.replace(old, new, 1)
         assert broken != db_text
-        assert any(wrong in p for p in validate_db(loads_db(broken)))
+        with pytest.raises(DbParseError, match=wrong):
+            loads_db(broken)
+
+
+# Characters that carry the record syntax, with a few from names and numbers.
+EDIT_CHARS = "=[]#\n ;:.,->()0123456789abknmpS/Z+^'_{}"
+
+edits = st.lists(
+    st.tuples(
+        st.integers(min_value=0),
+        st.sampled_from(("replace", "insert", "delete")),
+        st.sampled_from(EDIT_CHARS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def edited(text, edit_list):
+    for pos, op, ch in edit_list:
+        i = pos % len(text)
+        if op == "replace":
+            text = text[:i] + ch + text[i + 1:]
+        elif op == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+def load_and_validate(text):
+    """``loads_db`` raises only ``DbError``; ``validate_db`` on whatever
+    loads returns a list and raises nothing."""
+    try:
+        db = loads_db(text)
+    except DbError:
+        return
+    assert isinstance(validate_db(db), list)
+
+
+class TestRandomEdits:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(edits)
+    def test_edits_of_mini(self, edit_list):
+        load_and_validate(edited(MINI, edit_list))
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(edits)
+    def test_edits_of_every_record(self, edit_list):
+        load_and_validate(edited(EVERY_RECORD, edit_list))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(edits)
+    def test_edits_of_shipped_db(self, db_text, edit_list):
+        load_and_validate(edited(db_text, edit_list))

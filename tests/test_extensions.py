@@ -314,3 +314,18 @@ class TestApplyEvidence:
         problem = ExtensionProblem(sub=((4, "a"),), quot=((0, "c"),), context="t")
         with pytest.raises(ExtensionError, match="order inf of quotient generator c"):
             apply_evidence(problem, [RelationFact("L", lift_of="c", multiplier=2, rhs="a")])
+
+    @pytest.mark.parametrize(
+        "lift",
+        [
+            ElementOrderLift("L", 2, maps_to="c"),
+            ElementOrderLift("L", None, maps_to="c", absorbs="a"),
+            ElementOrderLift("L", 8, maps_to="c", absorbs="a"),
+        ],
+    )
+    def test_finite_claim_on_infinite_generator_rejected(self, lift):
+        problem = ExtensionProblem(sub=((4, "a"),), quot=((0, "c"),), context="t")
+        with pytest.raises(
+            ExtensionError, match="element-order-lift 'L' lifts c, which has infinite order"
+        ):
+            apply_evidence(problem, [lift])

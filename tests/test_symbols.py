@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cohomotopy import symbols
 from cohomotopy.symbols import NameParseError, families_of, parse_name
 
 
@@ -64,3 +67,38 @@ class TestErrors:
         with pytest.raises(NameParseError) as exc:
             parse_name("nu_4 . ")
         assert exc.value.text == "nu_4 ."
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda x, d: "S " * d + x,
+            lambda x, d: "ext(" * d + x + ")" * d,
+            lambda x, d: "P(" * d + x + ")" * d,
+        ],
+        ids=["suspension", "ext", "argument"],
+    )
+    def test_nesting_depth_is_bounded(self, nest):
+        depth = symbols.MAX_NESTING
+        assert families_of(nest("eta_2 . mu_3", depth - 1)) >= {"eta", "mu"}
+        with pytest.raises(NameParseError, match="nested deeper than"):
+            parse_name(nest("eta_2 . mu_3", depth))
+        with pytest.raises(NameParseError, match="nested deeper than"):
+            parse_name(nest("eta_2 . mu_3", 2000))
+
+
+# Tokens of the generator-name grammar, plus a few characters outside it.
+TOKENS = [
+    "S ", "S^", "S^{n+1} ", "ext(", "coext(", "(", ")", "[", "]", ",", " + ",
+    " - ", " . ", "odd ", "2 ", "3", "_", "^2", "{", "}", "'", "C", "n", "nu",
+    "eta_2", "sigma'", "P", "p", "i_6", " ", "#", "=",
+]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=30).map("".join))
+def test_random_names_raise_only_name_parse_errors(text):
+    try:
+        expr = parse_name(text)
+    except NameParseError:
+        return
+    assert isinstance(expr.families(), set)
