@@ -147,7 +147,10 @@ def parse_context(text: str) -> Context:
         if k == "n":
             params.append((k, NRange.parse(v)))
         else:
-            params.append((k, int(v)))
+            value = int(v)
+            if value < 0:
+                raise ValueError(f"negative context parameter {part!r}")
+            params.append((k, value))
     return Context(kind, tuple(sorted(params)))
 
 
@@ -356,7 +359,10 @@ def _parse_gen_list(text: str):
             raise ValueError(f"generator item {item!r} lacks ': order'")
         name, order = item.rsplit(":", 1)
         order = order.strip()
-        out.append((0 if order == "inf" else int(order), name.strip()))
+        value = 0 if order == "inf" else int(order)
+        if value < 0:
+            raise ValueError(f"negative order in generator item {item!r}")
+        out.append((value, name.strip()))
     return tuple(out)
 
 

@@ -373,8 +373,10 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
     claimed middle group outside the candidate set) or on an item it would
     not consume: an external fact or retraction that does not stand alone,
     a lift or relation fact naming no quotient generator, or a second one
-    for the same quotient generator, or a lift of an infinite-order quotient
-    generator that claims a finite order or an ``absorbs``.
+    for the same quotient generator, a lift of an infinite-order quotient
+    generator that claims a finite order or an ``absorbs``, a lift of the
+    quotient generator's own order that claims an ``absorbs`` or a
+    ``remainder-name``, or a ``remainder-name`` where nothing is left over.
     """
     evidence = list(evidence)
     a_group = problem.sub_group()
@@ -434,9 +436,7 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
             leftover = o_a * order // lift_order
             del factors[idx]
             factors.insert(idx, (lift_order, e.lift_name))
-            if leftover > 1:
-                rem = e.remainder_name or f"{leftover}-part({e.rhs})"
-                factors.insert(idx + 1, (leftover, rem))
+            _place_remainder(factors, idx, leftover, e, e.rhs, ctx)
         elif order == 0:
             if e is not None and (e.order is not None or e.absorbs):
                 raise ExtensionError(
@@ -446,6 +446,11 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
             factors.append((0, e.lift_name if e else f"ext({name})"))
         elif e is not None:
             if e.order == order:
+                if e.absorbs or e.remainder_name:
+                    raise ExtensionError(
+                        f"{ctx}: {_label(e)} has the order of {name}, so it "
+                        f"splits off and takes no absorbs or remainder-name"
+                    )
                 factors.append((order, e.lift_name))
             elif e.order is not None and e.order > order and e.absorbs:
                 idx = _factor_index(factors, e.absorbs, ctx)
@@ -453,9 +458,7 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                 leftover = o_a * order // e.order
                 del factors[idx]
                 factors.insert(idx, (e.order, e.lift_name))
-                if leftover > 1:
-                    rem = e.remainder_name or f"{leftover}-part({e.absorbs})"
-                    factors.insert(idx + 1, (leftover, rem))
+                _place_remainder(factors, idx, leftover, e, e.absorbs, ctx)
             else:
                 raise ExtensionError(
                     f"{ctx}: lift {e.lift_name} has order {e.order} "
@@ -475,6 +478,18 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
             "no evidence for quotient generator(s) " + ", ".join(unresolved),
         )
     return _finish(problem, candidates, factors, evidence)
+
+
+def _place_remainder(factors, idx, leftover: int, e, absorbed: str, context: str):
+    """Insert what a lift leaves over of the factor ``absorbed`` after
+    position ``idx``; a ``remainder-name`` with nothing left over is an error."""
+    if leftover > 1:
+        factors.insert(idx + 1, (leftover, e.remainder_name or f"{leftover}-part({absorbed})"))
+    elif e.remainder_name:
+        raise ExtensionError(
+            f"{context}: {_label(e)} leaves no remainder of {absorbed}, "
+            f"so its remainder-name {e.remainder_name!r} is unused"
+        )
 
 
 def _factor_index(factors, name: str, context: str) -> int:

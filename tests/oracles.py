@@ -20,6 +20,23 @@ no basis that lies over M: the search still visits every such basis exactly
 once.  :func:`_subgroup_quotient_types_bruteforce` keeps the plain
 enumeration of every basis, for the tests to compare against.
 
+Only half of the subgroups are searched.  Pontryagin duality gives G ~ G^,
+and for a subgroup H the annihilator H^perp in G^ satisfies H^perp ~ (G/H)^
+~ G/H and G^/H^perp ~ H^ ~ H.  So when G has a subgroup of type mu with
+quotient of type nu, it also has one of type nu with quotient of type mu,
+of order |G|/|H|.  Every subgroup of order above p^floor(|lam|/2) is
+therefore the annihilator of one of order at most p^floor(|lam|/2) with the
+two types swapped: the search builds only the bases whose subgroup order
+p^sum(lam_i - a_i) is at most that bound (pruned bottom-up, as the partial
+sum over rows i..g-1 only grows) and records each pair both ways round.
+This is elementary duality, not Hall's theorem, which the enumerator
+implements, so the oracle stays independent of it.
+
+Many bases and coordinate matrices recur, within one key and across keys of
+the same prime, so their types are memoised by (p, rows).  The memo lives
+exactly as long as the cache of :func:`subgroup_quotient_types`: its
+``cache_clear()`` empties both, so a sweep that clears it starts cold.
+
 Since subgroup types are invariant under conjugating all three partitions,
 each query is first conjugated to whichever orientation has fewer generators,
 keeping g small.
@@ -31,31 +48,40 @@ from itertools import product
 from cohomotopy.abelian import IntMatrix, group_from_presentation, smith_diagonal
 from cohomotopy.extensions import conjugate_partition
 
+_SMITH_TYPES = {}  # (p, rows) -> type of Z^g modulo rows; see the module docstring
+
 
 @lru_cache(maxsize=None)
-def subgroup_quotient_types(p, lam):
-    """All (subgroup type, quotient type) pairs realized inside the abelian
-    p-group of type ``lam`` (a descending partition)."""
-    lam = tuple(lam)
+def _subgroup_quotient_types(p, lam):
     g = len(lam)
+    half = sum(lam) // 2
     exponent = {p**e: e for e in range(sum(lam) + 1)}
 
     def type_of(rows):
-        # every invariant factor divides p^|lam|; the chain ascends
-        return tuple(exponent[d] for d in reversed(smith_diagonal(rows)) if d > 1)
+        key = (p, tuple(rows))
+        t = _SMITH_TYPES.get(key)
+        if t is None:
+            # every invariant factor divides p^|lam|; the chain ascends
+            t = tuple(exponent[d] for d in reversed(smith_diagonal(rows)) if d > 1)
+            _SMITH_TYPES[key] = t
+        return t
 
     rows = [None] * g  # rows[i]: basis row i
     coords = [None] * g  # coords[i]: p^lam_i e_i in the basis rows i..g-1
     out = set()
 
-    def place(i):
+    def place(i, sub_exp):
+        # sub_exp: sum(lam_j - a_j) over the rows j > i placed so far, the
+        # p-exponent of the subgroup order they account for
         if i < 0:
-            out.add((type_of(coords), type_of(rows)))
+            mu, nu = type_of(coords), type_of(rows)
+            out.add((mu, nu))
+            out.add((nu, mu))
             return
         pivots = [rows[j][j] for j in range(i + 1, g)]
-        for a in range(lam[i] + 1):
+        for a in range(max(lam[i] - (half - sub_exp), 0), lam[i] + 1):
             for tail in product(*map(range, pivots)):
-                row = [0] * i + [p**a, *tail]
+                row = (0,) * i + (p**a, *tail)
                 x = [0] * i + [p ** (lam[i] - a)]
                 for j in range(i + 1, g):
                     s = x[i] * row[j] + sum(x[l] * rows[l][j] for l in range(i + 1, j))
@@ -63,11 +89,28 @@ def subgroup_quotient_types(p, lam):
                         break
                     x.append(-s // rows[j][j])
                 else:
-                    rows[i], coords[i] = row, x
-                    place(i - 1)
+                    rows[i], coords[i] = row, tuple(x)
+                    place(i - 1, sub_exp + lam[i] - a)
 
-    place(g - 1)
+    place(g - 1, 0)
     return frozenset(out)
+
+
+def subgroup_quotient_types(p, lam):
+    """All (subgroup type, quotient type) pairs realized inside the abelian
+    p-group of type ``lam`` (a descending partition).  Cached, with the
+    ``cache_info()`` of that cache; ``cache_clear()`` also empties the
+    Smith-type memo."""
+    return _subgroup_quotient_types(p, tuple(lam))
+
+
+def _cache_clear():
+    _subgroup_quotient_types.cache_clear()
+    _SMITH_TYPES.clear()
+
+
+subgroup_quotient_types.cache_info = _subgroup_quotient_types.cache_info
+subgroup_quotient_types.cache_clear = _cache_clear
 
 
 def _solve_rows_over(h_rows, lam, p):
@@ -131,6 +174,18 @@ def realizable(p, lam, mu, nu):
     return (mu, nu) in subgroup_quotient_types(p, lam)
 
 
+def _exponents(p, powers):
+    """The p-exponents of the p-power orders ``powers``."""
+    out = []
+    for q in powers:
+        e = 0
+        while q > 1:
+            q //= p
+            e += 1
+        out.append(e)
+    return tuple(out)
+
+
 def oracle_middle_groups(a, c):
     """All middle groups of 0 -> A -> G -> C -> 0 for finite A, C, as a set
     of FinAbGroup values, by exhaustive subgroup search."""
@@ -138,11 +193,11 @@ def oracle_middle_groups(a, c):
     from cohomotopy.extensions import partitions
 
     assert a.is_finite() and c.is_finite()
-    primes = sorted(set(a.primary_decomposition()) | set(c.primary_decomposition()))
+    primary_a, primary_c = a.primary_decomposition(), c.primary_decomposition()
     per_prime = []
-    for p in primes:
-        mu = a.exponents_at(p)
-        nu = c.exponents_at(p)
+    for p in sorted(primary_a.keys() | primary_c.keys()):
+        mu = _exponents(p, primary_a.get(p, ()))
+        nu = _exponents(p, primary_c.get(p, ()))
         shapes = [
             lam
             for lam in partitions(sum(mu) + sum(nu))

@@ -160,12 +160,19 @@ class TestParsing:
             ("k=6 n=4\n", "k=6 n=4 n=5\n", "repeated context parameter 'n'"),
             ("k=6 n=5..\n", "k=6 n=5..3\n", "empty n range '5..3'"),
             ("extension k=6 n=7\n", "extension k=6 n=7..6\n", "empty n range"),
+            ("k=6 n=4\n", "k=-6 n=4\n", "negative context parameter 'k=-6'"),
+            ("extension k=6 n=5\n", "extension k=-6 n=5\n", "negative context parameter 'k=-6'"),
         ],
     )
     def test_malformed_context_rejected(self, old, new, match):
         text = MINI.replace(old, new, 1)
         assert text != MINI
         with pytest.raises(DbParseError, match=match):
+            loads_db(text)
+
+    def test_negative_generator_order_rejected(self):
+        text = MINI.replace("nu_4 : 8\n", "nu_4 : -8\n", 1)
+        with pytest.raises(DbParseError, match="negative order in generator item 'nu_4 : -8'"):
             loads_db(text)
 
     def test_evidence_without_required_key_rejected(self):

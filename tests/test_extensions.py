@@ -24,6 +24,7 @@ from cohomotopy.extensions import (
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (  # noqa: E402
+    _SMITH_TYPES,
     _subgroup_quotient_types_bruteforce,
     oracle_middle_groups,
     subgroup_quotient_types,
@@ -120,6 +121,17 @@ class TestOracle:
             want = _subgroup_quotient_types_bruteforce(p, lam)
             assert subgroup_quotient_types(p, lam) == want, (p, lam)
         assert subgroup_quotient_types(2, ()) == _subgroup_quotient_types_bruteforce(2, ())
+
+    def test_smith_type_memo_lives_as_long_as_the_cache(self):
+        # a sweep that clears the cache starts cold: nothing outlives the clear
+        key = (2, (3, 2, 1))
+        want = subgroup_quotient_types(*key)
+        subgroup_quotient_types.cache_clear()
+        assert subgroup_quotient_types.cache_info().currsize == 0
+        assert not _SMITH_TYPES
+        assert subgroup_quotient_types(*key) == want
+        assert subgroup_quotient_types.cache_info().currsize == 1
+        assert _SMITH_TYPES
 
 
 class TestApplyEvidence:
@@ -302,6 +314,19 @@ class TestApplyEvidence:
             (
                 [ElementOrderLift("L", 2, maps_to="a")],
                 "element-order-lift 'L' names 'a', which is no quotient generator",
+            ),
+            (
+                [ElementOrderLift("L", 2, maps_to="c", remainder_name="R")],
+                "'L' has the order of c, so it splits off and takes no absorbs or remainder-name",
+            ),
+            ([ElementOrderLift("L", 2, maps_to="c", absorbs="a")], "'L' has the order of c"),
+            (
+                [ElementOrderLift("L", 8, maps_to="c", absorbs="a", remainder_name="R")],
+                "'L' leaves no remainder of a, so its remainder-name 'R' is unused",
+            ),
+            (
+                [RelationFact("L", lift_of="c", multiplier=2, rhs="a", remainder_name="R")],
+                "relation-fact 'L' leaves no remainder of a, so its remainder-name 'R' is unused",
             ),
         ],
     )
