@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +47,10 @@ def _default_db_path() -> str:
 
 def _fmt_order(order: int) -> str:
     return "inf" if order == 0 else str(order)
+
+
+def _recorded_ns(db, kind) -> list[int]:
+    return [e.context.get("n").lo for e in db.find(kind)]
 
 
 def _print_row(row, show_evidence=False):
@@ -144,11 +149,7 @@ def _dispatch(args, db) -> int:
         return EXIT_OK
 
     if args.command == "gottlieb":
-        ns = (
-            [args.n]
-            if args.n is not None
-            else sorted(e.context.get("n").lo for e in db.groups.get("gottlieb", ()))
-        )
+        ns = [args.n] if args.n is not None else _recorded_ns(db, "gottlieb")
         for n in ns:
             print(f"G_{n} = {gottlieb_group(db, n)}")
             entry = db.lookup("gottlieb", n=n)
@@ -164,11 +165,7 @@ def _dispatch(args, db) -> int:
         return EXIT_OK
 
     if args.command == "components":
-        ns = (
-            [args.n]
-            if args.n is not None
-            else sorted(c.context.get("n").lo for c in db.components)
-        )
+        ns = [args.n] if args.n is not None else _recorded_ns(db, "components")
         failures = 0
         for n in ns:
             r = classify_components(db, n)
@@ -194,11 +191,11 @@ def _dispatch(args, db) -> int:
         problems = validate_db(db)
         for p in problems:
             print(f"problem: {p}")
-        counts = {kind: len(v) for kind, v in db.groups.items()}
+        counts = Counter(entry.TAG for entry in db.records)
         print(
-            f"{sum(counts.values())} group records, {len(db.symbols)} symbols, "
-            f"{len(db.evidence)} evidence records, {len(db.whitehead)} pairings, "
-            f"{len(db.components)} component rows, {len(db.relations)} relations"
+            f"{counts['group']} group records, {counts['symbol']} symbols, "
+            f"{counts['evidence']} evidence records, {counts['whitehead']} pairings, "
+            f"{counts['components']} component rows, {counts['relation']} relations"
         )
         return EXIT_DB if problems else EXIT_OK
 

@@ -23,9 +23,11 @@ full grammar.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from functools import cache
+from operator import itemgetter
 from pathlib import Path
 
 from .abelian import AbelianError, FinAbGroup, Presentation, parse_group, render_group
@@ -76,6 +78,9 @@ class NRange:
 
     def is_single(self) -> bool:
         return self.hi == self.lo
+
+    def overlaps(self, other: "NRange") -> bool:
+        return (self.hi is None or other.lo <= self.hi) and (other.hi is None or self.lo <= other.hi)
 
     def __str__(self) -> str:
         if self.is_single():
@@ -156,7 +161,8 @@ def parse_context(text: str) -> Context:
 
 # Each record class is the schema of its ``[TAG]`` record: ``CONTEXTS`` maps
 # the context kinds it accepts to their parameters, ``UNIQUE`` names the field
-# no two records of the file may share, and every field carries its record
+# no two records of the file may share (a context is shared when two records
+# of one family hold a common n), and every field carries its record
 # key and value type (``extensions.record_field``), from which the record is
 # parsed, dumped and validated.  Fields are written in the order declared.
 
@@ -189,7 +195,6 @@ class GroupEntry:
         "mapspace": ("n",),
         "bracket-id": ("n",),
         "gottlieb": ("n",),
-        "sphere": ("m", "k"),
         "sphere-gottlieb": ("m", "k"),
     }
 
@@ -217,7 +222,7 @@ class WhiteheadEntry:
 
     TAG = "whitehead"
     UNIQUE = "context"
-    CONTEXTS = {"whitehead": ("n", "m")}
+    CONTEXTS = {"whitehead": ("n",)}
 
     context: Context = record_field("context", CONTEXT)
     target: FinAbGroup = record_field("target", GROUP, terms="target_terms")
@@ -284,65 +289,70 @@ RECORD_TYPES = {
 }
 
 
+EVERY_N = NRange(0, None)  # the n range of a context without n
+
+
 @dataclass
 class Database:
-    path: str
+    """The records of a ``.cohdb`` file in load order, indexed twice: symbols
+    by name, and each record with a context by its family, the pair (context
+    kind, parameters other than n), as (n.lo, n range, record) ordered by n."""
+
+    records: list = field(default_factory=list)
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
-    groups: dict[str, list[GroupEntry]] = field(default_factory=dict)
-    whitehead: list[WhiteheadEntry] = field(default_factory=list)
-    evidence: list[EvidenceEntry] = field(default_factory=list)
-    relations: list[RelationEntry] = field(default_factory=list)
-    components: list[ComponentsEntry] = field(default_factory=list)
+    families: dict[str, dict[frozenset, list]] = field(default_factory=dict)
 
     def add(self, entry) -> None:
+        """Store a record; ``ValueError`` if it clashes with a stored one."""
         if isinstance(entry, SymbolEntry):
+            if entry.name in self.symbols:
+                raise ValueError(f"duplicate name {entry.name!r}")
             self.symbols[entry.name] = entry
-        elif isinstance(entry, GroupEntry):
-            self.groups.setdefault(entry.context.kind, []).append(entry)
-        else:
-            lists = {WhiteheadEntry: self.whitehead, EvidenceEntry: self.evidence,
-                     RelationEntry: self.relations, ComponentsEntry: self.components}
-            lists[type(entry)].append(entry)
+        ctx = getattr(entry, "context", None)
+        if ctx is not None:
+            nr = ctx.get("n", EVERY_N)
+            family = self.families.setdefault(ctx.kind, {}).setdefault(
+                frozenset(kv for kv in ctx.params if kv[0] != "n"), []
+            )
+            i = bisect.bisect_right(family, nr.lo, key=itemgetter(0))
+            if entry.UNIQUE == "context":  # its family's ranges are disjoint: check neighbours
+                for _, other_nr, other in family[max(i - 1, 0):i + 1]:
+                    if nr.overlaps(other_nr):
+                        raise ValueError(f"context {ctx} overlaps {other.context}")
+            family.insert(i, (nr.lo, nr, entry))
+        self.records.append(entry)
 
     def entries(self):
-        """Every entry, in the order ``dumps_db`` writes them: symbols, groups
-        by context kind, whitehead, evidence, relation, components."""
-        yield from self.symbols.values()
-        for entries in self.groups.values():
-            yield from entries
-        for entries in (self.whitehead, self.evidence, self.relations, self.components):
-            yield from entries
+        """Every record, in the order ``dumps_db`` writes them: by record type
+        in ``RECORD_TYPES`` order, group records by context kind in order of
+        first appearance, and otherwise in load order."""
+        tags, kinds = list(RECORD_TYPES), list(self.families)
+        return sorted(self.records, key=lambda e: (
+            tags.index(e.TAG), kinds.index(e.context.kind) if hasattr(e, "context") else 0
+        ))
 
-    # -- lookups ----------------------------------------------------------
-    def lookup(self, kind: str, **params) -> GroupEntry | None:
-        """Find the group entry for a context; an explicit n match beats a
-        range match."""
-        n = params.pop("n", None)
-        best = None
-        for e in self.groups.get(kind, ()):
-            if any(e.context.get(k) != v for k, v in params.items()):
-                continue
-            nr = e.context.get("n")
-            if n is None:
-                if nr is None:
-                    return e
-                continue
-            if nr is None or n not in nr:
-                continue
-            if nr.is_single():
-                return e
-            if best is None:
-                best = e
-        return best
+    # -- queries ----------------------------------------------------------
+    def find(self, kind: str, n: int | None = None, **params) -> list:
+        """The records of a context kind whose other parameters equal
+        ``params`` and whose n range holds ``n`` (any n when it is None),
+        ordered by n and then p."""
+        want = params.items()
+        found = []
+        for key, family in self.families.get(kind, {}).items():
+            if want <= key:
+                p = dict(key).get("p", 0)
+                found.extend((lo, p, e) for lo, nr, e in family if n is None or n in nr)
+        found.sort(key=itemgetter(0, 1))
+        return [e for _, _, e in found]
+
+    def lookup(self, kind: str, **params):
+        """The record ``find`` returns for a query that names every parameter
+        of ``kind``, or None."""
+        found = self.find(kind, **params)
+        return found[0] if found else None
 
     def evidence_for(self, k: int, n: int) -> list[EvidenceEntry]:
-        return [e for e in self.evidence if e.context.get("k") == k and n in e.context.get("n")]
-
-    def whitehead_for(self, n: int) -> WhiteheadEntry | None:
-        return next((e for e in self.whitehead if n in e.context.get("n")), None)
-
-    def components_for(self, n: int) -> ComponentsEntry | None:
-        return next((e for e in self.components if n in e.context.get("n")), None)
+        return self.find("extension", k=k, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +489,7 @@ def _blocks(lines):
 
 
 def loads_db(text: str, path: str = "<string>") -> Database:
-    db = Database(path=path)
-    seen: set[tuple[str, str]] = set()
+    db = Database()
     for block in _blocks(text.splitlines()):
         line0, header = block[0]
         m = re.fullmatch(r"\[([a-z-]+)\]", header.strip())
@@ -509,12 +518,10 @@ def loads_db(text: str, path: str = "<string>") -> Database:
             raise DbParseError(
                 path, line0, f"unknown key(s) in [{tag}] record: {', '.join(sorted(record))}"
             )
-        if cls.UNIQUE:
-            key = (cls.UNIQUE, str(getattr(entry, cls.UNIQUE)))
-            if key in seen:
-                raise DbParseError(path, line0, f"duplicate {key[0]} {key[1]!r}")
-            seen.add(key)
-        db.add(entry)
+        try:
+            db.add(entry)
+        except ValueError as e:
+            raise DbParseError(path, line0, str(e)) from e
     return db
 
 
@@ -629,28 +636,24 @@ def validate_db(db: Database) -> list[str]:
             else:
                 check_names(_NAMES[vtype](value), entry)
 
-    for entry in db.entries():
+    for entry in db.records:
         check_fields(entry, entry)
 
-    for entries in db.groups.values():
-        for g in entries:
-            if g.context.kind == "odd-part":
-                p = g.context.get("p")
-                dec = g.group.primary_decomposition()
-                if g.group.free_rank or any(q != p for q in dec):
-                    problems.append(f"{g.context}: entry is not a {p}-group")
-            if g.context.kind in ("coker-eta", "ker-eta"):
-                dec = g.group.primary_decomposition()
-                if any(q != 2 for q in dec):
-                    problems.append(f"{g.context}: entry has odd torsion")
+    for g in db.find("odd-part"):
+        p = g.context.get("p")
+        if g.group.free_rank or any(q != p for q in g.group.primary_decomposition()):
+            problems.append(f"{g.context}: entry is not a {p}-group")
+    for g in db.find("coker-eta") + db.find("ker-eta"):
+        if any(q != 2 for q in g.group.primary_decomposition()):
+            problems.append(f"{g.context}: entry has odd torsion")
 
-    for w in db.whitehead:
+    for w in db.find("whitehead"):
         where = str(w.context)
         src = db.lookup("bracket-id", n=w.context.get("n").lo)
         if src is None:
             problems.append(f"{where}: no bracket-id entry for this n")
             continue
-        imap = dict(w.images)
+        imap, tgt = dict(w.images), w.target_presentation()
         for name in src.generator_names():
             if name not in imap:
                 problems.append(f"{where}: missing image for generator {name!r}")
@@ -668,7 +671,6 @@ def validate_db(db: Database) -> list[str]:
             # divides theirs
             src_order = dict((nm, o) for o, nm in src.terms)[name]
             if src_order:
-                tgt = w.target_presentation()
                 row = [1 if c == "odd" else int(c) for c in vec]
                 im_order = tgt.element_order(row)
                 if im_order is None or src_order % im_order != 0:
@@ -678,18 +680,36 @@ def validate_db(db: Database) -> list[str]:
                     )
 
     # odd parts must reassemble to the odd part of the golden bracket rows
-    for bracket in db.groups.get("bracket", ()):
-        k = bracket.context.get("k")
-        nr = bracket.context.get("n")
-        n = nr.lo
+    for bracket in db.find("bracket"):
+        k, n = bracket.context.get("k"), bracket.context.get("n").lo
         odd = FinAbGroup.trivial()
-        for entry in db.groups.get("odd-part", ()):
-            if entry.context.get("k") == k and n in entry.context.get("n"):
-                odd = odd.direct_sum(entry.group)
+        for entry in db.find("odd-part", k=k, n=n):
+            odd = odd.direct_sum(entry.group)
         if odd != bracket.group.odd_part():
             problems.append(
                 f"{bracket.context}: odd-part records sum to {odd}, "
                 f"bracket has odd part {bracket.group.odd_part()}"
             )
+
+    # the coker-eta, ker-eta and bracket rows of each k tile one range of n
+    tiled = ("coker-eta", "ker-eta", "bracket")
+    for k in sorted({e.context.get("k") for kind in tiled for e in db.find(kind)}):
+        spans = {}
+        for kind in tiled:
+            ranges = [e.context.get("n") for e in db.find(kind, k=k)]
+            for a, b in zip(ranges, ranges[1:]):
+                if a.hi + 1 < b.lo:
+                    problems.append(f"{kind} k={k}: no row for n={NRange(a.hi + 1, b.lo - 1)}")
+            spans[kind] = NRange(ranges[0].lo, ranges[-1].hi) if ranges else "none"
+        if len(set(spans.values())) > 1:
+            covers = ", ".join(f"{kind} n={span}" for kind, span in spans.items())
+            problems.append(f"k={k}: rows cover different n: {covers}")
+
+    # evidence resolves a recorded bracket cell
+    for e in db.find("extension"):
+        nr = e.context.get("n")
+        for n in sorted({nr.lo, nr.hi} - {None}):
+            if db.lookup("bracket", k=e.context.get("k"), n=n) is None:
+                problems.append(f"{e.context}: no bracket row for n={n}")
 
     return problems

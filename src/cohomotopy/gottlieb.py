@@ -19,7 +19,7 @@ from .database import Database, DbError
 def whitehead_hom(db: Database, n: int) -> GroupHom:
     """The pairing ``[-, identity]`` on the recorded bracket-id row."""
     src = db.lookup("bracket-id", n=n)
-    wh = db.whitehead_for(n)
+    wh = db.lookup("whitehead", n=n)
     if src is None or wh is None:
         raise DbError(f"no bracket-id/whitehead records for n={n}")
     rows = wh.image_matrix_rows(src.generator_names())
@@ -95,7 +95,7 @@ def classify_components(db: Database, n: int) -> ComponentsResult:
     the count is the number of negation orbits of the pairing image.  The
     recorded value wins when flagged ``documented-discrepancy``.
     """
-    entry = db.components_for(n)
+    entry = db.lookup("components", n=n)
     if entry is None:
         raise DbError(f"no components row for n={n}")
     h = whitehead_hom(db, n)
@@ -117,10 +117,8 @@ def fibration_equivalences(db: Database, n: int) -> dict[str, list[tuple[int, ..
     Finite generators contribute all residues 0..order-1; infinite ones are
     sampled at 0..3.
     """
+    h = whitehead_hom(db, n)  # raises DbError when the bracket-id row is missing
     src = db.lookup("bracket-id", n=n)
-    if src is None:
-        raise DbError(f"no bracket-id row for n={n}")
-    h = whitehead_hom(db, n)
     orders, to_canonical = h.target.canonical_form_map()
     out: dict[str, list[tuple[int, ...]]] = {}
     for i, (order, name) in enumerate(src.terms):

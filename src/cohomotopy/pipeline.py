@@ -152,12 +152,7 @@ def compute_group(db: Database, k: int, n: int) -> ComputedRow:
     ]
     group = resolved.group
 
-    odd_entries = [
-        e
-        for e in db.groups.get("odd-part", ())
-        if e.context.get("k") == k and n in e.context.get("n")
-    ]
-    for entry in sorted(odd_entries, key=lambda e: e.context.get("p")):
+    for entry in db.find("odd-part", k=k, n=n):
         generators.extend(_instantiate_terms(entry.terms, n))
         group = group.direct_sum(entry.group)
         cites.append(entry.cite)
@@ -324,16 +319,13 @@ def paper_notation(g: FinAbGroup) -> str:
 def table_rows(db: Database, k: int):
     """(label, ComputedRow) pairs for every recorded row of a k-table,
     computed at the first n of each range."""
-    entries = sorted(
-        (e for e in db.groups.get("bracket", ()) if e.context.get("k") == k),
-        key=lambda e: e.context.get("n").lo,
-    )
+    entries = db.find("bracket", k=k)
     if not entries:
         raise DbError(f"no bracket rows for k={k}")
     out = []
     for e in entries:
         nr = e.context.get("n")
-        label = f"n={nr.lo}" if nr.is_single() else f"n>={nr.lo}"
+        label = f"n>={nr.lo}" if nr.hi is None else f"n={nr}"
         out.append((label, compute_group(db, k, nr.lo)))
     return out
 
@@ -376,22 +368,14 @@ def verify_all(db: Database) -> list[CheckResult]:
     path-component classifications.
     """
     results = []
-    ks = sorted({e.context.get("k") for e in db.groups.get("bracket", ())})
-    for k in ks:
-        for e in sorted(
-            (e for e in db.groups.get("bracket", ()) if e.context.get("k") == k),
-            key=lambda e: e.context.get("n").lo,
-        ):
+    for k in sorted({e.context.get("k") for e in db.find("bracket")}):
+        for e in db.find("bracket", k=k):
             nr = e.context.get("n")
-            ns = [nr.lo] if nr.is_single() else [nr.lo, nr.lo + 3]
-            for n in ns:
-                if nr.hi is not None and n > nr.hi:
-                    continue
-                results.append(check_bracket(db, k, n))
+            results.extend(check_bracket(db, k, n) for n in (nr.lo, nr.lo + 3) if n in nr)
     for n in MAPSPACE_RANGE:
         results.append(check_mapspace(db, n))
-    for e in sorted(db.groups.get("gottlieb", ()), key=lambda e: e.context.get("n").lo):
+    for e in db.find("gottlieb"):
         results.append(check_gottlieb(db, e.context.get("n").lo))
-    for c in sorted(db.components, key=lambda c: c.context.get("n").lo):
-        results.append(check_components(db, c.context.get("n").lo))
+    for e in db.find("components"):
+        results.append(check_components(db, e.context.get("n").lo))
     return results

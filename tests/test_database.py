@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,18 +89,28 @@ class TestParsing:
     def test_mini_db(self):
         db = loads_db(MINI)
         assert set(db.symbols) == {"nu", "p"}
-        assert len(db.groups["coker-eta"]) == 2
-        item = db.evidence[0].item
+        assert len(db.find("coker-eta")) == 2
+        item = db.find("extension")[0].item
         assert isinstance(item, RelationFact) and item.multiplier == 2
-        ehp = db.evidence[1].item
+        ehp = db.find("extension")[1].item
         assert isinstance(ehp, EhpInjectivity)
         assert ehp.source_n == 5 and ehp.names == (("a", "b"),)
 
-    def test_lookup_explicit_beats_range(self):
+    def test_lookup_finds_the_record_holding_n(self):
         d = loads_db(MINI)
         assert d.lookup("coker-eta", k=6, n=4).group == FinAbGroup.from_factors([8])
         assert d.lookup("coker-eta", k=6, n=9).group == FinAbGroup.from_factors([4])
         assert d.lookup("coker-eta", k=6, n=3) is None
+
+    def test_find_matches_given_parameters_ordered_by_n_then_p(self, db):
+        contexts = [str(e.context) for e in db.find("odd-part", k=7, n=5)]
+        assert contexts == ["odd-part k=7 n=5 p=3", "odd-part k=7 n=5 p=7"]
+        assert [str(e.context) for e in db.find("odd-part", n=13, p=7)] == [
+            "odd-part k=7 n=13.. p=7"
+        ]
+        assert [e.context.get("n").lo for e in db.find("bracket", k=6)] == list(range(2, 13))
+        assert [e.context.get("k") for e in db.find("bracket", n=2)] == [6, 7, 8]
+        assert db.find("bracket", k=9) == [] and db.find("frobnicate") == []
 
     def test_evidence_for_honors_ranges(self):
         d = loads_db(MINI)
@@ -113,6 +125,35 @@ class TestParsing:
         text = MINI + "\n[group]\ncontext = coker-eta k=6 n=4\ngroup = 0\ncite = x\n"
         with pytest.raises(DbParseError):
             loads_db(text)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("ker-eta k=6 n=2..5\n", "ker-eta k=6 n=2..10\n",
+             "context ker-eta k=6 n=6 overlaps ker-eta k=6 n=2..10"),
+            ("bracket k=7 n=12\n", "bracket k=7 n=12..\n",
+             "context bracket k=7 n=13.. overlaps bracket k=7 n=12.."),
+            ("odd-part k=8 n=13 p=3\n", "odd-part k=8 n=13.. p=3\n",
+             "context odd-part k=8 n=14.. p=3 overlaps odd-part k=8 n=13.. p=3"),
+            ("whitehead n=4\n", "whitehead n=3\n", "context whitehead n=3 overlaps whitehead n=3"),
+            ("components n=8\n", "components n=1..\n",
+             "context components n=1.. overlaps components n=1"),
+            ("sphere-gottlieb m=9 k=3\n", "sphere-gottlieb m=5 k=3\n",
+             "context sphere-gottlieb m=5 k=3 overlaps sphere-gottlieb m=5 k=3"),
+        ],
+    )
+    def test_overlapping_contexts_of_one_family_rejected(self, db_text, old, new, message):
+        broken = db_text.replace(old, new, 1)
+        assert broken != db_text
+        with pytest.raises(DbParseError, match=re.escape(message) + "$"):
+            loads_db(broken)
+
+    def test_ranges_of_different_families_may_overlap(self, db_text):
+        # p=5 has its own family at k=8, which holds only n=6
+        loads_db(db_text.replace("odd-part k=8 n=6 p=5\n", "odd-part k=8 n=6..7 p=5\n", 1))
+
+    def test_evidence_records_may_share_a_cell(self, db):
+        assert len(db.evidence_for(8, 4)) == 2
 
     def test_bad_key_line_rejected(self):
         with pytest.raises(DbParseError):
@@ -196,12 +237,12 @@ generators = nu_n : 8 ; S^{n+1} nu : inf
 cite = [T]
 
 [group]
-context = sphere m=3 k=2
+context = sphere-gottlieb m=3 k=2
 group = 0
 cite = [T]
 
 [whitehead]
-context = whitehead n=3 m=4
+context = whitehead n=3
 target = Z/2
 target-generators = nu_4 : 2
 cite = [T]
@@ -270,12 +311,13 @@ class TestRoundTrip:
 
     def test_every_record_type_roundtrips(self):
         db = loads_db(EVERY_RECORD)
-        kinds = {type(e.item).__name__ for e in db.evidence}
+        kinds = {type(e.item).__name__ for e in db.find("extension")}
         assert kinds == {
             "Retraction", "ElementOrderLift", "RelationFact", "ExternalFact", "EhpInjectivity"
         }
-        assert db.whitehead[0].images == () and db.components[0].flags[0] == "documented-discrepancy"
-        assert len(db.relations) == 1
+        assert db.lookup("whitehead", n=3).images == ()
+        assert db.lookup("components", n=7).flags[0] == "documented-discrepancy"
+        assert [e.TAG for e in db.records].count("relation") == 1
         again = loads_db(dumps_db(db))
         assert list(again.entries()) == list(db.entries())
         assert dumps_db(again) == dumps_db(db)
@@ -308,7 +350,7 @@ class TestValidation:
         assert broken != db_text
         problems = validate_db(loads_db(broken))
         assert any(
-            p.startswith("whitehead m=4 n=3: generator orders disagree") for p in problems
+            p.startswith("whitehead n=3: generator orders disagree") for p in problems
         ), problems
 
     def test_detects_missing_whitehead_image(self, db_text):
@@ -329,6 +371,21 @@ class TestValidation:
         problems = validate_db(loads_db(broken))
         assert any("odd-part records sum" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "old, new, problem",
+        [
+            ("bracket k=6 n=12..\n", "bracket k=6 n=24..\n", "bracket k=6: no row for n=12..23"),
+            ("ker-eta k=7 n=13..\n", "ker-eta k=7 n=13..20\n",
+             "k=7: rows cover different n: coker-eta n=2.., ker-eta n=2..20, bracket n=2.."),
+            ("extension k=8 n=3\n", "extension k=16 n=3\n",
+             "extension k=16 n=3: no bracket row for n=3"),
+        ],
+    )
+    def test_detects_rows_and_evidence_off_the_bracket_cells(self, db_text, old, new, problem):
+        broken = db_text.replace(f"context = {old}", f"context = {new}", 1)
+        assert broken != db_text
+        assert validate_db(loads_db(broken)) == [problem]
+
     def test_components_context_without_n_is_flagged_not_a_crash(self, db_text):
         broken = db_text.replace(
             "context = components n=1\n", "context = components m=1\n"
@@ -340,8 +397,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "old, new, wrong",
         [
-            ("context = whitehead n=3 m=4\n", "context = whitehead n=3\n", "lacks m"),
-            ("context = whitehead n=3 m=4\n", "context = whitehead n=3 m=4 k=1\n", "has extra k"),
+            ("context = whitehead n=3\n", "context = whitehead\n", "lacks n"),
+            ("context = whitehead n=3\n", "context = whitehead n=3 k=1\n", "has extra k"),
             ("context = extension k=6 n=6\n", "context = extension n=6\n", "lacks k"),
             ("context = extension k=6 n=6\n", "context = ext k=6 n=6\n", "unknown evidence context"),
             ("context = components n=2\n", "context = components n=2 p=3\n", "has extra p"),

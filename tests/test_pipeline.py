@@ -98,12 +98,13 @@ class TestComputeGroup:
 
 class TestFailureModes:
     def test_dropped_evidence_leaves_extension_unresolved(self, db):
-        broken = loads_db(dumps_db(db))
-        broken.evidence = [
-            e
-            for e in broken.evidence
-            if not (e.context.get("k") == 7 and 9 in e.context.get("n"))
+        blocks = [
+            b
+            for b in dumps_db(db).split("\n\n")
+            if not (b.startswith("[evidence]") and "context = extension k=7 n=9\n" in b)
         ]
+        broken = loads_db("\n\n".join(blocks))
+        assert len(broken.evidence_for(7, 9)) == 0 and len(db.evidence_for(7, 9)) == 2
         with pytest.raises(UnresolvedExtensionError):
             compute_group(broken, 7, 9)
 
@@ -132,7 +133,7 @@ class TestFailureModes:
             "nu_9^2 . g_15(C) : 2\ncite = x\n"
         )
         broken = loads_db("\n\n".join(blocks))
-        assert len(broken.evidence) == len(db.evidence) - 1
+        assert len(broken.find("extension")) == len(db.find("extension")) - 1
         for n in (7, 8, 9):
             assert check_bracket(broken, 7, n).status == "ok", check_bracket(broken, 7, n)
 
@@ -185,6 +186,17 @@ class TestRendering:
         assert lines[0] == "k,n,paper,canonical"
         assert "6,4,8+2+3^2+5,Z/6 + Z/120" in lines
         assert lines[-1].startswith("6,>=12,")
+
+    def test_closed_range_labelled_as_written(self):
+        rows = "".join(
+            f"[group]\ncontext = {kind} k=6 n={n}\ngroup = 0\ncite = x\n\n"
+            for kind in ("coker-eta", "ker-eta", "bracket")
+            for n in ("2..5", "6..")
+        )
+        db = loads_db(rows)
+        assert [label for label, _ in table_rows(db, 6)] == ["n=2..5", "n>=6"]
+        assert render_table(db, 6, "csv").splitlines()[1:] == ["6,2..5,0,0", "6,>=6,0,0"]
+        assert render_table(db, 6).splitlines()[2].startswith("n=2..5 ")
 
     def test_ascii_table(self, db):
         text = render_table(db, 8)
