@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 
 
@@ -310,21 +310,6 @@ def kernel_lattice(m: IntMatrix) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _primary_from_orders(orders) -> dict[int, list[int]]:
-    primary: dict[int, list[int]] = {}
-    for d in orders:
-        d = int(d)
-        if d < 0:
-            d = -d
-        if d in (0, 1):
-            continue
-        for p, e in _factorint(d).items():
-            primary.setdefault(p, []).append(p**e)
-    for p in primary:
-        primary[p].sort()
-    return primary
-
-
 def _factorint(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -338,18 +323,54 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def _invariant_factors(primary: dict[int, list[int]]) -> tuple[int, ...]:
-    """Merge primary cyclic factors into an ascending divisibility chain."""
-    piles = {p: list(v) for p, v in primary.items() if v}
-    factors = []
-    while any(piles.values()):
-        f = 1
-        for p in sorted(piles):
-            if piles[p]:
-                f *= piles[p].pop()  # largest remaining p-power
-        factors.append(f)
-    factors.reverse()
-    return tuple(factors)
+def _primary_exponents(orders) -> dict[int, tuple[int, ...]]:
+    """Map prime -> descending p-exponents of the cyclic orders ``orders``
+    (nonnegative; 0 and 1 contribute nothing), primes ascending."""
+    exps: dict[int, list[int]] = {}
+    for d in orders:
+        for p, e in _factorint(d).items():
+            exps.setdefault(p, []).append(e)
+    return {p: tuple(sorted(exps[p], reverse=True)) for p in sorted(exps)}
+
+
+def _invariant_factors(exps: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Merge primary cyclic factors into an ascending divisibility chain: the
+    i-th largest invariant factor takes the i-th largest power of each prime."""
+    factors = [1] * max(map(len, exps.values()), default=0)
+    for p, es in exps.items():
+        for i, e in enumerate(es):
+            factors[i] *= p**e
+    return tuple(reversed(factors))
+
+
+# Groups are immutable values, so each canonical group is built once and
+# shared, and so is the primary decomposition of each torsion chain.  Every
+# memo is bounded (an evicted entry is rebuilt on its next use) and sized
+# above the working set of one sweep over all pairs of groups of order <= 64.
+# ``cache_clear()`` on each of them starts cold.
+MEMO_SIZE = 2**13
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _interned(free_rank: int, torsion: tuple[int, ...]) -> "FinAbGroup":
+    """The one shared :class:`FinAbGroup` with these fields."""
+    return FinAbGroup(free_rank, torsion)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _canonical_group(orders: tuple[int, ...]) -> "FinAbGroup":
+    """Memo of :meth:`FinAbGroup.from_factors`, keyed by the sorted absolute
+    cyclic orders."""
+    return _interned(orders.count(0), _invariant_factors(_primary_exponents(orders)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _primary_parts(torsion: tuple[int, ...]):
+    """``(p, p-power orders, p-exponents)`` for each prime of ``torsion``,
+    primes ascending, both tuples descending."""
+    return tuple(
+        (p, tuple(p**e for e in es), es) for p, es in _primary_exponents(torsion).items()
+    )
 
 
 @dataclass(frozen=True)
@@ -375,14 +396,14 @@ class FinAbGroup:
 
     @classmethod
     def from_factors(cls, orders) -> "FinAbGroup":
-        """Build from arbitrary cyclic orders (0 means an infinite factor)."""
-        orders = [int(x) for x in orders]
-        free = sum(1 for x in orders if x == 0)
-        return cls(free, _invariant_factors(_primary_from_orders(orders)))
+        """Build from arbitrary cyclic orders (0 means an infinite factor, a
+        negative order counts as its absolute value).  Isomorphic inputs,
+        such as ``[6]`` and ``[3, 2]``, give the one shared group."""
+        return _canonical_group(tuple(sorted(abs(int(x)) for x in orders)))
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
-        return cls(0, ())
+        return _interned(0, ())
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -404,21 +425,21 @@ class FinAbGroup:
         )
 
     def primary_decomposition(self) -> dict[int, tuple[int, ...]]:
-        """Map prime -> descending list of p-power cyclic orders."""
-        primary = _primary_from_orders(self.torsion)
-        return {p: tuple(sorted(v, reverse=True)) for p, v in sorted(primary.items())}
+        """Map prime -> descending tuple of p-power cyclic orders; a new dict
+        on every call."""
+        return {p: powers for p, powers, _ in _primary_parts(self.torsion)}
 
     def odd_part(self) -> "FinAbGroup":
-        orders = []
-        for p, powers in self.primary_decomposition().items():
-            if p != 2:
-                orders.extend(powers)
-        return FinAbGroup.from_factors(orders)
+        return FinAbGroup.from_factors(
+            [q for p, powers, _ in _primary_parts(self.torsion) if p != 2 for q in powers]
+        )
 
     def exponents_at(self, p: int) -> tuple[int, ...]:
         """Descending partition of p-exponents (the 'type' at p)."""
-        powers = self.primary_decomposition().get(p, ())
-        return tuple(_factorint(x)[p] for x in powers)
+        for q, _, exps in _primary_parts(self.torsion):
+            if q == p:
+                return exps
+        return ()
 
     def __str__(self) -> str:
         return render_group(self)
@@ -441,9 +462,11 @@ def render_group(g: FinAbGroup) -> str:
 _GROUP_TERM = re.compile(r"Z(?:\^([0-9]+)|/([0-9]+))?")
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def parse_group(text: str) -> FinAbGroup:
     """Inverse of :func:`render_group` (accepts any term order): ``0``, or
-    terms ``Z``, ``Z^r`` and ``Z/n`` (n >= 2) joined by ``+``."""
+    terms ``Z``, ``Z^r`` and ``Z/n`` (n >= 2) joined by ``+``.  Memoised by
+    ``text``; a text that fails to parse raises again on every call."""
     text = text.strip()
     if text == "0":
         return FinAbGroup.trivial()

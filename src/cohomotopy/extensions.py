@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, lru_cache, reduce
 from math import gcd
 
-from .abelian import FinAbGroup
+from .abelian import MEMO_SIZE, FinAbGroup
 
 
 class ExtensionError(Exception):
@@ -66,16 +66,19 @@ def ext_group(c: FinAbGroup, a: FinAbGroup) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 
 
-def partitions(n: int, max_part: int | None = None):
-    """All partitions of n (descending tuples), lexicographically descending."""
+@lru_cache(maxsize=MEMO_SIZE)
+def partitions(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n (descending tuples), lexicographically descending,
+    with no part above ``max_part``.  Memoised; the tuple is shared."""
     if max_part is None:
         max_part = n
     if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+        return ((),)
+    return tuple(
+        (first,) + rest
+        for first in range(min(n, max_part), 0, -1)
+        for rest in partitions(n - first, first)
+    )
 
 
 def conjugate_partition(lam) -> tuple[int, ...]:

@@ -174,18 +174,6 @@ def realizable(p, lam, mu, nu):
     return (mu, nu) in subgroup_quotient_types(p, lam)
 
 
-def _exponents(p, powers):
-    """The p-exponents of the p-power orders ``powers``."""
-    out = []
-    for q in powers:
-        e = 0
-        while q > 1:
-            q //= p
-            e += 1
-        out.append(e)
-    return tuple(out)
-
-
 def oracle_middle_groups(a, c):
     """All middle groups of 0 -> A -> G -> C -> 0 for finite A, C, as a set
     of FinAbGroup values, by exhaustive subgroup search."""
@@ -193,11 +181,9 @@ def oracle_middle_groups(a, c):
     from cohomotopy.extensions import partitions
 
     assert a.is_finite() and c.is_finite()
-    primary_a, primary_c = a.primary_decomposition(), c.primary_decomposition()
     per_prime = []
-    for p in sorted(primary_a.keys() | primary_c.keys()):
-        mu = _exponents(p, primary_a.get(p, ()))
-        nu = _exponents(p, primary_c.get(p, ()))
+    for p in sorted(a.primary_decomposition().keys() | c.primary_decomposition().keys()):
+        mu, nu = a.exponents_at(p), c.exponents_at(p)
         shapes = [
             lam
             for lam in partitions(sum(mu) + sum(nu))

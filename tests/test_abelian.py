@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cohomotopy import abelian
 from cohomotopy.abelian import (
     AbelianError,
     FinAbGroup,
@@ -15,6 +18,7 @@ from cohomotopy.abelian import (
     smith_normal_form,
     subgroup_and_quotient,
 )
+from cohomotopy.extensions import partitions
 from test_properties import minor_gcds
 
 
@@ -179,3 +183,73 @@ class TestGroupHom:
         tgt = Presentation.from_orders([4])
         assert is_zero_hom(GroupHom(src, tgt, IntMatrix.from_rows([[0]])))
         assert not is_zero_hom(GroupHom(src, tgt, IntMatrix.from_rows([[2]])))
+
+
+def _partitions_reference(n, max_part=None):
+    """The plain recursive generator that ``partitions`` memoises."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions_reference(n - first, first):
+            yield (first,) + rest
+
+
+class TestMemos:
+    MEMOS = (
+        abelian._interned,
+        abelian._canonical_group,
+        abelian._primary_parts,
+        parse_group,
+        partitions,
+    )
+
+    def test_from_factors_shares_one_group(self):
+        g = FinAbGroup.from_factors([6])
+        assert FinAbGroup.from_factors([3, 2]) is g
+        assert FinAbGroup.from_factors([2, 3, 1]) is g
+        assert FinAbGroup.from_factors((-6,)) is g
+        h = FinAbGroup.from_factors([0, 4, 2, 3])
+        assert FinAbGroup.from_factors([3, 0, 2, 4]) is h
+        assert FinAbGroup.from_factors([12, 2, 0]) is h
+        assert parse_group("Z + Z/2 + Z/12") is h
+        assert FinAbGroup.trivial() is FinAbGroup.from_factors([1, 1])
+
+    def test_primary_decomposition_is_a_fresh_dict(self):
+        g = FinAbGroup.from_factors([8, 2, 9, 3, 5])
+        dec = g.primary_decomposition()
+        dec[2] = (2,)
+        dec.pop(3)
+        dec[7] = (7,)
+        assert g.primary_decomposition() == {2: (8, 2), 3: (9, 3), 5: (5,)}
+        assert g.exponents_at(2) == (3, 1) and g.exponents_at(7) == ()
+        assert g.odd_part() == FinAbGroup.from_factors([9, 3, 5])
+
+    def test_parse_errors_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(AbelianError, match="bad torsion coefficient"):
+                parse_group("Z/1")
+
+    def test_every_memo_is_bounded(self):
+        for memo in self.MEMOS:
+            maxsize = memo.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize < float("inf")
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0), st.integers(1, 72)), max_size=6))
+    def test_from_factors_matches_diagonal_presentation(self, orders):
+        g = len(orders)
+        diag = IntMatrix(g, g, tuple(orders[i] if i == j else 0 for i in range(g) for j in range(g)))
+        group = FinAbGroup.from_factors(orders)
+        assert group == group_from_presentation(diag)
+        # and against the Smith diagonal itself, which skips from_factors
+        d = smith_diagonal(diag.to_rows())
+        assert (group.free_rank, group.torsion) == (d.count(0), tuple(x for x in d if x > 1))
+
+    def test_partitions_match_the_generator(self):
+        for n in range(13):
+            assert partitions(n) == tuple(_partitions_reference(n))
+            for max_part in range(n + 2):
+                assert partitions(n, max_part) == tuple(_partitions_reference(n, max_part))

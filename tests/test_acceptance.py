@@ -12,7 +12,7 @@ from cohomotopy.gottlieb import classify_components, gottlieb_group, whitehead_h
 from cohomotopy.pipeline import compute_group, mapping_space_pi, verify_all
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import oracle_middle_groups  # noqa: E402
+from oracles import oracle_middle_groups, subgroup_quotient_types  # noqa: E402
 
 
 def G(text):
@@ -179,12 +179,16 @@ def _all_abelian_groups_up_to(limit):
 def test_criterion_5_oracle_equivalence():
     groups = _all_abelian_groups_up_to(64)
     checked = 0
-    for a in groups:
-        for c in groups:
-            got = set(enumerate_middle_groups(a, c).candidates)
-            want = oracle_middle_groups(a, c)
-            assert got == want, f"A={a}, C={c}: {got ^ want}"
-            checked += 1
+    try:
+        for a in groups:
+            for c in groups:
+                got = set(enumerate_middle_groups(a, c).candidates)
+                want = oracle_middle_groups(a, c)
+                assert got == want, f"A={a}, C={c}: {got ^ want}"
+                checked += 1
+    finally:
+        # the oracle memo holds about 200,000 Smith types by now; free it
+        subgroup_quotient_types.cache_clear()
     print(
         f"PASS criterion 5: enumeration matches the subgroup-quotient oracle "
         f"on all {checked} pairs with |A|, |C| <= 64"
