@@ -13,7 +13,6 @@ from .abelian import (
     render_group,
     smith_diagonal,
     smith_normal_form,
-    subgroup_and_quotient,
 )
 from .database import Database, DbError, DbParseError, load_db, loads_db, validate_db
 from .extensions import (
@@ -77,7 +76,6 @@ __all__ = [
     "render_table",
     "smith_diagonal",
     "smith_normal_form",
-    "subgroup_and_quotient",
     "validate_db",
     "verify_all",
     "whitehead_hom",

@@ -26,11 +26,18 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from pathlib import Path
 
-from .abelian import AbelianError, FinAbGroup, Presentation, parse_group, render_group
+from .abelian import (
+    MEMO_SIZE,
+    AbelianError,
+    FinAbGroup,
+    Presentation,
+    parse_group,
+    render_group,
+)
 from .extensions import (
     EVIDENCE_KINDS,
     INT,
@@ -446,7 +453,15 @@ _CODECS = {
 }
 
 
-def _parse_record(cls, record: dict, where, label: str):
+class _BlockError(Exception):
+    """A parse error at line ``index`` of a record block (0 = the header)."""
+
+    def __init__(self, index: int, msg: str):
+        self.index = index
+        super().__init__(msg)
+
+
+def _parse_record(cls, record: dict, label: str):
     """A ``cls`` built from a record's ``key -> value`` strings, popping
     every key it reads; an evidence record's ``kind`` selects the item class
     that reads the keys left."""
@@ -454,21 +469,55 @@ def _parse_record(cls, record: dict, where, label: str):
     for attr, key, vtype, required, _ in schema(cls):
         if key not in record:
             if required:
-                raise DbParseError(*where, f"{label} lacks {key!r}")
+                raise _BlockError(0, f"{label} lacks {key!r}")
             continue
         text = record.pop(key)
         if vtype == EVIDENCE:
             item_cls = EVIDENCE_KINDS.get(text)
             if item_cls is None:
-                raise DbParseError(*where, f"unknown evidence kind {text!r}")
-            values[attr] = _parse_record(item_cls, record, where, f"{text} evidence")
+                raise _BlockError(0, f"unknown evidence kind {text!r}")
+            values[attr] = _parse_record(item_cls, record, f"{text} evidence")
             continue
         values[attr] = value = _CODECS[vtype][0](text)
         if vtype == CONTEXT:
             problem = _context_problem(cls, value)
             if problem:
-                raise DbParseError(*where, problem)
+                raise _BlockError(0, problem)
     return cls(**values)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _parse_block(lines: tuple[str, ...]):
+    """The record a block's lines (header first) spell, memoised by their
+    text: records are immutable, so every load of an unchanged block shares
+    one.  Errors are not cached; ``_BlockError.index`` is the line within
+    the block."""
+    header = lines[0]
+    m = re.fullmatch(r"\[([a-z-]+)\]", header.strip())
+    if not m:
+        raise _BlockError(0, f"expected a [record-type] header, got {header!r}")
+    tag = m.group(1)
+    cls = RECORD_TYPES.get(tag)
+    if cls is None:
+        raise _BlockError(0, f"unknown record type [{tag}]")
+    record: dict[str, str] = {}
+    for i, line in enumerate(lines[1:], start=1):
+        if "=" not in line:
+            raise _BlockError(i, f"expected 'key = value', got {line!r}")
+        k, v = line.split("=", 1)
+        k = k.strip()
+        if k in record:
+            raise _BlockError(i, f"duplicate key {k!r}")
+        record[k] = v.strip()
+    if not record.get("cite"):
+        raise _BlockError(0, f"[{tag}] record lacks a cite")
+    try:
+        entry = _parse_record(cls, record, f"[{tag}] record")
+    except (ValueError, AbelianError) as e:
+        raise _BlockError(0, f"bad [{tag}] record: {e}") from e
+    if record:
+        raise _BlockError(0, f"unknown key(s) in [{tag}] record: {', '.join(sorted(record))}")
+    return entry
 
 
 def _blocks(lines):
@@ -489,39 +538,19 @@ def _blocks(lines):
 
 
 def loads_db(text: str, path: str = "<string>") -> Database:
+    """Parse a ``.cohdb`` text; ``DbParseError`` names ``path`` and the line.
+    Each block is parsed once per text (``_parse_block``); the checks that
+    read other records (``Database.add``) run on every load."""
     db = Database()
     for block in _blocks(text.splitlines()):
-        line0, header = block[0]
-        m = re.fullmatch(r"\[([a-z-]+)\]", header.strip())
-        if not m:
-            raise DbParseError(path, line0, f"expected a [record-type] header, got {header!r}")
-        tag = m.group(1)
-        cls = RECORD_TYPES.get(tag)
-        if cls is None:
-            raise DbParseError(path, line0, f"unknown record type [{tag}]")
-        record: dict[str, str] = {}
-        for line_no, line in block[1:]:
-            if "=" not in line:
-                raise DbParseError(path, line_no, f"expected 'key = value', got {line!r}")
-            k, v = line.split("=", 1)
-            k = k.strip()
-            if k in record:
-                raise DbParseError(path, line_no, f"duplicate key {k!r}")
-            record[k] = v.strip()
-        if not record.get("cite"):
-            raise DbParseError(path, line0, f"[{tag}] record lacks a cite")
         try:
-            entry = _parse_record(cls, record, (path, line0), f"[{tag}] record")
-        except (ValueError, AbelianError) as e:
-            raise DbParseError(path, line0, f"bad [{tag}] record: {e}") from e
-        if record:
-            raise DbParseError(
-                path, line0, f"unknown key(s) in [{tag}] record: {', '.join(sorted(record))}"
-            )
+            entry = _parse_block(tuple(line for _, line in block))
+        except _BlockError as e:
+            raise DbParseError(path, block[e.index][0], str(e)) from e.__cause__
         try:
             db.add(entry)
         except ValueError as e:
-            raise DbParseError(path, line0, str(e)) from e
+            raise DbParseError(path, block[0][0], str(e)) from e
     return db
 
 

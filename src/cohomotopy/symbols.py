@@ -34,6 +34,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .abelian import MEMO_SIZE
+
 
 class NameParseError(Exception):
     def __init__(self, text: str, pos: int, msg: str):
@@ -253,7 +255,7 @@ def parse_name(text: str) -> Expr:
     return _Parser(text.strip()).parse()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def families_of(text: str) -> frozenset[str]:
     """All symbol families referenced by a generator name (cached: a database
     repeats its names; a :class:`NameParseError` is not cached)."""

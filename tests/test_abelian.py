@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomotopy import abelian
+from cohomotopy import abelian, database
 from cohomotopy.abelian import (
     AbelianError,
     FinAbGroup,
@@ -19,6 +19,7 @@ from cohomotopy.abelian import (
     subgroup_and_quotient,
 )
 from cohomotopy.extensions import partitions
+from cohomotopy.symbols import families_of
 from test_properties import minor_gcds
 
 
@@ -204,6 +205,8 @@ class TestMemos:
         abelian._primary_parts,
         parse_group,
         partitions,
+        database._parse_block,
+        families_of,
     )
 
     def test_from_factors_shares_one_group(self):

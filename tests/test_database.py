@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cohomotopy.abelian import FinAbGroup
 from cohomotopy.database import (
+    _parse_block,
     DbError,
     DbParseError,
     NRange,
@@ -462,3 +463,55 @@ class TestRandomEdits:
     @given(edits)
     def test_edits_of_shipped_db(self, db_text, edit_list):
         load_and_validate(edited(db_text, edit_list))
+
+
+def load_outcome(text):
+    """What a load gives: the dumped database, or the error message."""
+    try:
+        return dumps_db(loads_db(text))
+    except DbError as e:
+        return str(e)
+
+
+class TestBlockMemo:
+    def test_unchanged_blocks_are_parsed_once(self, db_text):
+        first = loads_db(db_text, "a.cohdb").records
+        again = loads_db(db_text, "a.cohdb").records
+        assert len(again) == len(first) and all(x is y for x, y in zip(first, again))
+        # moved to other lines, read from another file
+        moved = loads_db("# moved\n\n\n" + db_text, "b.cohdb").records
+        assert len(moved) == len(first) and all(x is y for x, y in zip(first, moved))
+        reordered = "\n\n".join(reversed(EVERY_RECORD.strip().split("\n\n")))
+        assert {id(e) for e in loads_db(reordered).records} == {
+            id(e) for e in loads_db(EVERY_RECORD).records
+        }
+
+    @pytest.mark.parametrize(
+        "bad, offset, message",
+        [
+            ("[symbol]\nname = nu\nname = mu\ncite = [T]\n", 2, "duplicate key 'name'"),
+            ("[group]\ncontext = coker-eta k=6 n=30\ngroup = Z/1\ncite = [T]\n", 0,
+             "bad [group] record: bad torsion coefficient in 'Z/1'"),
+        ],
+        ids=["duplicate-key", "bad-group"],
+    )
+    def test_errors_name_their_own_path_and_line(self, bad, offset, message):
+        # path -> (text before the bad block, text after it)
+        texts = {"first.cohdb": (MINI + "\n", ""), "second.cohdb": ("# header\n\n", "\n" + MINI)}
+        _parse_block.cache_clear()
+        for _ in ("cold", "warm"):
+            for path, (before, after) in texts.items():
+                line = before.count("\n") + 1 + offset
+                with pytest.raises(DbParseError) as err:
+                    loads_db(before + bad + after, path)
+                assert (err.value.path, err.value.line) == (path, line)
+                assert str(err.value) == f"{path}:{line}: {message}"
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(edits)
+    def test_a_warm_memo_loads_like_a_cold_one(self, db_text, edit_list):
+        text = edited(db_text, edit_list)
+        loads_db(db_text)
+        warm = load_outcome(text)
+        _parse_block.cache_clear()
+        assert load_outcome(text) == warm

@@ -1,7 +1,10 @@
+from dataclasses import replace
+from math import gcd
+
 import pytest
 
 from cohomotopy.abelian import parse_group
-from cohomotopy.database import DbError, dumps_db, loads_db
+from cohomotopy.database import Database, DbError, dumps_db, loads_db
 from cohomotopy.gottlieb import (
     classify_components,
     fibration_equivalences,
@@ -103,6 +106,40 @@ class TestFibrationEquivalences:
         eq = fibration_equivalences(db, 4)
         for classes in eq.values():
             assert len(classes) == 1
+
+
+class TestOddUnits:
+    """An image coordinate written ``odd`` is evaluated as 1; every other
+    unit modulo the coordinate's target order must give the same results."""
+
+    @staticmethod
+    def results(db, n):
+        return (
+            gottlieb_group(db, n),
+            classify_components(db, n).computed,
+            fibration_equivalences(db, n),
+        )
+
+    def test_every_odd_unit_gives_the_shipped_results(self, db):
+        checked = []
+        for w in db.find("whitehead"):
+            n = w.context.get("n").lo
+            shipped = self.results(db, n)
+            for i, (name, vec) in enumerate(w.images):
+                for j, c in enumerate(vec):
+                    if c != "odd":
+                        continue
+                    order = w.target_terms[j][0]
+                    units = [u for u in range(1, order) if gcd(u, order) == 1]
+                    for u in units:
+                        images = list(w.images)
+                        images[i] = (name, vec[:j] + (u,) + vec[j + 1:])
+                        variant = Database()
+                        for e in db.records:
+                            variant.add(replace(e, images=tuple(images)) if e is w else e)
+                        assert self.results(variant, n) == shipped, (n, name, u)
+                    checked.append((n, name, tuple(units)))
+        assert (7, "nu_8 . S^7 p", (1, 3)) in checked
 
 
 class TestNullComponentGottlieb:
