@@ -3,7 +3,7 @@
 Everything here works over arbitrary-precision integers.  The central tool is
 Smith normal form with recorded unimodular transforms; on top of it sit
 canonical forms for finitely generated abelian groups, presentations
-(generators + integer relation matrices), homomorphisms given by integer
+(sums of cyclic groups, given by their orders), homomorphisms given by integer
 matrices, and the usual constructions (kernel, cokernel, image, direct sum,
 subgroup/quotient from a generating set).
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 
@@ -493,77 +493,53 @@ def parse_group(text: str) -> FinAbGroup:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Z^num_generators modulo the row space of ``relations``."""
+    """Z^num_generators modulo ``orders[i]`` times the i-th generator: a sum of
+    cyclic groups, where order 0 means a copy of Z."""
 
-    num_generators: int
-    relations: IntMatrix
-
-    def __post_init__(self):
-        if self.relations.cols != self.num_generators:
-            raise AbelianError("relation width != number of generators")
+    orders: tuple[int, ...]
 
     @classmethod
     def from_orders(cls, orders) -> "Presentation":
-        """Diagonal presentation; order 0 means an infinite generator."""
-        orders = list(orders)
-        g = len(orders)
+        """Order 0 means an infinite generator."""
+        return cls(tuple(orders))
+
+    @property
+    def num_generators(self) -> int:
+        return len(self.orders)
+
+    def relation_matrix(self) -> IntMatrix:
+        """The diagonal relation rows, one per finite-order generator."""
+        g = self.num_generators
         rows = [
-            [orders[i] if i == j else 0 for j in range(g)]
-            for i in range(g)
-            if orders[i] != 0
+            [o if i == j else 0 for j in range(g)]
+            for i, o in enumerate(self.orders)
+            if o
         ]
-        return cls(g, IntMatrix.from_rows(rows) if rows else IntMatrix(0, g, ()))
+        return IntMatrix.from_rows(rows) if rows else IntMatrix(0, g, ())
 
     def group(self) -> FinAbGroup:
-        return group_from_presentation(self.relations)
-
-    @cached_property
-    def smith(self) -> SmithDecomposition:
-        """Smith normal form of ``relations``, computed once per presentation
-        (the dataclass is frozen, so it cannot go stale)."""
-        return smith_normal_form(self.relations)
+        return FinAbGroup.from_factors(self.orders)
 
     def element_order(self, vec):
         """Order of the class of ``vec``; None if infinite."""
         vec = list(vec)
         if len(vec) != self.num_generators:
             raise AbelianError("element length != number of generators")
-        s = self.smith
-        w = row_vector_times(vec, s.v)
-        d = s.d.diagonal()
         order = 1
-        for j in range(self.num_generators):
-            dj = d[j] if j < len(d) else 0
-            if dj == 0:
-                if w[j] != 0:
-                    return None
-            else:
-                order = lcm(order, dj // gcd(dj, w[j]))
+        for o, x in zip(self.orders, vec):
+            if o:
+                order = lcm(order, o // gcd(o, x))
+            elif x:
+                return None
         return order
 
     def contains_zero(self, vec) -> bool:
         return self.element_order(vec) == 1
 
-    def canonical_form_map(self):
-        """Return (orders, to_canonical).
-
-        ``orders`` lists cyclic orders (0 = infinite) of a canonical
-        coordinate system; ``to_canonical`` converts generator coordinates
-        into canonical coordinates, so two vectors have the same image iff
-        they represent the same element.
-        """
-        s = self.smith
-        d = s.d.diagonal()
-        g = self.num_generators
-        orders = [(d[j] if j < len(d) else 0) for j in range(g)]
-
-        def to_canonical(vec):
-            w = row_vector_times(list(vec), s.v)
-            return tuple(
-                w[j] % orders[j] if orders[j] else w[j] for j in range(g)
-            )
-
-        return orders, to_canonical
+    def reduce(self, vec) -> tuple[int, ...]:
+        """Coordinates of ``vec`` reduced modulo the orders: two vectors reduce
+        to the same tuple iff they represent the same element."""
+        return tuple(x % o if o else x for x, o in zip(vec, self.orders))
 
 
 def group_from_presentation(relations: IntMatrix) -> FinAbGroup:
@@ -583,9 +559,10 @@ def subgroup_and_quotient(pres: Presentation, gens):
     if any(len(x) != g for x in gens):
         raise AbelianError("generator vector length mismatch")
     gm = IntMatrix.from_rows(gens) if gens else IntMatrix(0, g, ())
-    quotient = group_from_presentation(pres.relations.vstack(gm))
+    relations = pres.relation_matrix()
+    quotient = group_from_presentation(relations.vstack(gm))
     # relations among the chosen generators modulo the ambient relations
-    stacked = gm.vstack(pres.relations)
+    stacked = gm.vstack(relations)
     ker = kernel_lattice(stacked)
     sub_rel = [row[: len(gens)] for row in ker]
     sub_relm = (
@@ -607,7 +584,8 @@ class GroupHom:
     Row i of ``matrix`` is the image (in target generator coordinates) of the
     i-th source generator.  Construction fails with
     :class:`IllDefinedHomError` unless every source relation maps into the
-    target relation lattice.
+    target relation lattice, that is unless the image of each finite-order
+    source generator has an order dividing the generator's.
     """
 
     source: Presentation
@@ -619,18 +597,18 @@ class GroupHom:
             raise AbelianError("matrix height != source generators")
         if self.matrix.cols != self.target.num_generators:
             raise AbelianError("matrix width != target generators")
-        for i in range(self.source.relations.rows):
-            r = list(self.source.relations.row(i))
-            img = row_vector_times(r, self.matrix)
-            if not self.target.contains_zero(img):
-                raise IllDefinedHomError(i, tuple(r))
+        orders = self.source.orders
+        for i, j in enumerate(j for j, o in enumerate(orders) if o):
+            im = self.target.element_order(self.matrix.row(j))
+            if im is None or orders[j] % im:
+                raise IllDefinedHomError(i, self.source.relation_matrix().row(i))
 
     def apply(self, vec) -> list[int]:
         return row_vector_times(list(vec), self.matrix)
 
     def kernel_vectors(self) -> list[list[int]]:
         """Generators (source coordinates) of the kernel subgroup."""
-        stacked = self.matrix.vstack(self.target.relations)
+        stacked = self.matrix.vstack(self.target.relation_matrix())
         ker = kernel_lattice(stacked)
         return [row[: self.source.num_generators] for row in ker]
 
@@ -644,4 +622,4 @@ class GroupHom:
         return sub
 
     def cokernel(self) -> FinAbGroup:
-        return group_from_presentation(self.target.relations.vstack(self.matrix))
+        return group_from_presentation(self.target.relation_matrix().vstack(self.matrix))

@@ -88,7 +88,12 @@ def conjugate_partition(lam) -> tuple[int, ...]:
     return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
 
 
-@lru_cache(maxsize=None)
+# Sized above the 33,450 keys that one sweep over all pairs of groups of
+# order <= 64 leaves in the cache.
+LR_MEMO_SIZE = 2**16
+
+
+@lru_cache(maxsize=LR_MEMO_SIZE)
 def lr_positive(lam: tuple, mu: tuple, nu: tuple) -> bool:
     """Whether c^lam_{mu, nu} > 0, by exhaustive skew LR-tableau search."""
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
@@ -154,15 +159,14 @@ def _torsion_order(g: FinAbGroup) -> int:
     return reduce(lambda a, b: a * b, g.torsion, 1)
 
 
-def enumerate_middle_groups(
-    a: FinAbGroup, c: FinAbGroup, bound: int = DEFAULT_BOUND
-) -> ExtensionCandidateSet:
+def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateSet:
     """All middle groups of 0 -> A -> G -> C -> 0 under the rank/order
-    contract (free rank adds, torsion order multiplies)."""
+    contract (free rank adds, torsion order multiplies); raises
+    :class:`EnumerationBoundError` above a torsion order of ``DEFAULT_BOUND``."""
     t = _torsion_order(a) * _torsion_order(c)
-    if t > bound:
+    if t > DEFAULT_BOUND:
         raise EnumerationBoundError(
-            f"torsion order {t} exceeds enumeration bound {bound}"
+            f"torsion order {t} exceeds enumeration bound {DEFAULT_BOUND}"
         )
     free = a.free_rank + c.free_rank
     primes = sorted(

@@ -43,11 +43,11 @@ def gottlieb_group(db: Database, n: int) -> FinAbGroup:
 
 
 def _image_elements(h: GroupHom):
-    """All elements of the image of ``h`` in canonical target coordinates.
+    """All elements of the image of ``h`` in reduced target coordinates.
 
     Requires a finite target; returns (orders, set of coordinate tuples).
     """
-    orders, to_canonical = h.target.canonical_form_map()
+    orders = h.target.orders
     if any(o == 0 for o in orders):
         raise DbError("pairing target is infinite; cannot enumerate")
 
@@ -55,7 +55,7 @@ def _image_elements(h: GroupHom):
         return tuple((x + y) % o for x, y, o in zip(a, b, orders))
 
     gens = [
-        to_canonical(h.apply([1 if j == i else 0 for j in range(h.source.num_generators)]))
+        h.target.reduce(h.apply([1 if j == i else 0 for j in range(h.source.num_generators)]))
         for i in range(h.source.num_generators)
     ]
     zero = tuple(0 for _ in orders)
@@ -119,13 +119,13 @@ def fibration_equivalences(db: Database, n: int) -> dict[str, list[tuple[int, ..
     """
     h = whitehead_hom(db, n)  # raises DbError when the bracket-id row is missing
     src = db.lookup("bracket-id", n=n)
-    orders, to_canonical = h.target.canonical_form_map()
+    orders = h.target.orders
     out: dict[str, list[tuple[int, ...]]] = {}
     for i, (order, name) in enumerate(src.terms):
         classes: dict[tuple, list[int]] = {}
         for c in range(order if order else 4):
             vec = [c if j == i else 0 for j in range(len(src.terms))]
-            img = tuple(to_canonical(h.apply(vec)))
+            img = h.target.reduce(h.apply(vec))
             neg = tuple((-x) % o if o else -x for x, o in zip(img, orders))
             classes.setdefault(min(img, neg), []).append(c)
         out[name] = [tuple(v) for v in classes.values()]

@@ -1,3 +1,5 @@
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from cohomotopy.abelian import (
     smith_normal_form,
     subgroup_and_quotient,
 )
-from cohomotopy.extensions import partitions
+from cohomotopy.extensions import lr_positive, partitions
 from cohomotopy.symbols import families_of
 from test_properties import minor_gcds
 
@@ -120,6 +122,23 @@ class TestFinAbGroup:
             FinAbGroup(-1, ())
 
 
+def _smith_element_order(relations: IntMatrix, vec):
+    """Order of ``vec`` in Z^g / rowspace(relations), read in the basis of the
+    Smith normal form: the general algorithm, kept as the reference."""
+    s = smith_normal_form(relations)
+    w = abelian.row_vector_times(vec, s.v)
+    d = s.d.diagonal()
+    order = 1
+    for j, wj in enumerate(w):
+        dj = d[j] if j < len(d) else 0
+        if dj == 0:
+            if wj != 0:
+                return None
+        else:
+            order = lcm(order, dj // gcd(dj, wj))
+    return order
+
+
 class TestPresentation:
     def test_element_order(self):
         p = Presentation.from_orders([8, 2])
@@ -134,16 +153,26 @@ class TestPresentation:
         assert p.element_order([0, 1]) == 2
 
     def test_canonical_form_roundtrip(self):
-        # canonical coordinates agree exactly on vectors of the same class
-        rel = IntMatrix.from_rows([[2, 4], [0, 6]])
-        p = Presentation(2, rel)
-        orders, to_can = p.canonical_form_map()
-        assert FinAbGroup.from_factors(orders) == group_from_presentation(rel)
-        grid = [[a, b] for a in range(-3, 4) for b in range(-3, 4)]
+        # reduced coordinates agree exactly on vectors of the same class, also
+        # when the orders are not a divisor chain
+        p = Presentation.from_orders([2, 6, 0, 1])
+        assert p.group() == group_from_presentation(p.relation_matrix())
+        grid = [[a, b, c, d] for a in (0, 1, 2) for b in (-6, 0, 1, 5, 7)
+                for c in (-1, 0, 1) for d in (0, 1)]
         for x in grid:
             for y in grid:
                 diff = [a - b for a, b in zip(x, y)]
-                assert (to_can(x) == to_can(y)) == p.contains_zero(diff)
+                assert (p.reduce(x) == p.reduce(y)) == p.contains_zero(diff)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1]) | st.integers(2, 36), max_size=5), st.data())
+    def test_element_order_matches_smith(self, orders, data):
+        vec = st.lists(st.integers(-50, 50), min_size=len(orders), max_size=len(orders))
+        x, y = data.draw(vec), data.draw(vec)
+        p = Presentation.from_orders(orders)
+        assert p.element_order(x) == _smith_element_order(p.relation_matrix(), x)
+        diff = [a - b for a, b in zip(x, y)]
+        assert (p.reduce(x) == p.reduce(y)) == p.contains_zero(diff)
 
     def test_subgroup_and_quotient(self):
         p = Presentation.from_orders([8, 2])
@@ -159,6 +188,10 @@ class TestGroupHom:
         with pytest.raises(IllDefinedHomError):
             GroupHom(src, tgt, IntMatrix.from_rows([[1]]))
         GroupHom(src, tgt, IntMatrix.from_rows([[2]]))  # fine
+        # relations are numbered over the finite-order generators only
+        src = Presentation.from_orders([0, 4, 2])
+        with pytest.raises(IllDefinedHomError, match=r"relation #1: \(0, 0, 2\)$"):
+            GroupHom(src, tgt, IntMatrix.from_rows([[1], [1], [1]]))
 
     def test_kernel_image_cokernel(self):
         src = Presentation.from_orders([8, 2])
@@ -205,6 +238,7 @@ class TestMemos:
         abelian._primary_parts,
         parse_group,
         partitions,
+        lr_positive,
         database._parse_block,
         families_of,
     )
