@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 from .abelian import (
     MEMO_SIZE,
@@ -110,10 +112,23 @@ class NRange:
         return cls(lo, hi)
 
 
+EVERY_N = NRange(0, None)  # the n range of a context without n
+
+
 @dataclass(frozen=True)
 class Context:
+    """A record's context: a kind and its parameters.  ``family`` (the
+    parameters other than n, which with the kind name the context's family)
+    and ``n_range`` are derived once, on construction."""
+
     kind: str
     params: tuple[tuple[str, object], ...]  # sorted (key, value); n is NRange
+    family: frozenset = field(init=False, repr=False, compare=False)
+    n_range: NRange = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "family", frozenset(kv for kv in self.params if kv[0] != "n"))
+        object.__setattr__(self, "n_range", self.get("n", EVERY_N))
 
     def get(self, key, default=None):
         for k, v in self.params:
@@ -296,9 +311,6 @@ RECORD_TYPES = {
 }
 
 
-EVERY_N = NRange(0, None)  # the n range of a context without n
-
-
 @dataclass
 class Database:
     """The records of a ``.cohdb`` file in load order, indexed twice: symbols
@@ -317,10 +329,8 @@ class Database:
             self.symbols[entry.name] = entry
         ctx = getattr(entry, "context", None)
         if ctx is not None:
-            nr = ctx.get("n", EVERY_N)
-            family = self.families.setdefault(ctx.kind, {}).setdefault(
-                frozenset(kv for kv in ctx.params if kv[0] != "n"), []
-            )
+            nr = ctx.n_range
+            family = self.families.setdefault(ctx.kind, {}).setdefault(ctx.family, [])
             i = bisect.bisect_right(family, nr.lo, key=itemgetter(0))
             if entry.UNIQUE == "context":  # its family's ranges are disjoint: check neighbours
                 for _, other_nr, other in family[max(i - 1, 0):i + 1]:
@@ -343,12 +353,18 @@ class Database:
         """The records of a context kind whose other parameters equal
         ``params`` and whose n range holds ``n`` (any n when it is None),
         ordered by n and then p."""
+        families = self.families.get(kind, {})
+        # Every context of a kind has the same parameters (its record's
+        # CONTEXTS), so a query naming all but n matches one family at most.
+        family = families.get(frozenset(params.items()))
+        if family is not None:
+            return _holding(family, n)
         want = params.items()
         found = []
-        for key, family in self.families.get(kind, {}).items():
+        for key, family in families.items():
             if want <= key:
                 p = dict(key).get("p", 0)
-                found.extend((lo, p, e) for lo, nr, e in family if n is None or n in nr)
+                found.extend((e.context.n_range.lo, p, e) for e in _holding(family, n))
         found.sort(key=itemgetter(0, 1))
         return [e for _, _, e in found]
 
@@ -360,6 +376,18 @@ class Database:
 
     def evidence_for(self, k: int, n: int) -> list[EvidenceEntry]:
         return self.find("extension", k=k, n=n)
+
+
+def _holding(family: list, n: int | None) -> list:
+    """The records of a family (ordered by n.lo) whose n range holds ``n``,
+    every record when it is None."""
+    if n is None:
+        return [e for _, _, e in family]
+    end = bisect.bisect_right(family, n, key=itemgetter(0))
+    # the ranges of a family of unique contexts are disjoint: only the last
+    # one starting at or below n can hold it
+    start = end - 1 if end and family[0][2].UNIQUE == "context" else 0
+    return [e for _, nr, e in family[start:end] if n in nr]
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +515,15 @@ def _parse_record(cls, record: dict, label: str):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _parse_block(lines: tuple[str, ...]):
-    """The record a block's lines (header first) spell, memoised by their
-    text: records are immutable, so every load of an unchanged block shares
-    one.  Errors are not cached; ``_BlockError.index`` is the line within
-    the block."""
+def _parse_block(block: str):
+    """The record a block's text spells (None for a block of comments),
+    memoised by that text: records are immutable, so every load of an
+    unchanged block shares one.  Comment lines are dropped first.  Errors are
+    not cached; ``_BlockError.index`` counts the block's lines that are not
+    comments (0 = the header)."""
+    lines = [line for line in block.splitlines() if not line.strip().startswith("#")]
+    if not lines:
+        return None
     header = lines[0]
     m = re.fullmatch(r"\[([a-z-]+)\]", header.strip())
     if not m:
@@ -520,37 +552,40 @@ def _parse_block(lines: tuple[str, ...]):
     return entry
 
 
-def _blocks(lines):
-    """Group (line_no, text) pairs into records."""
-    block = []
-    for i, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if line.strip().startswith("#"):
-            continue
-        if not line.strip():
-            if block:
-                yield block
-                block = []
-            continue
-        block.append((i, line))
-    if block:
-        yield block
+# A block is a run of lines that are not blank, once every line break that
+# ``str.splitlines`` knows has become "\n".
+_BLOCK = re.compile(r"(?m)^.*\S.*(?:\n.*\S.*)*")
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"  # and, beyond ASCII, \x85, \u2028, \u2029
+
+
+def _line_no(text: str, block: re.Match, index: int) -> int:
+    """The line number of the ``index``-th line that is not a comment of a
+    block of a normalised ``text``."""
+    kept = [
+        i for i, line in enumerate(block.group().splitlines())
+        if not line.strip().startswith("#")
+    ]
+    return text.count("\n", 0, block.start()) + 1 + kept[index]
 
 
 def loads_db(text: str, path: str = "<string>") -> Database:
     """Parse a ``.cohdb`` text; ``DbParseError`` names ``path`` and the line.
     Each block is parsed once per text (``_parse_block``); the checks that
     read other records (``Database.add``) run on every load."""
+    if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())
     db = Database()
-    for block in _blocks(text.splitlines()):
+    for block in _BLOCK.finditer(text):
         try:
-            entry = _parse_block(tuple(line for _, line in block))
+            entry = _parse_block(block.group())
         except _BlockError as e:
-            raise DbParseError(path, block[e.index][0], str(e)) from e.__cause__
+            raise DbParseError(path, _line_no(text, block, e.index), str(e)) from e.__cause__
+        if entry is None:
+            continue
         try:
             db.add(entry)
         except ValueError as e:
-            raise DbParseError(path, block[0][0], str(e)) from e
+            raise DbParseError(path, _line_no(text, block, 0), str(e)) from e
     return db
 
 
@@ -625,56 +660,108 @@ def _where(entry) -> str:
     return f"relation {entry.rel_id}" if isinstance(entry, RelationEntry) else str(entry.context)
 
 
+def _record_memo(fn):
+    """``fn(record)`` memoised by the record's identity, for the
+    ``MEMO_SIZE`` most recently used records.  Records are immutable and
+    ``_parse_block`` shares one per unchanged block; the memo holds each
+    record it keys, so no other object can take its id."""
+    memo: OrderedDict = OrderedDict()  # id(record) -> (record, result)
+
+    @wraps(fn)
+    def memoised(record):
+        hit = memo.get(id(record))
+        if hit is not None:
+            memo.move_to_end(id(record))
+            return hit[1]
+        result = fn(record)
+        memo[id(record)] = (record, result)
+        if len(memo) > MEMO_SIZE:
+            memo.popitem(last=False)
+        return result
+
+    memoised.cache_clear = memo.clear
+    memoised.cache_info = lambda: SimpleNamespace(maxsize=MEMO_SIZE, currsize=len(memo))
+    return memoised
+
+
+@_record_memo
+def _record_checks(entry):
+    """What ``validate_db`` checks on one record alone, as a tuple: the
+    symbol families its generator names reference; its problems if all of
+    those are registered; its checks in field order, each a problem or a
+    (generator name, families) pair; and the problems with the primes of its
+    group (odd-part, coker-eta and ker-eta rows), which ``validate_db``
+    lists with the other rows of their kind."""
+    checks: list = []
+
+    def check_orders(terms, group):
+        if terms:
+            written = FinAbGroup.from_factors([o for o, _ in terms])
+            if written != group:
+                checks.append(
+                    f"{_where(entry)}: generator orders disagree with the group "
+                    f"({written} vs {group})"
+                )
+        elif not group.is_trivial():
+            checks.append(f"{_where(entry)}: nontrivial group without generators")
+
+    def check_fields(obj):
+        for attr, vtype, terms in _checked_fields(type(obj)):
+            value = getattr(obj, attr)
+            if vtype == GROUP:
+                check_orders(getattr(obj, terms), value)
+            elif vtype == EVIDENCE:
+                check_fields(value)
+            else:
+                for name in _NAMES[vtype](value):
+                    try:
+                        checks.append((name, families_of(name)))
+                    except NameParseError as e:
+                        checks.append(f"{_where(entry)}: {e}")
+
+    check_fields(entry)
+    primes = ()
+    kind = entry.context.kind if isinstance(entry, GroupEntry) else None
+    if kind == "odd-part":
+        p = entry.context.get("p")
+        if entry.group.free_rank or any(q != p for q in entry.group.primary_decomposition()):
+            primes = (f"{entry.context}: entry is not a {p}-group",)
+    elif kind in ("coker-eta", "ker-eta"):
+        if any(q != 2 for q in entry.group.primary_decomposition()):
+            primes = (f"{entry.context}: entry has odd torsion",)
+    return (
+        frozenset().union(*(c[1] for c in checks if isinstance(c, tuple))),
+        tuple(c for c in checks if isinstance(c, str)),
+        tuple(checks),
+        primes,
+    )
+
+
 def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
-    (empty list = valid)."""
+    (empty list = valid).  The checks of each record alone are memoised
+    (``_record_checks``); those that read other records run every time."""
     problems: list[str] = []
     symbols = set(db.symbols)
 
-    def check_names(names, entry):
-        for name in names:
-            try:
-                fams = families_of(name)
-            except NameParseError as e:
-                problems.append(f"{_where(entry)}: {e}")
+    for entry in db.records:
+        families, record_problems, checks, _ = _record_checks(entry)
+        if families <= symbols:
+            problems.extend(record_problems)
+            continue
+        for check in checks:
+            if isinstance(check, str):
+                problems.append(check)
                 continue
+            name, fams = check
             for fam in sorted(fams - symbols):
                 problems.append(
                     f"{_where(entry)}: generator {name!r} references "
                     f"unregistered symbol family {fam!r}"
                 )
 
-    def check_orders(terms, group, entry):
-        if terms:
-            written = FinAbGroup.from_factors([o for o, _ in terms])
-            if written != group:
-                problems.append(
-                    f"{_where(entry)}: generator orders disagree with the group "
-                    f"({written} vs {group})"
-                )
-        elif not group.is_trivial():
-            problems.append(f"{_where(entry)}: nontrivial group without generators")
-
-    def check_fields(obj, entry):
-        for attr, vtype, terms in _checked_fields(type(obj)):
-            value = getattr(obj, attr)
-            if vtype == GROUP:
-                check_orders(getattr(obj, terms), value, entry)
-            elif vtype == EVIDENCE:
-                check_fields(value, entry)
-            else:
-                check_names(_NAMES[vtype](value), entry)
-
-    for entry in db.records:
-        check_fields(entry, entry)
-
-    for g in db.find("odd-part"):
-        p = g.context.get("p")
-        if g.group.free_rank or any(q != p for q in g.group.primary_decomposition()):
-            problems.append(f"{g.context}: entry is not a {p}-group")
-    for g in db.find("coker-eta") + db.find("ker-eta"):
-        if any(q != 2 for q in g.group.primary_decomposition()):
-            problems.append(f"{g.context}: entry has odd torsion")
+    for g in db.find("odd-part") + db.find("coker-eta") + db.find("ker-eta"):
+        problems.extend(_record_checks(g)[3])
 
     for w in db.find("whitehead"):
         where = str(w.context)
@@ -709,11 +796,15 @@ def validate_db(db: Database) -> list[str]:
                     )
 
     # odd parts must reassemble to the odd part of the golden bracket rows
+    odd_families = {}  # k -> its odd-part families, one for each p
+    for key, family in db.families.get("odd-part", {}).items():
+        odd_families.setdefault(dict(key).get("k"), []).append(family)
     for bracket in db.find("bracket"):
-        k, n = bracket.context.get("k"), bracket.context.get("n").lo
+        k, n = bracket.context.get("k"), bracket.context.n_range.lo
         odd = FinAbGroup.trivial()
-        for entry in db.find("odd-part", k=k, n=n):
-            odd = odd.direct_sum(entry.group)
+        for family in odd_families.get(k, ()):
+            for entry in _holding(family, n):
+                odd = odd.direct_sum(entry.group)
         if odd != bracket.group.odd_part():
             problems.append(
                 f"{bracket.context}: odd-part records sum to {odd}, "

@@ -32,9 +32,10 @@ def whitehead_hom(db: Database, n: int) -> GroupHom:
     return GroupHom(src.presentation(), wh.target_presentation(), matrix)
 
 
-def gottlieb_group(db: Database, n: int) -> FinAbGroup:
-    """G_n as the kernel of the Whitehead pairing."""
-    return whitehead_hom(db, n).kernel()
+def gottlieb_group(db: Database, n: int, pairing=None) -> FinAbGroup:
+    """G_n as the kernel of the Whitehead pairing, which ``pairing(n)``
+    gives when it is passed (``whitehead_hom`` builds it otherwise)."""
+    return (pairing(n) if pairing else whitehead_hom(db, n)).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +89,18 @@ class ComponentsResult:
     note: str = ""
 
 
-def classify_components(db: Database, n: int) -> ComponentsResult:
+def classify_components(db: Database, n: int, pairing=None) -> ComponentsResult:
     """Count fibre-homotopy equivalence classes of evaluation fibrations.
 
     Two classes f, g give equivalent fibrations iff [f, id] = +-[g, id], so
     the count is the number of negation orbits of the pairing image.  The
-    recorded value wins when flagged ``documented-discrepancy``.
+    recorded value wins when flagged ``documented-discrepancy``.  The pairing
+    is ``pairing(n)`` when that is passed, as in :func:`gottlieb_group`.
     """
     entry = db.lookup("components", n=n)
     if entry is None:
         raise DbError(f"no components row for n={n}")
-    h = whitehead_hom(db, n)
+    h = pairing(n) if pairing else whitehead_hom(db, n)
     orders, elements = _image_elements(h)
     computed = len(_negation_orbits(orders, elements))
     if computed == entry.expected:

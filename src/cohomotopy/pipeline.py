@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 from .abelian import FinAbGroup
 from .database import Database, DbError
@@ -24,7 +25,7 @@ from .extensions import (
     apply_evidence,
     map_names,
 )
-from .gottlieb import classify_components, gottlieb_group
+from .gottlieb import classify_components, gottlieb_group, whitehead_hom
 
 
 @dataclass(frozen=True)
@@ -250,13 +251,13 @@ def check_mapspace(db: Database, n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_gottlieb(db: Database, n: int) -> CheckResult:
+def check_gottlieb(db: Database, n: int, pairing=None) -> CheckResult:
     label = f"G_{n}"
     entry = db.lookup("gottlieb", n=n)
     if entry is None:
         return CheckResult("gottlieb", label, "fail", f"no gottlieb row for n={n}")
     try:
-        computed = gottlieb_group(db, n)
+        computed = gottlieb_group(db, n, pairing)
     except DbError as e:
         return CheckResult("gottlieb", label, "fail", str(e))
     if computed != entry.group:
@@ -267,10 +268,10 @@ def check_gottlieb(db: Database, n: int) -> CheckResult:
     return CheckResult("gottlieb", label, "ok", str(computed))
 
 
-def check_components(db: Database, n: int) -> CheckResult:
+def check_components(db: Database, n: int, pairing=None) -> CheckResult:
     label = f"components n={n}"
     try:
-        r = classify_components(db, n)
+        r = classify_components(db, n, pairing)
     except DbError as e:
         return CheckResult("components", label, "fail", str(e))
     detail = f"computed {r.computed}, recorded {r.expected}"
@@ -365,9 +366,11 @@ def verify_all(db: Database) -> list[CheckResult]:
 
     Covers all bracket rows of every k-table (open ranges checked at two
     representative n), all mapping-space rows, and the Gottlieb and
-    path-component classifications.
+    path-component classifications; both of these read one Whitehead
+    pairing per n.
     """
     results = []
+    pairing = cache(partial(whitehead_hom, db))
     for k in sorted({e.context.get("k") for e in db.find("bracket")}):
         for e in db.find("bracket", k=k):
             nr = e.context.get("n")
@@ -375,7 +378,7 @@ def verify_all(db: Database) -> list[CheckResult]:
     for n in MAPSPACE_RANGE:
         results.append(check_mapspace(db, n))
     for e in db.find("gottlieb"):
-        results.append(check_gottlieb(db, e.context.get("n").lo))
+        results.append(check_gottlieb(db, e.context.get("n").lo, pairing))
     for e in db.find("components"):
-        results.append(check_components(db, e.context.get("n").lo))
+        results.append(check_components(db, e.context.get("n").lo, pairing))
     return results

@@ -1,12 +1,17 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohomotopy import database
 from cohomotopy.abelian import FinAbGroup
 from cohomotopy.database import (
+    _BlockError,
     _parse_block,
+    _record_checks,
+    Database,
     DbError,
     DbParseError,
     NRange,
@@ -515,3 +520,164 @@ class TestBlockMemo:
         warm = load_outcome(text)
         _parse_block.cache_clear()
         assert load_outcome(text) == warm
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(edits)
+    def test_a_warm_record_memo_validates_like_a_cold_one(self, db_text, edit_list):
+        validate_db(loads_db(db_text))
+        try:
+            db = loads_db(edited(db_text, edit_list))
+        except DbError:
+            return
+        warm = validate_db(db)
+        _record_checks.cache_clear()
+        assert validate_db(db) == warm
+        _parse_block.cache_clear()
+        _record_checks.cache_clear()
+        assert validate_db(loads_db(edited(db_text, edit_list))) == warm
+
+    def test_the_record_memo_is_keyed_by_identity_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(database, "MEMO_SIZE", 3)
+        _record_checks.cache_clear()
+        entry = loads_db(MINI).records[2]
+        copies = [replace(entry) for _ in range(4)]  # equal records, each its own key
+        first = _record_checks(copies[0])
+        assert _record_checks(copies[0]) is first
+        for copy in copies[1:]:
+            assert _record_checks(copy) is not first
+        assert (_record_checks.cache_info().maxsize, _record_checks.cache_info().currsize) == (3, 3)
+        again = _record_checks(copies[0])  # the least recently used, evicted
+        assert again is not first and again == first
+
+    def test_removing_a_symbol_is_seen_through_the_record_memo(self, db_text):
+        """Dropping a ``[symbol]`` record changes the registered families
+        but none of the memoised records that name them."""
+        validate_db(loads_db(db_text))
+        blocks = db_text.split("\n\n")
+        symbols = [i for i, block in enumerate(blocks) if block.lstrip().startswith("[symbol]")]
+        assert len(symbols) > 10
+        for i in symbols:
+            name = re.search(r"^name = (.*)$", blocks[i], re.M).group(1)
+            db = loads_db("\n\n".join(blocks[:i] + blocks[i + 1:]))
+            warm = validate_db(db)
+            assert f"unregistered symbol family {name!r}" in "\n".join(warm)
+            _record_checks.cache_clear()
+            assert validate_db(db) == warm
+
+
+def reference_blocks(lines):
+    """Group (line_no, text) pairs into records, dropping comment lines: the
+    block splitter ``loads_db`` used when it walked the text line by line."""
+    block = []
+    for i, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.strip().startswith("#"):
+            continue
+        if not line.strip():
+            if block:
+                yield block
+                block = []
+            continue
+        block.append((i, line))
+    if block:
+        yield block
+
+
+def reference_outcome(text, path="ref.cohdb"):
+    """``load_outcome`` through ``reference_blocks``, each error at the line
+    the line-by-line loader named."""
+    db = Database()
+    try:
+        for block in reference_blocks(text.splitlines()):
+            try:
+                entry = _parse_block("\n".join(line for _, line in block))
+            except _BlockError as e:
+                raise DbParseError(path, block[e.index][0], str(e)) from e
+            try:
+                db.add(entry)
+            except ValueError as e:
+                raise DbParseError(path, block[0][0], str(e)) from e
+    except DbParseError as e:
+        return (e.path, e.line, str(e))
+    return dumps_db(db)
+
+
+def split_outcome(text, path="ref.cohdb"):
+    try:
+        return dumps_db(loads_db(text, path))
+    except DbParseError as e:
+        return (e.path, e.line, str(e))
+
+
+BAD_KEY = "[symbol]\nname = mu\nname = mu\ncite = [T]\n"  # an error on the block's third line
+CLASH = "[symbol]\nname = nu\ncite = [T]\n"  # MINI has nu: an error on the header
+
+
+class TestBlockSplitter:
+    """``loads_db`` finds its blocks with one regular expression; every
+    record and every error line is the line-by-line splitter's."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINI + " \t\n" + BAD_KEY,
+            MINI + "\n  \n\t\n \n" + CLASH,
+            MINI.replace("\n\n", "\n   \n") + "\n" + BAD_KEY,
+            MINI + "\n[symbol]\n# inside\nname = mu\n  # indented\nname = mu\ncite = [T]\n",
+            MINI + "\n# before the header\n" + BAD_KEY,
+            MINI + "\n# before the header\n" + CLASH,
+            "# only\n# comments\n\n" + MINI + "\n# a block\n# of comments\n\n" + BAD_KEY,
+            "# a comment\n" + MINI.lstrip() + "# between\n" + BAD_KEY,
+            (MINI + "\n" + BAD_KEY).replace("\n", "\r\n"),
+            (MINI + "\n" + CLASH).replace("\n", "\r\n"),
+            MINI.replace("\n", "\r\n") + "\r\n \r\n" + BAD_KEY,
+            MINI + "\n" + BAD_KEY.rstrip("\n"),
+            MINI + "\n" + CLASH.rstrip("\n"),
+            MINI.rstrip("\n"),
+            MINI + "\n" + BAD_KEY + "   ",
+            MINI + "\x0c\n" + CLASH,
+            MINI.replace("\n\n", "\n\x0b\n") + "\n" + BAD_KEY,
+            MINI.replace("\n\n", "\n\u2028") + "\n" + BAD_KEY,
+            "\n\n\n" + MINI + "\n\n\n\n" + BAD_KEY + "\n\n\n",
+        ],
+        ids=[
+            "whitespace-separator", "whitespace-separators", "whitespace-everywhere",
+            "comments-inside", "comment-before-header", "comment-before-clash",
+            "comment-only-blocks", "comment-joins-blocks", "crlf", "crlf-clash", "crlf-blank",
+            "no-trailing-newline", "no-trailing-newline-clash", "valid-no-trailing-newline",
+            "trailing-spaces", "form-feed", "vertical-tab", "line-separator", "blank-runs",
+        ],
+    )
+    def test_blocks_and_error_lines_match_the_line_by_line_splitter(self, text):
+        for memo in ("cold", "warm"):
+            if memo == "cold":
+                _parse_block.cache_clear()
+            assert split_outcome(text) == reference_outcome(text)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(edits, st.sampled_from((MINI, EVERY_RECORD)))
+    def test_edits(self, edit_list, text):
+        text = edited(text, edit_list)
+        assert split_outcome(text) == reference_outcome(text)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0),
+                st.sampled_from(("replace", "insert", "delete")),
+                st.sampled_from("\n\r\x0b\x0c\x1c\x85\u2028 \t#\xa0"),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_edits_with_every_line_break_and_space(self, edit_list):
+        text = edited(EVERY_RECORD, edit_list)
+        assert split_outcome(text) == reference_outcome(text)
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(edits)
+    def test_edits_of_shipped_db(self, db_text, edit_list):
+        text = edited(db_text, edit_list)
+        assert split_outcome(text) == reference_outcome(text)

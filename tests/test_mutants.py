@@ -1,0 +1,36 @@
+"""Every single-number mutant of the shipped database against the curator's
+check (load, validate, verify), as the ``mutants`` benchmark workload runs it.
+
+The mutant generator and the check are the benchmark's own
+(``perfbench/mutants.py``), loaded from its file.  The mutants that survive
+are listed in ``mutant_survivors.txt``: a new survivor is a weaker check, and
+a listed mutant that is now caught should leave the list.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SURVIVORS = Path(__file__).with_name("mutant_survivors.txt")
+
+
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("perfbench_mutants", ROOT / "perfbench" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_is_caught_or_a_listed_survivor(db_text):
+    mutants = load_mutants()
+    lines = db_text.split("\n")
+    specs = mutants.mutant_specs(db_text)
+    outcomes = {spec[4]: mutants.check_mutant(mutants.apply_spec(lines, spec)) for spec in specs}
+    assert len(outcomes) == len(specs)
+    assert [label for label, o in outcomes.items() if o == "crashed"] == []
+    listed = {
+        line for line in SURVIVORS.read_text().splitlines() if line and not line.startswith("#")
+    }
+    survived = {label for label, o in outcomes.items() if o == "survived"}
+    assert sorted(survived - listed) == [], "new survivors: a check got weaker"
+    assert sorted(listed - survived) == [], "caught now: take them off mutant_survivors.txt"

@@ -1,5 +1,6 @@
 import pytest
 
+from cohomotopy import pipeline
 from cohomotopy.abelian import FinAbGroup, parse_group
 from cohomotopy.database import DbError, loads_db, dumps_db
 from cohomotopy.extensions import ExtensionError, UnresolvedExtensionError
@@ -219,3 +220,17 @@ class TestVerifyAll:
         results = verify_all(db)
         fams = {r.family for r in results}
         assert fams == {"bracket", "mapspace", "gottlieb", "components"}
+
+    def test_one_whitehead_pairing_per_n(self, db, monkeypatch):
+        built = []
+        real = pipeline.whitehead_hom
+
+        def counted(db, n):
+            built.append(n)
+            return real(db, n)
+
+        monkeypatch.setattr(pipeline, "whitehead_hom", counted)
+        results = verify_all(db)
+        labels = {r.label for r in results if r.family in ("gottlieb", "components")}
+        assert labels == {f"G_{n}" for n in built} | {f"components n={n}" for n in built}
+        assert len(built) == len(set(built))
