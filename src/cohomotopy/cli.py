@@ -14,7 +14,12 @@ from pathlib import Path
 
 from .database import DbError, load_db, validate_db
 from .extensions import ExtensionError, UnresolvedExtensionError
-from .gottlieb import classify_components, fibration_equivalences, gottlieb_group
+from .gottlieb import (
+    classify_components,
+    fibration_equivalences,
+    gottlieb_group,
+    whitehead_hom,
+)
 from .pipeline import (
     MAPSPACE_RANGE,
     compute_group,
@@ -151,13 +156,14 @@ def _dispatch(args, db) -> int:
     if args.command == "gottlieb":
         ns = [args.n] if args.n is not None else _recorded_ns(db, "gottlieb")
         for n in ns:
-            print(f"G_{n} = {gottlieb_group(db, n)}")
+            h = whitehead_hom(db, n)
+            print(f"G_{n} = {gottlieb_group(h)}")
             entry = db.lookup("gottlieb", n=n)
             if entry is not None:
                 for order, name in entry.terms:
                     print(f"  {name}  (order {_fmt_order(order)})")
             if args.equivalences:
-                for name, classes in fibration_equivalences(db, n).items():
+                for name, classes in fibration_equivalences(db, n, h).items():
                     parts = " | ".join(
                         "{" + ", ".join(map(str, cls)) + "}" for cls in classes
                     )
@@ -168,7 +174,7 @@ def _dispatch(args, db) -> int:
         ns = [args.n] if args.n is not None else _recorded_ns(db, "components")
         failures = 0
         for n in ns:
-            r = classify_components(db, n)
+            r = classify_components(db, n, whitehead_hom(db, n))
             line = f"n={n}: {r.computed} equivalence classes (recorded {r.expected}, {r.status})"
             print(line)
             if r.status == "fail":

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import bisect
 import re
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, wraps
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from types import SimpleNamespace
 
 from .abelian import (
     MEMO_SIZE,
@@ -645,53 +643,25 @@ _NAMES = {
 }
 
 
-@cache
-def _checked_fields(cls):
-    """(attribute, value type, terms attribute) of each field of a record
-    class that ``validate_db`` reads: names, groups and evidence items."""
-    return tuple(
-        (attr, vtype, terms)
-        for attr, _, vtype, _, terms in schema(cls)
-        if vtype in _NAMES or vtype in (GROUP, EVIDENCE)
-    )
-
-
 def _where(entry) -> str:
     return f"relation {entry.rel_id}" if isinstance(entry, RelationEntry) else str(entry.context)
 
 
-def _record_memo(fn):
-    """``fn(record)`` memoised by the record's identity, for the
-    ``MEMO_SIZE`` most recently used records.  Records are immutable and
-    ``_parse_block`` shares one per unchanged block; the memo holds each
-    record it keys, so no other object can take its id."""
-    memo: OrderedDict = OrderedDict()  # id(record) -> (record, result)
-
-    @wraps(fn)
-    def memoised(record):
-        hit = memo.get(id(record))
-        if hit is not None:
-            memo.move_to_end(id(record))
-            return hit[1]
-        result = fn(record)
-        memo[id(record)] = (record, result)
-        if len(memo) > MEMO_SIZE:
-            memo.popitem(last=False)
-        return result
-
-    memoised.cache_clear = memo.clear
-    memoised.cache_info = lambda: SimpleNamespace(maxsize=MEMO_SIZE, currsize=len(memo))
-    return memoised
-
-
-@_record_memo
 def _record_checks(entry):
     """What ``validate_db`` checks on one record alone, as a tuple: the
     symbol families its generator names reference; its problems if all of
     those are registered; its checks in field order, each a problem or a
     (generator name, families) pair; and the problems with the primes of its
     group (odd-part, coker-eta and ker-eta rows), which ``validate_db``
-    lists with the other rows of their kind."""
+    lists with the other rows of their kind.
+
+    Records are immutable, so the tuple is computed once and kept on the
+    record itself (an attribute, not a field: equality, hashing, ``repr``
+    and ``dumps_db`` do not see it).  ``_parse_block`` shares one record per
+    unchanged block, so its bound is the bound on this work too."""
+    done = entry.__dict__.get("_checks")
+    if done is not None:
+        return done
     checks: list = []
 
     def check_orders(terms, group):
@@ -706,13 +676,13 @@ def _record_checks(entry):
             checks.append(f"{_where(entry)}: nontrivial group without generators")
 
     def check_fields(obj):
-        for attr, vtype, terms in _checked_fields(type(obj)):
+        for attr, _, vtype, _, terms in schema(type(obj)):
             value = getattr(obj, attr)
             if vtype == GROUP:
                 check_orders(getattr(obj, terms), value)
             elif vtype == EVIDENCE:
                 check_fields(value)
-            else:
+            elif vtype in _NAMES:
                 for name in _NAMES[vtype](value):
                     try:
                         checks.append((name, families_of(name)))
@@ -729,18 +699,21 @@ def _record_checks(entry):
     elif kind in ("coker-eta", "ker-eta"):
         if any(q != 2 for q in entry.group.primary_decomposition()):
             primes = (f"{entry.context}: entry has odd torsion",)
-    return (
+    done = (
         frozenset().union(*(c[1] for c in checks if isinstance(c, tuple))),
         tuple(c for c in checks if isinstance(c, str)),
         tuple(checks),
         primes,
     )
+    object.__setattr__(entry, "_checks", done)
+    return done
 
 
 def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
-    (empty list = valid).  The checks of each record alone are memoised
-    (``_record_checks``); those that read other records run every time."""
+    (empty list = valid).  The checks of each record alone run once per
+    record (``_record_checks``); those that read other records run every
+    time."""
     problems: list[str] = []
     symbols = set(db.symbols)
 

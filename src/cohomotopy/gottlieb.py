@@ -12,30 +12,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FinAbGroup, GroupHom, IntMatrix
+from .abelian import AbelianError, FinAbGroup, GroupHom, IntMatrix, Presentation
 from .database import Database, DbError
 
 
 def whitehead_hom(db: Database, n: int) -> GroupHom:
-    """The pairing ``[-, identity]`` on the recorded bracket-id row."""
+    """The pairing ``[-, identity]`` on the recorded bracket-id row.
+
+    A ``DbError`` names the whitehead record when its images do not define
+    a homomorphism (ragged or misfitting rows, or an image whose order does
+    not divide its generator's)."""
     src = db.lookup("bracket-id", n=n)
     wh = db.lookup("whitehead", n=n)
     if src is None or wh is None:
         raise DbError(f"no bracket-id/whitehead records for n={n}")
     rows = wh.image_matrix_rows(src.generator_names())
-    cols = len(wh.target_terms)
-    matrix = (
-        IntMatrix.from_rows(rows)
-        if rows and cols
-        else IntMatrix(len(rows), cols, ())
-    )
-    return GroupHom(src.presentation(), wh.target_presentation(), matrix)
+    try:
+        matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, len(wh.target_terms), ())
+        return GroupHom(src.presentation(), wh.target_presentation(), matrix)
+    except AbelianError as e:
+        raise DbError(f"{wh.context}: {e}") from e
 
 
-def gottlieb_group(db: Database, n: int, pairing=None) -> FinAbGroup:
-    """G_n as the kernel of the Whitehead pairing, which ``pairing(n)``
-    gives when it is passed (``whitehead_hom`` builds it otherwise)."""
-    return (pairing(n) if pairing else whitehead_hom(db, n)).kernel()
+def gottlieb_group(h: GroupHom) -> FinAbGroup:
+    """G_n as the kernel of the Whitehead pairing ``h = whitehead_hom(db, n)``."""
+    return h.kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +44,16 @@ def gottlieb_group(db: Database, n: int, pairing=None) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 
 
-def _image_elements(h: GroupHom):
-    """All elements of the image of ``h`` in reduced target coordinates.
+def _up_to_sign(target: Presentation, x) -> tuple[int, ...]:
+    """The class of ``x`` up to sign: a key that ``x`` and ``-x`` share and
+    no other element of ``target`` has."""
+    x = target.reduce(x)
+    return min(x, target.reduce([-c for c in x]))
 
-    Requires a finite target; returns (orders, set of coordinate tuples).
-    """
+
+def _image_elements(h: GroupHom) -> set[tuple[int, ...]]:
+    """All elements of the image of ``h`` in reduced target coordinates;
+    the target must be finite."""
     orders = h.target.orders
     if any(o == 0 for o in orders):
         raise DbError("pairing target is infinite; cannot enumerate")
@@ -69,15 +75,7 @@ def _image_elements(h: GroupHom):
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return orders, seen
-
-
-def _negation_orbits(orders, elements):
-    orbits = set()
-    for x in elements:
-        neg = tuple((-c) % o for c, o in zip(x, orders))
-        orbits.add(frozenset((x, neg)))
-    return orbits
+    return seen
 
 
 @dataclass(frozen=True)
@@ -89,20 +87,18 @@ class ComponentsResult:
     note: str = ""
 
 
-def classify_components(db: Database, n: int, pairing=None) -> ComponentsResult:
-    """Count fibre-homotopy equivalence classes of evaluation fibrations.
+def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
+    """Count fibre-homotopy equivalence classes of evaluation fibrations,
+    from the Whitehead pairing ``h = whitehead_hom(db, n)``.
 
     Two classes f, g give equivalent fibrations iff [f, id] = +-[g, id], so
-    the count is the number of negation orbits of the pairing image.  The
-    recorded value wins when flagged ``documented-discrepancy``.  The pairing
-    is ``pairing(n)`` when that is passed, as in :func:`gottlieb_group`.
+    the count is the number of image elements up to sign.  The recorded
+    value wins when flagged ``documented-discrepancy``.
     """
     entry = db.lookup("components", n=n)
     if entry is None:
         raise DbError(f"no components row for n={n}")
-    h = pairing(n) if pairing else whitehead_hom(db, n)
-    orders, elements = _image_elements(h)
-    computed = len(_negation_orbits(orders, elements))
+    computed = len({_up_to_sign(h.target, x) for x in _image_elements(h)})
     if computed == entry.expected:
         status = "ok"
     elif "documented-discrepancy" in entry.flags:
@@ -112,24 +108,23 @@ def classify_components(db: Database, n: int, pairing=None) -> ComponentsResult:
     return ComponentsResult(n, computed, entry.expected, status, entry.note)
 
 
-def fibration_equivalences(db: Database, n: int) -> dict[str, list[tuple[int, ...]]]:
+def fibration_equivalences(
+    db: Database, n: int, h: GroupHom
+) -> dict[str, list[tuple[int, ...]]]:
     """For each bracket-id generator, partition its multiples by equivalence
-    of the induced evaluation fibration (equal pairing up to sign).
+    of the induced evaluation fibration (equal pairing ``h =
+    whitehead_hom(db, n)`` up to sign).
 
     Finite generators contribute all residues 0..order-1; infinite ones are
     sampled at 0..3.
     """
-    h = whitehead_hom(db, n)  # raises DbError when the bracket-id row is missing
     src = db.lookup("bracket-id", n=n)
-    orders = h.target.orders
     out: dict[str, list[tuple[int, ...]]] = {}
     for i, (order, name) in enumerate(src.terms):
         classes: dict[tuple, list[int]] = {}
         for c in range(order if order else 4):
             vec = [c if j == i else 0 for j in range(len(src.terms))]
-            img = h.target.reduce(h.apply(vec))
-            neg = tuple((-x) % o if o else -x for x, o in zip(img, orders))
-            classes.setdefault(min(img, neg), []).append(c)
+            classes.setdefault(_up_to_sign(h.target, h.apply(vec)), []).append(c)
         out[name] = [tuple(v) for v in classes.values()]
     return out
 

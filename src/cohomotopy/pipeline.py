@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cache, partial
 
-from .abelian import FinAbGroup
+from .abelian import FinAbGroup, GroupHom
 from .database import Database, DbError
 from .extensions import (
     EhpInjectivity,
@@ -251,15 +250,18 @@ def check_mapspace(db: Database, n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_gottlieb(db: Database, n: int, pairing=None) -> CheckResult:
+# Each check takes the Whitehead pairing at n, ``whitehead_hom(db, n)``, or
+# the ``DbError`` that building it raised.
+
+
+def check_gottlieb(db: Database, n: int, h: GroupHom | DbError) -> CheckResult:
     label = f"G_{n}"
     entry = db.lookup("gottlieb", n=n)
     if entry is None:
         return CheckResult("gottlieb", label, "fail", f"no gottlieb row for n={n}")
-    try:
-        computed = gottlieb_group(db, n, pairing)
-    except DbError as e:
-        return CheckResult("gottlieb", label, "fail", str(e))
+    if isinstance(h, DbError):
+        return CheckResult("gottlieb", label, "fail", str(h))
+    computed = gottlieb_group(h)
     if computed != entry.group:
         return CheckResult(
             "gottlieb", label, "fail",
@@ -268,10 +270,12 @@ def check_gottlieb(db: Database, n: int, pairing=None) -> CheckResult:
     return CheckResult("gottlieb", label, "ok", str(computed))
 
 
-def check_components(db: Database, n: int, pairing=None) -> CheckResult:
+def check_components(db: Database, n: int, h: GroupHom | DbError) -> CheckResult:
     label = f"components n={n}"
+    if isinstance(h, DbError):
+        return CheckResult("components", label, "fail", str(h))
     try:
-        r = classify_components(db, n, pairing)
+        r = classify_components(db, n, h)
     except DbError as e:
         return CheckResult("components", label, "fail", str(e))
     detail = f"computed {r.computed}, recorded {r.expected}"
@@ -318,34 +322,29 @@ def paper_notation(g: FinAbGroup) -> str:
 
 
 def table_rows(db: Database, k: int):
-    """(label, ComputedRow) pairs for every recorded row of a k-table,
+    """(n range, ComputedRow) pairs for every recorded row of a k-table,
     computed at the first n of each range."""
     entries = db.find("bracket", k=k)
     if not entries:
         raise DbError(f"no bracket rows for k={k}")
-    out = []
-    for e in entries:
-        nr = e.context.get("n")
-        label = f"n>={nr.lo}" if nr.hi is None else f"n={nr}"
-        out.append((label, compute_group(db, k, nr.lo)))
-    return out
+    return [(e.context.n_range, compute_group(db, k, e.context.n_range.lo)) for e in entries]
 
 
 def render_table(db: Database, k: int, fmt: str = "ascii") -> str:
     rows = table_rows(db, k)
     if fmt == "csv":
         lines = ["k,n,paper,canonical"]
-        for label, row in rows:
-            n = label.split("=")[1].lstrip(">")
-            prefix = ">=" if ">=" in label else ""
-            lines.append(
-                f"{k},{prefix}{n},{paper_notation(row.group)},{row.group}"
-            )
+        for nr, row in rows:
+            n = f">={nr.lo}" if nr.hi is None else str(nr)
+            lines.append(f"{k},{n},{paper_notation(row.group)},{row.group}")
         return "\n".join(lines)
     if fmt != "ascii":
         raise ValueError(f"unknown table format {fmt!r}")
     header = (f"[Sigma^(n+{k}) CP^2, S^n]", "order notation", "canonical form")
-    cells = [(label, paper_notation(r.group), str(r.group)) for label, r in rows]
+    cells = [
+        (f"n>={nr.lo}" if nr.hi is None else f"n={nr}", paper_notation(r.group), str(r.group))
+        for nr, r in rows
+    ]
     widths = [max(len(row[i]) for row in [header] + cells) for i in range(3)]
     lines = [
         "  ".join(h.ljust(w) for h, w in zip(header, widths)),
@@ -364,21 +363,31 @@ def render_table(db: Database, k: int, fmt: str = "ascii") -> str:
 def verify_all(db: Database) -> list[CheckResult]:
     """Recompute every recorded golden value and compare.
 
-    Covers all bracket rows of every k-table (open ranges checked at two
-    representative n), all mapping-space rows, and the Gottlieb and
-    path-component classifications; both of these read one Whitehead
-    pairing per n.
+    Covers the bracket cells of every k-table, in order of n: each row
+    range at its first n and three above it (when the range holds that n),
+    and every n at which an evidence range starts or ends.  Then all
+    mapping-space rows, and the Gottlieb and path-component
+    classifications; both of these read one Whitehead pairing per n.
     """
     results = []
-    pairing = cache(partial(whitehead_hom, db))
-    for k in sorted({e.context.get("k") for e in db.find("bracket")}):
+    for k in sorted({e.context.get("k") for kind in ("bracket", "extension") for e in db.find(kind)}):
+        ns = set()
         for e in db.find("bracket", k=k):
-            nr = e.context.get("n")
-            results.extend(check_bracket(db, k, n) for n in (nr.lo, nr.lo + 3) if n in nr)
+            nr = e.context.n_range
+            ns.update(n for n in (nr.lo, nr.lo + 3) if n in nr)
+        for e in db.find("extension", k=k):
+            ns.update({e.context.n_range.lo, e.context.n_range.hi} - {None})
+        results.extend(check_bracket(db, k, n) for n in sorted(ns))
     for n in MAPSPACE_RANGE:
         results.append(check_mapspace(db, n))
-    for e in db.find("gottlieb"):
-        results.append(check_gottlieb(db, e.context.get("n").lo, pairing))
-    for e in db.find("components"):
-        results.append(check_components(db, e.context.get("n").lo, pairing))
+    pairings = {}
+    for kind, check in (("gottlieb", check_gottlieb), ("components", check_components)):
+        for e in db.find(kind):
+            n = e.context.n_range.lo
+            if n not in pairings:
+                try:
+                    pairings[n] = whitehead_hom(db, n)
+                except DbError as err:
+                    pairings[n] = err
+            results.append(check(db, n, pairings[n]))
     return results

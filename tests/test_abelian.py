@@ -240,7 +240,6 @@ class TestMemos:
         partitions,
         lr_positive,
         database._parse_block,
-        database._record_checks,
         families_of,
     )
 

@@ -129,10 +129,10 @@ GOTTLIEB_GROUPS = {
 
 def test_criterion_3_gottlieb_suite(db):
     for n, expected in GOTTLIEB_GROUPS.items():
-        assert gottlieb_group(db, n) == G(expected), f"G_{n}"
+        assert gottlieb_group(whitehead_hom(db, n)) == G(expected), f"G_{n}"
     # the n=3 subgroup sits with index 6 (the pairing image has order 6)
     assert whitehead_hom(db, 3).image().order() == 6
-    assert gottlieb_group(db, 7).is_trivial()
+    assert gottlieb_group(whitehead_hom(db, 7)).is_trivial()
     print("PASS criterion 3: Gottlieb subgroups G_1..G_8 all match")
 
 
@@ -143,10 +143,10 @@ def test_criterion_3_gottlieb_suite(db):
 
 def test_criterion_4_component_counts(db):
     for n, expected in ((1, 1), (2, 1), (4, 1), (6, 1), (3, 4), (5, 4), (8, 2)):
-        r = classify_components(db, n)
+        r = classify_components(db, n, whitehead_hom(db, n))
         assert r.computed == r.expected == expected, f"n={n}"
         assert r.status == "ok"
-    r7 = classify_components(db, 7)
+    r7 = classify_components(db, 7, whitehead_hom(db, 7))
     assert r7.computed == 7 and r7.expected == 6
     assert r7.status == "documented-discrepancy"
     print(

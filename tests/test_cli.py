@@ -1,5 +1,6 @@
 import pytest
 
+from cohomotopy import cli
 from cohomotopy.cli import (
     EXIT_DB,
     EXIT_OK,
@@ -59,6 +60,20 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert "G_3 = Z + Z/2" in out
         assert "multiples of" in out
+
+    @pytest.mark.parametrize("argv", [["gottlieb"], ["gottlieb", "--equivalences"], ["components"]])
+    def test_one_whitehead_pairing_per_n(self, capsys, monkeypatch, argv):
+        built = []
+        real = cli.whitehead_hom
+
+        def counted(db, n):
+            built.append(n)
+            return real(db, n)
+
+        monkeypatch.setattr(cli, "whitehead_hom", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert built == list(range(1, 9))  # the n of the shipped records, each once
 
     def test_components(self, capsys):
         code, out, _ = run(capsys, "components")
@@ -135,3 +150,46 @@ class TestExitCodes:
         code, _, err = run(capsys, "--db", str(path), "compute", "7", "9")
         assert code == EXIT_UNRESOLVED
         assert "unresolved extension" in err
+
+
+class TestMalformedWhitehead:
+    """A ``[whitehead]`` record whose images define no homomorphism is a
+    database error: ``verify`` fails its two checks, the other commands say
+    why and exit 2."""
+
+    EDITS = {
+        "ill-defined": ("alpha_1(6) . S^5 p -> (0, 1)", "alpha_1(6) . S^5 p -> (1, 1)", 5),
+        "ragged": ("nu_9 . S^8 p -> (1)", "nu_9 . S^8 p -> (1, 0)", 8),
+    }
+
+    @pytest.fixture(params=sorted(EDITS))
+    def broken(self, request, tmp_path, db_text):
+        old, new, n = self.EDITS[request.param]
+        assert db_text.count(old) == 1
+        path = tmp_path / "broken.cohdb"
+        path.write_text(db_text.replace(old, new))
+        return str(path), n
+
+    def test_verify_fails_the_pairing_checks(self, capsys, broken):
+        path, n = broken
+        code, out, err = run(capsys, "--db", path, "verify")
+        assert (code, err) == (EXIT_VERIFY, "")
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert len(failed) == 2
+        assert failed[0].split()[1:3] == ["gottlieb", f"G_{n}"]
+        assert failed[1].split()[1:4] == ["components", "components", f"n={n}"]
+        assert all(f"whitehead n={n}: " in line for line in failed)
+        assert out.splitlines()[-1] == "63/65 checks passed"
+
+    @pytest.mark.parametrize("argv", [["gottlieb", "--equivalences"], ["components"]])
+    def test_commands_report_a_db_error(self, capsys, broken, argv):
+        path, n = broken
+        code, _, err = run(capsys, "--db", path, *argv)
+        assert code == EXIT_DB
+        assert err.startswith(f"error: whitehead n={n}: ") and "Traceback" not in err
+
+    def test_db_check_reports_it(self, capsys, broken):
+        path, n = broken
+        code, out, _ = run(capsys, "--db", path, "db-check")
+        assert code == EXIT_DB
+        assert f"problem: whitehead n={n}: image of " in out

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomotopy import database
 from cohomotopy.abelian import FinAbGroup
 from cohomotopy.database import (
     _BlockError,
@@ -530,28 +529,33 @@ class TestBlockMemo:
         except DbError:
             return
         warm = validate_db(db)
-        _record_checks.cache_clear()
-        assert validate_db(db) == warm
+        copies = Database()  # equal records, none checked yet
+        for entry in db.records:
+            copies.add(replace(entry))
+        assert validate_db(copies) == warm
         _parse_block.cache_clear()
-        _record_checks.cache_clear()
         assert validate_db(loads_db(edited(db_text, edit_list))) == warm
 
-    def test_the_record_memo_is_keyed_by_identity_and_bounded(self, monkeypatch):
-        monkeypatch.setattr(database, "MEMO_SIZE", 3)
-        _record_checks.cache_clear()
-        entry = loads_db(MINI).records[2]
-        copies = [replace(entry) for _ in range(4)]  # equal records, each its own key
-        first = _record_checks(copies[0])
-        assert _record_checks(copies[0]) is first
-        for copy in copies[1:]:
-            assert _record_checks(copy) is not first
-        assert (_record_checks.cache_info().maxsize, _record_checks.cache_info().currsize) == (3, 3)
-        again = _record_checks(copies[0])  # the least recently used, evicted
+    def test_record_checks_are_kept_on_their_record(self, db):
+        entry = db.lookup("bracket", k=6, n=4)
+        first = _record_checks(entry)
+        assert _record_checks(entry) is first
+        copy = replace(entry)  # an equal record with its own checks
+        again = _record_checks(copy)
         assert again is not first and again == first
+        # the kept checks are no field: equality, hashing and text ignore them
+        fresh = replace(entry)
+        assert (fresh, hash(fresh), repr(fresh)) == (copy, hash(copy), repr(copy))
+        dumped = []
+        for record in (copy, fresh):
+            one = Database()
+            one.add(record)
+            dumped.append(dumps_db(one))
+        assert dumped[0] == dumped[1]
 
     def test_removing_a_symbol_is_seen_through_the_record_memo(self, db_text):
         """Dropping a ``[symbol]`` record changes the registered families
-        but none of the memoised records that name them."""
+        but none of the checked records that name them."""
         validate_db(loads_db(db_text))
         blocks = db_text.split("\n\n")
         symbols = [i for i, block in enumerate(blocks) if block.lstrip().startswith("[symbol]")]
@@ -561,8 +565,8 @@ class TestBlockMemo:
             db = loads_db("\n\n".join(blocks[:i] + blocks[i + 1:]))
             warm = validate_db(db)
             assert f"unregistered symbol family {name!r}" in "\n".join(warm)
-            _record_checks.cache_clear()
-            assert validate_db(db) == warm
+            _parse_block.cache_clear()
+            assert validate_db(loads_db("\n\n".join(blocks[:i] + blocks[i + 1:]))) == warm
 
 
 def reference_blocks(lines):

@@ -56,7 +56,7 @@ class TestGottliebGroups:
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
     def test_kernel_matches(self, db, n):
-        assert gottlieb_group(db, n) == G(self.EXPECTED[n])
+        assert gottlieb_group(whitehead_hom(db, n)) == G(self.EXPECTED[n])
 
     def test_index_six_embedding_at_n3(self, db):
         # the subgroup misses exactly the image, of order 6
@@ -64,7 +64,7 @@ class TestGottliebGroups:
 
     def test_check_helper(self, db):
         for n in sorted(self.EXPECTED):
-            assert check_gottlieb(db, n).status == "ok"
+            assert check_gottlieb(db, n, whitehead_hom(db, n)).status == "ok"
 
     def test_check_flags_mismatch(self, db):
         broken = loads_db(
@@ -73,7 +73,7 @@ class TestGottliebGroups:
                 "context = gottlieb n=7\ngroup = Z/2\ngenerators = nu_8 . S^7 p : 2",
             )
         )
-        assert check_gottlieb(broken, 7).status == "fail"
+        assert check_gottlieb(broken, 7, whitehead_hom(broken, 7)).status == "fail"
 
 
 class TestComponents:
@@ -81,29 +81,29 @@ class TestComponents:
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
     def test_orbit_counts(self, db, n):
-        r = classify_components(db, n)
+        r = classify_components(db, n, whitehead_hom(db, n))
         assert r.computed == self.EXPECTED[n]
 
     def test_n7_discrepancy_is_flagged_pass(self, db):
-        r = classify_components(db, 7)
+        r = classify_components(db, 7, whitehead_hom(db, 7))
         assert r.computed == 7 and r.expected == 6
         assert r.status == "documented-discrepancy"
-        assert check_components(db, 7).passed()
+        assert check_components(db, 7, whitehead_hom(db, 7)).passed()
 
     def test_unflagged_mismatch_fails(self, db):
         broken = loads_db(dumps_db(db).replace("expected = 2", "expected = 3"))
-        assert check_components(broken, 8).status == "fail"
+        assert check_components(broken, 8, whitehead_hom(broken, 8)).status == "fail"
 
 
 class TestFibrationEquivalences:
     def test_n3_partitions(self, db):
-        eq = fibration_equivalences(db, 3)
+        eq = fibration_equivalences(db, 3, whitehead_hom(db, 3))
         assert sorted(eq["nu_4 . S^3 p"]) == [(0, 2), (1, 3)]
         assert eq["S nu' . S^3 p"] == [(0, 1)]
         assert sorted(eq["alpha_1(4) . S^3 p"]) == [(0,), (1, 2)]
 
     def test_zero_pairing_means_all_equivalent(self, db):
-        eq = fibration_equivalences(db, 4)
+        eq = fibration_equivalences(db, 4, whitehead_hom(db, 4))
         for classes in eq.values():
             assert len(classes) == 1
 
@@ -114,10 +114,11 @@ class TestOddUnits:
 
     @staticmethod
     def results(db, n):
+        h = whitehead_hom(db, n)
         return (
-            gottlieb_group(db, n),
-            classify_components(db, n).computed,
-            fibration_equivalences(db, n),
+            gottlieb_group(h),
+            classify_components(db, n, h).computed,
+            fibration_equivalences(db, n, h),
         )
 
     def test_every_odd_unit_gives_the_shipped_results(self, db):

@@ -2,7 +2,7 @@ import pytest
 
 from cohomotopy import pipeline
 from cohomotopy.abelian import FinAbGroup, parse_group
-from cohomotopy.database import DbError, loads_db, dumps_db
+from cohomotopy.database import DbError, NRange, dumps_db, loads_db, validate_db
 from cohomotopy.extensions import ExtensionError, UnresolvedExtensionError
 from cohomotopy.pipeline import (
     check_bracket,
@@ -177,9 +177,9 @@ class TestRendering:
         assert paper_notation(G(text)) == expected
 
     def test_table_rows_cover_all_ranges(self, db):
-        labels = [label for label, _ in table_rows(db, 7)]
-        assert labels[0] == "n=2" and labels[-1] == "n>=13"
-        assert len(labels) == 12
+        ranges = [nr for nr, _ in table_rows(db, 7)]
+        assert ranges[0] == NRange(2, 2) and ranges[-1] == NRange(13, None)
+        assert len(ranges) == 12
 
     def test_csv_table(self, db):
         csv = render_table(db, 6, "csv")
@@ -195,7 +195,7 @@ class TestRendering:
             for n in ("2..5", "6..")
         )
         db = loads_db(rows)
-        assert [label for label, _ in table_rows(db, 6)] == ["n=2..5", "n>=6"]
+        assert [nr for nr, _ in table_rows(db, 6)] == [NRange(2, 5), NRange(6, None)]
         assert render_table(db, 6, "csv").splitlines()[1:] == ["6,2..5,0,0", "6,>=6,0,0"]
         assert render_table(db, 6).splitlines()[2].startswith("n=2..5 ")
 
@@ -234,3 +234,11 @@ class TestVerifyAll:
         labels = {r.label for r in results if r.family in ("gottlieb", "components")}
         assert labels == {f"G_{n}" for n in built} | {f"components n={n}" for n in built}
         assert len(built) == len(set(built))
+
+    def test_evidence_range_ends_are_checked(self, db_text):
+        # the sigma_8 . nu_15 lift moved to n=16, a cell no row range starts at
+        old = "context = extension k=8 n=8\nkind = element-order-lift\nlift = ext(sigma_8 . nu_15)"
+        assert old in db_text
+        moved = loads_db(db_text.replace(old, old.replace("n=8", "n=16")))
+        assert validate_db(moved) == []
+        assert [r.label for r in verify_all(moved) if not r.passed()] == ["k=8 n=16"]
