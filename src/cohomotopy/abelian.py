@@ -4,8 +4,7 @@ Everything here works over arbitrary-precision integers.  The central tool is
 Smith normal form with recorded unimodular transforms; on top of it sit
 canonical forms for finitely generated abelian groups, presentations
 (sums of cyclic groups, given by their orders), homomorphisms given by integer
-matrices, and the usual constructions (kernel, cokernel, image, direct sum,
-subgroup/quotient from a generating set).
+matrices with their kernel and image, and direct sums.
 
 Conventions:
 
@@ -142,16 +141,6 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and self.det() in (1, -1)
-
-
-def row_vector_times(vec, m: IntMatrix) -> list[int]:
-    """(1 x r) @ (r x c) as plain lists."""
-    vec = list(vec)
-    if len(vec) != m.rows:
-        raise AbelianError("dimension mismatch in vector-matrix product")
-    return [
-        sum(vec[k] * m[k, j] for k in range(m.rows)) for j in range(m.cols)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -549,29 +538,6 @@ def group_from_presentation(relations: IntMatrix) -> FinAbGroup:
     return FinAbGroup.from_factors(orders)
 
 
-def subgroup_and_quotient(pres: Presentation, gens):
-    """Subgroup generated by ``gens`` (coordinate vectors) and the quotient.
-
-    Returns ``(subgroup, quotient)`` as canonical :class:`FinAbGroup` values.
-    """
-    gens = [list(g) for g in gens]
-    g = pres.num_generators
-    if any(len(x) != g for x in gens):
-        raise AbelianError("generator vector length mismatch")
-    gm = IntMatrix.from_rows(gens) if gens else IntMatrix(0, g, ())
-    relations = pres.relation_matrix()
-    quotient = group_from_presentation(relations.vstack(gm))
-    # relations among the chosen generators modulo the ambient relations
-    stacked = gm.vstack(relations)
-    ker = kernel_lattice(stacked)
-    sub_rel = [row[: len(gens)] for row in ker]
-    sub_relm = (
-        IntMatrix.from_rows(sub_rel) if sub_rel else IntMatrix(0, len(gens), ())
-    )
-    subgroup = group_from_presentation(sub_relm)
-    return subgroup, quotient
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms
 # ---------------------------------------------------------------------------
@@ -586,6 +552,10 @@ class GroupHom:
     :class:`IllDefinedHomError` unless every source relation maps into the
     target relation lattice, that is unless the image of each finite-order
     source generator has an order dividing the generator's.
+
+    Kernel and image are read off one lattice, L = {x in Z^g : x @ matrix
+    lies in the target relations} (:meth:`kernel_vectors`), which contains
+    the source relations: ker = L / (source relations) and im = Z^g / L.
     """
 
     source: Presentation
@@ -604,22 +574,35 @@ class GroupHom:
                 raise IllDefinedHomError(i, self.source.relation_matrix().row(i))
 
     def apply(self, vec) -> list[int]:
-        return row_vector_times(list(vec), self.matrix)
+        vec = list(vec)
+        m = self.matrix
+        if len(vec) != m.rows:
+            raise AbelianError("dimension mismatch in vector-matrix product")
+        return [sum(x * m[k, j] for k, x in enumerate(vec)) for j in range(m.cols)]
 
     def kernel_vectors(self) -> list[list[int]]:
-        """Generators (source coordinates) of the kernel subgroup."""
+        """A basis (rows, source coordinates) of the lattice L of vectors that
+        the matrix sends into the target relations."""
         stacked = self.matrix.vstack(self.target.relation_matrix())
         ker = kernel_lattice(stacked)
         return [row[: self.source.num_generators] for row in ker]
 
     def kernel(self) -> FinAbGroup:
-        sub, _ = subgroup_and_quotient(self.source, self.kernel_vectors())
-        return sub
+        """ker h = L / (source relations): the relations among the basis of L
+        that hold modulo the source relations present it."""
+        basis = self.kernel_vectors()
+        g, k = self.source.num_generators, len(basis)
+        lattice = IntMatrix.from_rows(basis) if basis else IntMatrix(0, g, ())
+        stacked = lattice.vstack(self.source.relation_matrix())
+        relations = [row[:k] for row in kernel_lattice(stacked)]
+        return group_from_presentation(
+            IntMatrix.from_rows(relations) if relations else IntMatrix(0, k, ())
+        )
 
     def image(self) -> FinAbGroup:
-        rows = [list(self.matrix.row(i)) for i in range(self.matrix.rows)]
-        sub, _ = subgroup_and_quotient(self.target, rows)
-        return sub
-
-    def cokernel(self) -> FinAbGroup:
-        return group_from_presentation(self.target.relation_matrix().vstack(self.matrix))
+        """im h = Z^g / L, for g source generators."""
+        basis = self.kernel_vectors()
+        g = self.source.num_generators
+        return group_from_presentation(
+            IntMatrix.from_rows(basis) if basis else IntMatrix(0, g, ())
+        )

@@ -263,7 +263,7 @@ class WhiteheadEntry:
         rows = []
         for name in source_names:
             if name not in imap:
-                raise DbError(f"whitehead {self.context}: no image for {name!r}")
+                raise DbError(f"{self.context}: no image for {name!r}")
             rows.append([1 if c == "odd" else int(c) for c in imap[name]])
         return rows
 
@@ -746,7 +746,12 @@ def validate_db(db: Database) -> list[str]:
         for name in src.generator_names():
             if name not in imap:
                 problems.append(f"{where}: missing image for generator {name!r}")
+        seen = set()
         for name, vec in w.images:
+            if name in seen:
+                problems.append(f"{where}: more than one image for generator {name!r}")
+                continue
+            seen.add(name)
             if name not in src.generator_names():
                 problems.append(f"{where}: image for unknown generator {name!r}")
                 continue
@@ -760,8 +765,7 @@ def validate_db(db: Database) -> list[str]:
             # divides theirs
             src_order = dict((nm, o) for o, nm in src.terms)[name]
             if src_order:
-                row = [1 if c == "odd" else int(c) for c in vec]
-                im_order = tgt.element_order(row)
+                im_order = tgt.element_order(w.image_matrix_rows([name])[0])
                 if im_order is None or src_order % im_order != 0:
                     problems.append(
                         f"{where}: image of {name!r} has order {im_order}, "

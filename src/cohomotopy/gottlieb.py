@@ -1,11 +1,14 @@
 """Gottlieb (evaluation) subgroups and path components of self-mapping spaces.
 
-The Whitehead pairing ``f |-> [f, identity]`` on the identity-component
-bracket row is a homomorphism of finitely generated abelian groups; its
-kernel is the Gottlieb subgroup, and evaluation fibrations over two classes
-are equivalent exactly when their pairings agree up to sign, so the number of
-fibre-homotopy equivalence classes is the number of negation orbits of the
-pairing's image.
+The Whitehead pairing ``h: f |-> [f, identity]`` on the identity-component
+bracket row is a homomorphism of finitely generated abelian groups, and both
+results are read off it.  Its kernel is the Gottlieb subgroup.  Evaluation
+fibrations over two classes are equivalent exactly when their pairings agree
+up to sign, so the number of fibre-homotopy equivalence classes is the number
+of elements of the image I up to sign.  By Burnside's lemma that is
+(|I| + |I[2]|) / 2, where the 2-torsion I[2] has one Z/2 for each even
+invariant factor of I; it is counted whenever I is finite, also when the
+pairing's target is infinite.
 """
 
 from __future__ import annotations
@@ -51,31 +54,11 @@ def _up_to_sign(target: Presentation, x) -> tuple[int, ...]:
     return min(x, target.reduce([-c for c in x]))
 
 
-def _image_elements(h: GroupHom) -> set[tuple[int, ...]]:
-    """All elements of the image of ``h`` in reduced target coordinates;
-    the target must be finite."""
-    orders = h.target.orders
-    if any(o == 0 for o in orders):
-        raise DbError("pairing target is infinite; cannot enumerate")
-
-    def add(a, b):
-        return tuple((x + y) % o for x, y, o in zip(a, b, orders))
-
-    gens = [
-        h.target.reduce(h.apply([1 if j == i else 0 for j in range(h.source.num_generators)]))
-        for i in range(h.source.num_generators)
-    ]
-    zero = tuple(0 for _ in orders)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
+def _classes_up_to_sign(image: FinAbGroup) -> int:
+    """The number of elements of the finite group ``image`` up to sign: the
+    orbits of x |-> -x, which fixes exactly the 2-torsion."""
+    fixed = 2 ** sum(1 for t in image.torsion if t % 2 == 0)
+    return (image.order() + fixed) // 2
 
 
 @dataclass(frozen=True)
@@ -92,13 +75,18 @@ def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
     from the Whitehead pairing ``h = whitehead_hom(db, n)``.
 
     Two classes f, g give equivalent fibrations iff [f, id] = +-[g, id], so
-    the count is the number of image elements up to sign.  The recorded
-    value wins when flagged ``documented-discrepancy``.
+    the count is the number of image elements up to sign; an infinite image
+    is a ``DbError`` naming the whitehead record.  The recorded value wins
+    when flagged ``documented-discrepancy``.
     """
     entry = db.lookup("components", n=n)
     if entry is None:
         raise DbError(f"no components row for n={n}")
-    computed = len({_up_to_sign(h.target, x) for x in _image_elements(h)})
+    image = h.image()
+    if not image.is_finite():
+        wh = db.lookup("whitehead", n=n)
+        raise DbError(f"{wh.context}: the pairing has an infinite image")
+    computed = _classes_up_to_sign(image)
     if computed == entry.expected:
         status = "ok"
     elif "documented-discrepancy" in entry.flags:

@@ -18,11 +18,10 @@ from cohomotopy.abelian import (
     render_group,
     smith_diagonal,
     smith_normal_form,
-    subgroup_and_quotient,
 )
 from cohomotopy.extensions import lr_positive, partitions
 from cohomotopy.symbols import families_of
-from test_properties import minor_gcds
+from test_properties import check_against_brute_force, minor_gcds
 
 
 def is_zero_hom(h: GroupHom) -> bool:
@@ -126,7 +125,7 @@ def _smith_element_order(relations: IntMatrix, vec):
     """Order of ``vec`` in Z^g / rowspace(relations), read in the basis of the
     Smith normal form: the general algorithm, kept as the reference."""
     s = smith_normal_form(relations)
-    w = abelian.row_vector_times(vec, s.v)
+    w = [sum(x * s.v[k, j] for k, x in enumerate(vec)) for j in range(s.v.cols)]
     d = s.d.diagonal()
     order = 1
     for j, wj in enumerate(w):
@@ -174,12 +173,6 @@ class TestPresentation:
         diff = [a - b for a, b in zip(x, y)]
         assert (p.reduce(x) == p.reduce(y)) == p.contains_zero(diff)
 
-    def test_subgroup_and_quotient(self):
-        p = Presentation.from_orders([8, 2])
-        sub, quo = subgroup_and_quotient(p, [[2, 0]])
-        assert sub == FinAbGroup.from_factors([4])
-        assert quo == FinAbGroup.from_factors([2, 2])
-
 
 class TestGroupHom:
     def test_well_defined_required(self):
@@ -193,13 +186,12 @@ class TestGroupHom:
         with pytest.raises(IllDefinedHomError, match=r"relation #1: \(0, 0, 2\)$"):
             GroupHom(src, tgt, IntMatrix.from_rows([[1], [1], [1]]))
 
-    def test_kernel_image_cokernel(self):
+    def test_kernel_and_image(self):
         src = Presentation.from_orders([8, 2])
         tgt = Presentation.from_orders([2, 2])
         h = GroupHom(src, tgt, IntMatrix.from_rows([[1, 0], [0, 1]]))
         assert h.kernel() == FinAbGroup.from_factors([4])
         assert h.image() == FinAbGroup.from_factors([2, 2])
-        assert h.cokernel() == FinAbGroup.trivial()
 
     def test_first_isomorphism_small(self):
         src = Presentation.from_orders([12])
@@ -209,8 +201,7 @@ class TestGroupHom:
         # 12*2 = 24 = 0 mod 8; x*2 = 0 mod 8 iff x = 0 mod 4 -> kernel Z/3
         assert h.image() == FinAbGroup.from_factors([4])
         assert h.kernel() == FinAbGroup.from_factors([3])
-        _, quo = subgroup_and_quotient(src, h.kernel_vectors())
-        assert quo == h.image()
+        check_against_brute_force(h)
 
     def test_zero_hom(self):
         src = Presentation.from_orders([2])

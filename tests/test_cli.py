@@ -18,6 +18,15 @@ def run(capsys, *args):
     return code, out.out, out.err
 
 
+def edited(tmp_path, db_text, old, new):
+    """Path of a copy of the shipped database with its one ``old`` text
+    replaced by ``new``."""
+    assert db_text.count(old) == 1
+    path = tmp_path / "edited.cohdb"
+    path.write_text(db_text.replace(old, new))
+    return str(path)
+
+
 class TestCompute:
     def test_basic(self, capsys):
         code, out, _ = run(capsys, "compute", "6", "4")
@@ -157,21 +166,22 @@ class TestMalformedWhitehead:
     database error: ``verify`` fails its two checks, the other commands say
     why and exit 2."""
 
+    # name -> (old text, new text, n, what db-check says about the record)
     EDITS = {
-        "ill-defined": ("alpha_1(6) . S^5 p -> (0, 1)", "alpha_1(6) . S^5 p -> (1, 1)", 5),
-        "ragged": ("nu_9 . S^8 p -> (1)", "nu_9 . S^8 p -> (1, 0)", 8),
+        "ill-defined": (
+            "alpha_1(6) . S^5 p -> (0, 1)", "alpha_1(6) . S^5 p -> (1, 1)", 5, "image of "
+        ),
+        "ragged": ("nu_9 . S^8 p -> (1)", "nu_9 . S^8 p -> (1, 0)", 8, "image of "),
+        "missing": ("nu_4 . S^3 p -> (2, 0, 0) ; ", "", 3, "missing image for generator "),
     }
 
     @pytest.fixture(params=sorted(EDITS))
     def broken(self, request, tmp_path, db_text):
-        old, new, n = self.EDITS[request.param]
-        assert db_text.count(old) == 1
-        path = tmp_path / "broken.cohdb"
-        path.write_text(db_text.replace(old, new))
-        return str(path), n
+        old, new, n, problem = self.EDITS[request.param]
+        return edited(tmp_path, db_text, old, new), n, problem
 
     def test_verify_fails_the_pairing_checks(self, capsys, broken):
-        path, n = broken
+        path, n, _ = broken
         code, out, err = run(capsys, "--db", path, "verify")
         assert (code, err) == (EXIT_VERIFY, "")
         failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
@@ -183,13 +193,48 @@ class TestMalformedWhitehead:
 
     @pytest.mark.parametrize("argv", [["gottlieb", "--equivalences"], ["components"]])
     def test_commands_report_a_db_error(self, capsys, broken, argv):
-        path, n = broken
+        path, n, _ = broken
         code, _, err = run(capsys, "--db", path, *argv)
         assert code == EXIT_DB
         assert err.startswith(f"error: whitehead n={n}: ") and "Traceback" not in err
 
     def test_db_check_reports_it(self, capsys, broken):
-        path, n = broken
+        path, n, problem = broken
         code, out, _ = run(capsys, "--db", path, "db-check")
         assert code == EXIT_DB
-        assert f"problem: whitehead n={n}: image of " in out
+        assert f"problem: whitehead n={n}: {problem}" in out
+
+
+class TestPairingImage:
+    """Components are counted whenever the pairing's image is finite, also in
+    an infinite target; an infinite image is a database error."""
+
+    FINITE_IMAGE = (
+        "target = Z/2\n"
+        "target-generators = nubar_9 . nu_17 . S^16 p : 2\n"
+        "images = nu_9 . S^8 p -> (1)",
+        "target = Z\n"
+        "target-generators = nubar_9 . nu_17 . S^16 p : inf\n"
+        "images = nu_9 . S^8 p -> (0)",
+    )
+    INFINITE_IMAGE = (
+        "target = Z/4 + Z/3 + Z/3\ntarget-generators = nu_4^2 . S^6 p : 4 ;",
+        "target = Z + Z/3 + Z/3\ntarget-generators = nu_4^2 . S^6 p : inf ;",
+    )
+
+    def test_finite_image_in_an_infinite_target_is_counted(self, capsys, tmp_path, db_text):
+        path = edited(tmp_path, db_text, *self.FINITE_IMAGE)
+        code, out, _ = run(capsys, "--db", path, "components", "8")
+        assert (code, out) == (EXIT_VERIFY, "n=8: 1 equivalence classes (recorded 2, fail)\n")
+        code, out, _ = run(capsys, "--db", path, "verify")
+        assert code == EXIT_VERIFY
+        assert "[FAIL] components components n=8     computed 1, recorded 2\n" in out
+
+    def test_infinite_image_is_a_db_error(self, capsys, tmp_path, db_text):
+        path = edited(tmp_path, db_text, *self.INFINITE_IMAGE)
+        code, _, err = run(capsys, "--db", path, "components", "3")
+        assert (code, err) == (EXIT_DB, "error: whitehead n=3: the pairing has an infinite image\n")
+        code, out, _ = run(capsys, "--db", path, "verify")
+        assert code == EXIT_VERIFY
+        [line] = [line for line in out.splitlines() if "components n=3" in line]
+        assert line.startswith("[FAIL]") and "whitehead n=3: " in line

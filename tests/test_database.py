@@ -367,6 +367,15 @@ class TestValidation:
         problems = validate_db(loads_db(broken))
         assert any("missing image" in p for p in problems)
 
+    def test_detects_a_whitehead_image_given_twice(self, db_text):
+        # the pairing would take the last one and never see the first
+        old = "alpha_1(4) . S^3 p -> (0, 0, 1)"
+        broken = db_text.replace(old, "alpha_1(4) . S^3 p -> (1, 0, 0) ; " + old)
+        assert broken != db_text
+        assert validate_db(loads_db(broken)) == [
+            "whitehead n=3: more than one image for generator 'alpha_1(4) . S^3 p'"
+        ]
+
     def test_detects_odd_part_sum_mismatch(self, db_text):
         broken = db_text.replace(
             "context = odd-part k=6 n=7 p=3\ngroup = Z/3",

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 from sympy import Matrix, ZZ
@@ -15,8 +16,8 @@ from cohomotopy.abelian import (
     group_from_presentation,
     smith_diagonal,
     smith_normal_form,
-    subgroup_and_quotient,
 )
+from cohomotopy.gottlieb import _classes_up_to_sign
 
 def minor_gcds(m: IntMatrix) -> list[int]:
     """gcd of all k x k minors, k = 1..min(rows, cols); exact and independent
@@ -101,8 +102,10 @@ def sympy_diagonal(m):
     return [int(d[i, i]) for i in range(min(m.rows, m.cols))]
 
 
-def random_hom(rng):
-    """A well-defined random homomorphism between random finite groups."""
+def random_hom(rng, infinite=False):
+    """A well-defined random homomorphism from a random finite group; with
+    ``infinite`` the target gains a copy of Z that every generator maps to 0,
+    so the target is infinite and the image is not."""
     src_orders = [rng.choice([2, 3, 4, 6, 8, 9, 12]) for _ in range(rng.randint(1, 3))]
     tgt_orders = [rng.choice([2, 3, 4, 6, 8, 9, 12]) for _ in range(rng.randint(1, 3))]
     rows = []
@@ -111,22 +114,46 @@ def random_hom(rng):
         for t in tgt_orders:
             step = t // gcd(t, o)  # o * (step * x) is 0 mod t for any x
             row.append(step * rng.randint(0, t // step))
-        rows.append(row)
+        rows.append(row + [0] * int(infinite))
     src = Presentation.from_orders(src_orders)
-    tgt = Presentation.from_orders(tgt_orders)
+    tgt = Presentation.from_orders(tgt_orders + [0] * int(infinite))
     return GroupHom(src, tgt, IntMatrix.from_rows(rows))
+
+
+def order_profile(orders, elements):
+    """How many of ``elements`` (coordinate vectors over cyclic ``orders``)
+    have each order."""
+    pres = Presentation.from_orders(orders)
+    return Counter(pres.element_order(x) for x in elements)
+
+
+def check_against_brute_force(h):
+    """Kernel, image and the +- class count of ``h`` (finite source) against
+    a run over every source element: the image as a set of reduced target
+    vectors, its size and element orders, the kernel's size and the image
+    elements up to sign."""
+    image, kernel_size = set(), 0
+    for x in itertools.product(*(range(o) for o in h.source.orders)):
+        y = h.target.reduce(h.apply(x))
+        image.add(y)
+        kernel_size += h.target.contains_zero(y)
+    im = h.image()
+    assert im.order() == len(image)
+    assert order_profile(h.target.orders, image) == order_profile(
+        im.torsion, itertools.product(*(range(t) for t in im.torsion))
+    )
+    assert h.kernel().order() == kernel_size
+    signs = {min(y, h.target.reduce([-c for c in y])) for y in image}
+    assert _classes_up_to_sign(im) == len(signs)
 
 
 class TestFirstIsomorphism:
     def test_randomized_source_mod_kernel_is_image(self):
         rng = random.Random(6_28_1900)
-        for _ in range(ISO_TRIALS):
-            h = random_hom(rng)
-            kernel = h.kernel()
-            image = h.image()
-            _, quotient = subgroup_and_quotient(h.source, h.kernel_vectors())
-            assert quotient == image
-            assert kernel.order() * image.order() == h.source.group().order()
+        for trial in range(ISO_TRIALS):
+            h = random_hom(rng, infinite=trial % 3 == 2)
+            check_against_brute_force(h)
+            assert h.kernel().order() * h.image().order() == h.source.group().order()
 
 
 def unimodular_shuffle(rng, m, passes=6):
