@@ -1,27 +1,26 @@
 """Exact arithmetic for finitely generated abelian groups.
 
 Everything here works over arbitrary-precision integers.  The central tool is
-Smith normal form with recorded unimodular transforms; on top of it sit
-canonical forms for finitely generated abelian groups, presentations
-(sums of cyclic groups, given by their orders), homomorphisms given by integer
-matrices with their kernel and image, and direct sums.
+Smith normal form; on top of it sit canonical forms for finitely generated
+abelian groups, presentations (sums of cyclic groups, given by their orders),
+homomorphisms given by integer rows with their kernel and image, and direct
+sums.
 
 Conventions:
 
-* Matrices act on row vectors: an element of a presented group with g
-  generators is a length-g integer row vector, and a homomorphism with matrix
-  M sends x to x @ M.
-* A relation matrix R (r x g) presents Z^g / rowspace(R).
+* Matrices are tuples or lists of integer rows and act on row vectors: an
+  element of a presented group with g generators is a length-g integer row
+  vector, and a homomorphism with rows M sends x to x @ M.
+* Relation rows (r rows of length g) present Z^g modulo their row span.
 * smith_normal_form(m) returns (u, d, v) with u @ m @ v == d, u and v
   unimodular, d diagonal with d[0] | d[1] | ... and nonnegative entries.
   Pivot choice is deterministic: smallest nonzero absolute value, ties broken
-  by lowest (row, col).
+  by lowest (row, col).  Its input and certificate are :class:`IntMatrix`.
 
->>> m = IntMatrix.from_rows([[2, 4], [6, 8]])
->>> s = smith_normal_form(m)
+>>> s = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
 >>> s.d.diagonal()
 [2, 4]
->>> group_from_presentation(m)
+>>> group_from_presentation([[2, 4], [6, 8]], 2)
 FinAbGroup(free_rank=0, torsion=(2, 4))
 """
 
@@ -38,13 +37,16 @@ class AbelianError(Exception):
 
 
 class IllDefinedHomError(AbelianError):
-    """A homomorphism matrix does not respect a source relation."""
+    """A homomorphism sends source generator ``index``, of finite ``order``,
+    to an element whose order ``image_order`` (None: infinite) does not
+    divide it."""
 
-    def __init__(self, relation_index: int, relation: tuple[int, ...]):
-        self.relation_index = relation_index
-        self.relation = relation
+    def __init__(self, index: int, order: int, image_order: int | None):
+        self.index = index
+        self.order = order
+        self.image_order = image_order
         super().__init__(
-            f"matrix does not kill source relation #{relation_index}: {relation}"
+            f"image of generator #{index} has order {image_order}, not a divisor of {order}"
         )
 
 
@@ -71,10 +73,6 @@ class IntMatrix:
         flat = tuple(int(x) for r in rows for x in r)
         return cls(n, m, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -96,11 +94,6 @@ class IntMatrix:
                 [sum(ai[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
             )
         return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise AbelianError("dimension mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def diagonal(self) -> list[int]:
         return [self[i, i] for i in range(min(self.rows, self.cols))]
@@ -153,13 +146,6 @@ class SmithDecomposition:
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
-
-    def check(self, m: IntMatrix) -> bool:
-        return (
-            self.u @ m @ self.v == self.d
-            and self.u.is_unimodular()
-            and self.v.is_unimodular()
-        )
 
 
 def _eliminate(a, n, c) -> None:
@@ -284,14 +270,24 @@ def smith_diagonal(rows) -> list[int]:
     return [a[i][i] for i in range(min(n, c))]
 
 
-def kernel_lattice(m: IntMatrix) -> list[list[int]]:
-    """Basis (rows) of { x in Z^rows : x @ m == 0 }."""
-    s = smith_normal_form(m)
-    out = []
-    for i in range(m.rows):
-        if all(s.d[i, j] == 0 for j in range(m.cols)):
-            out.append(list(s.u.row(i)))
-    return out
+def kernel_lattice(rows, width: int) -> list[list[int]]:
+    """Basis (rows) of { x in Z^len(rows) : x @ rows == 0 }, for ``rows`` of
+    length ``width``.
+
+    Runs :func:`_eliminate` on ``rows`` bordered by the identity on the right
+    only, so each row carries its row of the transform u and no column
+    transform is tracked; the rows that end up zero left of the border are
+    the basis.
+
+    >>> kernel_lattice([[2, 0], [0, 3], [2, 3]], 2)
+    [[-1, -1, 1]]
+    """
+    n = len(rows)
+    if any(len(row) != width for row in rows):
+        raise AbelianError("ragged rows")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _eliminate(a, n, width)
+    return [row[width:] for row in a if not any(row[:width])]
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +492,10 @@ class Presentation:
     def num_generators(self) -> int:
         return len(self.orders)
 
-    def relation_matrix(self) -> IntMatrix:
+    def relations(self) -> list[list[int]]:
         """The diagonal relation rows, one per finite-order generator."""
         g = self.num_generators
-        rows = [
-            [o if i == j else 0 for j in range(g)]
-            for i, o in enumerate(self.orders)
-            if o
-        ]
-        return IntMatrix.from_rows(rows) if rows else IntMatrix(0, g, ())
+        return [[o if i == j else 0 for j in range(g)] for i, o in enumerate(self.orders) if o]
 
     def group(self) -> FinAbGroup:
         return FinAbGroup.from_factors(self.orders)
@@ -522,20 +513,16 @@ class Presentation:
                 return None
         return order
 
-    def contains_zero(self, vec) -> bool:
-        return self.element_order(vec) == 1
-
     def reduce(self, vec) -> tuple[int, ...]:
         """Coordinates of ``vec`` reduced modulo the orders: two vectors reduce
         to the same tuple iff they represent the same element."""
         return tuple(x % o if o else x for x, o in zip(vec, self.orders))
 
 
-def group_from_presentation(relations: IntMatrix) -> FinAbGroup:
-    d = smith_diagonal(relations.to_rows())
-    g = relations.cols
-    orders = [(d[j] if j < len(d) else 0) for j in range(g)]
-    return FinAbGroup.from_factors(orders)
+def group_from_presentation(relations, g: int) -> FinAbGroup:
+    """Z^g modulo the span of ``relations``, rows of length ``g``."""
+    d = smith_diagonal(relations)
+    return FinAbGroup.from_factors(d + [0] * (g - len(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +534,11 @@ def group_from_presentation(relations: IntMatrix) -> FinAbGroup:
 class GroupHom:
     """Homomorphism between presented groups, x |-> x @ matrix.
 
-    Row i of ``matrix`` is the image (in target generator coordinates) of the
-    i-th source generator.  Construction fails with
-    :class:`IllDefinedHomError` unless every source relation maps into the
-    target relation lattice, that is unless the image of each finite-order
-    source generator has an order dividing the generator's.
+    ``matrix`` is a tuple of integer rows: row i is the image (in target
+    generator coordinates) of the i-th source generator.  Construction fails
+    with :class:`IllDefinedHomError` unless every source relation maps into
+    the target relation lattice, that is unless the image of each
+    finite-order source generator has an order dividing the generator's.
 
     Kernel and image are read off one lattice, L = {x in Z^g : x @ matrix
     lies in the target relations} (:meth:`kernel_vectors`), which contains
@@ -560,49 +547,45 @@ class GroupHom:
 
     source: Presentation
     target: Presentation
-    matrix: IntMatrix
+    matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.matrix.rows != self.source.num_generators:
+        matrix = tuple(tuple(row) for row in self.matrix)
+        object.__setattr__(self, "matrix", matrix)
+        if len(matrix) != self.source.num_generators:
             raise AbelianError("matrix height != source generators")
-        if self.matrix.cols != self.target.num_generators:
+        if any(len(row) != self.target.num_generators for row in matrix):
             raise AbelianError("matrix width != target generators")
-        orders = self.source.orders
-        for i, j in enumerate(j for j, o in enumerate(orders) if o):
-            im = self.target.element_order(self.matrix.row(j))
-            if im is None or orders[j] % im:
-                raise IllDefinedHomError(i, self.source.relation_matrix().row(i))
+        for i, (order, row) in enumerate(zip(self.source.orders, matrix)):
+            if order:
+                im = self.target.element_order(row)
+                if im is None or order % im:
+                    raise IllDefinedHomError(i, order, im)
 
     def apply(self, vec) -> list[int]:
         vec = list(vec)
-        m = self.matrix
-        if len(vec) != m.rows:
+        if len(vec) != len(self.matrix):
             raise AbelianError("dimension mismatch in vector-matrix product")
-        return [sum(x * m[k, j] for k, x in enumerate(vec)) for j in range(m.cols)]
+        return [
+            sum(x * row[j] for x, row in zip(vec, self.matrix))
+            for j in range(self.target.num_generators)
+        ]
 
     def kernel_vectors(self) -> list[list[int]]:
         """A basis (rows, source coordinates) of the lattice L of vectors that
         the matrix sends into the target relations."""
-        stacked = self.matrix.vstack(self.target.relation_matrix())
-        ker = kernel_lattice(stacked)
-        return [row[: self.source.num_generators] for row in ker]
+        rows = list(self.matrix) + self.target.relations()
+        g = self.source.num_generators
+        return [row[:g] for row in kernel_lattice(rows, self.target.num_generators)]
 
     def kernel(self) -> FinAbGroup:
         """ker h = L / (source relations): the relations among the basis of L
         that hold modulo the source relations present it."""
         basis = self.kernel_vectors()
-        g, k = self.source.num_generators, len(basis)
-        lattice = IntMatrix.from_rows(basis) if basis else IntMatrix(0, g, ())
-        stacked = lattice.vstack(self.source.relation_matrix())
-        relations = [row[:k] for row in kernel_lattice(stacked)]
-        return group_from_presentation(
-            IntMatrix.from_rows(relations) if relations else IntMatrix(0, k, ())
-        )
+        k = len(basis)
+        relations = kernel_lattice(basis + self.source.relations(), self.source.num_generators)
+        return group_from_presentation([row[:k] for row in relations], k)
 
     def image(self) -> FinAbGroup:
         """im h = Z^g / L, for g source generators."""
-        basis = self.kernel_vectors()
-        g = self.source.num_generators
-        return group_from_presentation(
-            IntMatrix.from_rows(basis) if basis else IntMatrix(0, g, ())
-        )
+        return group_from_presentation(self.kernel_vectors(), self.source.num_generators)

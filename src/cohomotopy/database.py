@@ -34,6 +34,8 @@ from .abelian import (
     MEMO_SIZE,
     AbelianError,
     FinAbGroup,
+    GroupHom,
+    IllDefinedHomError,
     Presentation,
     parse_group,
     render_group,
@@ -258,14 +260,40 @@ class WhiteheadEntry:
     def target_presentation(self) -> Presentation:
         return Presentation.from_orders([o for o, _ in self.target_terms])
 
-    def image_matrix_rows(self, source_names) -> list[list[int]]:
+    def pairing(self, src: GroupEntry) -> GroupHom:
+        """The pairing as a homomorphism from the bracket-id row ``src``.
+
+        The one rule for a well-formed record: a ``DbError`` names this
+        record and its first problem, in this order: a source generator
+        without an image; then, image by image, one given twice, one for a
+        generator ``src`` lacks, or one with the wrong number of coordinates;
+        then an image whose order does not divide its generator's."""
+        names = src.generator_names()
         imap = dict(self.images)
-        rows = []
-        for name in source_names:
+        width = len(self.target_terms)
+
+        def fail(problem: str) -> DbError:
+            return DbError(f"{self.context}: {problem}")
+
+        for name in names:
             if name not in imap:
-                raise DbError(f"{self.context}: no image for {name!r}")
-            rows.append([1 if c == "odd" else int(c) for c in imap[name]])
-        return rows
+                raise fail(f"missing image for generator {name!r}")
+        seen = set()
+        for name, vec in self.images:
+            if name in seen:
+                raise fail(f"more than one image for generator {name!r}")
+            if name not in names:
+                raise fail(f"image for unknown generator {name!r}")
+            if len(vec) != width:
+                raise fail(f"image of {name!r} has {len(vec)} coordinates, target has {width}")
+            seen.add(name)
+        rows = [[1 if c == "odd" else c for c in imap[name]] for name in names]
+        try:
+            return GroupHom(src.presentation(), self.target_presentation(), rows)
+        except IllDefinedHomError as e:
+            raise fail(
+                f"image of {names[e.index]!r} has order {e.image_order}, not a divisor of {e.order}"
+            ) from e
 
 
 @dataclass(frozen=True)
@@ -588,8 +616,16 @@ def loads_db(text: str, path: str = "<string>") -> Database:
 
 
 def load_db(path) -> Database:
+    """Read a UTF-8 ``.cohdb`` file and parse it; bytes that are not UTF-8
+    are a ``DbParseError`` at the line of the first bad one."""
     p = Path(path)
-    return loads_db(p.read_text(), str(p))
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise DbParseError(p, line, f"not UTF-8 text: {e.reason} at byte {e.start}") from e
+    return loads_db(text, str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -736,41 +772,17 @@ def validate_db(db: Database) -> list[str]:
     for g in db.find("odd-part") + db.find("coker-eta") + db.find("ker-eta"):
         problems.extend(_record_checks(g)[3])
 
+    # the pairing's own rule (``WhiteheadEntry.pairing``), as the commands
+    # that read it apply it
     for w in db.find("whitehead"):
-        where = str(w.context)
-        src = db.lookup("bracket-id", n=w.context.get("n").lo)
+        src = db.lookup("bracket-id", n=w.context.n_range.lo)
         if src is None:
-            problems.append(f"{where}: no bracket-id entry for this n")
+            problems.append(f"{w.context}: no bracket-id entry for this n")
             continue
-        imap, tgt = dict(w.images), w.target_presentation()
-        for name in src.generator_names():
-            if name not in imap:
-                problems.append(f"{where}: missing image for generator {name!r}")
-        seen = set()
-        for name, vec in w.images:
-            if name in seen:
-                problems.append(f"{where}: more than one image for generator {name!r}")
-                continue
-            seen.add(name)
-            if name not in src.generator_names():
-                problems.append(f"{where}: image for unknown generator {name!r}")
-                continue
-            if len(vec) != len(w.target_terms):
-                problems.append(
-                    f"{where}: image of {name!r} has {len(vec)} coordinates, "
-                    f"target has {len(w.target_terms)}"
-                )
-                continue
-            # finite-order source generators must map to elements whose order
-            # divides theirs
-            src_order = dict((nm, o) for o, nm in src.terms)[name]
-            if src_order:
-                im_order = tgt.element_order(w.image_matrix_rows([name])[0])
-                if im_order is None or src_order % im_order != 0:
-                    problems.append(
-                        f"{where}: image of {name!r} has order {im_order}, "
-                        f"not a divisor of {src_order}"
-                    )
+        try:
+            w.pairing(src)
+        except DbError as e:
+            problems.append(str(e))
 
     # odd parts must reassemble to the odd part of the golden bracket rows
     odd_families = {}  # k -> its odd-part families, one for each p

@@ -81,13 +81,6 @@ def partitions(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ..
     )
 
 
-def conjugate_partition(lam) -> tuple[int, ...]:
-    lam = tuple(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
-
-
 # Sized above the 33,450 keys that one sweep over all pairs of groups of
 # order <= 64 leaves in the cache.
 LR_MEMO_SIZE = 2**16

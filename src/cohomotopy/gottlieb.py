@@ -15,26 +15,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import AbelianError, FinAbGroup, GroupHom, IntMatrix, Presentation
+from .abelian import FinAbGroup, GroupHom, Presentation
 from .database import Database, DbError
 
 
 def whitehead_hom(db: Database, n: int) -> GroupHom:
     """The pairing ``[-, identity]`` on the recorded bracket-id row.
 
-    A ``DbError`` names the whitehead record when its images do not define
-    a homomorphism (ragged or misfitting rows, or an image whose order does
-    not divide its generator's)."""
+    A ``DbError`` names the whitehead record when its images define no
+    homomorphism, with the problem ``db-check`` reports
+    (``WhiteheadEntry.pairing``)."""
     src = db.lookup("bracket-id", n=n)
     wh = db.lookup("whitehead", n=n)
     if src is None or wh is None:
         raise DbError(f"no bracket-id/whitehead records for n={n}")
-    rows = wh.image_matrix_rows(src.generator_names())
-    try:
-        matrix = IntMatrix.from_rows(rows) if rows else IntMatrix(0, len(wh.target_terms), ())
-        return GroupHom(src.presentation(), wh.target_presentation(), matrix)
-    except AbelianError as e:
-        raise DbError(f"{wh.context}: {e}") from e
+    return wh.pairing(src)
 
 
 def gottlieb_group(h: GroupHom) -> FinAbGroup:

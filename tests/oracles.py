@@ -45,8 +45,14 @@ keeping g small.
 from functools import lru_cache, reduce
 from itertools import product
 
-from cohomotopy.abelian import IntMatrix, group_from_presentation, smith_diagonal
-from cohomotopy.extensions import conjugate_partition
+from cohomotopy.abelian import group_from_presentation, smith_diagonal
+
+def conjugate_partition(lam) -> tuple[int, ...]:
+    lam = tuple(lam)
+    if not lam:
+        return ()
+    return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
+
 
 _SMITH_TYPES = {}  # (p, rows) -> type of Z^g modulo rows; see the module docstring
 
@@ -131,7 +137,7 @@ def _solve_rows_over(h_rows, lam, p):
 
 
 def _type_of(rows, p):
-    g = group_from_presentation(IntMatrix.from_rows(rows))
+    g = group_from_presentation(rows, len(rows))
     return g.exponents_at(p)
 
 

@@ -364,8 +364,9 @@ class TestValidation:
             "images = nu_8 . S^7 p -> (2, odd, 0)",
         )
         assert broken != db_text
-        problems = validate_db(loads_db(broken))
-        assert any("missing image" in p for p in problems)
+        assert validate_db(loads_db(broken)) == [
+            "whitehead n=7: missing image for generator 'alpha_1(8) . S^7 p'"
+        ]
 
     def test_detects_a_whitehead_image_given_twice(self, db_text):
         # the pairing would take the last one and never see the first

@@ -15,7 +15,6 @@ from cohomotopy.extensions import (
     Retraction,
     UnresolvedExtensionError,
     apply_evidence,
-    conjugate_partition,
     enumerate_middle_groups,
     ext_group,
     lr_positive,
@@ -26,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (  # noqa: E402
     _SMITH_TYPES,
     _subgroup_quotient_types_bruteforce,
+    conjugate_partition,
     oracle_middle_groups,
     subgroup_quotient_types,
 )
