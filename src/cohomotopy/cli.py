@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .database import DbError, load_db, validate_db
-from .extensions import ExtensionError, UnresolvedExtensionError
+from .extensions import ORDER, TERMS, ExtensionError, UnresolvedExtensionError
 from .gottlieb import (
     classify_components,
     fibration_equivalences,
@@ -50,10 +50,6 @@ def _default_db_path() -> str:
     return str(resources.files("cohomotopy").joinpath("data/paper.cohdb"))
 
 
-def _fmt_order(order: int) -> str:
-    return "inf" if order == 0 else str(order)
-
-
 def _recorded_ns(db, kind) -> list[int]:
     return [e.context.get("n").lo for e in db.find(kind)]
 
@@ -63,7 +59,7 @@ def _print_row(row, show_evidence=False):
     print(f"order notation: {paper_notation(row.group)}")
     print("generators:")
     for order, name in row.generators:
-        print(f"  {name}  (order {_fmt_order(order)})")
+        print(f"  {name}  (order {ORDER.write(order)})")
     if row.cites:
         print("cites:")
         for c in row.cites:
@@ -147,9 +143,7 @@ def _dispatch(args, db) -> int:
         ns = [args.n] if args.n is not None else list(MAPSPACE_RANGE)
         for n in ns:
             row = mapping_space_pi(db, n)
-            gens = " ; ".join(
-                f"{name} : {_fmt_order(o)}" for o, name in row.generators
-            )
+            gens = TERMS.write(row.generators)
             print(f"pi_{n} = {row.group}" + (f"  {{ {gens} }}" if gens else ""))
         return EXIT_OK
 
@@ -161,7 +155,7 @@ def _dispatch(args, db) -> int:
             entry = db.lookup("gottlieb", n=n)
             if entry is not None:
                 for order, name in entry.terms:
-                    print(f"  {name}  (order {_fmt_order(order)})")
+                    print(f"  {name}  (order {ORDER.write(order)})")
             if args.equivalences:
                 for name, classes in fibration_equivalences(db, n, h).items():
                     parts = " | ".join(

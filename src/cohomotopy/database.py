@@ -43,25 +43,15 @@ from .abelian import (
 from .extensions import (
     EVIDENCE_KINDS,
     INT,
-    NAME,
-    OPT_NAME,
-    ORDER,
-    PAIRS,
-    RENAMES,
     TERMS,
     TEXT,
+    ValueType,
+    map_names,
     record_field,
     schema,
+    split_items,
 )
 from .symbols import NameParseError, families_of
-
-# Value types of the record fields beyond those the evidence kinds share:
-CONTEXT = "context"  # ``kind key=value ...``, checked against the record's CONTEXTS
-GROUP = "group"  # a group expression, written from the field its ``terms`` name
-IMAGES = "images"  # ``name -> (c, ...) ; ...``, coordinates int or ``odd``
-WORDS = "words"  # space-separated words
-EQUATION = "equation"  # ``name = name``
-EVIDENCE = "evidence"  # the ``kind`` value; its class reads the other keys
 
 
 class DbError(Exception):
@@ -179,6 +169,53 @@ def parse_context(text: str) -> Context:
                 raise ValueError(f"negative context parameter {part!r}")
             params.append((k, value))
     return Context(kind, tuple(sorted(params)))
+
+
+def _parse_images(text: str):
+    """Parse ``name -> (c, ...) ; ...`` into (name, coordinates) pairs."""
+    out = []
+    for _, name, vec in split_items(text, "->", "image", "->"):
+        if not (vec.startswith("(") and vec.endswith(")")):
+            raise ValueError(f"image vector {vec!r} must be parenthesized")
+        inner = vec[1:-1].strip()
+        coeffs = [c.strip() for c in inner.split(",")] if inner else []
+        out.append((name, tuple("odd" if c in ("odd", "-odd") else int(c) for c in coeffs)))
+    return tuple(out)
+
+
+def _evidence_kind(text: str):
+    cls = EVIDENCE_KINDS.get(text)
+    if cls is None:
+        raise _BlockError(0, f"unknown evidence kind {text!r}")
+    return cls
+
+
+# The value types of record fields beyond those the evidence kinds share
+# (``extensions``):
+CONTEXT = ValueType(parse_context)  # ``kind key=value ...``
+GROUP = ValueType(parse_group, render_group)  # written from its ``terms`` when it has them
+# ``name -> (c, ...) ; ...``, coordinates int or ``odd``; the names are those of
+# the source row, which ``WhiteheadEntry.pairing`` checks
+IMAGES = ValueType(
+    _parse_images,
+    lambda v: " ; ".join(f"{name} -> ({', '.join(map(str, vec))})" for name, vec in v),
+)
+WORDS = ValueType(lambda text: tuple(text.split()), " ".join)  # space-separated words
+EQUATION = ValueType(  # ``name = name``
+    str,
+    names=lambda v: [side.strip() for side in v.split("=")],
+    rename=lambda v, f: " = ".join(f(side.strip()) for side in v.split("=")),
+)
+EVIDENCE = ValueType(  # the ``kind`` value, read as its class, which reads the other keys
+    _evidence_kind,
+    lambda item: item.KIND,
+    names=lambda item: [
+        name
+        for attr, _, vtype, _, _ in schema(type(item))
+        for name in vtype.names(getattr(item, attr))
+    ],
+    rename=map_names,
+)
 
 
 # Each record class is the schema of its ``[TAG]`` record: ``CONTEXTS`` maps
@@ -421,92 +458,6 @@ def _holding(family: list, n: int | None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _parse_gen_list(text: str):
-    """Parse ``name : order ; name : order`` into (order, name) pairs."""
-    out = []
-    for item in text.split(";") if text.strip() else ():
-        item = item.strip()
-        if ":" not in item:
-            raise ValueError(f"generator item {item!r} lacks ': order'")
-        name, order = item.rsplit(":", 1)
-        order = order.strip()
-        value = 0 if order == "inf" else int(order)
-        if value < 0:
-            raise ValueError(f"negative order in generator item {item!r}")
-        out.append((value, name.strip()))
-    return tuple(out)
-
-
-def _parse_images(text: str):
-    """Parse ``name -> (c, ...) ; ...`` into (name, coordinates) pairs."""
-    out = []
-    for item in text.split(";") if text else ():
-        item = item.strip()
-        if "->" not in item:
-            raise ValueError(f"image item {item!r} lacks '->'")
-        name, vec = item.split("->", 1)
-        vec = vec.strip()
-        if not (vec.startswith("(") and vec.endswith(")")):
-            raise ValueError(f"image vector {vec!r} must be parenthesized")
-        coeffs = []
-        inner = vec[1:-1].strip()
-        if inner:
-            for c in inner.split(","):
-                c = c.strip()
-                if c in ("odd", "-odd"):
-                    coeffs.append("odd")
-                else:
-                    coeffs.append(int(c))
-        out.append((name.strip(), tuple(coeffs)))
-    return tuple(out)
-
-
-def _parse_pairs(text: str):
-    """Parse ``a -> b ; ...`` into (a, b) pairs."""
-    out = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        if "->" not in item:
-            raise ValueError(f"pair item {item!r} lacks '->'")
-        a, b = item.split("->", 1)
-        out.append((a.strip(), b.strip()))
-    return tuple(out)
-
-
-def _fmt_pairs(pairs) -> str:
-    return " ; ".join(f"{a} -> {b}" for a, b in pairs)
-
-
-def _fmt_gen_list(terms) -> str:
-    return " ; ".join(
-        f"{name} : {'inf' if order == 0 else order}" for order, name in terms
-    )
-
-
-# How each field type reads and writes its record value (a group is written
-# by ``_fmt_group_terms``, an evidence item by its own fields).
-_CODECS = {
-    TEXT: (str, str),
-    NAME: (str, str),
-    OPT_NAME: (lambda v: v or None, lambda v: v or ""),
-    INT: (int, str),
-    ORDER: (lambda v: None if v == "inf" else int(v), lambda v: "inf" if v is None else str(v)),
-    PAIRS: (_parse_pairs, _fmt_pairs),
-    RENAMES: (_parse_pairs, _fmt_pairs),
-    TERMS: (_parse_gen_list, _fmt_gen_list),
-    CONTEXT: (parse_context, str),
-    GROUP: (parse_group, None),
-    IMAGES: (
-        _parse_images,
-        lambda v: " ; ".join(f"{name} -> ({', '.join(map(str, vec))})" for name, vec in v),
-    ),
-    WORDS: (lambda v: tuple(v.split()), " ".join),
-    EQUATION: (str, str),
-}
-
-
 class _BlockError(Exception):
     """A parse error at line ``index`` of a record block (0 = the header)."""
 
@@ -526,17 +477,10 @@ def _parse_record(cls, record: dict, label: str):
                 raise _BlockError(0, f"{label} lacks {key!r}")
             continue
         text = record.pop(key)
-        if vtype == EVIDENCE:
-            item_cls = EVIDENCE_KINDS.get(text)
-            if item_cls is None:
-                raise _BlockError(0, f"unknown evidence kind {text!r}")
-            values[attr] = _parse_record(item_cls, record, f"{text} evidence")
-            continue
-        values[attr] = value = _CODECS[vtype][0](text)
-        if vtype == CONTEXT:
-            problem = _context_problem(cls, value)
-            if problem:
-                raise _BlockError(0, problem)
+        value = vtype.parse(text)
+        if vtype is EVIDENCE:
+            value = _parse_record(value, record, f"{text} evidence")
+        values[attr] = value
     return cls(**values)
 
 
@@ -573,6 +517,9 @@ def _parse_block(block: str):
         entry = _parse_record(cls, record, f"[{tag}] record")
     except (ValueError, AbelianError) as e:
         raise _BlockError(0, f"bad [{tag}] record: {e}") from e
+    problem = hasattr(cls, "CONTEXTS") and _context_problem(cls, entry.context)
+    if problem:
+        raise _BlockError(0, problem)
     if record:
         raise _BlockError(0, f"unknown key(s) in [{tag}] record: {', '.join(sorted(record))}")
     return entry
@@ -633,25 +580,17 @@ def load_db(path) -> Database:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_group_terms(terms, group: FinAbGroup) -> str:
-    """The group as written: one term per generator, in table order; the
-    canonical form when there are no generators."""
-    if not terms:
-        return render_group(group)
-    return " + ".join("Z" if o == 0 else f"Z/{o}" for o, _ in terms)
-
-
 def _dump_record(obj):
-    """(record key, value text) for every field of a record."""
+    """(record key, value text) for every field of a record.  A group with
+    generators is written one term per generator, in table order."""
     for attr, key, vtype, _, terms in schema(type(obj)):
         value = getattr(obj, attr)
-        if vtype == EVIDENCE:
-            yield key, value.KIND
-            yield from _dump_record(value)
-        elif vtype == GROUP:
-            yield key, _fmt_group_terms(getattr(obj, terms), value)
+        if vtype is GROUP and getattr(obj, terms):
+            yield key, " + ".join("Z" if o == 0 else f"Z/{o}" for o, _ in getattr(obj, terms))
         else:
-            yield key, _CODECS[vtype][1](value)
+            yield key, vtype.write(value)
+        if vtype is EVIDENCE:
+            yield from _dump_record(value)
 
 
 def dumps_db(db: Database) -> str:
@@ -666,17 +605,6 @@ def dumps_db(db: Database) -> str:
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
-
-
-# The generator names a value of each field type holds.
-_NAMES = {
-    NAME: lambda v: (v,),
-    OPT_NAME: lambda v: (v,) if v else (),
-    PAIRS: lambda v: [name for pair in v for name in pair],
-    RENAMES: lambda v: [name for pair in v for name in pair],
-    TERMS: lambda v: [name for _, name in v],
-    EQUATION: lambda v: [side.strip() for side in v.split("=")],
-}
 
 
 def _where(entry) -> str:
@@ -699,33 +627,22 @@ def _record_checks(entry):
     if done is not None:
         return done
     checks: list = []
-
-    def check_orders(terms, group):
-        if terms:
-            written = FinAbGroup.from_factors([o for o, _ in terms])
-            if written != group:
+    for attr, _, vtype, _, terms in schema(type(entry)):
+        value = getattr(entry, attr)
+        if vtype is GROUP:
+            orders = [o for o, _ in getattr(entry, terms)]
+            if not orders and not value.is_trivial():
+                checks.append(f"{_where(entry)}: nontrivial group without generators")
+            elif orders and (written := FinAbGroup.from_factors(orders)) != value:
                 checks.append(
                     f"{_where(entry)}: generator orders disagree with the group "
-                    f"({written} vs {group})"
+                    f"({written} vs {value})"
                 )
-        elif not group.is_trivial():
-            checks.append(f"{_where(entry)}: nontrivial group without generators")
-
-    def check_fields(obj):
-        for attr, _, vtype, _, terms in schema(type(obj)):
-            value = getattr(obj, attr)
-            if vtype == GROUP:
-                check_orders(getattr(obj, terms), value)
-            elif vtype == EVIDENCE:
-                check_fields(value)
-            elif vtype in _NAMES:
-                for name in _NAMES[vtype](value):
-                    try:
-                        checks.append((name, families_of(name)))
-                    except NameParseError as e:
-                        checks.append(f"{_where(entry)}: {e}")
-
-    check_fields(entry)
+        for name in vtype.names(value):
+            try:
+                checks.append((name, families_of(name)))
+            except NameParseError as e:
+                checks.append(f"{_where(entry)}: {e}")
     primes = ()
     kind = entry.context.kind if isinstance(entry, GroupEntry) else None
     if kind == "odd-part":

@@ -13,9 +13,11 @@ positivity is decided by an exhaustive skew-tableau search.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, lru_cache, reduce
 from math import gcd
+from typing import NamedTuple
 
 from .abelian import MEMO_SIZE, FinAbGroup
 
@@ -192,6 +194,95 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
 
 
 # ---------------------------------------------------------------------------
+# Record value types
+# ---------------------------------------------------------------------------
+
+
+class ValueType(NamedTuple):
+    """A value type of ``.cohdb`` record fields: how a value is read from its
+    record text and written back, the generator names it holds (those
+    ``validate_db`` checks) and the value with a map applied to those names."""
+
+    parse: Callable[[str], object]
+    write: Callable[[object], str] = str
+    names: Callable[[object], Iterable[str]] = lambda value: ()
+    rename: Callable[[object, Callable[[str], str]], object] = lambda value, f: value
+
+
+def split_items(text: str, sep: str, what: str, lacks: str, last=False, skip_blank=False):
+    """(item, head, tail) for each ``;``-separated item of ``text``, stripped
+    and split at its first ``sep`` (its last with ``last``); an item without
+    ``sep`` is a ``ValueError`` naming the ``what`` item and what it
+    ``lacks``.  Blank items are skipped with ``skip_blank``."""
+    out = []
+    for item in text.split(";") if text.strip() else ():
+        item = item.strip()
+        if not item and skip_blank:
+            continue
+        if sep not in item:
+            raise ValueError(f"{what} item {item!r} lacks '{lacks}'")
+        head, tail = item.rsplit(sep, 1) if last else item.split(sep, 1)
+        out.append((item, head.strip(), tail.strip()))
+    return out
+
+
+def _order(text: str, what: str, item: str) -> int:
+    """An order, written ``inf`` (kept as 0) or as a positive integer;
+    messages name the ``what`` ``item`` that holds it."""
+    if text == "inf":
+        return 0
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative order in {what} {item!r}")
+    if value == 0:
+        raise ValueError(f"order 0 in {what} {item!r}: an infinite order is written inf")
+    return value
+
+
+def _parse_pairs(text: str):
+    return tuple((a, b) for _, a, b in split_items(text, "->", "pair", "->", skip_blank=True))
+
+
+def _parse_terms(text: str):
+    return tuple(
+        (_order(order, "generator item", item), name)
+        for item, name, order in split_items(text, ":", "generator", ": order", last=True)
+    )
+
+
+# The value types of the evidence fields; ``database`` adds those only its
+# records use.
+TEXT = ValueType(str)  # free text
+NAME = ValueType(str, names=lambda v: (v,), rename=lambda v, f: f(v))  # a generator name
+OPT_NAME = ValueType(  # a generator name or None, written empty
+    lambda text: text or None,
+    lambda v: v or "",
+    names=lambda v: (v,) if v else (),
+    rename=lambda v, f: v and f(v),
+)
+INT = ValueType(int)
+ORDER = ValueType(  # ``inf`` (0) or a positive integer
+    lambda text: _order(text, "order value", text),
+    lambda v: "inf" if v == 0 else str(v),
+)
+PAIRS = ValueType(  # ``name -> name ; ...``
+    _parse_pairs,
+    lambda v: " ; ".join(f"{a} -> {b}" for a, b in v),
+    names=lambda v: [name for pair in v for name in pair],
+    rename=lambda v, f: tuple((f(a), f(b)) for a, b in v),
+)
+# ``source-row name -> local name ; ...``: the source side names generators of
+# another row, so only the local side is renamed
+RENAMES = PAIRS._replace(rename=lambda v, f: tuple((a, f(b)) for a, b in v))
+TERMS = ValueType(  # ``name : order ; ...`` as (order, name) pairs
+    _parse_terms,
+    lambda v: " ; ".join(f"{name} : {ORDER.write(order)}" for order, name in v),
+    names=lambda v: [name for _, name in v],
+    rename=lambda v, f: tuple((order, f(name)) for order, name in v),
+)
+
+
+# ---------------------------------------------------------------------------
 # Evidence-driven resolution
 # ---------------------------------------------------------------------------
 
@@ -200,18 +291,10 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
 # the record's ``kind`` value and every field carries its record key and value
 # type, from which ``database`` parses, dumps and validates the record and
 # ``map_names`` rewrites it (the other record types follow the same
-# convention in ``database``).  The value types shared with ``database``:
-TEXT = "text"  # free text
-NAME = "name"  # a generator name
-OPT_NAME = "optional name"  # a generator name or None
-INT = "int"
-ORDER = "order"  # an int, or None written ``inf``
-PAIRS = "pairs"  # ``name -> name ; ...``
-RENAMES = "renames"  # ``source-row name -> local name ; ...``
-TERMS = "terms"  # ``name : order ; ...`` as (order, name) pairs, 0 = Z
+# convention in ``database``).
 
 
-def record_field(key: str, vtype: str, terms: str | None = None, **default):
+def record_field(key: str, vtype: ValueType, terms: str | None = None, **default):
     """A field read from and written to record key ``key`` as a ``vtype``
     value; a group-valued field names the field of its ``terms``, from which
     it is written."""
@@ -219,7 +302,7 @@ def record_field(key: str, vtype: str, terms: str | None = None, **default):
 
 
 @cache
-def schema(cls) -> tuple[tuple[str, str, str, bool, str | None], ...]:
+def schema(cls) -> tuple[tuple[str, str, ValueType, bool, str | None], ...]:
     """(attribute, record key, value type, required, terms attribute) for each
     field of a record class, read once per class."""
     return tuple(
@@ -247,7 +330,7 @@ class Retraction:
 class ElementOrderLift:
     """A named lift of a quotient generator with known order.
 
-    ``order`` is None for an infinite-order lift.  If the order exceeds the
+    ``order`` is 0 for an infinite-order lift.  If the order exceeds the
     order of the quotient generator, ``absorbs`` names the sub-side factor
     the lift cyclically extends.
     """
@@ -255,7 +338,7 @@ class ElementOrderLift:
     KIND = "element-order-lift"
 
     lift_name: str = record_field("lift", NAME)
-    order: int | None = record_field("order", ORDER)
+    order: int = record_field("order", ORDER)
     maps_to: str = record_field("maps-to", NAME)
     absorbs: str | None = record_field("absorbs", OPT_NAME, default=None)
     remainder_name: str | None = record_field("remainder-name", OPT_NAME, default=None)
@@ -313,21 +396,11 @@ EVIDENCE_KINDS = {
 
 
 def map_names(item, f):
-    """``item`` with ``f`` applied to every generator name it holds.  The
-    source-row side of a ``RENAMES`` map is left as it is: it names
-    generators of another row."""
-    changes = {}
-    for attr, _, vtype, _, _ in schema(type(item)):
-        value = getattr(item, attr)
-        if vtype == NAME or (vtype == OPT_NAME and value):
-            changes[attr] = f(value)
-        elif vtype == PAIRS:
-            changes[attr] = tuple((f(a), f(b)) for a, b in value)
-        elif vtype == RENAMES:
-            changes[attr] = tuple((a, f(b)) for a, b in value)
-        elif vtype == TERMS:
-            changes[attr] = tuple((o, f(name)) for o, name in value)
-    return replace(item, **changes)
+    """``item`` with ``f`` applied to every generator name it holds, as its
+    fields' value types rename them."""
+    return replace(item, **{
+        attr: vtype.rename(getattr(item, attr), f) for attr, _, vtype, _, _ in schema(type(item))
+    })
 
 
 @dataclass(frozen=True)
@@ -376,7 +449,8 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
     for the same quotient generator, a lift of an infinite-order quotient
     generator that claims a finite order or an ``absorbs``, a lift of the
     quotient generator's own order that claims an ``absorbs`` or a
-    ``remainder-name``, or a ``remainder-name`` where nothing is left over.
+    ``remainder-name``, a relation fact whose ``rhs`` has infinite order, or
+    a ``remainder-name`` where nothing is left over.
     """
     evidence = list(evidence)
     a_group = problem.sub_group()
@@ -431,6 +505,11 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                 )
             idx = _factor_index(factors, e.rhs, ctx)
             o_a = factors[idx][0]
+            if not o_a:
+                raise ExtensionError(
+                    f"{ctx}: {_label(e)} has rhs {e.rhs!r} of infinite order, "
+                    f"so its lift has no finite order"
+                )
             rhs_order = o_a // gcd(o_a, e.rhs_mult)
             lift_order = e.multiplier * rhs_order
             leftover = o_a * order // lift_order
@@ -438,7 +517,7 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
             factors.insert(idx, (lift_order, e.lift_name))
             _place_remainder(factors, idx, leftover, e, e.rhs, ctx)
         elif order == 0:
-            if e is not None and (e.order is not None or e.absorbs):
+            if e is not None and (e.order or e.absorbs):
                 raise ExtensionError(
                     f"{ctx}: {_label(e)} lifts {name}, which has infinite "
                     f"order, so it takes order inf and no absorbs"
@@ -452,7 +531,7 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                         f"splits off and takes no absorbs or remainder-name"
                     )
                 factors.append((order, e.lift_name))
-            elif e.order is not None and e.order > order and e.absorbs:
+            elif e.order > order and e.absorbs:
                 idx = _factor_index(factors, e.absorbs, ctx)
                 o_a = factors[idx][0]
                 leftover = o_a * order // e.order
@@ -461,7 +540,7 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                 _place_remainder(factors, idx, leftover, e, e.absorbs, ctx)
             else:
                 raise ExtensionError(
-                    f"{ctx}: lift {e.lift_name} has order {e.order} "
+                    f"{ctx}: lift {e.lift_name} has order {ORDER.write(e.order)} "
                     f"incompatible with quotient generator {name} of order {order}"
                 )
         else:

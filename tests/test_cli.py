@@ -170,6 +170,26 @@ class TestExitCodes:
         assert code == EXIT_UNRESOLVED
         assert "unresolved extension" in err
 
+    def test_relation_fact_with_an_infinite_rhs_is_2(self, capsys, tmp_path, db_text):
+        # the rhs nu_4 . eps_7 of the k=7 n=4 relation fact made infinite
+        path = edited(
+            tmp_path, db_text,
+            "group = Z/2 + Z/2 + Z/2 + Z/2\ngenerators = S mu' : 2 ; nu_4 . nubar_7 : 2 ; "
+            "nu_4 . eps_7 : 2 ;",
+            "group = Z + Z/2 + Z/2 + Z/2\ngenerators = S mu' : 2 ; nu_4 . nubar_7 : 2 ; "
+            "nu_4 . eps_7 : inf ;",
+        )
+        problem = (
+            "bracket k=7 n=4: relation-fact 'nu_4^2 . g_10(C)' has rhs 'nu_4 . eps_7' "
+            "of infinite order, so its lift has no finite order"
+        )
+        assert run(capsys, "--db", path, "db-check")[0] == EXIT_OK
+        code, out, err = run(capsys, "--db", path, "compute", "7", "4")
+        assert (code, out, err) == (EXIT_DB, "", f"error: {problem}\n")
+        code, out, err = run(capsys, "--db", path, "verify")
+        assert (code, err) == (EXIT_VERIFY, "")
+        assert f"[FAIL] bracket    k=7 n=4            {problem}\n" in out
+
 
 class TestMalformedWhitehead:
     """A ``[whitehead]`` record whose images define no homomorphism is a

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohomotopy import database, extensions
 from cohomotopy.abelian import FinAbGroup
 from cohomotopy.database import (
+    EVIDENCE,
     _BlockError,
+    _dump_record,
     _parse_block,
     _record_checks,
     Database,
@@ -19,7 +22,7 @@ from cohomotopy.database import (
     parse_context,
     validate_db,
 )
-from cohomotopy.extensions import EhpInjectivity, RelationFact
+from cohomotopy.extensions import RENAMES, EhpInjectivity, RelationFact, schema
 
 
 class TestNRange:
@@ -221,6 +224,27 @@ class TestParsing:
         with pytest.raises(DbParseError, match="negative order in generator item 'nu_4 : -8'"):
             loads_db(text)
 
+    def test_zero_generator_order_rejected(self):
+        text = MINI.replace("nu_4 : 8\n", "nu_4 : 0\n", 1)
+        with pytest.raises(
+            DbParseError,
+            match="order 0 in generator item 'nu_4 : 0': an infinite order is written inf",
+        ):
+            loads_db(text)
+
+    @pytest.mark.parametrize(
+        "order, match",
+        [
+            ("0", "order 0 in order value '0': an infinite order is written inf"),
+            ("-2", "negative order in order value '-2'"),
+        ],
+    )
+    def test_zero_or_negative_lift_order_rejected(self, order, match):
+        text = EVERY_RECORD.replace("order = inf\n", f"order = {order}\n", 1)
+        assert text != EVERY_RECORD
+        with pytest.raises(DbParseError, match=match):
+            loads_db(text)
+
     def test_evidence_without_required_key_rejected(self):
         text = MINI.replace("lift = L\n", "")
         with pytest.raises(DbParseError, match="lacks 'lift'"):
@@ -326,6 +350,73 @@ class TestRoundTrip:
         again = loads_db(dumps_db(db))
         assert list(again.entries()) == list(db.entries())
         assert dumps_db(again) == dumps_db(db)
+
+
+VALUE_TYPES = [
+    getattr(extensions, name)
+    for name in ("TEXT", "NAME", "OPT_NAME", "INT", "ORDER", "PAIRS", "RENAMES", "TERMS")
+] + [
+    getattr(database, name)
+    for name in ("CONTEXT", "GROUP", "IMAGES", "WORDS", "EQUATION", "EVIDENCE")
+]
+MARK = "\x01"  # appended to every renamed name; no record value holds it
+
+
+def field_values(obj):
+    """(value type, value) of every field of a record, and of the fields of
+    its evidence item."""
+    for attr, _, vtype, _, _ in schema(type(obj)):
+        yield vtype, getattr(obj, attr)
+        if vtype is EVIDENCE:
+            yield from field_values(getattr(obj, attr))
+
+
+def written(vtype, value) -> str:
+    """A value's record text; an evidence item's is that of all its keys."""
+    if vtype is EVIDENCE:
+        return "\n".join(f"{k} = {v}" for k, v in _dump_record(value))
+    return vtype.write(value)
+
+
+def renamed_names(vtype, value) -> list:
+    """The names of ``value`` once renamed: each marked, except the source
+    side of a ``RENAMES`` map."""
+    if vtype is EVIDENCE:
+        return [
+            name
+            for attr, _, item_type, _, _ in schema(type(value))
+            for name in renamed_names(item_type, getattr(value, attr))
+        ]
+    names = list(vtype.names(value))
+    marked = [name + MARK for name in names]
+    if vtype is RENAMES:
+        marked[0::2] = names[0::2]
+    return marked
+
+
+class TestValueTypes:
+    @pytest.fixture(scope="class")
+    def values(self, db):
+        return [pair for entry in db.records for pair in field_values(entry)]
+
+    def test_every_type_occurs_in_the_shipped_db(self, values):
+        assert {id(vtype) for vtype, _ in values} == {id(t) for t in VALUE_TYPES}
+
+    def test_write_then_parse_gives_the_value(self, values):
+        for vtype, value in values:
+            if vtype is EVIDENCE:  # the kind: its class reads the other keys
+                assert vtype.parse(vtype.write(value)) is type(value)
+            else:
+                assert vtype.parse(vtype.write(value)) == value
+
+    def test_rename_changes_exactly_the_listed_names(self, values):
+        for vtype, value in values:
+            renamed = vtype.rename(value, lambda name: name + MARK)
+            want = renamed_names(vtype, value)
+            assert list(vtype.names(renamed)) == want
+            text = written(vtype, renamed)
+            assert text.count(MARK) == sum(name.endswith(MARK) for name in want)
+            assert text.replace(MARK, "") == written(vtype, value)
 
 
 class TestValidation:

@@ -257,7 +257,7 @@ class TestApplyEvidence:
         problem = ExtensionProblem(
             sub=((4, "a"),), quot=((0, "z"),), context="t"
         )
-        r = apply_evidence(problem, [ElementOrderLift("L", None, maps_to="z")])
+        r = apply_evidence(problem, [ElementOrderLift("L", 0, maps_to="z")])
         assert r.group == G(0, 4)
         assert (0, "L") in r.generators
 
@@ -328,10 +328,14 @@ class TestApplyEvidence:
                 [RelationFact("L", lift_of="c", multiplier=2, rhs="a", remainder_name="R")],
                 "relation-fact 'L' leaves no remainder of a, so its remainder-name 'R' is unused",
             ),
+            (
+                [RelationFact("L", lift_of="c", multiplier=2, rhs="z")],
+                "relation-fact 'L' has rhs 'z' of infinite order, so its lift has no finite order",
+            ),
         ],
     )
     def test_unconsumed_evidence_rejected(self, evidence, match):
-        problem = ExtensionProblem(sub=((4, "a"),), quot=((2, "c"),), context="t")
+        problem = ExtensionProblem(sub=((4, "a"), (0, "z")), quot=((2, "c"),), context="t")
         with pytest.raises(ExtensionError, match=match):
             apply_evidence(problem, evidence)
 
@@ -344,7 +348,7 @@ class TestApplyEvidence:
         "lift",
         [
             ElementOrderLift("L", 2, maps_to="c"),
-            ElementOrderLift("L", None, maps_to="c", absorbs="a"),
+            ElementOrderLift("L", 0, maps_to="c", absorbs="a"),
             ElementOrderLift("L", 8, maps_to="c", absorbs="a"),
         ],
     )
