@@ -690,9 +690,18 @@ def validate_db(db: Database) -> list[str]:
         problems.extend(_record_checks(g)[3])
 
     # the pairing's own rule (``WhiteheadEntry.pairing``), as the commands
-    # that read it apply it
+    # that read it apply it; verify_all checks a pairing's n only through
+    # the gottlieb and components rows that exist, so each n needs both
+    checked = {
+        kind: {e.context.n_range.lo for e in db.find(kind)}
+        for kind in ("gottlieb", "components")
+    }
     for w in db.find("whitehead"):
-        src = db.lookup("bracket-id", n=w.context.n_range.lo)
+        n = w.context.n_range.lo
+        for kind, ns in checked.items():
+            if n not in ns:
+                problems.append(f"{w.context}: no {kind} row for this n")
+        src = db.lookup("bracket-id", n=n)
         if src is None:
             problems.append(f"{w.context}: no bracket-id entry for this n")
             continue

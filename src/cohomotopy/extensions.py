@@ -449,8 +449,9 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
     for the same quotient generator, a lift of an infinite-order quotient
     generator that claims a finite order or an ``absorbs``, a lift of the
     quotient generator's own order that claims an ``absorbs`` or a
-    ``remainder-name``, a relation fact whose ``rhs`` has infinite order, or
-    a ``remainder-name`` where nothing is left over.
+    ``remainder-name``, a relation fact whose ``rhs`` or a lift whose
+    ``absorbs`` has infinite order, or a ``remainder-name`` where nothing is
+    left over.
     """
     evidence = list(evidence)
     a_group = problem.sub_group()
@@ -534,6 +535,11 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
             elif e.order > order and e.absorbs:
                 idx = _factor_index(factors, e.absorbs, ctx)
                 o_a = factors[idx][0]
+                if not o_a:
+                    raise ExtensionError(
+                        f"{ctx}: {_label(e)} absorbs {e.absorbs!r} of infinite "
+                        f"order, so its lift has no finite order"
+                    )
                 leftover = o_a * order // e.order
                 del factors[idx]
                 factors.insert(idx, (e.order, e.lift_name))

@@ -32,10 +32,19 @@ sum over rows i..g-1 only grows) and records each pair both ways round.
 This is elementary duality, not Hall's theorem, which the enumerator
 implements, so the oracle stays independent of it.
 
-Many bases and coordinate matrices recur, within one key and across keys of
-the same prime, so their types are memoised by (p, rows).  The memo lives
+The leaves under one choice of rows 1..g-1 differ only in row 0, and
+likewise the coordinate matrices only in their row 0 (column 0 of rows
+1..g-1 is zero in both).  So each of the two shared blocks, rows 1..g-1
+restricted to columns 1..g-1, is brought to Smith form U B V = diag(d) once
+per parent.  With row 0 = (c, t), multiplying by diag(1, U) on the left and
+diag(1, V) on the right, then reducing t V modulo d by the rows of diag(d),
+leaves the arrow matrix [[c, t V mod d], [0, diag(d)]], of the same type as
+the whole matrix.  Columns with d_j = 1 carry only zeros and are dropped.
+For g = 1 the block is empty and the arrow is [[c]].  Block forms (by block
+rows) and arrow types (by p, c, the residues and d) recur across parents
+and across keys of the same prime, so both are memoised.  The memos live
 exactly as long as the cache of :func:`subgroup_quotient_types`: its
-``cache_clear()`` empties both, so a sweep that clears it starts cold.
+``cache_clear()`` empties all three, so a sweep that clears it starts cold.
 
 Since subgroup types are invariant under conjugating all three partitions,
 each query is first conjugated to whichever orientation has fewer generators,
@@ -44,8 +53,15 @@ keeping g small.
 
 from functools import lru_cache, reduce
 from itertools import product
+from operator import mul
 
-from cohomotopy.abelian import group_from_presentation, smith_diagonal
+from cohomotopy.abelian import (
+    IntMatrix,
+    group_from_presentation,
+    smith_diagonal,
+    smith_normal_form,
+)
+
 
 def conjugate_partition(lam) -> tuple[int, ...]:
     lam = tuple(lam)
@@ -54,24 +70,59 @@ def conjugate_partition(lam) -> tuple[int, ...]:
     return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
 
 
-_SMITH_TYPES = {}  # (p, rows) -> type of Z^g modulo rows; see the module docstring
+_BLOCKS = {}  # block rows -> (columns of V, d); see the module docstring
+_ARROWS = {}  # (p, corner, residues, d) -> type of the arrow matrix
+
+
+def _block_form(block):
+    """The Smith form U @ block @ V == diag(d) of a square block of rows,
+    as the columns of V and the entries of d, keeping only the d_j > 1
+    (a unit d_j reduces every residue to 0)."""
+    form = _BLOCKS.get(block)
+    if form is None:
+        snf = smith_normal_form(IntMatrix.from_rows(block))
+        d, v = snf.d.diagonal(), snf.v
+        keep = [j for j, dj in enumerate(d) if dj > 1]
+        form = (
+            tuple(tuple(v[l, j] for l in range(v.rows)) for j in keep),
+            tuple(d[j] for j in keep),
+        )
+        _BLOCKS[block] = form
+    return form
+
+
+def _arrow_type(p, corner, vec, form):
+    """Type of Z^g modulo the rows (corner, vec) and (0, block), for the
+    block whose Smith form is ``form``: that of the arrow matrix
+    [[corner, vec @ V mod d], [0, diag(d)]]."""
+    cols, d = form
+    residues = tuple(sum(map(mul, vec, col)) % dj for col, dj in zip(cols, d))
+    key = (p, corner, residues, d)
+    t = _ARROWS.get(key)
+    if t is None:
+        k = len(d)
+        rows = [[corner, *residues]]
+        rows += [[0] * (j + 1) + [dj] + [0] * (k - j - 1) for j, dj in enumerate(d)]
+        # every invariant factor is a power of p; the chain ascends
+        t = tuple(_exponent(p, x) for x in reversed(smith_diagonal(rows)) if x > 1)
+        _ARROWS[key] = t
+    return t
+
+
+def _exponent(p, q):
+    e = 0
+    while q > 1:
+        q //= p
+        e += 1
+    return e
 
 
 @lru_cache(maxsize=None)
 def _subgroup_quotient_types(p, lam):
     g = len(lam)
+    if not g:
+        return frozenset({((), ())})
     half = sum(lam) // 2
-    exponent = {p**e: e for e in range(sum(lam) + 1)}
-
-    def type_of(rows):
-        key = (p, tuple(rows))
-        t = _SMITH_TYPES.get(key)
-        if t is None:
-            # every invariant factor divides p^|lam|; the chain ascends
-            t = tuple(exponent[d] for d in reversed(smith_diagonal(rows)) if d > 1)
-            _SMITH_TYPES[key] = t
-        return t
-
     rows = [None] * g  # rows[i]: basis row i
     coords = [None] * g  # coords[i]: p^lam_i e_i in the basis rows i..g-1
     out = set()
@@ -79,11 +130,10 @@ def _subgroup_quotient_types(p, lam):
     def place(i, sub_exp):
         # sub_exp: sum(lam_j - a_j) over the rows j > i placed so far, the
         # p-exponent of the subgroup order they account for
-        if i < 0:
-            mu, nu = type_of(coords), type_of(rows)
-            out.add((mu, nu))
-            out.add((nu, mu))
-            return
+        if not i:
+            # rows and coords 1..g-1 are shared by every leaf below here
+            row_form = _block_form(tuple(r[1:] for r in rows[1:]))
+            coord_form = _block_form(tuple(x[1:] for x in coords[1:]))
         pivots = [rows[j][j] for j in range(i + 1, g)]
         for a in range(max(lam[i] - (half - sub_exp), 0), lam[i] + 1):
             for tail in product(*map(range, pivots)):
@@ -95,8 +145,14 @@ def _subgroup_quotient_types(p, lam):
                         break
                     x.append(-s // rows[j][j])
                 else:
-                    rows[i], coords[i] = row, tuple(x)
-                    place(i - 1, sub_exp + lam[i] - a)
+                    if i:
+                        rows[i], coords[i] = row, tuple(x)
+                        place(i - 1, sub_exp + lam[i] - a)
+                        continue
+                    mu = _arrow_type(p, x[0], x[1:], coord_form)
+                    nu = _arrow_type(p, p**a, tail, row_form)
+                    out.add((mu, nu))
+                    out.add((nu, mu))
 
     place(g - 1, 0)
     return frozenset(out)
@@ -106,13 +162,14 @@ def subgroup_quotient_types(p, lam):
     """All (subgroup type, quotient type) pairs realized inside the abelian
     p-group of type ``lam`` (a descending partition).  Cached, with the
     ``cache_info()`` of that cache; ``cache_clear()`` also empties the
-    Smith-type memo."""
+    block and arrow memos."""
     return _subgroup_quotient_types(p, tuple(lam))
 
 
 def _cache_clear():
     _subgroup_quotient_types.cache_clear()
-    _SMITH_TYPES.clear()
+    _BLOCKS.clear()
+    _ARROWS.clear()
 
 
 subgroup_quotient_types.cache_info = _subgroup_quotient_types.cache_info

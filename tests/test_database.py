@@ -492,6 +492,16 @@ class TestValidation:
         assert broken != db_text
         assert validate_db(loads_db(broken)) == [problem]
 
+    @pytest.mark.parametrize("kind", ["gottlieb", "components"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_detects_a_whitehead_n_without_its_row(self, db_text, kind, n):
+        # verify_all checks only the rows that exist, so a deleted one
+        # would vanish from its count unseen
+        block = re.compile(rf"\[\w+\]\ncontext = {kind} n={n}\n(?:[^\n]+\n)*\n")
+        broken, deleted = block.subn("", db_text)
+        assert deleted == 1
+        assert validate_db(loads_db(broken)) == [f"whitehead n={n}: no {kind} row for this n"]
+
     def test_components_context_without_n_is_flagged_not_a_crash(self, db_text):
         broken = db_text.replace(
             "context = components n=1\n", "context = components m=1\n"

@@ -23,7 +23,8 @@ from cohomotopy.extensions import (
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (  # noqa: E402
-    _SMITH_TYPES,
+    _ARROWS,
+    _BLOCKS,
     _subgroup_quotient_types_bruteforce,
     conjugate_partition,
     oracle_middle_groups,
@@ -117,21 +118,25 @@ class TestOracle:
             if len(lam) <= lam[0]
         ]
         assert len(keys) == 71
+        # criterion 5 reaches g = 6; a g = 5 key brute-forces in about
+        # 0.3 s, the g = 6 key (6, 1, 1, 1, 1, 1) in about 12 s
+        keys.append((2, (5, 1, 1, 1, 1)))
         for p, lam in keys:
             want = _subgroup_quotient_types_bruteforce(p, lam)
             assert subgroup_quotient_types(p, lam) == want, (p, lam)
         assert subgroup_quotient_types(2, ()) == _subgroup_quotient_types_bruteforce(2, ())
 
-    def test_smith_type_memo_lives_as_long_as_the_cache(self):
-        # a sweep that clears the cache starts cold: nothing outlives the clear
+    def test_memos_live_as_long_as_the_cache(self):
+        # a sweep that clears the cache starts cold: no block form or arrow
+        # type outlives the clear
         key = (2, (3, 2, 1))
         want = subgroup_quotient_types(*key)
         subgroup_quotient_types.cache_clear()
         assert subgroup_quotient_types.cache_info().currsize == 0
-        assert not _SMITH_TYPES
+        assert not _BLOCKS and not _ARROWS
         assert subgroup_quotient_types(*key) == want
         assert subgroup_quotient_types.cache_info().currsize == 1
-        assert _SMITH_TYPES
+        assert _BLOCKS and _ARROWS
 
 
 class TestApplyEvidence:
@@ -331,6 +336,10 @@ class TestApplyEvidence:
             (
                 [RelationFact("L", lift_of="c", multiplier=2, rhs="z")],
                 "relation-fact 'L' has rhs 'z' of infinite order, so its lift has no finite order",
+            ),
+            (
+                [ElementOrderLift("L", 4, maps_to="c", absorbs="z")],
+                "element-order-lift 'L' absorbs 'z' of infinite order, so its lift has no finite order",
             ),
         ],
     )
