@@ -195,7 +195,7 @@ def _dispatch(args, db) -> int:
         print(
             f"{counts['group']} group records, {counts['symbol']} symbols, "
             f"{counts['evidence']} evidence records, {counts['whitehead']} pairings, "
-            f"{counts['components']} component rows, {counts['relation']} relations"
+            f"{counts['components']} component rows"
         )
         return EXIT_DB if problems else EXIT_OK
 

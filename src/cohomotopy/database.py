@@ -14,9 +14,9 @@ brackets followed by ``key = value`` lines:
     cite = [Lee] ...
 
 Record types: ``symbol``, ``group``, ``whitehead``, ``evidence``,
-``relation``, ``components``.  Contexts take ``key=value`` parameters; the
-``n`` parameter may be a single value (``n=4``), a closed range (``n=2..5``)
-or an open range (``n=12..``).  Generator lists use ``name : order`` items
+``components``.  Contexts take ``key=value`` parameters; the ``n`` parameter
+may be a single value (``n=4``), a closed range (``n=2..5``) or an open range
+(``n=12..``).  Generator lists use ``name : order`` items
 separated by ``;`` with ``inf`` for infinite order.  See the README for the
 full grammar.
 """
@@ -201,11 +201,6 @@ IMAGES = ValueType(
     lambda v: " ; ".join(f"{name} -> ({', '.join(map(str, vec))})" for name, vec in v),
 )
 WORDS = ValueType(lambda text: tuple(text.split()), " ".join)  # space-separated words
-EQUATION = ValueType(  # ``name = name``
-    str,
-    names=lambda v: [side.strip() for side in v.split("=")],
-    rename=lambda v, f: " = ".join(f(side.strip()) for side in v.split("=")),
-)
 EVIDENCE = ValueType(  # the ``kind`` value, read as its class, which reads the other keys
     _evidence_kind,
     lambda item: item.KIND,
@@ -344,16 +339,6 @@ class EvidenceEntry:
 
 
 @dataclass(frozen=True)
-class RelationEntry:
-    TAG = "relation"
-    UNIQUE = None
-
-    rel_id: str = record_field("id", TEXT)
-    statement: str = record_field("statement", EQUATION)
-    cite: str = record_field("cite", TEXT, default="")
-
-
-@dataclass(frozen=True)
 class ComponentsEntry:
     TAG = "components"
     UNIQUE = "context"
@@ -368,9 +353,7 @@ class ComponentsEntry:
 
 RECORD_TYPES = {
     cls.TAG: cls
-    for cls in (
-        SymbolEntry, GroupEntry, WhiteheadEntry, EvidenceEntry, RelationEntry, ComponentsEntry
-    )
+    for cls in (SymbolEntry, GroupEntry, WhiteheadEntry, EvidenceEntry, ComponentsEntry)
 }
 
 
@@ -607,10 +590,6 @@ def dumps_db(db: Database) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _where(entry) -> str:
-    return f"relation {entry.rel_id}" if isinstance(entry, RelationEntry) else str(entry.context)
-
-
 def _record_checks(entry):
     """What ``validate_db`` checks on one record alone, as a tuple: the
     symbol families its generator names reference; its problems if all of
@@ -632,17 +611,17 @@ def _record_checks(entry):
         if vtype is GROUP:
             orders = [o for o, _ in getattr(entry, terms)]
             if not orders and not value.is_trivial():
-                checks.append(f"{_where(entry)}: nontrivial group without generators")
+                checks.append(f"{entry.context}: nontrivial group without generators")
             elif orders and (written := FinAbGroup.from_factors(orders)) != value:
                 checks.append(
-                    f"{_where(entry)}: generator orders disagree with the group "
+                    f"{entry.context}: generator orders disagree with the group "
                     f"({written} vs {value})"
                 )
         for name in vtype.names(value):
             try:
                 checks.append((name, families_of(name)))
             except NameParseError as e:
-                checks.append(f"{_where(entry)}: {e}")
+                checks.append(f"{entry.context}: {e}")
     primes = ()
     kind = entry.context.kind if isinstance(entry, GroupEntry) else None
     if kind == "odd-part":
@@ -682,7 +661,7 @@ def validate_db(db: Database) -> list[str]:
             name, fams = check
             for fam in sorted(fams - symbols):
                 problems.append(
-                    f"{_where(entry)}: generator {name!r} references "
+                    f"{entry.context}: generator {name!r} references "
                     f"unregistered symbol family {fam!r}"
                 )
 

@@ -142,8 +142,6 @@ def lr_positive(lam: tuple, mu: tuple, nu: tuple) -> bool:
 
 @dataclass(frozen=True)
 class ExtensionCandidateSet:
-    sub: FinAbGroup
-    quot: FinAbGroup
     candidates: tuple[FinAbGroup, ...]
 
     def __contains__(self, g: FinAbGroup) -> bool:
@@ -190,7 +188,7 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
     ordered = tuple(
         sorted(results, key=lambda g: (g.free_rank, len(g.torsion), g.torsion))
     )
-    return ExtensionCandidateSet(a, c, ordered)
+    return ExtensionCandidateSet(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +453,7 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
     """
     evidence = list(evidence)
     a_group = problem.sub_group()
-    c_group = problem.quot_group()
-    candidates = enumerate_middle_groups(a_group, c_group)
+    candidates = enumerate_middle_groups(a_group, problem.quot_group())
     ctx = problem.context
 
     whole = [e for e in evidence if isinstance(e, (ExternalFact, Retraction))]
@@ -550,9 +547,11 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                     f"incompatible with quotient generator {name} of order {order}"
                 )
         else:
-            # no evidence: split automatically only when Ext forces it
-            remaining = [o for o, _ in factors if o > 1]
-            if all(gcd(order, o) == 1 for o in remaining):
+            # no evidence: split automatically only when Ext forces it,
+            # Ext(Z/order, A) = 0, A the torsion so far and the free sub
+            # factors (a free quotient generator's lift splits off)
+            a = FinAbGroup.from_factors([o for o, _ in factors if o] + [0] * a_group.free_rank)
+            if ext_group(FinAbGroup.from_factors([order]), a).is_trivial():
                 factors.append((order, f"ext({name})"))
             else:
                 unresolved.append(name)

@@ -118,6 +118,10 @@ def null_component_gottlieb(db: Database, n: int, m: int) -> FinAbGroup:
     Splits as the n-th Gottlieb group of the sphere S^{m+1} plus the recorded
     G_m row; the sphere part vanishes when n < m + 1 and otherwise requires a
     sphere-gottlieb record at (m+1, n-m-1).
+
+    Not verified: ``verify`` does not call this, so its sphere-gottlieb
+    inputs are checked only by ``tests/test_gottlieb.py`` and its results
+    rest on them as an assumption.
     """
     gott = db.lookup("gottlieb", n=m)
     if gott is None:

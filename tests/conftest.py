@@ -1,10 +1,12 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from cohomotopy.database import load_db
 
-DB_PATH = Path(__file__).resolve().parents[1] / "src" / "cohomotopy" / "data" / "paper.cohdb"
+ROOT = Path(__file__).resolve().parents[1]
+DB_PATH = ROOT / "src" / "cohomotopy" / "data" / "paper.cohdb"
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +17,13 @@ def db():
 @pytest.fixture(scope="session")
 def db_text():
     return DB_PATH.read_text()
+
+
+@pytest.fixture(scope="session")
+def mutants():
+    """The benchmark's mutant generator and curator check
+    (``perfbench/mutants.py``), loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_mutants", ROOT / "perfbench" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

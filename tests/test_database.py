@@ -168,8 +168,12 @@ class TestParsing:
             loads_db("[symbol]\nname nu\ncite = x\n")
 
     def test_unknown_record_type_rejected(self):
-        with pytest.raises(DbParseError):
-            loads_db("[frobnicate]\ncite = x\n")
+        for tag in ("frobnicate", "relation"):
+            text = MINI + f"\n[{tag}]\nid = r1\nstatement = 2 nu_4 = nu_4 . S^3 p\ncite = [T]\n"
+            line = text[:text.index(f"[{tag}]")].count("\n") + 1
+            message = f"<string>:{line}: unknown record type [{tag}]"
+            with pytest.raises(DbParseError, match=re.escape(message) + "$"):
+                loads_db(text)
 
     def test_unknown_evidence_kind_rejected(self):
         with pytest.raises(DbParseError):
@@ -318,11 +322,6 @@ source-n = 5
 names = a -> b ; c -> d
 cite = [T]
 
-[relation]
-id = r1
-statement = 2 nu_4 = nu_4 . S^3 p
-cite = [T]
-
 [components]
 context = components n=7
 expected = 6
@@ -346,7 +345,6 @@ class TestRoundTrip:
         }
         assert db.lookup("whitehead", n=3).images == ()
         assert db.lookup("components", n=7).flags[0] == "documented-discrepancy"
-        assert [e.TAG for e in db.records].count("relation") == 1
         again = loads_db(dumps_db(db))
         assert list(again.entries()) == list(db.entries())
         assert dumps_db(again) == dumps_db(db)
@@ -357,7 +355,7 @@ VALUE_TYPES = [
     for name in ("TEXT", "NAME", "OPT_NAME", "INT", "ORDER", "PAIRS", "RENAMES", "TERMS")
 ] + [
     getattr(database, name)
-    for name in ("CONTEXT", "GROUP", "IMAGES", "WORDS", "EQUATION", "EVIDENCE")
+    for name in ("CONTEXT", "GROUP", "IMAGES", "WORDS", "EVIDENCE")
 ]
 MARK = "\x01"  # appended to every renamed name; no record value holds it
 

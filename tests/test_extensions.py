@@ -236,6 +236,20 @@ class TestApplyEvidence:
         assert r.group == G(6)
         assert r.generators == ((3, "a"), (2, "ext(c)"))
 
+    def test_no_auto_split_onto_a_free_sub_factor(self):
+        # Ext(Z/2, Z) = Z/2: G = Z is the other extension, so Z + Z/2 is a guess
+        problem = ExtensionProblem(sub=((0, "z"),), quot=((2, "c"),), context="t")
+        with pytest.raises(UnresolvedExtensionError, match="quotient generator.* c;"):
+            apply_evidence(problem, [])
+
+    def test_lift_of_a_free_quotient_generator_splits_off(self):
+        problem = ExtensionProblem(
+            sub=((3, "a"),), quot=((0, "b"), (2, "c")), context="t"
+        )
+        r = apply_evidence(problem, [])
+        assert r.group == G(0, 6)
+        assert r.generators == ((3, "a"), (0, "ext(b)"), (2, "ext(c)"))
+
     def test_unresolved_without_evidence(self):
         problem = ExtensionProblem(
             sub=((2, "a"),), quot=((2, "c"),), context="t"

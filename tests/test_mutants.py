@@ -2,27 +2,17 @@
 check (load, validate, verify), as the ``mutants`` benchmark workload runs it.
 
 The mutant generator and the check are the benchmark's own
-(``perfbench/mutants.py``), loaded from its file.  The mutants that survive
+(``perfbench/mutants.py``, the ``mutants`` fixture).  The mutants that survive
 are listed in ``mutant_survivors.txt``: a new survivor is a weaker check, and
 a listed mutant that is now caught should leave the list.
 """
 
-import importlib.util
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
 SURVIVORS = Path(__file__).with_name("mutant_survivors.txt")
 
 
-def load_mutants():
-    spec = importlib.util.spec_from_file_location("perfbench_mutants", ROOT / "perfbench" / "mutants.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_mutant_is_caught_or_a_listed_survivor(db_text):
-    mutants = load_mutants()
+def test_every_mutant_is_caught_or_a_listed_survivor(db_text, mutants):
     lines = db_text.split("\n")
     specs = mutants.mutant_specs(db_text)
     outcomes = {spec[4]: mutants.check_mutant(mutants.apply_spec(lines, spec)) for spec in specs}
