@@ -16,6 +16,7 @@ from .abelian import (
 )
 from .database import Database, DbError, DbParseError, load_db, loads_db, validate_db
 from .extensions import (
+    ComputedRow,
     EnumerationBoundError,
     ExtensionError,
     ExtensionProblem,
@@ -32,7 +33,6 @@ from .gottlieb import (
     whitehead_hom,
 )
 from .pipeline import (
-    ComputedRow,
     compute_group,
     golden_row,
     mapping_space_pi,

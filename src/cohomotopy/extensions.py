@@ -421,9 +421,12 @@ class ExtensionProblem:
 
 
 @dataclass(frozen=True)
-class ResolvedExtension:
+class ComputedRow:
+    """A group with named generators: resolved, derived or recorded."""
+
     group: FinAbGroup
-    generators: tuple[tuple[int, str], ...]
+    generators: tuple[tuple[int, str], ...]  # (order, name), 0 = infinite
+    cites: tuple[str, ...] = ()
     evidence_used: tuple = ()
 
     def generator_names(self) -> tuple[str, ...]:
@@ -436,7 +439,7 @@ def _label(item) -> str:
     return f"{item.KIND} {name!r}" if name else item.KIND
 
 
-def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
+def apply_evidence(problem: ExtensionProblem, evidence) -> ComputedRow:
     """Resolve an extension problem to a unique middle group.
 
     Raises :class:`UnresolvedExtensionError` if the evidence leaves more than
@@ -446,10 +449,10 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
     a lift or relation fact naming no quotient generator, or a second one
     for the same quotient generator, a lift of an infinite-order quotient
     generator that claims a finite order or an ``absorbs``, a lift of the
-    quotient generator's own order that claims an ``absorbs`` or a
-    ``remainder-name``, a relation fact whose ``rhs`` or a lift whose
-    ``absorbs`` has infinite order, or a ``remainder-name`` where nothing is
-    left over.
+    quotient generator's own order (``inf`` included) that claims an
+    ``absorbs`` or a ``remainder-name``, a relation fact whose ``rhs`` or a
+    lift whose ``absorbs`` has infinite order, or a ``remainder-name`` where
+    nothing is left over.
     """
     evidence = list(evidence)
     a_group = problem.sub_group()
@@ -501,60 +504,35 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
                     f"{ctx}: relation multiplier {e.multiplier} != "
                     f"order {order or 'inf'} of quotient generator {name}"
                 )
-            idx = _factor_index(factors, e.rhs, ctx)
-            o_a = factors[idx][0]
-            if not o_a:
-                raise ExtensionError(
-                    f"{ctx}: {_label(e)} has rhs {e.rhs!r} of infinite order, "
-                    f"so its lift has no finite order"
-                )
-            rhs_order = o_a // gcd(o_a, e.rhs_mult)
-            lift_order = e.multiplier * rhs_order
-            leftover = o_a * order // lift_order
-            del factors[idx]
-            factors.insert(idx, (lift_order, e.lift_name))
-            _place_remainder(factors, idx, leftover, e, e.rhs, ctx)
-        elif order == 0:
-            if e is not None and (e.order or e.absorbs):
-                raise ExtensionError(
-                    f"{ctx}: {_label(e)} lifts {name}, which has infinite "
-                    f"order, so it takes order inf and no absorbs"
-                )
-            factors.append((0, e.lift_name if e else f"ext({name})"))
-        elif e is not None:
-            if e.order == order:
-                if e.absorbs or e.remainder_name:
-                    raise ExtensionError(
-                        f"{ctx}: {_label(e)} has the order of {name}, so it "
-                        f"splits off and takes no absorbs or remainder-name"
-                    )
-                factors.append((order, e.lift_name))
-            elif e.order > order and e.absorbs:
-                idx = _factor_index(factors, e.absorbs, ctx)
-                o_a = factors[idx][0]
-                if not o_a:
-                    raise ExtensionError(
-                        f"{ctx}: {_label(e)} absorbs {e.absorbs!r} of infinite "
-                        f"order, so its lift has no finite order"
-                    )
-                leftover = o_a * order // e.order
-                del factors[idx]
-                factors.insert(idx, (e.order, e.lift_name))
-                _place_remainder(factors, idx, leftover, e, e.absorbs, ctx)
-            else:
-                raise ExtensionError(
-                    f"{ctx}: lift {e.lift_name} has order {ORDER.write(e.order)} "
-                    f"incompatible with quotient generator {name} of order {order}"
-                )
-        else:
+            _absorb(factors, e, order, ctx)
+        elif e is None:
             # no evidence: split automatically only when Ext forces it,
             # Ext(Z/order, A) = 0, A the torsion so far and the free sub
-            # factors (a free quotient generator's lift splits off)
+            # factors (Ext(Z, A) = 0, so a free quotient generator splits off)
             a = FinAbGroup.from_factors([o for o, _ in factors if o] + [0] * a_group.free_rank)
             if ext_group(FinAbGroup.from_factors([order]), a).is_trivial():
                 factors.append((order, f"ext({name})"))
             else:
                 unresolved.append(name)
+        elif not order and (e.order or e.absorbs):
+            raise ExtensionError(
+                f"{ctx}: {_label(e)} lifts {name}, which has infinite "
+                f"order, so it takes order inf and no absorbs"
+            )
+        elif e.order == order:
+            if e.absorbs or e.remainder_name:
+                raise ExtensionError(
+                    f"{ctx}: {_label(e)} has the order of {name}, so it "
+                    f"splits off and takes no absorbs or remainder-name"
+                )
+            factors.append((order, e.lift_name))
+        elif e.order > order and e.absorbs:
+            _absorb(factors, e, order, ctx)
+        else:
+            raise ExtensionError(
+                f"{ctx}: lift {e.lift_name} has order {ORDER.write(e.order)} "
+                f"incompatible with quotient generator {name} of order {order}"
+            )
     if unresolved:
         raise UnresolvedExtensionError(
             ctx,
@@ -564,9 +542,23 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ResolvedExtension:
     return _finish(problem, candidates, factors, evidence)
 
 
-def _place_remainder(factors, idx, leftover: int, e, absorbed: str, context: str):
-    """Insert what a lift leaves over of the factor ``absorbed`` after
-    position ``idx``; a ``remainder-name`` with nothing left over is an error."""
+def _absorb(factors, e: RelationFact | ElementOrderLift, order: int, context: str):
+    """Put the lift of a quotient generator of finite ``order`` in place of
+    the sub factor of order o_a that ``e`` absorbs (a relation's ``rhs``, a
+    lift's ``absorbs``), with order m * o_a / gcd(o_a, s) for m * lift =
+    s * rhs and ``e.order`` for a lift, then place what is left over."""
+    relation = isinstance(e, RelationFact)
+    absorbed = e.rhs if relation else e.absorbs
+    idx = _factor_index(factors, absorbed, context)
+    o_a = factors[idx][0]
+    if not o_a:
+        raise ExtensionError(
+            f"{context}: {_label(e)} {'has rhs' if relation else 'absorbs'} {absorbed!r} "
+            f"of infinite order, so its lift has no finite order"
+        )
+    lift_order = e.multiplier * (o_a // gcd(o_a, e.rhs_mult)) if relation else e.order
+    leftover = o_a * order // lift_order
+    factors[idx] = (lift_order, e.lift_name)
     if leftover > 1:
         factors.insert(idx + 1, (leftover, e.remainder_name or f"{leftover}-part({absorbed})"))
     elif e.remainder_name:
@@ -583,11 +575,11 @@ def _factor_index(factors, name: str, context: str) -> int:
     raise ExtensionError(f"{context}: evidence references unknown generator {name!r}")
 
 
-def _finish(problem, candidates, factors, evidence) -> ResolvedExtension:
+def _finish(problem, candidates, factors, evidence) -> ComputedRow:
     group = FinAbGroup.from_factors([o for o, _ in factors])
     if group not in candidates:
         raise ExtensionError(
             f"{problem.context}: resolved group {group} is not among the "
             f"enumerated candidates"
         )
-    return ResolvedExtension(group, tuple(factors), tuple(evidence))
+    return ComputedRow(group, tuple(factors), evidence_used=tuple(evidence))

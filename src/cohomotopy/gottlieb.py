@@ -49,6 +49,10 @@ def _up_to_sign(target: Presentation, x) -> tuple[int, ...]:
     return min(x, target.reduce([-c for c in x]))
 
 
+def _infinite_image(db: Database, n: int) -> DbError:
+    return DbError(f"{db.lookup('whitehead', n=n).context}: the pairing has an infinite image")
+
+
 def _classes_up_to_sign(image: FinAbGroup) -> int:
     """The number of elements of the finite group ``image`` up to sign: the
     orbits of x |-> -x, which fixes exactly the 2-torsion."""
@@ -58,7 +62,6 @@ def _classes_up_to_sign(image: FinAbGroup) -> int:
 
 @dataclass(frozen=True)
 class ComponentsResult:
-    n: int
     computed: int
     expected: int
     status: str  # "ok" | "documented-discrepancy" | "fail"
@@ -79,8 +82,7 @@ def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
         raise DbError(f"no components row for n={n}")
     image = h.image()
     if not image.is_finite():
-        wh = db.lookup("whitehead", n=n)
-        raise DbError(f"{wh.context}: the pairing has an infinite image")
+        raise _infinite_image(db, n)
     computed = _classes_up_to_sign(image)
     if computed == entry.expected:
         status = "ok"
@@ -88,7 +90,7 @@ def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
         status = "documented-discrepancy"
     else:
         status = "fail"
-    return ComponentsResult(n, computed, entry.expected, status, entry.note)
+    return ComponentsResult(computed, entry.expected, status, entry.note)
 
 
 def fibration_equivalences(
@@ -98,14 +100,18 @@ def fibration_equivalences(
     of the induced evaluation fibration (equal pairing ``h =
     whitehead_hom(db, n)`` up to sign).
 
-    Finite generators contribute all residues 0..order-1; infinite ones are
-    sampled at 0..3.
+    A finite generator contributes all residues 0..order-1, an infinite one
+    its residues modulo the order of its image, which decides the pairing;
+    an image of infinite order is a ``DbError`` naming the whitehead record.
     """
     src = db.lookup("bracket-id", n=n)
     out: dict[str, list[tuple[int, ...]]] = {}
     for i, (order, name) in enumerate(src.terms):
+        order = order or h.target.element_order(h.matrix[i])
+        if order is None:
+            raise _infinite_image(db, n)
         classes: dict[tuple, list[int]] = {}
-        for c in range(order if order else 4):
+        for c in range(order):
             vec = [c if j == i else 0 for j in range(len(src.terms))]
             classes.setdefault(_up_to_sign(h.target, h.apply(vec)), []).append(c)
         out[name] = [tuple(v) for v in classes.values()]

@@ -280,8 +280,10 @@ class TestPairingImage:
 
     def test_infinite_image_is_a_db_error(self, capsys, tmp_path, db_text):
         path = edited(tmp_path, db_text, *self.INFINITE_IMAGE)
-        code, _, err = run(capsys, "--db", path, "components", "3")
-        assert (code, err) == (EXIT_DB, "error: whitehead n=3: the pairing has an infinite image\n")
+        problem = "error: whitehead n=3: the pairing has an infinite image\n"
+        for argv in (["components", "3"], ["gottlieb", "3", "--equivalences"]):
+            code, _, err = run(capsys, "--db", path, *argv)
+            assert (code, err) == (EXIT_DB, problem)
         code, out, _ = run(capsys, "--db", path, "verify")
         assert code == EXIT_VERIFY
         [line] = [line for line in out.splitlines() if "components n=3" in line]

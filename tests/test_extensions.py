@@ -381,3 +381,12 @@ class TestApplyEvidence:
             ExtensionError, match="element-order-lift 'L' lifts c, which has infinite order"
         ):
             apply_evidence(problem, [lift])
+
+    def test_infinite_lift_takes_no_remainder_name(self):
+        # it splits off like a lift of a finite generator's own order
+        problem = ExtensionProblem(sub=((4, "a"),), quot=((0, "z"),), context="t")
+        with pytest.raises(
+            ExtensionError,
+            match="'L' has the order of z, so it splits off and takes no absorbs or remainder-name",
+        ):
+            apply_evidence(problem, [ElementOrderLift("L", 0, maps_to="z", remainder_name="R")])

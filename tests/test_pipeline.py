@@ -6,6 +6,7 @@ from cohomotopy.database import DbError, NRange, dumps_db, loads_db, validate_db
 from cohomotopy.extensions import ExtensionError, UnresolvedExtensionError
 from cohomotopy.pipeline import (
     check_bracket,
+    check_mapspace,
     compute_group,
     golden_row,
     instantiate_name,
@@ -158,6 +159,37 @@ class TestMapSpace:
     def test_out_of_range(self, db):
         with pytest.raises(DbError):
             mapping_space_pi(db, 3)
+
+    @staticmethod
+    def edited(db_text, old, new):
+        assert db_text.count(old) == 1
+        return loads_db(db_text.replace(old, new))
+
+    def test_check_catches_a_renamed_generator(self, db_text):
+        row = (
+            "context = mapspace n=12\ngroup = Z/4 + Z/2 + Z/2 + Z/9 + Z/7\n"
+            "generators = zeta_5 . S^12 p : 4 ; "
+        )
+        broken = self.edited(db_text, row + "nu_5 . nubar_8", row + "nu_5 . nubar_9")
+        result = check_mapspace(broken, 12)
+        assert (result.label, result.status) == ("pi_12", "fail")
+        assert result.detail.startswith("generators [(2, 'nu_5 . nubar_8 . S^12 p'), ")
+        assert "!= recorded [(2, 'nu_5 . nubar_9 . S^12 p'), " in result.detail
+
+    def test_check_catches_an_edited_group(self, db_text):
+        row = "context = mapspace n=12\ngroup = "
+        broken = self.edited(db_text, row + "Z/4 +", row + "Z/8 +")
+        result = check_mapspace(broken, 12)
+        assert (result.status, result.detail) == (
+            "fail", "group Z/2 + Z/2 + Z/252 != recorded Z/2 + Z/2 + Z/504"
+        )
+
+    def test_check_catches_a_deleted_row(self, db_text):
+        blocks = db_text.split("\n\n")
+        kept = [b for b in blocks if "context = mapspace n=7\n" not in b]
+        assert len(kept) == len(blocks) - 1
+        result = check_mapspace(loads_db("\n\n".join(kept)), 7)
+        assert (result.status, result.detail) == ("fail", "no mapspace row for n=7")
 
 
 class TestRendering:
