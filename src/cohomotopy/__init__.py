@@ -29,7 +29,6 @@ from .gottlieb import (
     classify_components,
     fibration_equivalences,
     gottlieb_group,
-    null_component_gottlieb,
     whitehead_hom,
 )
 from .pipeline import (
@@ -69,7 +68,6 @@ __all__ = [
     "load_db",
     "loads_db",
     "mapping_space_pi",
-    "null_component_gottlieb",
     "paper_notation",
     "parse_group",
     "render_group",

@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 verification failures, 2 database errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from collections import Counter
 from importlib import resources
@@ -22,6 +24,7 @@ from .gottlieb import (
 )
 from .pipeline import (
     MAPSPACE_RANGE,
+    check_gottlieb,
     compute_group,
     mapping_space_pi,
     paper_notation,
@@ -118,14 +121,18 @@ def main(argv=None) -> int:
         print(f"error: cannot load database: {e}", file=sys.stderr)
         return EXIT_DB
 
+    out = io.StringIO()  # written once the command returns: an error leaves stdout empty
     try:
-        return _dispatch(args, db)
+        with contextlib.redirect_stdout(out):
+            code = _dispatch(args, db)
     except UnresolvedExtensionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNRESOLVED
     except (DbError, ExtensionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DB
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 def _dispatch(args, db) -> int:
@@ -149,8 +156,10 @@ def _dispatch(args, db) -> int:
 
     if args.command == "gottlieb":
         ns = [args.n] if args.n is not None else _recorded_ns(db, "gottlieb")
+        checks = []
         for n in ns:
             h = whitehead_hom(db, n)
+            checks.append(check_gottlieb(db, n, h))
             print(f"G_{n} = {gottlieb_group(h)}")
             entry = db.lookup("gottlieb", n=n)
             if entry is not None:
@@ -162,7 +171,10 @@ def _dispatch(args, db) -> int:
                         "{" + ", ".join(map(str, cls)) + "}" for cls in classes
                     )
                     print(f"  multiples of {name}: {parts}")
-        return EXIT_OK
+        failed = [c for c in checks if not c.passed()]
+        for c in failed:
+            print(f"{c.label}: {c.detail}", file=sys.stderr)
+        return EXIT_VERIFY if failed else EXIT_OK
 
     if args.command == "components":
         ns = [args.n] if args.n is not None else _recorded_ns(db, "components")

@@ -102,9 +102,6 @@ class NRange:
         return cls(lo, hi)
 
 
-EVERY_N = NRange(0, None)  # the n range of a context without n
-
-
 @dataclass(frozen=True)
 class Context:
     """A record's context: a kind and its parameters.  ``family`` (the
@@ -118,18 +115,16 @@ class Context:
 
     def __post_init__(self):
         object.__setattr__(self, "family", frozenset(kv for kv in self.params if kv[0] != "n"))
-        object.__setattr__(self, "n_range", self.get("n", EVERY_N))
+        object.__setattr__(self, "n_range", self.get("n"))
 
-    def get(self, key, default=None):
+    def get(self, key):
         for k, v in self.params:
             if k == key:
                 return v
-        return default
+        return None
 
-    def __str__(self) -> str:
-        order = {"k": 0, "n": 1, "p": 2, "m": -1}
-        items = sorted(self.params, key=lambda kv: order.get(kv[0], 9))
-        return " ".join([self.kind] + [f"{k}={v}" for k, v in items])
+    def __str__(self) -> str:  # the keys k, n, p sort as they are written
+        return " ".join([self.kind] + [f"{k}={v}" for k, v in self.params])
 
 
 def _context_problem(cls, ctx: Context) -> str | None:
@@ -200,7 +195,8 @@ IMAGES = ValueType(
     _parse_images,
     lambda v: " ; ".join(f"{name} -> ({', '.join(map(str, vec))})" for name, vec in v),
 )
-WORDS = ValueType(lambda text: tuple(text.split()), " ".join)  # space-separated words
+# an integer or None, written empty
+OPT_INT = ValueType(lambda text: int(text) if text else None, lambda v: "" if v is None else str(v))
 EVIDENCE = ValueType(  # the ``kind`` value, read as its class, which reads the other keys
     _evidence_kind,
     lambda item: item.KIND,
@@ -249,7 +245,6 @@ class GroupEntry:
         "mapspace": ("n",),
         "bracket-id": ("n",),
         "gottlieb": ("n",),
-        "sphere-gottlieb": ("m", "k"),
     }
 
     context: Context = record_field("context", CONTEXT)
@@ -346,7 +341,7 @@ class ComponentsEntry:
 
     context: Context = record_field("context", CONTEXT)
     expected: int = record_field("expected", INT)
-    flags: tuple[str, ...] = record_field("flags", WORDS, default=())
+    computed: int | None = record_field("computed", OPT_INT, default=None)
     cite: str = record_field("cite", TEXT, default="")
     note: str = record_field("note", TEXT, default="")
 

@@ -74,8 +74,10 @@ def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
 
     Two classes f, g give equivalent fibrations iff [f, id] = +-[g, id], so
     the count is the number of image elements up to sign; an infinite image
-    is a ``DbError`` naming the whitehead record.  The recorded value wins
-    when flagged ``documented-discrepancy``.
+    is a ``DbError`` naming the whitehead record.  A record that documents a
+    discrepancy also records the count in ``computed``: the status is then
+    ``documented-discrepancy`` when the count is that value and differs from
+    ``expected``, and ``fail`` otherwise.
     """
     entry = db.lookup("components", n=n)
     if entry is None:
@@ -84,9 +86,9 @@ def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
     if not image.is_finite():
         raise _infinite_image(db, n)
     computed = _classes_up_to_sign(image)
-    if computed == entry.expected:
+    if entry.computed is None and computed == entry.expected:
         status = "ok"
-    elif "documented-discrepancy" in entry.flags:
+    elif computed == entry.computed != entry.expected:
         status = "documented-discrepancy"
     else:
         status = "fail"
@@ -116,29 +118,3 @@ def fibration_equivalences(
             classes.setdefault(_up_to_sign(h.target, h.apply(vec)), []).append(c)
         out[name] = [tuple(v) for v in classes.values()]
     return out
-
-
-def null_component_gottlieb(db: Database, n: int, m: int) -> FinAbGroup:
-    """G_n of the null component of ``map(Sigma^m CP^2, S^{m+1})``.
-
-    Splits as the n-th Gottlieb group of the sphere S^{m+1} plus the recorded
-    G_m row; the sphere part vanishes when n < m + 1 and otherwise requires a
-    sphere-gottlieb record at (m+1, n-m-1).
-
-    Not verified: ``verify`` does not call this, so its sphere-gottlieb
-    inputs are checked only by ``tests/test_gottlieb.py`` and its results
-    rest on them as an assumption.
-    """
-    gott = db.lookup("gottlieb", n=m)
-    if gott is None:
-        raise DbError(f"no gottlieb row for n={m}")
-    if n < m + 1:
-        sphere = FinAbGroup.trivial()
-    else:
-        entry = db.lookup("sphere-gottlieb", m=m + 1, k=n - m - 1)
-        if entry is None:
-            raise DbError(
-                f"no sphere-gottlieb record for S^{m + 1} in degree {n}"
-            )
-        sphere = entry.group
-    return sphere.direct_sum(gott.group)

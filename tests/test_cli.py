@@ -135,6 +135,13 @@ class TestExitCodes:
         assert code == EXIT_DB
         assert "cannot load database" in err and "lacks n" in err
 
+    def test_mapspace_failure_prints_nothing(self, capsys, tmp_path, db_text):
+        # without the n=10 record, pi_4..pi_9 are computed before n=10 fails
+        record = db_text[db_text.index("[group]\ncontext = mapspace n=10\n"):]
+        path = edited(tmp_path, db_text, record[: record.index("\n\n") + 2], "")
+        code, out, err = run(capsys, "--db", path, "mapspace")
+        assert (code, out, err) == (EXIT_DB, "", "error: no mapspace row for n=10\n")
+
     def test_deeply_nested_name_is_2(self, capsys, tmp_path, db_text):
         old = "generators = eta_2 . mu_3 : 2\n"
         assert old in db_text
@@ -240,9 +247,10 @@ class TestMalformedWhitehead:
 
     @pytest.mark.parametrize("argv", [["gottlieb", "--equivalences"], ["components"]])
     def test_commands_report_a_db_error(self, capsys, broken, argv):
+        # stdout stays empty: no lines for the n before the failing one
         path, _, problem = broken
-        code, _, err = run(capsys, "--db", path, *argv)
-        assert (code, err) == (EXIT_DB, f"error: {problem}\n")
+        code, out, err = run(capsys, "--db", path, *argv)
+        assert (code, out, err) == (EXIT_DB, "", f"error: {problem}\n")
 
     def test_db_check_reports_it(self, capsys, broken):
         path, _, problem = broken
@@ -281,10 +289,22 @@ class TestPairingImage:
     def test_infinite_image_is_a_db_error(self, capsys, tmp_path, db_text):
         path = edited(tmp_path, db_text, *self.INFINITE_IMAGE)
         problem = "error: whitehead n=3: the pairing has an infinite image\n"
-        for argv in (["components", "3"], ["gottlieb", "3", "--equivalences"]):
-            code, _, err = run(capsys, "--db", path, *argv)
-            assert (code, err) == (EXIT_DB, problem)
+        for argv in (
+            ["components", "3"], ["components"],
+            ["gottlieb", "3", "--equivalences"], ["gottlieb", "--equivalences"],
+        ):
+            code, out, err = run(capsys, "--db", path, *argv)
+            assert (code, out, err) == (EXIT_DB, "", problem)
         code, out, _ = run(capsys, "--db", path, "verify")
         assert code == EXIT_VERIFY
         [line] = [line for line in out.splitlines() if "components n=3" in line]
         assert line.startswith("[FAIL]") and "whitehead n=3: " in line
+
+    def test_gottlieb_fails_on_a_kernel_that_is_not_the_recorded_row(
+        self, capsys, tmp_path, db_text
+    ):
+        path = edited(tmp_path, db_text, *self.INFINITE_IMAGE)
+        code, out, err = run(capsys, "--db", path, "gottlieb", "3")
+        assert code == EXIT_VERIFY
+        assert out.startswith("G_3 = Z/2\n")
+        assert err == "G_3: kernel Z/2 != recorded Z + Z/2\n"

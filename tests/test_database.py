@@ -146,8 +146,6 @@ class TestParsing:
             ("whitehead n=4\n", "whitehead n=3\n", "context whitehead n=3 overlaps whitehead n=3"),
             ("components n=8\n", "components n=1..\n",
              "context components n=1.. overlaps components n=1"),
-            ("sphere-gottlieb m=9 k=3\n", "sphere-gottlieb m=5 k=3\n",
-             "context sphere-gottlieb m=5 k=3 overlaps sphere-gottlieb m=5 k=3"),
         ],
     )
     def test_overlapping_contexts_of_one_family_rejected(self, db_text, old, new, message):
@@ -270,7 +268,7 @@ generators = nu_n : 8 ; S^{n+1} nu : inf
 cite = [T]
 
 [group]
-context = sphere-gottlieb m=3 k=2
+context = gottlieb n=7
 group = 0
 cite = [T]
 
@@ -325,7 +323,7 @@ cite = [T]
 [components]
 context = components n=7
 expected = 6
-flags = documented-discrepancy other-flag
+computed = 7
 note = recorded value kept
 cite = [T]
 """
@@ -344,7 +342,7 @@ class TestRoundTrip:
             "Retraction", "ElementOrderLift", "RelationFact", "ExternalFact", "EhpInjectivity"
         }
         assert db.lookup("whitehead", n=3).images == ()
-        assert db.lookup("components", n=7).flags[0] == "documented-discrepancy"
+        assert db.lookup("components", n=7).computed == 7
         again = loads_db(dumps_db(db))
         assert list(again.entries()) == list(db.entries())
         assert dumps_db(again) == dumps_db(db)
@@ -355,7 +353,7 @@ VALUE_TYPES = [
     for name in ("TEXT", "NAME", "OPT_NAME", "INT", "ORDER", "PAIRS", "RENAMES", "TERMS")
 ] + [
     getattr(database, name)
-    for name in ("CONTEXT", "GROUP", "IMAGES", "WORDS", "EVIDENCE")
+    for name in ("CONTEXT", "GROUP", "IMAGES", "OPT_INT", "EVIDENCE")
 ]
 MARK = "\x01"  # appended to every renamed name; no record value holds it
 
@@ -516,6 +514,8 @@ class TestValidation:
             ("context = extension k=6 n=6\n", "context = extension n=6\n", "lacks k"),
             ("context = extension k=6 n=6\n", "context = ext k=6 n=6\n", "unknown evidence context"),
             ("context = components n=2\n", "context = components n=2 p=3\n", "has extra p"),
+            ("context = gottlieb n=7\n", "context = null-gottlieb m=5 k=3\n",
+             "unknown group context 'null-gottlieb'"),
         ],
     )
     def test_context_parameters_checked_for_every_record_type(self, db_text, old, new, wrong):

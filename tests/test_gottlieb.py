@@ -9,7 +9,6 @@ from cohomotopy.gottlieb import (
     classify_components,
     fibration_equivalences,
     gottlieb_group,
-    null_component_gottlieb,
     whitehead_hom,
 )
 from cohomotopy.pipeline import check_components, check_gottlieb
@@ -94,6 +93,23 @@ class TestComponents:
         broken = loads_db(dumps_db(db).replace("expected = 2", "expected = 3"))
         assert check_components(broken, 8, whitehead_hom(broken, 8)).status == "fail"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # the n=7 image Z/12 becomes Z/4, whose 3 classes are not the computed 7
+            ("alpha_1(8) . S^7 p -> (0, 0, 1)", "alpha_1(8) . S^7 p -> (0, 0, 0)"),
+            # a computed count equal to the expected one documents no discrepancy
+            ("expected = 6\ncomputed = 7", "expected = 7\ncomputed = 7"),
+            # without a computed count, the count 7 is a plain mismatch
+            ("expected = 6\ncomputed = 7", "expected = 6\ncomputed = "),
+        ],
+    )
+    def test_n7_discrepancy_checks_both_numbers(self, db, old, new):
+        text = dumps_db(db)
+        assert text.count(old) == 1
+        broken = loads_db(text.replace(old, new))
+        assert check_components(broken, 7, whitehead_hom(broken, 7)).status == "fail"
+
 
 class TestFibrationEquivalences:
     def test_n3_partitions(self, db):
@@ -142,18 +158,3 @@ class TestOddUnits:
                     checked.append((n, name, tuple(units)))
         assert (7, "nu_8 . S^7 p", (1, 3)) in checked
 
-
-class TestNullComponentGottlieb:
-    def test_m4_degree8(self, db):
-        # G_8(S^5) + G_4 row
-        assert null_component_gottlieb(db, 8, 4) == G("Z/24 + Z/4 + Z/3")
-
-    def test_m8_degree12(self, db):
-        assert null_component_gottlieb(db, 12, 8) == G("Z/24 + Z/2 + Z/3")
-
-    def test_sphere_part_vanishes_below_connectivity(self, db):
-        assert null_component_gottlieb(db, 3, 4) == G("Z/4 + Z/3")
-
-    def test_missing_sphere_record(self, db):
-        with pytest.raises(DbError):
-            null_component_gottlieb(db, 9, 4)
