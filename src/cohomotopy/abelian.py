@@ -27,9 +27,10 @@ FinAbGroup(free_rank=0, torsion=(2, 4))
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd, lcm
+
+from .record import record, set_field
 
 
 class AbelianError(Exception):
@@ -55,13 +56,30 @@ class IllDefinedHomError(AbelianError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# The value classes of this module are built, compared and hashed on every
+# hot path, so each writes out its __init__, __eq__ and __hash__.
+
+
+@record(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major."""
 
     rows: int
     cols: int
     entries: tuple[int, ...]
+
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -141,11 +159,24 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SmithDecomposition:
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
+        set_field(self, "u", u)
+        set_field(self, "d", d)
+        set_field(self, "v", v)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.u, self.d, self.v) == (other.u, other.d, other.v)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.u, self.d, self.v))
 
 
 def _eliminate(a, n, c) -> None:
@@ -358,7 +389,7 @@ def _primary_parts(torsion: tuple[int, ...]):
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinAbGroup:
     """Finitely generated abelian group in canonical form.
 
@@ -370,14 +401,24 @@ class FinAbGroup:
     free_rank: int
     torsion: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        if free_rank < 0:
             raise AbelianError("negative free rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise AbelianError(f"torsion {self.torsion} is not a divisor chain")
-        if any(t < 2 for t in self.torsion):
+                raise AbelianError(f"torsion {torsion} is not a divisor chain")
+        if any(t < 2 for t in torsion):
             raise AbelianError("torsion coefficients must be >= 2")
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     @classmethod
     def from_factors(cls, orders) -> "FinAbGroup":
@@ -476,12 +517,23 @@ def parse_group(text: str) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Presentation:
     """Z^num_generators modulo ``orders[i]`` times the i-th generator: a sum of
     cyclic groups, where order 0 means a copy of Z."""
 
     orders: tuple[int, ...]
+
+    def __init__(self, orders: tuple[int, ...]):
+        set_field(self, "orders", orders)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.orders == other.orders
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orders,))
 
     @classmethod
     def from_orders(cls, orders) -> "Presentation":
@@ -530,7 +582,7 @@ def group_from_presentation(relations, g: int) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupHom:
     """Homomorphism between presented groups, x |-> x @ matrix.
 
@@ -549,18 +601,30 @@ class GroupHom:
     target: Presentation
     matrix: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        matrix = tuple(tuple(row) for row in self.matrix)
-        object.__setattr__(self, "matrix", matrix)
-        if len(matrix) != self.source.num_generators:
+    def __init__(self, source: Presentation, target: Presentation, matrix):
+        matrix = tuple(tuple(row) for row in matrix)
+        if len(matrix) != source.num_generators:
             raise AbelianError("matrix height != source generators")
-        if any(len(row) != self.target.num_generators for row in matrix):
+        if any(len(row) != target.num_generators for row in matrix):
             raise AbelianError("matrix width != target generators")
-        for i, (order, row) in enumerate(zip(self.source.orders, matrix)):
+        for i, (order, row) in enumerate(zip(source.orders, matrix)):
             if order:
-                im = self.target.element_order(row)
+                im = target.element_order(row)
                 if im is None or order % im:
                     raise IllDefinedHomError(i, order, im)
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.matrix) == (
+                other.source, other.target, other.matrix
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix))
 
     def apply(self, vec) -> list[int]:
         vec = list(vec)

@@ -11,7 +11,6 @@ import contextlib
 import io
 import sys
 from collections import Counter
-from importlib import resources
 from pathlib import Path
 
 from .database import DbError, load_db, validate_db
@@ -50,7 +49,7 @@ def _default_db_path() -> str:
     local = Path("data") / "paper.cohdb"
     if local.is_file():
         return str(local)
-    return str(resources.files("cohomotopy").joinpath("data/paper.cohdb"))
+    return str(Path(__file__).parent / "data" / "paper.cohdb")
 
 
 def _recorded_ns(db, kind) -> list[int]:

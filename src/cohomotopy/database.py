@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
@@ -51,6 +50,7 @@ from .extensions import (
     schema,
     split_items,
 )
+from .record import field, record, set_field
 from .symbols import NameParseError, families_of
 
 
@@ -65,7 +65,7 @@ class DbParseError(DbError):
         super().__init__(f"{path}:{line}: {msg}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NRange:
     """A single n, a closed range, or an open-ended stable range."""
 
@@ -102,7 +102,7 @@ class NRange:
         return cls(lo, hi)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Context:
     """A record's context: a kind and its parameters.  ``family`` (the
     parameters other than n, which with the kind name the context's family)
@@ -114,8 +114,8 @@ class Context:
     n_range: NRange = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "family", frozenset(kv for kv in self.params if kv[0] != "n"))
-        object.__setattr__(self, "n_range", self.get("n"))
+        set_field(self, "family", frozenset(kv for kv in self.params if kv[0] != "n"))
+        set_field(self, "n_range", self.get("n"))
 
     def get(self, key):
         for k, v in self.params:
@@ -217,7 +217,7 @@ EVIDENCE = ValueType(  # the ``kind`` value, read as its class, which reads the 
 # parsed, dumped and validated.  Fields are written in the order declared.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SymbolEntry:
     TAG = "symbol"
     UNIQUE = "name"
@@ -227,7 +227,7 @@ class SymbolEntry:
     note: str = record_field("note", TEXT, default="")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupEntry:
     """A group with named generators, as written in the source tables.
 
@@ -260,7 +260,7 @@ class GroupEntry:
         return Presentation.from_orders([o for o, _ in self.terms])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WhiteheadEntry:
     """The Whitehead-pairing map f |-> [f, identity-class] on a bracket-id row.
 
@@ -323,7 +323,7 @@ class WhiteheadEntry:
             ) from e
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EvidenceEntry:
     TAG = "evidence"
     UNIQUE = None
@@ -333,7 +333,7 @@ class EvidenceEntry:
     item: object = record_field("kind", EVIDENCE)  # an instance of an EVIDENCE_KINDS class
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComponentsEntry:
     TAG = "components"
     UNIQUE = "context"
@@ -352,7 +352,7 @@ RECORD_TYPES = {
 }
 
 
-@dataclass
+@record
 class Database:
     """The records of a ``.cohdb`` file in load order, indexed twice: symbols
     by name, and each record with a context by its family, the pair (context

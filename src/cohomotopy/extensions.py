@@ -14,12 +14,12 @@ positivity is decided by an exhaustive skew-tableau search.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, lru_cache, reduce
 from math import gcd
 from typing import NamedTuple
 
 from .abelian import MEMO_SIZE, FinAbGroup
+from .record import MISSING, field, fields, record, replace, set_field
 
 
 class ExtensionError(Exception):
@@ -140,9 +140,13 @@ def lr_positive(lam: tuple, mu: tuple, nu: tuple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExtensionCandidateSet:
     candidates: tuple[FinAbGroup, ...]
+
+    # built by every enumeration, so written out like abelian's value classes
+    def __init__(self, candidates: tuple[FinAbGroup, ...]):
+        set_field(self, "candidates", candidates)
 
     def __contains__(self, g: FinAbGroup) -> bool:
         return g in self.candidates
@@ -310,7 +314,7 @@ def schema(cls) -> tuple[tuple[str, str, ValueType, bool, str | None], ...]:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Retraction:
     """The quotient map admits a section, so the sequence splits.
 
@@ -324,7 +328,7 @@ class Retraction:
     cite: str = record_field("cite", TEXT, default="")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ElementOrderLift:
     """A named lift of a quotient generator with known order.
 
@@ -343,7 +347,7 @@ class ElementOrderLift:
     cite: str = record_field("cite", TEXT, default="")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RelationFact:
     """A composition relation m * lift = s * rhs determining a lift's order.
 
@@ -363,7 +367,7 @@ class RelationFact:
     cite: str = record_field("cite", TEXT, default="")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExternalFact:
     """An external theorem pinning the middle group outright."""
 
@@ -374,7 +378,7 @@ class ExternalFact:
     cite: str = record_field("cite", TEXT, default="")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EhpInjectivity:
     """Resolve by transporting the resolution of another row (n_source, k);
     translated into that row's concrete evidence before reaching the solver.
@@ -401,7 +405,7 @@ def map_names(item, f):
     })
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExtensionProblem:
     """A concrete extension problem with named generators.
 
@@ -420,7 +424,7 @@ class ExtensionProblem:
         return FinAbGroup.from_factors([o for o, _ in self.quot])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComputedRow:
     """A group with named generators: resolved, derived or recorded."""
 
@@ -428,6 +432,24 @@ class ComputedRow:
     generators: tuple[tuple[int, str], ...]  # (order, name), 0 = infinite
     cites: tuple[str, ...] = ()
     evidence_used: tuple = ()
+
+    # built for every derived cell, so written out like abelian's value classes
+    def __init__(self, group: FinAbGroup, generators: tuple[tuple[int, str], ...],
+                 cites: tuple[str, ...] = (), evidence_used: tuple = ()):
+        set_field(self, "group", group)
+        set_field(self, "generators", generators)
+        set_field(self, "cites", cites)
+        set_field(self, "evidence_used", evidence_used)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.generators, self.cites, self.evidence_used) == (
+                other.group, other.generators, other.cites, other.evidence_used
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.generators, self.cites, self.evidence_used))
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.generators)

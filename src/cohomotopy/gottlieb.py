@@ -13,10 +13,9 @@ pairing's target is infinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abelian import FinAbGroup, GroupHom, Presentation
 from .database import Database, DbError
+from .record import record
 
 
 def whitehead_hom(db: Database, n: int) -> GroupHom:
@@ -60,7 +59,7 @@ def _classes_up_to_sign(image: FinAbGroup) -> int:
     return (image.order() + fixed) // 2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComponentsResult:
     computed: int
     expected: int

@@ -13,7 +13,6 @@ introduced by evidence (lifts, sections, remainders) are used verbatim.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .abelian import FinAbGroup, GroupHom
 from .database import Database, DbError
@@ -26,9 +25,10 @@ from .extensions import (
     map_names,
 )
 from .gottlieb import classify_components, gottlieb_group, whitehead_hom
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckResult:
     family: str  # "bracket" | "mapspace" | "gottlieb" | "components"
     label: str
@@ -44,6 +44,13 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
+# the symbolic-n forms of a generator name: ``{n}`` or ``{n+j}``, a subscript
+# ``_n`` and an argument ``(n)``
+_SHIFTED_N = re.compile(r"\{n(?:\+(\d+))?\}")
+_SUBSCRIPT_N = re.compile(r"_n(?![A-Za-z0-9])")
+_ARGUMENT_N = re.compile(r"\(n\)")
+
+
 def instantiate_name(name: str, n: int) -> str:
     """Substitute a concrete row index for the symbolic ``n`` in a stable-range
     generator name: ``zeta_n``, ``eps_{n+1}``, ``beta_1(n)``, ``S^{n+6} p``."""
@@ -51,9 +58,9 @@ def instantiate_name(name: str, n: int) -> str:
     def shifted(m: re.Match) -> str:
         return str(n + int(m.group(1) or 0))
 
-    name = re.sub(r"\{n(?:\+(\d+))?\}", shifted, name)
-    name = re.sub(r"_n(?![A-Za-z0-9])", f"_{n}", name)
-    name = re.sub(r"\(n\)", f"({n})", name)
+    name = _SHIFTED_N.sub(shifted, name)
+    name = _SUBSCRIPT_N.sub(f"_{n}", name)
+    name = _ARGUMENT_N.sub(f"({n})", name)
     return name
 
 

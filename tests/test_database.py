@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +22,7 @@ from cohomotopy.database import (
     validate_db,
 )
 from cohomotopy.extensions import RENAMES, EhpInjectivity, RelationFact, schema
+from cohomotopy.record import replace
 
 
 class TestNRange:

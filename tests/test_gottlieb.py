@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -12,6 +11,7 @@ from cohomotopy.gottlieb import (
     whitehead_hom,
 )
 from cohomotopy.pipeline import check_components, check_gottlieb
+from cohomotopy.record import replace
 
 
 def G(text):
