@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import bisect
 import re
-from functools import lru_cache
-from operator import itemgetter
+from collections import OrderedDict
+from functools import lru_cache, wraps
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 
 from .abelian import (
@@ -356,14 +357,18 @@ RECORD_TYPES = {
 class Database:
     """The records of a ``.cohdb`` file in load order, indexed twice: symbols
     by name, and each record with a context by its family, the pair (context
-    kind, parameters other than n), as (n.lo, n range, record) ordered by n."""
+    kind, parameters other than n).  A family is a tuple of (n.lo, n range,
+    record) ordered by n (``_family``): it is never changed, and databases
+    whose records of a family are the same objects share it."""
 
     records: list = field(default_factory=list)
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
-    families: dict[str, dict[frozenset, list]] = field(default_factory=dict)
+    families: dict[str, dict[frozenset, tuple]] = field(default_factory=dict)
 
     def add(self, entry) -> None:
-        """Store a record; ``ValueError`` if it clashes with a stored one."""
+        """Store a record; ``ValueError`` if it clashes with a stored one.
+        Its family is replaced by a new one, so a database that shares the
+        old family does not see the record."""
         if isinstance(entry, SymbolEntry):
             if entry.name in self.symbols:
                 raise ValueError(f"duplicate name {entry.name!r}")
@@ -371,13 +376,8 @@ class Database:
         ctx = getattr(entry, "context", None)
         if ctx is not None:
             nr = ctx.n_range
-            family = self.families.setdefault(ctx.kind, {}).setdefault(ctx.family, [])
-            i = bisect.bisect_right(family, nr.lo, key=itemgetter(0))
-            if entry.UNIQUE == "context":  # its family's ranges are disjoint: check neighbours
-                for _, other_nr, other in family[max(i - 1, 0):i + 1]:
-                    if nr.overlaps(other_nr):
-                        raise ValueError(f"context {ctx} overlaps {other.context}")
-            family.insert(i, (nr.lo, nr, entry))
+            of_kind = self.families.setdefault(ctx.kind, {})
+            of_kind[ctx.family] = _family([*of_kind.get(ctx.family, ()), (nr.lo, nr, entry)])
         self.records.append(entry)
 
     def entries(self):
@@ -393,19 +393,22 @@ class Database:
     def find(self, kind: str, n: int | None = None, **params) -> list:
         """The records of a context kind whose other parameters equal
         ``params`` and whose n range holds ``n`` (any n when it is None),
-        ordered by n and then p."""
-        families = self.families.get(kind, {})
+        ordered by n and then p.  The families read go to the open read
+        trace, if there is one (``memoised``)."""
+        families = self.families.get(kind, _NO_FAMILIES)
+        want = frozenset(params.items())
         # Every context of a kind has the same parameters (its record's
         # CONTEXTS), so a query naming all but n matches one family at most.
-        family = families.get(frozenset(params.items()))
+        family = families.get(want)
+        read = family if family is not None else _matching(families, want)
+        if _TRACES:
+            _TRACES[-1][kind, want] = read
         if family is not None:
             return _holding(family, n)
-        want = params.items()
         found = []
-        for key, family in families.items():
-            if want <= key:
-                p = dict(key).get("p", 0)
-                found.extend((e.context.n_range.lo, p, e) for e in _holding(family, n))
+        for family in read:
+            p = family[0][2].context.get("p") or 0
+            found.extend((e.context.n_range.lo, p, e) for e in _holding(family, n))
         found.sort(key=itemgetter(0, 1))
         return [e for _, _, e in found]
 
@@ -419,7 +422,15 @@ class Database:
         return self.find("extension", k=k, n=n)
 
 
-def _holding(family: list, n: int | None) -> list:
+_NO_FAMILIES: dict = {}  # the families of a kind no record has; never changed
+
+
+def _matching(families: dict, want: frozenset) -> tuple:
+    """The families of one kind whose parameters include ``want``."""
+    return tuple([family for key, family in families.items() if want <= key])
+
+
+def _holding(family: tuple, n: int | None) -> list:
     """The records of a family (ordered by n.lo) whose n range holds ``n``,
     every record when it is None."""
     if n is None:
@@ -429,6 +440,158 @@ def _holding(family: list, n: int | None) -> list:
     # one starting at or below n can hold it
     start = end - 1 if end and family[0][2].UNIQUE == "context" else 0
     return [e for _, nr, e in family[start:end] if n in nr]
+
+
+class _Clash(ValueError):
+    """The record at ``index`` (in the order stored) clashes with an earlier
+    one."""
+
+    def __init__(self, index: int, msg: str):
+        self.index = index
+        super().__init__(msg)
+
+
+def _remember(table: OrderedDict, key, value):
+    """Store ``value`` as the newest entry of a memo table, dropping the
+    oldest one past ``MEMO_SIZE``."""
+    table[key] = value
+    if len(table) > MEMO_SIZE:
+        table.popitem(last=False)
+    return value
+
+
+# families by the identities of their records, in family order; an entry
+# holds its records, so their ids are not reused while it is kept
+_FAMILIES: OrderedDict = OrderedDict()
+
+
+def _family(rows: list) -> tuple:
+    """The family of ``rows``, the (n.lo, n range, record) triples of one
+    context family in the order stored: a tuple ordered by n.lo, then by that
+    order.  It is interned by the identity of its records, so a load that
+    shares every record of a family with an earlier one shares the family,
+    and only a family not kept yet is checked: when its contexts are unique
+    (``UNIQUE``), the first row, in the order stored, whose n range overlaps
+    that of an earlier row is a ``_Clash``."""
+    ordered = sorted(rows, key=itemgetter(0))
+    key = tuple([id(row[2]) for row in ordered])
+    family = _FAMILIES.get(key)
+    if family is not None:
+        _FAMILIES.move_to_end(key)
+        return family
+    if rows[0][2].UNIQUE == "context":
+        stored = []  # the rows so far, ordered by n.lo; their ranges are disjoint
+        for i, row in enumerate(rows):
+            lo, nr, entry = row
+            j = bisect.bisect_right(stored, lo, key=itemgetter(0))
+            for _, other_nr, other in stored[max(j - 1, 0):j + 1]:
+                if nr.overlaps(other_nr):
+                    raise _Clash(i, f"context {entry.context} overlaps {other.context}")
+            stored.insert(j, row)
+    return _remember(_FAMILIES, key, tuple(ordered))
+
+
+def _indexed(records: list) -> Database:
+    """The database of ``records``, in load order.  ``_Clash`` names the
+    first record, in that order, that clashes with an earlier one: a symbol
+    name taken, or an overlapping context (``_family``)."""
+    symbols: dict = {}
+    clashes = []
+    grouped: dict = {}  # kind -> family key -> (rows, their indices in records)
+    for i, entry in enumerate(records):
+        if isinstance(entry, SymbolEntry):
+            if entry.name not in symbols:
+                symbols[entry.name] = entry
+            elif not clashes:
+                clashes.append(_Clash(i, f"duplicate name {entry.name!r}"))
+            continue
+        ctx = entry.context
+        nr = ctx.n_range
+        of_kind = grouped.get(ctx.kind)
+        if of_kind is None:
+            of_kind = grouped[ctx.kind] = {}
+        rows = of_kind.get(ctx.family)
+        if rows is None:
+            rows = of_kind[ctx.family] = ([], [])
+        rows[0].append((nr.lo, nr, entry))
+        rows[1].append(i)
+    families = {}
+    for kind, of_kind in grouped.items():
+        families[kind] = built = {}
+        for key, (rows, where) in of_kind.items():
+            try:
+                built[key] = _family(rows)
+            except _Clash as e:
+                clashes.append(_Clash(where[e.index], str(e)))
+    if clashes:
+        raise min(clashes, key=attrgetter("index"))
+    return Database(records, symbols, families)
+
+
+# ---------------------------------------------------------------------------
+# Checks remembered across databases
+# ---------------------------------------------------------------------------
+
+
+# The read traces open, innermost last: each maps (kind, parameters) of a
+# ``Database.find`` query to the family, or tuple of families, it read.
+_TRACES: list[dict] = []
+# (check, arguments) -> (trace, value)
+_MEMO: OrderedDict = OrderedDict()
+
+
+def _unchanged(db: Database, trace: dict) -> bool:
+    """Whether every query of ``trace`` reads the identical families in
+    ``db``."""
+    families = db.families
+    for (kind, want), seen in trace.items():
+        of_kind = families.get(kind, _NO_FAMILIES)
+        now = of_kind.get(want)
+        if now is None:
+            now = _matching(of_kind, want)
+        if now is not seen and (len(now) != len(seen) or not all(map(is_, now, seen))):
+            return False
+    return True
+
+
+def memoised(check):
+    """``check(db, *args)``, remembered by (check, args) across databases.
+
+    ``check`` must read ``db`` only through ``find`` (``lookup``,
+    ``evidence_for``): its value is kept with the families it read, and is
+    returned again while a database's queries read the identical family
+    objects.  A call inside another memoised check adds its reads, whether
+    remembered or new, to the outer check's.  Exceptions are not kept."""
+
+    @wraps(check)
+    def run(db, *args):
+        key = (check, args)
+        kept = _MEMO.get(key)
+        if kept is not None and _unchanged(db, kept[0]):
+            _MEMO.move_to_end(key)
+            if _TRACES:
+                _TRACES[-1].update(kept[0])
+            return kept[1]
+        trace: dict = {}
+        _TRACES.append(trace)
+        try:
+            value = check(db, *args)
+        finally:
+            _TRACES.pop()
+            if _TRACES:
+                _TRACES[-1].update(trace)
+        _remember(_MEMO, key, (trace, value))
+        return value
+
+    return run
+
+
+def clear_memos() -> None:
+    """Forget every parsed block, family and remembered check, so that the
+    next load and check start cold."""
+    _parse_block.cache_clear()
+    _FAMILIES.clear()
+    _MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -520,23 +683,32 @@ def _line_no(text: str, block: re.Match, index: int) -> int:
 
 
 def loads_db(text: str, path: str = "<string>") -> Database:
-    """Parse a ``.cohdb`` text; ``DbParseError`` names ``path`` and the line.
-    Each block is parsed once per text (``_parse_block``); the checks that
-    read other records (``Database.add``) run on every load."""
+    """Parse a ``.cohdb`` text; ``DbParseError`` names ``path`` and the line
+    of the first problem in the file.  Each block is parsed once per text
+    (``_parse_block``), and each family is built and checked for overlapping
+    contexts once per set of records (``_family``): a load that changes one
+    block shares every other family with earlier loads."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
-    db = Database()
+    blocks, records = [], []
+    failed = None
     for block in _BLOCK.finditer(text):
         try:
             entry = _parse_block(block.group())
         except _BlockError as e:
-            raise DbParseError(path, _line_no(text, block, e.index), str(e)) from e.__cause__
-        if entry is None:
-            continue
-        try:
-            db.add(entry)
-        except ValueError as e:
-            raise DbParseError(path, _line_no(text, block, 0), str(e)) from e
+            failed = block, e
+            break
+        if entry is not None:
+            blocks.append(block)
+            records.append(entry)
+    # a clash in the blocks before a bad one comes first in the file
+    try:
+        db = _indexed(records)
+    except _Clash as e:
+        raise DbParseError(path, _line_no(text, blocks[e.index], 0), str(e)) from e
+    if failed:
+        block, e = failed
+        raise DbParseError(path, _line_no(text, block, e.index), str(e)) from e.__cause__
     return db
 
 
@@ -639,8 +811,9 @@ def _record_checks(entry):
 def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
     (empty list = valid).  The checks of each record alone run once per
-    record (``_record_checks``); those that read other records run every
-    time."""
+    record (``_record_checks``); each of those that read other records is
+    remembered with the families it read (``memoised``) and runs again only
+    when one of them changed."""
     problems: list[str] = []
     symbols = set(db.symbols)
 
@@ -660,12 +833,53 @@ def validate_db(db: Database) -> list[str]:
                     f"unregistered symbol family {fam!r}"
                 )
 
-    for g in db.find("odd-part") + db.find("coker-eta") + db.find("ker-eta"):
-        problems.extend(_record_checks(g)[3])
+    problems.extend(_prime_problems(db))
+    problems.extend(_pairing_problems(db))
+    problems.extend(_by_n(_odd_part_problems, db, "bracket"))
+    tiled = ("coker-eta", "ker-eta", "bracket")
+    for k in sorted({k for kind in tiled for k in _ks(db, kind)}):
+        problems.extend(_tiling_problems(db, k))
+    problems.extend(_by_n(_evidence_problems, db, "extension"))
+    return problems
 
-    # the pairing's own rule (``WhiteheadEntry.pairing``), as the commands
-    # that read it apply it; verify_all checks a pairing's n only through
-    # the gottlieb and components rows that exist, so each n needs both
+
+def _ks(db: Database, kind: str) -> list:
+    """The k of each family of ``kind``, in the families' order."""
+    return [dict(key).get("k") for key in db.families.get(kind, ())]
+
+
+def _by_n(check, db: Database, kind: str) -> list[str]:
+    """The problems ``check(db, k)`` finds for each k of ``kind``, as (n,
+    problem) pairs, ordered as ``find(kind)`` orders its records: by n, then
+    by family."""
+    found = [pair for k in _ks(db, kind) for pair in check(db, k)]
+    found.sort(key=itemgetter(0))
+    return [problem for _, problem in found]
+
+
+# The checks of validate_db that read more than one record.  Each reads the
+# families of one kind or of one k through ``find``, so it is remembered with
+# them and runs again when one of them changes (``memoised``).
+
+
+@memoised
+def _prime_problems(db: Database) -> tuple[str, ...]:
+    """The odd-part records are p-groups and the coker-eta and ker-eta rows
+    have no odd torsion (``_record_checks``), listed by kind."""
+    return tuple(
+        problem
+        for kind in ("odd-part", "coker-eta", "ker-eta")
+        for entry in db.find(kind)
+        for problem in _record_checks(entry)[3]
+    )
+
+
+@memoised
+def _pairing_problems(db: Database) -> tuple[str, ...]:
+    """The pairing's own rule (``WhiteheadEntry.pairing``), as the commands
+    that read it apply it; verify_all checks a pairing's n only through the
+    gottlieb and components rows that exist, so each n needs both."""
+    problems = []
     checked = {
         kind: {e.context.n_range.lo for e in db.find(kind)}
         for kind in ("gottlieb", "components")
@@ -683,42 +897,54 @@ def validate_db(db: Database) -> list[str]:
             w.pairing(src)
         except DbError as e:
             problems.append(str(e))
+    return tuple(problems)
 
-    # odd parts must reassemble to the odd part of the golden bracket rows
-    odd_families = {}  # k -> its odd-part families, one for each p
-    for key, family in db.families.get("odd-part", {}).items():
-        odd_families.setdefault(dict(key).get("k"), []).append(family)
-    for bracket in db.find("bracket"):
-        k, n = bracket.context.get("k"), bracket.context.n_range.lo
+
+@memoised
+def _odd_part_problems(db: Database, k: int) -> tuple[tuple[int, str], ...]:
+    """The odd-part records at k must reassemble to the odd part of each
+    bracket row of k, at its first n."""
+    problems = []
+    odd_parts = db.find("odd-part", k=k)
+    for bracket in db.find("bracket", k=k):
+        n = bracket.context.n_range.lo
         odd = FinAbGroup.trivial()
-        for family in odd_families.get(k, ()):
-            for entry in _holding(family, n):
+        for entry in odd_parts:
+            if n in entry.context.n_range:
                 odd = odd.direct_sum(entry.group)
         if odd != bracket.group.odd_part():
-            problems.append(
+            problems.append((n, (
                 f"{bracket.context}: odd-part records sum to {odd}, "
                 f"bracket has odd part {bracket.group.odd_part()}"
-            )
+            )))
+    return tuple(problems)
 
-    # the coker-eta, ker-eta and bracket rows of each k tile one range of n
-    tiled = ("coker-eta", "ker-eta", "bracket")
-    for k in sorted({e.context.get("k") for kind in tiled for e in db.find(kind)}):
-        spans = {}
-        for kind in tiled:
-            ranges = [e.context.get("n") for e in db.find(kind, k=k)]
-            for a, b in zip(ranges, ranges[1:]):
-                if a.hi + 1 < b.lo:
-                    problems.append(f"{kind} k={k}: no row for n={NRange(a.hi + 1, b.lo - 1)}")
-            spans[kind] = NRange(ranges[0].lo, ranges[-1].hi) if ranges else "none"
-        if len(set(spans.values())) > 1:
-            covers = ", ".join(f"{kind} n={span}" for kind, span in spans.items())
-            problems.append(f"k={k}: rows cover different n: {covers}")
 
-    # evidence resolves a recorded bracket cell
-    for e in db.find("extension"):
-        nr = e.context.get("n")
+@memoised
+def _tiling_problems(db: Database, k: int) -> tuple[str, ...]:
+    """The coker-eta, ker-eta and bracket rows of k tile one range of n."""
+    problems = []
+    spans = {}
+    for kind in ("coker-eta", "ker-eta", "bracket"):
+        ranges = [e.context.get("n") for e in db.find(kind, k=k)]
+        for a, b in zip(ranges, ranges[1:]):
+            if a.hi + 1 < b.lo:
+                problems.append(f"{kind} k={k}: no row for n={NRange(a.hi + 1, b.lo - 1)}")
+        spans[kind] = NRange(ranges[0].lo, ranges[-1].hi) if ranges else "none"
+    if len(set(spans.values())) > 1:
+        covers = ", ".join(f"{kind} n={span}" for kind, span in spans.items())
+        problems.append(f"k={k}: rows cover different n: {covers}")
+    return tuple(problems)
+
+
+@memoised
+def _evidence_problems(db: Database, k: int) -> tuple[tuple[int, str], ...]:
+    """Evidence at k resolves a recorded bracket cell at each end of its n
+    range."""
+    problems = []
+    for e in db.find("extension", k=k):
+        nr = e.context.n_range
         for n in sorted({nr.lo, nr.hi} - {None}):
-            if db.lookup("bracket", k=e.context.get("k"), n=n) is None:
-                problems.append(f"{e.context}: no bracket row for n={n}")
-
-    return problems
+            if db.lookup("bracket", k=k, n=n) is None:
+                problems.append((nr.lo, f"{e.context}: no bracket row for n={n}"))
+    return tuple(problems)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from functools import cache, lru_cache, reduce
 from math import gcd
-from typing import NamedTuple
 
 from .abelian import MEMO_SIZE, FinAbGroup
 from .record import MISSING, field, fields, record, replace, set_field
@@ -200,15 +199,25 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
 # ---------------------------------------------------------------------------
 
 
-class ValueType(NamedTuple):
+class ValueType:
     """A value type of ``.cohdb`` record fields: how a value is read from its
     record text and written back, the generator names it holds (those
-    ``validate_db`` checks) and the value with a map applied to those names."""
+    ``validate_db`` checks) and the value with a map applied to those names.
+    Value types compare by identity."""
 
-    parse: Callable[[str], object]
-    write: Callable[[object], str] = str
-    names: Callable[[object], Iterable[str]] = lambda value: ()
-    rename: Callable[[object, Callable[[str], str]], object] = lambda value, f: value
+    __slots__ = ("parse", "write", "names", "rename")
+
+    def __init__(
+        self,
+        parse: Callable[[str], object],
+        write: Callable[[object], str] = str,
+        names: Callable[[object], Iterable[str]] = lambda value: (),
+        rename: Callable[[object, Callable[[str], str]], object] = lambda value, f: value,
+    ):
+        self.parse = parse
+        self.write = write
+        self.names = names
+        self.rename = rename
 
 
 def split_items(text: str, sep: str, what: str, lacks: str, last=False, skip_blank=False):
@@ -275,7 +284,9 @@ PAIRS = ValueType(  # ``name -> name ; ...``
 )
 # ``source-row name -> local name ; ...``: the source side names generators of
 # another row, so only the local side is renamed
-RENAMES = PAIRS._replace(rename=lambda v, f: tuple((a, f(b)) for a, b in v))
+RENAMES = ValueType(
+    PAIRS.parse, PAIRS.write, PAIRS.names, rename=lambda v, f: tuple((a, f(b)) for a, b in v)
+)
 TERMS = ValueType(  # ``name : order ; ...`` as (order, name) pairs
     _parse_terms,
     lambda v: " ; ".join(f"{name} : {ORDER.write(order)}" for order, name in v),

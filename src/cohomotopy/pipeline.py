@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .abelian import FinAbGroup, GroupHom
-from .database import Database, DbError
+from .database import Database, DbError, memoised
 from .extensions import (
     ComputedRow,
     EhpInjectivity,
@@ -194,6 +194,7 @@ def _check_row(family: str, label: str, rows) -> CheckResult:
     return CheckResult(family, label, "ok", str(computed.group))
 
 
+@memoised
 def check_bracket(db: Database, k: int, n: int) -> CheckResult:
     """Compare the computed bracket row against the golden row."""
     return _check_row("bracket", f"k={k} n={n}", lambda: (
@@ -221,6 +222,7 @@ def mapping_space_pi(db: Database, n: int) -> ComputedRow:
     return _recorded_row(db, "mapspace", None, n=n)
 
 
+@memoised
 def check_mapspace(db: Database, n: int) -> CheckResult:
     # The record's names are compared as written, not instantiated at n: pi_n
     # is the bracket cell (k = n - 5, n = 5), and for n < 11 both sides are
@@ -235,7 +237,22 @@ def check_mapspace(db: Database, n: int) -> CheckResult:
 
 
 # Each check takes the Whitehead pairing at n, ``whitehead_hom(db, n)``, or
-# the ``DbError`` that building it raised.
+# the ``DbError`` that building it raised (``_pairing``).
+
+
+@memoised
+def _pairing(db: Database, n: int) -> GroupHom | DbError:
+    try:
+        return whitehead_hom(db, n)
+    except DbError as err:
+        return err.with_traceback(None)  # a kept traceback would keep db alive
+
+
+@memoised
+def _paired_check(db: Database, check, n: int) -> CheckResult:
+    """``check`` (``check_gottlieb`` or ``check_components``) at n, on the
+    pairing that both read."""
+    return check(db, n, _pairing(db, n))
 
 
 def check_gottlieb(db: Database, n: int, h: GroupHom | DbError) -> CheckResult:
@@ -352,6 +369,10 @@ def verify_all(db: Database) -> list[CheckResult]:
     and every n at which an evidence range starts or ends.  Then all
     mapping-space rows, and the Gottlieb and path-component
     classifications; both of these read one Whitehead pairing per n.
+
+    Each check is remembered with the families it read (``memoised``), so
+    a database that shares them with one checked before, as a reload after
+    an edit of another family does, reuses its result.
     """
     results = []
     for k in sorted({e.context.get("k") for kind in ("bracket", "extension") for e in db.find(kind)}):
@@ -364,14 +385,7 @@ def verify_all(db: Database) -> list[CheckResult]:
         results.extend(check_bracket(db, k, n) for n in sorted(ns))
     for n in MAPSPACE_RANGE:
         results.append(check_mapspace(db, n))
-    pairings = {}
     for kind, check in (("gottlieb", check_gottlieb), ("components", check_components)):
         for e in db.find(kind):
-            n = e.context.n_range.lo
-            if n not in pairings:
-                try:
-                    pairings[n] = whitehead_hom(db, n)
-                except DbError as err:
-                    pairings[n] = err
-            results.append(check(db, n, pairings[n]))
+            results.append(_paired_check(db, check, e.context.n_range.lo))
     return results

@@ -16,12 +16,14 @@ from cohomotopy.database import (
     DbError,
     DbParseError,
     NRange,
+    clear_memos,
     dumps_db,
     loads_db,
     parse_context,
     validate_db,
 )
-from cohomotopy.extensions import RENAMES, EhpInjectivity, RelationFact, schema
+from cohomotopy.extensions import RENAMES, EhpInjectivity, ExtensionError, RelationFact, schema
+from cohomotopy.pipeline import verify_all
 from cohomotopy.record import replace
 
 
@@ -153,6 +155,41 @@ class TestParsing:
         assert broken != db_text
         with pytest.raises(DbParseError, match=re.escape(message) + "$"):
             loads_db(broken)
+
+    # Families are checked for overlaps one at a time, after every block is
+    # parsed; the error is still the one first in the file.
+    OVERLAP = "[group]\ncontext = coker-eta k=6 n=4\ngroup = 0\ncite = x\n"
+    OVERLAP_MESSAGE = "context coker-eta k=6 n=4 overlaps coker-eta k=6 n=4"
+    BAD_BLOCK = "[group]\ncontext = ker-eta k=6 n=4\ngroup = Z/1\ncite = x\n"
+    BAD_BLOCK_MESSAGE = "bad [group] record: bad torsion coefficient in 'Z/1'"
+    TAKEN = "[symbol]\nname = nu\ncite = x\n"  # MINI has nu
+    TAKEN_MESSAGE = "duplicate name 'nu'"
+    # a family MINI lacks, so that the first overlap in the file is in the
+    # family built last
+    KER_ETA = "[group]\ncontext = ker-eta k=6 n=2..\ngroup = 0\ncite = x\n"
+    KER_ETA_MESSAGE = "context ker-eta k=6 n=2.. overlaps ker-eta k=6 n=2.."
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("OVERLAP", "BAD_BLOCK"), ("BAD_BLOCK", "OVERLAP"),
+            ("TAKEN", "OVERLAP"), ("OVERLAP", "TAKEN"),
+            ("KER_ETA", "OVERLAP"),
+        ],
+    )
+    def test_the_first_problem_in_the_file_is_reported(self, first, second):
+        blocks = [getattr(self, first), getattr(self, second)]
+        if first == "KER_ETA":  # the second one overlaps the first
+            blocks.insert(0, self.KER_ETA)
+        text = "\n".join([MINI] + blocks)
+        line = text[:text.rindex(getattr(self, first))].count("\n") + 1
+        message = getattr(self, f"{first}_MESSAGE")
+        for memo in ("cold", "warm"):
+            if memo == "cold":
+                clear_memos()
+            with pytest.raises(DbParseError) as err:
+                loads_db(text, "f.cohdb")
+            assert (err.value.line, str(err.value)) == (line, f"f.cohdb:{line}: {message}")
 
     def test_ranges_of_different_families_may_overlap(self, db_text):
         # p=5 has its own family at k=8, which holds only n=6
@@ -586,6 +623,31 @@ def load_outcome(text):
         return str(e)
 
 
+def lines_of_n(text, n):
+    """The line indices of the bracket-id, whitehead, gottlieb and
+    components records at n."""
+    contexts = {f"{kind} n={n}" for kind in ("bracket-id", "whitehead", "gottlieb", "components")}
+    out = set()
+    for block in database._BLOCK.finditer(text):
+        m = re.search(r"^context = (.*)$", block.group(), re.M)
+        if m and m.group(1) in contexts:
+            first = text.count("\n", 0, block.start())
+            out.update(range(first, first + block.group().count("\n") + 1))
+    return out
+
+
+def checked(db):
+    """What the curator's check reads of a database: the problems and the
+    verify results, or the error that ended either."""
+    out = []
+    for check in (validate_db, verify_all):
+        try:
+            out.append(check(db))
+        except (DbError, ExtensionError) as e:
+            out.append(repr(e))
+    return out
+
+
 class TestBlockMemo:
     def test_unchanged_blocks_are_parsed_once(self, db_text):
         first = loads_db(db_text, "a.cohdb").records
@@ -644,6 +706,73 @@ class TestBlockMemo:
         assert validate_db(copies) == warm
         _parse_block.cache_clear()
         assert validate_db(loads_db(edited(db_text, edit_list))) == warm
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_warm_check_memo_checks_like_a_cold_one(self, db_text, mutants, data):
+        """A run of number edits, each text keeping the edits before it, is
+        checked with every memo warm from the texts before; the checks must
+        agree with those of a cold start and of equal records built by
+        ``add``.  Half of the edits fall on the records of one n that the
+        Gottlieb and components checks read through their shared pairing."""
+        specs = mutants.mutant_specs(db_text)
+        n = data.draw(st.integers(1, 8))
+        at_n = lines_of_n(db_text, n)
+        near = [spec for spec in specs if spec[0] in at_n]
+        picked = data.draw(st.lists(
+            st.sampled_from(near) | st.sampled_from(specs), min_size=1, max_size=3,
+        ))
+        lines, texts, done = db_text.split("\n"), [db_text], set()
+        for spec in picked:
+            if spec[0] not in done:  # one edit per line keeps the offsets right
+                done.add(spec[0])
+                texts.append(mutants.apply_spec(lines, spec))
+                lines = texts[-1].split("\n")
+        dbs = []
+        for text in texts:
+            try:
+                dbs.append(loads_db(text))
+            except DbError:
+                pass
+        warm = [checked(db) for db in dbs]
+        for db, got in zip(dbs, warm):
+            copies = Database()  # equal records, sharing no family
+            for entry in db.records:
+                copies.add(replace(entry))
+            assert checked(copies) == got
+        for db, got in zip(dbs, warm):
+            clear_memos()
+            assert checked(db) == got
+
+    def test_add_leaves_a_database_loaded_from_the_same_text_alone(self, db_text):
+        one, two = loads_db(db_text), loads_db(db_text)
+        assert all(
+            one.families[kind][key] is family
+            for kind, families in two.families.items() for key, family in families.items()
+        )
+        shared = {kind: dict(families) for kind, families in two.families.items()}
+        text = dumps_db(two)
+        one.add(_parse_block("[group]\ncontext = odd-part k=6 n=3 p=5\ngroup = Z/5\n"
+                             "generators = eta_3 . ext(alpha_1_5(4)) : 5\ncite = [T]"))
+        assert two.families == shared and dumps_db(two) == text
+        assert all(
+            two.families[kind][key] is family
+            for kind, families in shared.items() for key, family in families.items()
+        )
+        assert len(one.find("odd-part", k=6, p=5)) == len(two.find("odd-part", k=6, p=5)) + 1
+
+    @pytest.mark.parametrize("p", [5, 11], ids=["into-a-family", "a-new-family"])
+    def test_checks_after_add_see_the_new_record(self, db_text, p):
+        db = loads_db(db_text)
+        before = verify_all(db)
+        assert all(r.passed() for r in before) and validate_db(db) == []
+        db.add(_parse_block(f"[group]\ncontext = odd-part k=6 n=3 p={p}\ngroup = Z/{p}\n"
+                            f"generators = eta_3 . ext(alpha_1_5(4)) : {p}\ncite = [T]"))
+        assert [r.label for r in verify_all(db) if not r.passed()] == ["k=6 n=3"]
+        assert validate_db(db) == [
+            f"bracket k=6 n=3: odd-part records sum to Z/{3 * p}, bracket has odd part Z/3"
+        ]
+        assert verify_all(loads_db(db_text)) == before
 
     def test_record_checks_are_kept_on_their_record(self, db):
         entry = db.lookup("bracket", k=6, n=4)

@@ -48,10 +48,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
-    # without site (-S), so that only the package's own imports count
+    # without site (-S), so that only the package's own imports count; nor
+    # typing, which a site .pth may import first
     code = (
         "import cohomotopy.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
