@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .abelian import FinAbGroup, GroupHom
-from .database import Database, DbError, memoised
+from .database import Database, DbError, _ks, memoised
 from .extensions import (
     ComputedRow,
     EhpInjectivity,
@@ -372,20 +372,24 @@ def verify_all(db: Database) -> list[CheckResult]:
 
     Each check is remembered with the families it read (``memoised``), so
     a database that shares them with one checked before, as a reload after
-    an edit of another family does, reuses its result.
+    an edit of another family does, reuses its result.  The plan itself,
+    which k, n and pairings to check, is read from the families directly,
+    past the read trace: ``verify_all`` is not memoised, so no remembered
+    result depends on it.
     """
     results = []
-    for k in sorted({e.context.get("k") for kind in ("bracket", "extension") for e in db.find(kind)}):
+    bracket, extension = (db.families.get(kind, {}) for kind in ("bracket", "extension"))
+    for k in sorted({*_ks(db, "bracket"), *_ks(db, "extension")}):
         ns = set()
-        for e in db.find("bracket", k=k):
-            nr = e.context.n_range
+        for _, nr, _ in bracket.get(frozenset({("k", k)}), ()):
             ns.update(n for n in (nr.lo, nr.lo + 3) if n in nr)
-        for e in db.find("extension", k=k):
-            ns.update({e.context.n_range.lo, e.context.n_range.hi} - {None})
+        for _, nr, _ in extension.get(frozenset({("k", k)}), ()):
+            ns.update({nr.lo, nr.hi} - {None})
         results.extend(check_bracket(db, k, n) for n in sorted(ns))
     for n in MAPSPACE_RANGE:
         results.append(check_mapspace(db, n))
     for kind, check in (("gottlieb", check_gottlieb), ("components", check_components)):
-        for e in db.find(kind):
-            results.append(_paired_check(db, check, e.context.n_range.lo))
+        # one family: the only parameter of these contexts is n
+        for lo, _, _ in db.families.get(kind, {}).get(frozenset(), ()):
+            results.append(_paired_check(db, check, lo))
     return results

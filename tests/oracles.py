@@ -13,12 +13,20 @@ basis itself; both types are read off as p-adic valuations of the Smith
 diagonal.
 
 The bases are built bottom-up, row g-1 first.  Because the basis is upper
-triangular, the coordinates of p^lam_i e_i in it involve only rows i..g-1, so
-they are solved as soon as row i is fixed.  When they are not integral, L does
-not contain M for any choice of rows 0..i-1, so dropping that prefix discards
-no basis that lies over M: the search still visits every such basis exactly
-once.  :func:`_subgroup_quotient_types_bruteforce` keeps the plain
-enumeration of every basis, for the tests to compare against.
+triangular, the coordinates x of p^lam_i e_i in it involve only rows
+i..g-1.  Row i is (0, ..., 0, p^a_i, t_{i+1}, ..., t_{g-1}), so x_i =
+p^(lam_i - a_i), and the other x_j are linear in x_i: those at a_i = lo + s
+are those at the smallest allowed exponent lo divided by p^s.  The search
+therefore walks the tail depth first, one entry t_j at a time, and solves
+x_j at a_i = lo as soon as t_j is fixed.  Only the t_j that make x_j
+integral are visited; when none does, no completion of the prefix and no
+larger a_i lies over M, so the prefix is dropped.  At the end of a tail the
+valid a_i are lo + s for every p^s dividing all x_j.  The search still
+visits every basis that lies over M exactly once.  The sums the solve
+reads, the later columns of the rows fixed so far weighted by their
+coordinates, are carried down the walk, one vector added per entry.
+:func:`_subgroup_quotient_types_bruteforce` keeps the plain enumeration of
+every basis, for the tests to compare against.
 
 Only half of the subgroups are searched.  Pontryagin duality gives G ~ G^,
 and for a subgroup H the annihilator H^perp in G^ satisfies H^perp ~ (G/H)^
@@ -40,27 +48,37 @@ per parent.  With row 0 = (c, t), multiplying by diag(1, U) on the left and
 diag(1, V) on the right, then reducing t V modulo d by the rows of diag(d),
 leaves the arrow matrix [[c, t V mod d], [0, diag(d)]], of the same type as
 the whole matrix.  Columns with d_j = 1 carry only zeros and are dropped.
-For g = 1 the block is empty and the arrow is [[c]].  Block forms (by block
-rows) and arrow types (by p, c, the residues and d) recur across parents
-and across keys of the same prime, so both are memoised.  The memos live
-exactly as long as the cache of :func:`subgroup_quotient_types`: its
-``cache_clear()`` empties all three, so a sweep that clears it starts cold.
+For g = 1 the block is empty and the arrow is [[c]].  At row 0 the walk
+carries t V and x V in place of t and x, adding t_j or x_j times row j of V
+per entry (at rows i >= 1 V is the identity, so one walk serves every row).
+The row residues t V mod d depend on the tail only and are shared by every
+a_0; at a_0 = lo + s the coordinate residues are (x V / p^s) mod d, exact as
+p^s divides every x_j.  Block forms (by block rows) and arrow types (by p,
+c, the residues and d) recur across parents and across keys of the same
+prime, so both are memoised.
 
 Since subgroup types are invariant under conjugating all three partitions,
-each query is first conjugated to whichever orientation has fewer generators,
-keeping g small.
+each key is searched in whichever orientation has fewer generators, keeping
+g small.  :func:`oracle_middle_groups` needs, at each prime p, the types
+lam of the p-part of G over the types (mu, nu) of A and C at p; that list
+recurs across pairs and is memoised per (p, mu, nu), with mu and nu
+conjugated once per key.  The three memos live exactly as long as the cache
+of :func:`subgroup_quotient_types`: its ``cache_clear()`` empties them
+too, so a sweep that clears it starts cold.
 """
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from operator import mul
+from math import gcd
 
 from cohomotopy.abelian import (
+    FinAbGroup,
     IntMatrix,
     group_from_presentation,
     smith_diagonal,
     smith_normal_form,
 )
+from cohomotopy.extensions import partitions
 
 
 def conjugate_partition(lam) -> tuple[int, ...]:
@@ -70,33 +88,30 @@ def conjugate_partition(lam) -> tuple[int, ...]:
     return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
 
 
-_BLOCKS = {}  # block rows -> (columns of V, d); see the module docstring
+_BLOCKS = {}  # block rows -> (rows of V, d); see the module docstring
 _ARROWS = {}  # (p, corner, residues, d) -> type of the arrow matrix
+_SHAPES = {}  # (p, mu, nu) -> the realizable lam, as lists of factors
 
 
 def _block_form(block):
     """The Smith form U @ block @ V == diag(d) of a square block of rows,
-    as the columns of V and the entries of d, keeping only the d_j > 1
-    (a unit d_j reduces every residue to 0)."""
+    as the rows of V and the entries of d, keeping only the columns with
+    d_j > 1 (a unit d_j reduces every residue to 0)."""
     form = _BLOCKS.get(block)
     if form is None:
         snf = smith_normal_form(IntMatrix.from_rows(block))
         d, v = snf.d.diagonal(), snf.v
         keep = [j for j, dj in enumerate(d) if dj > 1]
         form = (
-            tuple(tuple(v[l, j] for l in range(v.rows)) for j in keep),
+            tuple(tuple(v[l, j] for j in keep) for l in range(v.rows)),
             tuple(d[j] for j in keep),
         )
         _BLOCKS[block] = form
     return form
 
 
-def _arrow_type(p, corner, vec, form):
-    """Type of Z^g modulo the rows (corner, vec) and (0, block), for the
-    block whose Smith form is ``form``: that of the arrow matrix
-    [[corner, vec @ V mod d], [0, diag(d)]]."""
-    cols, d = form
-    residues = tuple(sum(map(mul, vec, col)) % dj for col, dj in zip(cols, d))
+def _arrow_type(p, corner, residues, d):
+    """Type of the arrow matrix [[corner, residues], [0, diag(d)]]."""
     key = (p, corner, residues, d)
     t = _ARROWS.get(key)
     if t is None:
@@ -130,39 +145,74 @@ def _subgroup_quotient_types(p, lam):
     def place(i, sub_exp):
         # sub_exp: sum(lam_j - a_j) over the rows j > i placed so far, the
         # p-exponent of the subgroup order they account for
-        if not i:
-            # rows and coords 1..g-1 are shared by every leaf below here
-            row_form = _block_form(tuple(r[1:] for r in rows[1:]))
-            coord_form = _block_form(tuple(x[1:] for x in coords[1:]))
+        lo = max(lam[i] - (half - sub_exp), 0)
+        top = p ** (lam[i] - lo)  # x_i at a_i = lo, its largest value
+        p_lo = p**lo
+        n = g - 1 - i  # tail entries t_{i+1..g-1}
         pivots = [rows[j][j] for j in range(i + 1, g)]
-        for a in range(max(lam[i] - (half - sub_exp), 0), lam[i] + 1):
-            for tail in product(*map(range, pivots)):
-                row = (0,) * i + (p**a, *tail)
-                x = [0] * i + [p ** (lam[i] - a)]
-                for j in range(i + 1, g):
-                    s = x[i] * row[j] + sum(x[l] * rows[l][j] for l in range(i + 1, j))
-                    if s % rows[j][j]:
-                        break
-                    x.append(-s // rows[j][j])
-                else:
+        right = [rows[j][j + 1 :] for j in range(i + 1, g)]
+        if i:
+            # carry the tail and the coordinates themselves
+            row_map = coord_map = [tuple(int(j == k) for k in range(n)) for j in range(n)]
+        else:
+            # rows and coords 1..g-1 are shared by every leaf below here
+            row_map, row_d = _block_form(tuple(r[1:] for r in rows[1:]))
+            coord_map, coord_d = _block_form(tuple(x[1:] for x in coords[1:]))
+
+        def walk(k, acc, r, w, gcd_x):
+            # t_{i+1..i+k} are fixed, and so x_{i+1..i+k} (at x_i = top):
+            # acc holds columns i+k+1.. of sum x_j rows[j] over those j,
+            # r = t @ row_map and w = x @ coord_map over them, and gcd_x =
+            # gcd(top, x_{i+1..i+k}) = p^v: a_i = lo + s keeps every
+            # x_j / p^s integral exactly for s <= v
+            if k == n:
+                if not i:
+                    row_res = tuple(x % dj for x, dj in zip(r, row_d))
+                s, ps = 0, 1
+                while ps <= gcd_x:
+                    a = p_lo * ps
                     if i:
-                        rows[i], coords[i] = row, tuple(x)
-                        place(i - 1, sub_exp + lam[i] - a)
-                        continue
-                    mu = _arrow_type(p, x[0], x[1:], coord_form)
-                    nu = _arrow_type(p, p**a, tail, row_form)
-                    out.add((mu, nu))
-                    out.add((nu, mu))
+                        rows[i] = (0,) * i + (a, *r)
+                        coords[i] = (0,) * i + (top // ps, *(x // ps for x in w))
+                        place(i - 1, sub_exp + lam[i] - lo - s)
+                    else:
+                        # exact: ps divides every x_j, so x_j // ps = x_j / ps
+                        coord_res = tuple(x // ps % dj for x, dj in zip(w, coord_d))
+                        mu = _arrow_type(p, top // ps, coord_res, coord_d)
+                        out.add((mu, _arrow_type(p, a, row_res, row_d)))
+                    s, ps = s + 1, ps * p
+                return
+            d, c = pivots[k], acc[0]
+            # x = -(c + top t) / d is integral exactly for the t = -c/q mod
+            # d/q, q = gcd(top, d), when q divides c; else for no t, and
+            # then no completion of this prefix lies over M
+            q = min(top, d)
+            if c % q:
+                return
+            step = d // q
+            for t in range(-(c // q) % step, d, step):
+                x = -(c + top * t) // d
+                walk(
+                    k + 1,
+                    [u + x * e for u, e in zip(acc[1:], right[k])],
+                    [u + t * e for u, e in zip(r, row_map[k])],
+                    [u + x * e for u, e in zip(w, coord_map[k])],
+                    gcd(gcd_x, x),
+                )
+
+        # zip trims r and w to the width of their maps at the first step
+        zeros = [0] * n
+        walk(0, zeros, zeros, zeros, top)
 
     place(g - 1, 0)
-    return frozenset(out)
+    return frozenset(out | {(nu, mu) for mu, nu in out})
 
 
 def subgroup_quotient_types(p, lam):
     """All (subgroup type, quotient type) pairs realized inside the abelian
     p-group of type ``lam`` (a descending partition).  Cached, with the
     ``cache_info()`` of that cache; ``cache_clear()`` also empties the
-    block and arrow memos."""
+    block, arrow and shape memos."""
     return _subgroup_quotient_types(p, tuple(lam))
 
 
@@ -170,6 +220,7 @@ def _cache_clear():
     _subgroup_quotient_types.cache_clear()
     _BLOCKS.clear()
     _ARROWS.clear()
+    _SHAPES.clear()
 
 
 subgroup_quotient_types.cache_info = _subgroup_quotient_types.cache_info
@@ -224,37 +275,38 @@ def _subgroup_quotient_types_bruteforce(p, lam):
 @lru_cache(maxsize=None)
 def realizable(p, lam, mu, nu):
     """Whether the p-group of type ``lam`` has a subgroup of type ``mu`` with
-    quotient of type ``nu`` (conjugating first to minimize the rank)."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if sum(lam) != sum(mu) + sum(nu):
-        return False
-    if lam and len(lam) > lam[0]:
-        lam, mu, nu = (
-            conjugate_partition(lam),
-            conjugate_partition(mu),
-            conjugate_partition(nu),
-        )
+    quotient of type ``nu``.  :func:`_shapes` asks it in the orientation of
+    fewer generators."""
     return (mu, nu) in subgroup_quotient_types(p, lam)
+
+
+def _shapes(p, mu, nu):
+    """The factor lists [p^e for e in lam] of every lam realizable over a
+    subgroup of type ``mu`` with quotient of type ``nu``, memoised."""
+    shapes = _SHAPES.get((p, mu, nu))
+    if shapes is None:
+        flipped = conjugate_partition(mu), conjugate_partition(nu)
+        shapes = _SHAPES[p, mu, nu] = [
+            [p**e for e in lam]
+            for lam in partitions(sum(mu) + sum(nu))
+            if (
+                realizable(p, lam, mu, nu)
+                if len(lam) <= lam[0]
+                else realizable(p, conjugate_partition(lam), *flipped)
+            )
+        ]
+    return shapes
 
 
 def oracle_middle_groups(a, c):
     """All middle groups of 0 -> A -> G -> C -> 0 for finite A, C, as a set
     of FinAbGroup values, by exhaustive subgroup search."""
-    from cohomotopy.abelian import FinAbGroup
-    from cohomotopy.extensions import partitions
-
     assert a.is_finite() and c.is_finite()
-    per_prime = []
-    for p in sorted(a.primary_decomposition().keys() | c.primary_decomposition().keys()):
-        mu, nu = a.exponents_at(p), c.exponents_at(p)
-        shapes = [
-            lam
-            for lam in partitions(sum(mu) + sum(nu))
-            if realizable(p, lam, mu, nu)
-        ]
-        per_prime.append([[p ** e for e in lam] for lam in shapes])
-    results = set()
-    for combo in product(*per_prime) if per_prime else [()]:
-        factors = reduce(lambda acc, fs: acc + fs, combo, [])
-        results.add(FinAbGroup.from_factors(factors))
-    return results
+    per_prime = [
+        _shapes(p, a.exponents_at(p), c.exponents_at(p))
+        for p in a.primary_decomposition().keys() | c.primary_decomposition().keys()
+    ]
+    return {
+        FinAbGroup.from_factors([f for fs in combo for f in fs])
+        for combo in product(*per_prime)
+    }

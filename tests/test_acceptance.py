@@ -187,7 +187,8 @@ def test_criterion_5_oracle_equivalence():
                 assert got == want, f"A={a}, C={c}: {got ^ want}"
                 checked += 1
     finally:
-        # the oracle memos hold about 14,000 block forms and arrow types; free them
+        # the oracle memos hold about 14,400 block forms and arrow types and
+        # 1,000 shape lists (per prime and pair of types); free them
         subgroup_quotient_types.cache_clear()
     print(
         f"PASS criterion 5: enumeration matches the subgroup-quotient oracle "

@@ -25,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (  # noqa: E402
     _ARROWS,
     _BLOCKS,
+    _SHAPES,
     _subgroup_quotient_types_bruteforce,
     conjugate_partition,
     oracle_middle_groups,
@@ -119,24 +120,29 @@ class TestOracle:
         ]
         assert len(keys) == 71
         # criterion 5 reaches g = 6; a g = 5 key brute-forces in about
-        # 0.3 s, the g = 6 key (6, 1, 1, 1, 1, 1) in about 12 s
-        keys.append((2, (5, 1, 1, 1, 1)))
+        # 0.3 s, the g = 6 key (6, 1, 1, 1, 1, 1) in about 12 s.  The keys
+        # above reach g = 4 only at p = 2, so two p = 3 keys of rank 4
+        # (about 0.1 s and 0.3 s) check the walk at an odd prime there
+        keys += [(2, (5, 1, 1, 1, 1)), (3, (4, 1, 1, 1)), (3, (3, 2, 1, 1))]
         for p, lam in keys:
             want = _subgroup_quotient_types_bruteforce(p, lam)
             assert subgroup_quotient_types(p, lam) == want, (p, lam)
         assert subgroup_quotient_types(2, ()) == _subgroup_quotient_types_bruteforce(2, ())
 
     def test_memos_live_as_long_as_the_cache(self):
-        # a sweep that clears the cache starts cold: no block form or arrow
-        # type outlives the clear
+        # a sweep that clears the cache starts cold: no block form, arrow
+        # type or shape list outlives the clear
         key = (2, (3, 2, 1))
         want = subgroup_quotient_types(*key)
+        oracle_middle_groups(G(4, 2), G(2))
         subgroup_quotient_types.cache_clear()
         assert subgroup_quotient_types.cache_info().currsize == 0
-        assert not _BLOCKS and not _ARROWS
+        assert not _BLOCKS and not _ARROWS and not _SHAPES
         assert subgroup_quotient_types(*key) == want
         assert subgroup_quotient_types.cache_info().currsize == 1
         assert _BLOCKS and _ARROWS
+        assert oracle_middle_groups(G(4, 2), G(2)) == {G(8, 2), G(4, 4), G(4, 2, 2)}
+        assert _SHAPES == {(2, (2, 1), (1,)): [[8, 2], [4, 4], [4, 2, 2]]}
 
 
 class TestApplyEvidence:
