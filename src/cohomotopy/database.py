@@ -27,6 +27,7 @@ import bisect
 import re
 from collections import OrderedDict
 from functools import lru_cache, wraps
+from itertools import chain, compress
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 
@@ -51,7 +52,7 @@ from .extensions import (
     schema,
     split_items,
 )
-from .record import field, record, set_field
+from .record import field, fields, record, set_field
 from .symbols import NameParseError, families_of
 
 
@@ -491,41 +492,49 @@ def _family(rows: list) -> tuple:
     return _remember(_FAMILIES, key, tuple(ordered))
 
 
-def _indexed(records: list) -> Database:
-    """The database of ``records``, in load order.  ``_Clash`` names the
-    first record, in that order, that clashes with an earlier one: a symbol
-    name taken, or an overlapping context (``_family``)."""
-    symbols: dict = {}
-    clashes = []
-    grouped: dict = {}  # kind -> family key -> (rows, their indices in records)
-    for i, entry in enumerate(records):
-        if isinstance(entry, SymbolEntry):
-            if entry.name not in symbols:
-                symbols[entry.name] = entry
-            elif not clashes:
-                clashes.append(_Clash(i, f"duplicate name {entry.name!r}"))
-            continue
-        ctx = entry.context
-        nr = ctx.n_range
-        of_kind = grouped.get(ctx.kind)
-        if of_kind is None:
-            of_kind = grouped[ctx.kind] = {}
-        rows = of_kind.get(ctx.family)
-        if rows is None:
-            rows = of_kind[ctx.family] = ([], [])
-        rows[0].append((nr.lo, nr, entry))
-        rows[1].append(i)
-    families = {}
-    for kind, of_kind in grouped.items():
-        families[kind] = built = {}
-        for key, (rows, where) in of_kind.items():
+def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, k: int,
+               reorder: bool):
+    """The symbols and families of ``records`` (in load order, indexed at
+    ``keys``), given ``old``, whose records are the same but for those at
+    positions ``i`` to ``k - 1``.  ``touched`` maps the keys of these, and
+    of the records they replace, to their positions: only these names and
+    families are built again.  Families are ordered by first appearance: as
+    in ``old`` unless ``reorder``, as in ``touched`` when ``old`` is empty.
+    ``_Clash`` names the first record, in load order, that clashes with an
+    earlier one: a symbol name taken, or an overlapping context."""
+    for x in chain(compress(range(i), map(touched.__contains__, keys[:i])),
+                   compress(range(k, len(keys)), map(touched.__contains__, keys[k:]))):
+        touched[keys[x]].append(x)
+    symbols, built, clashes = dict(old.symbols), {}, []
+    for key, where in touched.items():
+        where.sort()
+        if type(key) is str:
+            if len(where) > 1:
+                clashes.append(_Clash(where[1], f"duplicate name {key!r}"))
+            elif where:
+                symbols[key] = records[where[0]]
+            else:
+                del symbols[key]
+        elif where:
+            rows = [(e.context.n_range.lo, e.context.n_range, e)
+                    for e in map(records.__getitem__, where)]
             try:
                 built[key] = _family(rows)
             except _Clash as e:
                 clashes.append(_Clash(where[e.index], str(e)))
     if clashes:
         raise min(clashes, key=attrgetter("index"))
-    return Database(records, symbols, families)
+    if reorder:
+        families: dict = {}
+        for key in dict.fromkeys(keys):
+            if type(key) is tuple:
+                kind, fam = key
+                families.setdefault(kind, {})[fam] = built.get(key) or old.families[kind][fam]
+    else:
+        families = {kind: dict(of_kind) for kind, of_kind in old.families.items()}
+        for (kind, fam), family in built.items():
+            families.setdefault(kind, {})[fam] = family
+    return symbols, families
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +596,9 @@ def memoised(check):
 
 
 def clear_memos() -> None:
-    """Forget every parsed block, family and remembered check, so that the
-    next load and check start cold."""
+    """Forget every parsed block, family, remembered check and remembered
+    text (``loads_db``), so that the next load and check start cold."""
+    _LOADED.clear()
     _parse_block.cache_clear()
     _FAMILIES.clear()
     _MEMO.clear()
@@ -609,20 +619,22 @@ class _BlockError(Exception):
 
 def _parse_record(cls, record: dict, label: str):
     """A ``cls`` built from a record's ``key -> value`` strings, popping
-    every key it reads; an evidence record's ``kind`` selects the item class
-    that reads the keys left."""
-    values = {}
-    for attr, key, vtype, required, _ in schema(cls):
+    every key it reads, and called with every field by position (a key
+    left out gives its field's default); an evidence record's ``kind``
+    selects the item class that reads the keys left."""
+    values = []
+    for (_, key, vtype, required, _), f in zip(schema(cls), fields(cls)):
         if key not in record:
             if required:
                 raise _BlockError(0, f"{label} lacks {key!r}")
+            values.append(f.default)
             continue
         text = record.pop(key)
         value = vtype.parse(text)
         if vtype is EVIDENCE:
             value = _parse_record(value, record, f"{text} evidence")
-        values[attr] = value
-    return cls(**values)
+        values.append(value)
+    return cls(*values)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -672,44 +684,119 @@ _BLOCK = re.compile(r"(?m)^.*\S.*(?:\n.*\S.*)*")
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"  # and, beyond ASCII, \x85, \u2028, \u2029
 
 
-def _line_no(text: str, block: re.Match, index: int) -> int:
-    """The line number of the ``index``-th line that is not a comment of a
-    block of a normalised ``text``."""
+def _line_no(text: str, start: int, end: int, index: int) -> int:
+    """The line number of the ``index``-th line that is not a comment of the
+    block at ``text[start:end]`` of a normalised ``text``."""
     kept = [
-        i for i, line in enumerate(block.group().splitlines())
+        i for i, line in enumerate(text[start:end].splitlines())
         if not line.strip().startswith("#")
     ]
-    return text.count("\n", 0, block.start()) + 1 + kept[index]
+    return text.count("\n", 0, start) + 1 + kept[index]
+
+
+def _common(a: str, b: str) -> tuple[int, int]:
+    """The lengths of the longest common prefix of ``a`` and ``b``, and of
+    the longest common suffix of what follows it, found by bisection."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.startswith(b[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    pre, na, nb = lo, len(a), len(b)
+    lo, hi = 0, min(na, nb) - pre
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.endswith(b[nb - mid:nb - lo], 0, na - lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return pre, lo
+
+
+# The texts that ``loads_db`` remembers, at most two: the base of the latest
+# load, then that load.  Each is a normalised text that loaded without error,
+# with the (start, end) of each record's block, each record's index key (its
+# name or family) and a database of its own, never given out.
+_LOADED: list = []
+_COLD = ("", [], [], Database())  # no text: a load without a base
+
+
+def _window(kept: tuple, text: str) -> tuple[int, int, int, int]:
+    """The blocks of a remembered load that ``text`` does not keep, the ith
+    to the (j - 1)th, and the part of ``text`` that replaces them, from lo to
+    hi: a block is kept when a blank line, unchanged, lies between it and
+    the lines that differ."""
+    old, spans = kept[0], kept[1]
+    pre, suf = _common(old, text)
+    start, end = text.rfind("\n", 0, pre) + 1, old.find("\n", len(old) - suf)
+    i = bisect.bisect_left(spans, start - 1, key=itemgetter(1))
+    j = bisect.bisect_right(spans, len(old) if end < 0 else end + 1, key=itemgetter(0))
+    hi = spans[j][0] + len(text) - len(old) if j < len(spans) else len(text)
+    return i, j, spans[i - 1][1] if i else 0, hi
 
 
 def loads_db(text: str, path: str = "<string>") -> Database:
     """Parse a ``.cohdb`` text; ``DbParseError`` names ``path`` and the line
-    of the first problem in the file.  Each block is parsed once per text
-    (``_parse_block``), and each family is built and checked for overlapping
-    contexts once per set of records (``_family``): a load that changes one
-    block shares every other family with earlier loads."""
+    of the first problem in the file.
+
+    The load is incremental.  The normalised texts of the last two loads
+    without error are remembered, with their blocks and records.  The new
+    text is compared with each by common prefix and suffix, and its base is
+    the one that leaves the least of it to scan (the older on a tie, so that
+    edits of one file each keep that file as their base).  The first load,
+    or the first after ``clear_memos``, has no base and scans the whole
+    text.  Only the blocks on or next to the lines that differ are scanned
+    and parsed, each once per text (``_parse_block``); the others keep their
+    records.  Only the symbols and families that gained or lost a record are
+    built again, each once per set of records (``_family``); every other
+    family is shared with the base."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
-    blocks, records = [], []
+    windows = [(_window(kept, text), kept) for kept in _LOADED or [_COLD]]
+    (i, j, lo, hi), base = min(windows, key=lambda w: w[0][3] - w[0][2])
+    old, old_spans, old_keys, old_db = base
+    shift = len(text) - len(old)
+    spans, records = [], []
     failed = None
-    for block in _BLOCK.finditer(text):
+    for block in _BLOCK.finditer(text, lo, hi):
         try:
             entry = _parse_block(block.group())
         except _BlockError as e:
             failed = block, e
             break
         if entry is not None:
-            blocks.append(block)
+            spans.append(block.span())
             records.append(entry)
-    # a clash in the blocks before a bad one comes first in the file
+    # a symbol is indexed by its name, any other record by its family
+    keys = [e.name if isinstance(e, SymbolEntry) else (e.context.kind, e.context.family)
+            for e in records]
+    touched: dict = {}  # key -> the positions of its records, for those scanned
+    for x, key in enumerate(keys, i):
+        touched.setdefault(key, []).append(x)
+    if failed:  # only a clash in the blocks before a bad one comes first in the file
+        j = len(old_spans)
+    else:  # the names and families that lost a record
+        for key in old_keys[i:j]:
+            touched.setdefault(key, [])
+    # the families keep the base's order while every record keeps its key
+    reorder = not failed and bool(old_keys) and keys != old_keys[i:j]
+    k = i + len(records)
+    after = [(s + shift, e + shift) for s, e in old_spans[j:]] if shift else old_spans[j:]
+    spans = old_spans[:i] + spans + after
+    records = old_db.records[:i] + records + old_db.records[j:]
+    keys = old_keys[:i] + keys + old_keys[j:]
     try:
-        db = _indexed(records)
+        symbols, families = _reindexed(old_db, keys, records, touched, i, k, reorder)
     except _Clash as e:
-        raise DbParseError(path, _line_no(text, blocks[e.index], 0), str(e)) from e
+        raise DbParseError(path, _line_no(text, *spans[e.index], 0), str(e)) from e
     if failed:
         block, e = failed
-        raise DbParseError(path, _line_no(text, block, e.index), str(e)) from e.__cause__
-    return db
+        raise DbParseError(path, _line_no(text, *block.span(), e.index), str(e)) from e.__cause__
+    kept = (text, spans, keys, Database(records, symbols, families))
+    _LOADED[:] = [kept] if base is _COLD else [base, kept]
+    return Database(list(records), dict(symbols), {kind: dict(f) for kind, f in families.items()})
 
 
 def load_db(path) -> Database:

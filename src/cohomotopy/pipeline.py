@@ -134,9 +134,7 @@ def compute_group(db: Database, k: int, n: int) -> ComputedRow:
             items.append(item)
     cites.extend(i.cite for i in items if i.cite)
 
-    problem = ExtensionProblem(
-        sub=tuple(sub_terms), quot=tuple(quot_terms), context=f"bracket k={k} n={n}"
-    )
+    problem = ExtensionProblem(tuple(sub_terms), tuple(quot_terms), f"bracket k={k} n={n}")
     resolved = apply_evidence(problem, items)
 
     suffix = f" . S^{n + k} p"

@@ -12,7 +12,7 @@ from cohomotopy.gottlieb import classify_components, gottlieb_group, whitehead_h
 from cohomotopy.pipeline import compute_group, mapping_space_pi, verify_all
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import oracle_middle_groups, subgroup_quotient_types  # noqa: E402
+from oracles import oracle_middle_groups, realizable, subgroup_quotient_types  # noqa: E402
 
 
 def G(text):
@@ -188,8 +188,10 @@ def test_criterion_5_oracle_equivalence():
                 checked += 1
     finally:
         # the oracle memos hold about 14,400 block forms and arrow types and
-        # 1,000 shape lists (per prime and pair of types); free them
+        # 1,000 shape lists (per prime and pair of types), and realizable's
+        # lru_cache 18,753 entries; free them for the rest of the suite
         subgroup_quotient_types.cache_clear()
+        realizable.cache_clear()
     print(
         f"PASS criterion 5: enumeration matches the subgroup-quotient oracle "
         f"on all {checked} pairs with |A|, |C| <= 64"

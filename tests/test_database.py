@@ -673,7 +673,7 @@ class TestBlockMemo:
     def test_errors_name_their_own_path_and_line(self, bad, offset, message):
         # path -> (text before the bad block, text after it)
         texts = {"first.cohdb": (MINI + "\n", ""), "second.cohdb": ("# header\n\n", "\n" + MINI)}
-        _parse_block.cache_clear()
+        clear_memos()
         for _ in ("cold", "warm"):
             for path, (before, after) in texts.items():
                 line = before.count("\n") + 1 + offset
@@ -688,7 +688,7 @@ class TestBlockMemo:
         text = edited(db_text, edit_list)
         loads_db(db_text)
         warm = load_outcome(text)
-        _parse_block.cache_clear()
+        clear_memos()
         assert load_outcome(text) == warm
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -704,7 +704,7 @@ class TestBlockMemo:
         for entry in db.records:
             copies.add(replace(entry))
         assert validate_db(copies) == warm
-        _parse_block.cache_clear()
+        clear_memos()
         assert validate_db(loads_db(edited(db_text, edit_list))) == warm
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -760,6 +760,8 @@ class TestBlockMemo:
             for kind, families in shared.items() for key, family in families.items()
         )
         assert len(one.find("odd-part", k=6, p=5)) == len(two.find("odd-part", k=6, p=5)) + 1
+        # nor the text loads_db remembers
+        assert loads_db(db_text).find("odd-part", k=6, p=5) == two.find("odd-part", k=6, p=5)
 
     @pytest.mark.parametrize("p", [5, 11], ids=["into-a-family", "a-new-family"])
     def test_checks_after_add_see_the_new_record(self, db_text, p):
@@ -803,8 +805,161 @@ class TestBlockMemo:
             db = loads_db("\n\n".join(blocks[:i] + blocks[i + 1:]))
             warm = validate_db(db)
             assert f"unregistered symbol family {name!r}" in "\n".join(warm)
-            _parse_block.cache_clear()
+            clear_memos()
             assert validate_db(loads_db("\n\n".join(blocks[:i] + blocks[i + 1:]))) == warm
+
+
+def loaded(text):
+    """What a load gives, to compare: the error text, or the records (their
+    ``repr`` and the records themselves), the symbols and the families, in
+    order."""
+    try:
+        db = loads_db(text, "run.cohdb")
+    except DbParseError as e:
+        return str(e)
+    families = [(kind, list(of_kind.items())) for kind, of_kind in db.families.items()]
+    return repr(db.records), db.records, db.symbols, families
+
+
+def edit_once(data, text):
+    """``text`` with one drawn edit: a number changed; a block deleted or
+    duplicated; two blocks joined by removing the blank line between them;
+    a block split by a blank or whitespace-only line; a blank line or a
+    comment line added; every line break made CRLF or U+2028; or the empty
+    text.  The first and the last block are drawn more often."""
+    kind = data.draw(st.sampled_from((  # the edits that keep a text loading, twice
+        "number", "number", "delete", "duplicate", "join", "split", "blank", "blank",
+        "comment", "comment", "crlf", "u2028", "empty",
+    )))
+    spans = [m.span() for m in database._BLOCK.finditer(text)]
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "u2028":
+        return text.replace("\n", "\u2028")
+    if kind == "empty" or not spans:
+        return ""
+    last = len(spans) - 1
+    # a uniform block (drawn integers favour the small ones), or the first or the last
+    b = data.draw(st.sampled_from((0, last)) | st.randoms(use_true_random=False).map(
+        lambda r: r.randint(0, last)
+    ))
+    start, end = spans[b]
+    space = data.draw(st.sampled_from(("", " ", "\t  ")))
+    breaks = [start] + [m.end() for m in re.finditer("\n", text[start:end])]
+    at = data.draw(st.sampled_from(breaks)) if kind in ("split", "comment") else end
+    if kind == "number":
+        numbers = [m.span() for m in re.finditer(r"\d+", text[start:end])]
+        if not numbers:
+            return text
+        s, e = data.draw(st.sampled_from(numbers))
+        return text[:start + s] + str(data.draw(st.integers(0, 20))) + text[start + e:]
+    if kind == "delete":
+        return text[:start] + text[end:]
+    if kind == "duplicate":
+        return text[:start] + text[start:end] + "\n\n" + text[start:]
+    if kind == "join":
+        return text[:end] + "\n" + text[spans[b + 1][0]:] if b < last else text
+    if kind == "split":
+        return text[:at] + space + "\n" + text[at:]
+    if kind == "blank":
+        return text[:end] + "\n" + space + text[end:]
+    return text[:at] + "# an added comment\n" + text[at:]
+
+
+class TestIncrementalLoad:
+    """``loads_db`` re-scans only what differs from a remembered text; every
+    load must give what a cold load of its text gives."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_run_of_loads_loads_like_cold_ones(self, db_text, data):
+        """A run of one to four texts, each made by one or two edits of the
+        text before it (most often, as in an editing session) or of the
+        shipped text, loaded one after another with every memo warm, then
+        each again after ``clear_memos``."""
+        texts, text = [], db_text
+        for _ in range(data.draw(st.integers(1, 4))):
+            text = data.draw(st.sampled_from((text, text, text, db_text)))
+            for _ in range(data.draw(st.integers(1, 2))):
+                text = edit_once(data, text)
+            texts.append(text)
+        clear_memos()
+        loads_db(db_text)
+        warm = [loaded(text) for text in texts]
+        for text, got in zip(texts, warm):
+            clear_memos()
+            assert database._LOADED == []
+            assert loaded(text) == got
+            # a load after clear_memos has no base: it remembers its own text alone
+            assert len(database._LOADED) == (0 if isinstance(got, str) else 1)
+
+    def test_the_base_is_the_remembered_text_that_leaves_least_to_scan(self, db_text):
+        """Single edits of one file each keep that file as the base, also
+        two in a row in one block; edits that pile up follow the latest
+        text."""
+        cites = [m.end() for m in re.finditer("^cite =", db_text, re.M)][:3]
+        clear_memos()
+        loads_db(db_text)
+        for at, space in zip([cites[0], *cites], ["  ", " ", " ", " "]):
+            text = db_text[:at] + space + db_text[at:]  # the same record, from a new block
+            loads_db(text)
+            assert [kept[0] for kept in database._LOADED] == [db_text, text]
+        clear_memos()
+        loads_db(db_text)
+        session, warm = [db_text], []
+        for n, at in enumerate(cites):  # each edit after the last, so n spaces before it
+            session.append(session[-1][:at + n] + " " + session[-1][at + n:])
+            warm.append(loaded(session[-1]))
+            assert [kept[0] for kept in database._LOADED] == session[-2:]
+        for text, got in zip(session[1:], warm):  # blocks after an edit were shifted
+            clear_memos()
+            assert loaded(text) == got
+
+    # edits of the shipped file, each loaded after the file: a clash and a
+    # bad block after it; a symbol taken twice, after and before the first
+    # one; two overlaps, the one first in the file in the family that
+    # appears last among the edited records
+    BAD_LINE = ("context = whitehead n=6\n", "context = whitehead n=6\nbogus\n")
+    CASES = {
+        "clash-then-bad-block": (
+            [("context = bracket k=6 n=12..\n", "context = bracket k=6 n=11..\n"), BAD_LINE],
+            "context bracket k=6 n=11.. overlaps bracket k=6 n=11",
+        ),
+        "clash-with-a-later-record-then-bad-block": (
+            [("context = bracket k=6 n=4\n", "context = bracket k=6 n=4..5\n"), BAD_LINE],
+            "context bracket k=6 n=5 overlaps bracket k=6 n=4..5",
+        ),
+        "symbol-taken-again": (
+            [("[group]\ncontext = bracket k=6 n=4\n",
+              "[symbol]\nname = eta\ncite = x\n\n[group]\ncontext = bracket k=6 n=4\n")],
+            "duplicate name 'eta'",
+        ),
+        "symbol-taken-before": (
+            [("[symbol]\nname = eta\n", "[symbol]\nname = eta\ncite = x\n\n[symbol]\nname = eta\n")],
+            "duplicate name 'eta'",
+        ),
+        "overlap-in-the-family-built-last": (
+            [("context = odd-part k=6 n=2 p=5\n", "context = odd-part k=6 n=2..4 p=5\n"),
+             ("context = odd-part k=6 n=4 p=3\n", "context = odd-part k=6 n=3 p=3\n")],
+            "context odd-part k=6 n=3 p=3 overlaps odd-part k=6 n=3 p=3",
+        ),
+    }
+
+    @pytest.mark.parametrize("breaks", ["\n", "\r\n", "\u2028"], ids=["lf", "crlf", "u2028"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_the_first_problem_is_found_from_a_base(self, db_text, case, breaks):
+        edits, message = self.CASES[case]
+        text = db_text
+        for old, new in edits:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        clear_memos()
+        cold = loaded(text.replace("\n", breaks))
+        assert cold.endswith(f": {message}")
+        loads_db(db_text)
+        remembered = list(database._LOADED)
+        assert loaded(text.replace("\n", breaks)) == cold
+        assert database._LOADED == remembered  # a text that fails is no base
 
 
 def reference_blocks(lines):
@@ -893,7 +1048,7 @@ class TestBlockSplitter:
     def test_blocks_and_error_lines_match_the_line_by_line_splitter(self, text):
         for memo in ("cold", "warm"):
             if memo == "cold":
-                _parse_block.cache_clear()
+                clear_memos()
             assert split_outcome(text) == reference_outcome(text)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
