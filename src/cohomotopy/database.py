@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import re
 from collections import OrderedDict
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import chain, compress
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
@@ -359,8 +359,9 @@ class Database:
     """The records of a ``.cohdb`` file in load order, indexed twice: symbols
     by name, and each record with a context by its family, the pair (context
     kind, parameters other than n).  A family is a tuple of (n.lo, n range,
-    record) ordered by n (``_family``): it is never changed, and databases
-    whose records of a family are the same objects share it."""
+    record) ordered by n (``_family``): it is never changed, and a load
+    shares it with its base while the family gains and loses no record
+    (``loads_db``)."""
 
     records: list = field(default_factory=list)
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
@@ -452,34 +453,12 @@ class _Clash(ValueError):
         super().__init__(msg)
 
 
-def _remember(table: OrderedDict, key, value):
-    """Store ``value`` as the newest entry of a memo table, dropping the
-    oldest one past ``MEMO_SIZE``."""
-    table[key] = value
-    if len(table) > MEMO_SIZE:
-        table.popitem(last=False)
-    return value
-
-
-# families by the identities of their records, in family order; an entry
-# holds its records, so their ids are not reused while it is kept
-_FAMILIES: OrderedDict = OrderedDict()
-
-
 def _family(rows: list) -> tuple:
     """The family of ``rows``, the (n.lo, n range, record) triples of one
     context family in the order stored: a tuple ordered by n.lo, then by that
-    order.  It is interned by the identity of its records, so a load that
-    shares every record of a family with an earlier one shares the family,
-    and only a family not kept yet is checked: when its contexts are unique
-    (``UNIQUE``), the first row, in the order stored, whose n range overlaps
-    that of an earlier row is a ``_Clash``."""
-    ordered = sorted(rows, key=itemgetter(0))
-    key = tuple([id(row[2]) for row in ordered])
-    family = _FAMILIES.get(key)
-    if family is not None:
-        _FAMILIES.move_to_end(key)
-        return family
+    order.  When its contexts are unique (``UNIQUE``), the first row, in the
+    order stored, whose n range overlaps that of an earlier row is a
+    ``_Clash``."""
     if rows[0][2].UNIQUE == "context":
         stored = []  # the rows so far, ordered by n.lo; their ranges are disjoint
         for i, row in enumerate(rows):
@@ -489,7 +468,7 @@ def _family(rows: list) -> tuple:
                 if nr.overlaps(other_nr):
                     raise _Clash(i, f"context {entry.context} overlaps {other.context}")
             stored.insert(j, row)
-    return _remember(_FAMILIES, key, tuple(ordered))
+    return tuple(sorted(rows, key=itemgetter(0)))
 
 
 def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, k: int,
@@ -589,18 +568,18 @@ def memoised(check):
             _TRACES.pop()
             if _TRACES:
                 _TRACES[-1].update(trace)
-        _remember(_MEMO, key, (trace, value))
+        _MEMO[key] = trace, value
+        if len(_MEMO) > MEMO_SIZE:
+            _MEMO.popitem(last=False)
         return value
 
     return run
 
 
 def clear_memos() -> None:
-    """Forget every parsed block, family, remembered check and remembered
-    text (``loads_db``), so that the next load and check start cold."""
+    """Forget every remembered check (``memoised``) and the texts ``loads_db``
+    remembers, so that the next load and check start cold."""
     _LOADED.clear()
-    _parse_block.cache_clear()
-    _FAMILIES.clear()
     _MEMO.clear()
 
 
@@ -637,13 +616,10 @@ def _parse_record(cls, record: dict, label: str):
     return cls(*values)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _parse_block(block: str):
-    """The record a block's text spells (None for a block of comments),
-    memoised by that text: records are immutable, so every load of an
-    unchanged block shares one.  Comment lines are dropped first.  Errors are
-    not cached; ``_BlockError.index`` counts the block's lines that are not
-    comments (0 = the header)."""
+    """The record a block's text spells (None for a block of comments).
+    Comment lines are dropped first; ``_BlockError.index`` counts the block's
+    lines that are not comments (0 = the header)."""
     lines = [line for line in block.splitlines() if not line.strip().startswith("#")]
     if not lines:
         return None
@@ -748,10 +724,9 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     edits of one file each keep that file as their base).  The first load,
     or the first after ``clear_memos``, has no base and scans the whole
     text.  Only the blocks on or next to the lines that differ are scanned
-    and parsed, each once per text (``_parse_block``); the others keep their
-    records.  Only the symbols and families that gained or lost a record are
-    built again, each once per set of records (``_family``); every other
-    family is shared with the base."""
+    and parsed; the others keep their record objects.  Only the symbols and
+    families that gained or lost a record are built again (``_family``);
+    every other family object is shared with the base."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
     windows = [(_window(kept, text), kept) for kept in _LOADED or [_COLD]]
@@ -854,8 +829,8 @@ def _record_checks(entry):
 
     Records are immutable, so the tuple is computed once and kept on the
     record itself (an attribute, not a field: equality, hashing, ``repr``
-    and ``dumps_db`` do not see it).  ``_parse_block`` shares one record per
-    unchanged block, so its bound is the bound on this work too."""
+    and ``dumps_db`` do not see it).  ``loads_db`` keeps the record of each
+    unchanged block, so the checks run once per parsed block."""
     done = entry.__dict__.get("_checks")
     if done is not None:
         return done

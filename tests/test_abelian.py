@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomotopy import abelian, database
+from cohomotopy import abelian
 from cohomotopy.abelian import (
     AbelianError,
     FinAbGroup,
@@ -232,7 +232,6 @@ class TestMemos:
         parse_group,
         partitions,
         lr_positive,
-        database._parse_block,
         families_of,
     )
 
