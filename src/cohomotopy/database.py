@@ -359,9 +359,13 @@ class Database:
     """The records of a ``.cohdb`` file in load order, indexed twice: symbols
     by name, and each record with a context by its family, the pair (context
     kind, parameters other than n).  A family is a tuple of (n.lo, n range,
-    record) ordered by n (``_family``): it is never changed, and a load
-    shares it with its base while the family gains and loses no record
-    (``loads_db``)."""
+    record) ordered by n (``_family``).
+
+    Nothing in ``families`` is ever changed in place: not a family, not the
+    dict of a kind, not the mapping itself.  ``add`` replaces the mapping,
+    and a load shares it, or the dicts and families in it, with its base
+    (``loads_db``).  So the identity of ``families`` names what ``find``
+    reads, and ``memoised`` uses it as the database's state."""
 
     records: list = field(default_factory=list)
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
@@ -369,8 +373,9 @@ class Database:
 
     def add(self, entry) -> None:
         """Store a record; ``ValueError`` if it clashes with a stored one.
-        Its family is replaced by a new one, so a database that shares the
-        old family does not see the record."""
+        A record with a context gets a new family in a new dict of its kind
+        in a new ``families`` mapping, so a database that shares the old
+        mapping does not see the record."""
         if isinstance(entry, SymbolEntry):
             if entry.name in self.symbols:
                 raise ValueError(f"duplicate name {entry.name!r}")
@@ -378,8 +383,9 @@ class Database:
         ctx = getattr(entry, "context", None)
         if ctx is not None:
             nr = ctx.n_range
-            of_kind = self.families.setdefault(ctx.kind, {})
+            of_kind = dict(self.families.get(ctx.kind, _NO_FAMILIES))
             of_kind[ctx.family] = _family([*of_kind.get(ctx.family, ()), (nr.lo, nr, entry)])
+            self.families = {**self.families, ctx.kind: of_kind}
         self.records.append(entry)
 
     def entries(self):
@@ -479,6 +485,9 @@ def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, 
     of the records they replace, to their positions: only these names and
     families are built again.  Families are ordered by first appearance: as
     in ``old`` unless ``reorder``, as in ``touched`` when ``old`` is empty.
+    The families mapping of ``old`` is returned itself when no family is
+    touched; otherwise the dict of each kind that no new family enters is
+    shared with it, unless ``reorder``.
     ``_Clash`` names the first record, in load order, that clashes with an
     earlier one: a symbol name taken, or an overlapping context."""
     for x in chain(compress(range(i), map(touched.__contains__, keys[:i])),
@@ -503,16 +512,20 @@ def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, 
                 clashes.append(_Clash(where[e.index], str(e)))
     if clashes:
         raise min(clashes, key=attrgetter("index"))
-    if reorder:
+    if not any(type(key) is tuple for key in touched):  # no family gained or lost a record
+        families = old.families
+    elif reorder:
         families: dict = {}
         for key in dict.fromkeys(keys):
             if type(key) is tuple:
                 kind, fam = key
                 families.setdefault(kind, {})[fam] = built.get(key) or old.families[kind][fam]
-    else:
-        families = {kind: dict(of_kind) for kind, of_kind in old.families.items()}
+    else:  # a new dict for each kind with a new family; the other dicts are shared
+        families = dict(old.families)
+        for kind in dict.fromkeys(kind for kind, _ in built):  # in order: a new kind goes last
+            families[kind] = dict(old.families.get(kind, _NO_FAMILIES))
         for (kind, fam), family in built.items():
-            families.setdefault(kind, {})[fam] = family
+            families[kind][fam] = family
     return symbols, families
 
 
@@ -524,7 +537,7 @@ def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, 
 # The read traces open, innermost last: each maps (kind, parameters) of a
 # ``Database.find`` query to the family, or tuple of families, it read.
 _TRACES: list[dict] = []
-# (check, arguments) -> (trace, value)
+# (check, arguments) -> (trace, value, the families mapping last confirmed)
 _MEMO: OrderedDict = OrderedDict()
 
 
@@ -548,18 +561,27 @@ def memoised(check):
     ``check`` must read ``db`` only through ``find`` (``lookup``,
     ``evidence_for``): its value is kept with the families it read, and is
     returned again while a database's queries read the identical family
-    objects.  A call inside another memoised check adds its reads, whether
-    remembered or new, to the outer check's.  Exceptions are not kept."""
+    objects.  The value is also kept with the ``families`` mapping of the
+    database it was last confirmed against, which is never changed in place
+    (``Database``): a database with that same mapping gets the value at
+    once, and any other has the read trace walked (``_unchanged``), which,
+    if it holds, makes its mapping the one kept.  A call inside another
+    memoised check adds its reads, whether remembered or new, to the outer
+    check's.  Exceptions are not kept."""
 
     @wraps(check)
     def run(db, *args):
         key = (check, args)
         kept = _MEMO.get(key)
-        if kept is not None and _unchanged(db, kept[0]):
-            _MEMO.move_to_end(key)
-            if _TRACES:
-                _TRACES[-1].update(kept[0])
-            return kept[1]
+        if kept is not None:
+            trace, value, confirmed = kept
+            if confirmed is db.families or _unchanged(db, trace):
+                if confirmed is not db.families:
+                    _MEMO[key] = trace, value, db.families
+                _MEMO.move_to_end(key)
+                if _TRACES:
+                    _TRACES[-1].update(trace)
+                return value
         trace: dict = {}
         _TRACES.append(trace)
         try:
@@ -568,7 +590,7 @@ def memoised(check):
             _TRACES.pop()
             if _TRACES:
                 _TRACES[-1].update(trace)
-        _MEMO[key] = trace, value
+        _MEMO[key] = trace, value, db.families
         if len(_MEMO) > MEMO_SIZE:
             _MEMO.popitem(last=False)
         return value
@@ -694,7 +716,8 @@ def _common(a: str, b: str) -> tuple[int, int]:
 # The texts that ``loads_db`` remembers, at most two: the base of the latest
 # load, then that load.  Each is a normalised text that loaded without error,
 # with the (start, end) of each record's block, each record's index key (its
-# name or family) and a database of its own, never given out.
+# name or family) and a database of its own, never given out (only its
+# families mapping is shared, and that is never changed in place).
 _LOADED: list = []
 _COLD = ("", [], [], Database())  # no text: a load without a base
 
@@ -726,7 +749,10 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     text.  Only the blocks on or next to the lines that differ are scanned
     and parsed; the others keep their record objects.  Only the symbols and
     families that gained or lost a record are built again (``_family``);
-    every other family object is shared with the base."""
+    every other family object is shared with the base, and a load that
+    builds no family shares the base's whole families mapping.  The caller
+    gets its own record list and symbol dict; the families mapping is never
+    changed in place (``Database``), so ``add`` does not reach the base."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
     windows = [(_window(kept, text), kept) for kept in _LOADED or [_COLD]]
@@ -771,7 +797,7 @@ def loads_db(text: str, path: str = "<string>") -> Database:
         raise DbParseError(path, _line_no(text, *block.span(), e.index), str(e)) from e.__cause__
     kept = (text, spans, keys, Database(records, symbols, families))
     _LOADED[:] = [kept] if base is _COLD else [base, kept]
-    return Database(list(records), dict(symbols), {kind: dict(f) for kind, f in families.items()})
+    return Database(list(records), dict(symbols), families)
 
 
 def load_db(path) -> Database:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .abelian import FinAbGroup, GroupHom
-from .database import Database, DbError, _ks, memoised
+from .database import Database, DbError, memoised
 from .extensions import (
     ComputedRow,
     EhpInjectivity,
@@ -376,18 +376,30 @@ def verify_all(db: Database) -> list[CheckResult]:
     result depends on it.
     """
     results = []
-    bracket, extension = (db.families.get(kind, {}) for kind in ("bracket", "extension"))
-    for k in sorted({*_ks(db, "bracket"), *_ks(db, "extension")}):
-        ns = set()
-        for _, nr, _ in bracket.get(frozenset({("k", k)}), ()):
-            ns.update(n for n in (nr.lo, nr.lo + 3) if n in nr)
-        for _, nr, _ in extension.get(frozenset({("k", k)}), ()):
-            ns.update({nr.lo, nr.hi} - {None})
-        results.extend(check_bracket(db, k, n) for n in sorted(ns))
+    families = db.families
+    plan: dict[int, set] = {}  # k -> the n to check
+    # one family per k: the only other parameter of these contexts is k
+    for key, family in families.get("bracket", {}).items():
+        ((_, k),) = key
+        ns = plan.setdefault(k, set())
+        for lo, nr, _ in family:
+            ns.add(lo)
+            if lo + 3 in nr:
+                ns.add(lo + 3)
+    for key, family in families.get("extension", {}).items():
+        ((_, k),) = key
+        ns = plan.setdefault(k, set())
+        for lo, nr, _ in family:
+            ns.add(lo)
+            if nr.hi is not None:
+                ns.add(nr.hi)
+    for k in sorted(plan):
+        for n in sorted(plan[k]):
+            results.append(check_bracket(db, k, n))
     for n in MAPSPACE_RANGE:
         results.append(check_mapspace(db, n))
     for kind, check in (("gottlieb", check_gottlieb), ("components", check_components)):
         # one family: the only parameter of these contexts is n
-        for lo, _, _ in db.families.get(kind, {}).get(frozenset(), ()):
+        for lo, _, _ in families.get(kind, {}).get(frozenset(), ()):
             results.append(_paired_check(db, check, lo))
     return results

@@ -807,6 +807,121 @@ class TestBlockMemo:
             assert validate_db(loads_db("\n\n".join(blocks[:i] + blocks[i + 1:]))) == warm
 
 
+# a record that makes the checks of k=6 n=3 fail: the odd parts sum to Z/15
+ODD_PART_5 = ("[group]\ncontext = odd-part k=6 n=3 p=5\ngroup = Z/5\n"
+              "generators = eta_3 . ext(alpha_1_5(4)) : 5\ncite = [T]")
+
+
+def with_added(text):
+    """The database of ``text`` with ``ODD_PART_5`` added by ``add``."""
+    db = loads_db(text)
+    db.add(_parse_block(ODD_PART_5))
+    return db
+
+
+def first_caught_mutant(db_text, mutants):
+    """The first single-number mutant of ``db_text`` that loads and whose
+    checks differ from the shipped text's."""
+    clear_memos()
+    shipped = checked(loads_db(db_text))
+    lines = db_text.split("\n")
+    for spec in mutants.mutant_specs(db_text):
+        text = mutants.apply_spec(lines, spec)
+        try:
+            if checked(loads_db(text)) != shipped:
+                return text
+        except DbError:
+            continue
+    raise AssertionError("no mutant changes a check")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """What each trace walk (``database._unchanged``) made during a test
+    found, in order."""
+    found = []
+    unchanged = database._unchanged
+
+    def walk(*args):
+        found.append(unchanged(*args))
+        return found[-1]
+
+    monkeypatch.setattr(database, "_unchanged", walk)
+    return found
+
+
+class TestStateStamp:
+    """A remembered check keeps the ``families`` mapping of the database it
+    was last confirmed against, and a hit on that mapping walks no trace."""
+
+    def test_a_second_pass_walks_no_trace(self, db_text, mutants, walks):
+        for text in (first_caught_mutant(db_text, mutants), db_text):
+            db = loads_db(text)
+            checked(db)
+            walks.clear()
+            checked(db)
+            assert walks == []
+            # a reload of the text shares the state of the load before
+            assert loads_db(text).families is db.families
+            checked(loads_db(text))
+            assert walks == []
+
+    def test_a_confirmed_hit_keeps_the_new_state(self, db_text, walks):
+        db = loads_db(db_text)
+        shipped = checked(db)
+        # the same families in a new mapping: every check hits after a walk
+        copy = Database(list(db.records), dict(db.symbols), dict(db.families))
+        walks.clear()
+        assert checked(copy) == shipped
+        assert walks and all(walks)
+        walks.clear()
+        assert checked(copy) == shipped
+        assert walks == []
+
+    def test_add_replaces_the_mapping_and_changes_no_dict(self, db_text):
+        db = loads_db(db_text)
+        old = db.families
+        inner = {kind: (of_kind, dict(of_kind)) for kind, of_kind in old.items()}
+        before = dict(old)
+        for block in (  # into a family, a new family, a new range of n
+            ODD_PART_5,
+            "[group]\ncontext = odd-part k=6 n=3 p=11\ngroup = Z/11\ncite = [T]",
+            "[components]\ncontext = components n=30\nexpected = 1\ncite = [T]",
+        ):
+            db.add(_parse_block(block))
+            assert db.families is not old
+            assert old == before
+            assert all(old[kind] is same and same == copy for kind, (same, copy) in inner.items())
+        added = db.families
+        db.add(_parse_block("[symbol]\nname = zz\ncite = [T]"))
+        assert db.families is added  # a symbol is in no family
+
+    @pytest.mark.parametrize("make_b", ["mutant", "added"])
+    def test_alternating_databases_check_like_cold_ones(self, db_text, mutants, make_b):
+        if make_b == "mutant":
+            text_b = first_caught_mutant(db_text, mutants)
+            build = {"a": lambda: loads_db(db_text), "b": lambda: loads_db(text_b)}
+        else:
+            build = {"a": lambda: loads_db(db_text), "b": lambda: with_added(db_text)}
+        cold = {}
+        for name, make in build.items():
+            clear_memos()
+            cold[name] = checked(make())
+        assert cold["a"] != cold["b"]
+        clear_memos()
+        a, b = build["a"](), build["b"]()
+        assert [checked(db) for db in (a, b, a)] == [cold["a"], cold["b"], cold["a"]]
+
+    def test_the_memo_keeps_no_database_alive(self, db_text):
+        for make in (lambda: loads_db(db_text), lambda: with_added(db_text)):
+            db = make()
+            checked(db)
+            gone = weakref.ref(db)
+            del db
+            gc.collect()
+            assert gone() is None
+
+
 def loaded(text):
     """What a load gives, to compare: the error text, or the records (their
     ``repr`` and the records themselves), the symbols and the families, in
