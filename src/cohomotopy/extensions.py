@@ -2,22 +2,25 @@
 groups: Ext^1 computation, enumeration of the possible middle groups, and
 evidence-driven resolution to a single middle group.
 
-Enumeration contract: candidates have free rank rk(A) + rk(C) and torsion
-order |A_t| * |C_t|.  Under that contract the candidates are exactly
+Enumeration contract, an assumption: candidates have free rank
+rk(A) + rk(C) and torsion order |A_t| * |C_t| (it misses G = Z for
+0 -> Z -> G -> Z/2 -> 0).  Under that contract the candidates are exactly
 Z^{rk A + rk C} (+) T where T is a torsion middle of (A_t, C_t), and the
 torsion problem decomposes prime by prime.  At a prime p, a p-group of type
 lambda admits a subgroup of type mu with quotient of type nu if and only if
-the Littlewood-Richardson coefficient c^lambda_{mu,nu} is positive (Hall);
-positivity is decided by an exhaustive skew-tableau search.
+the Littlewood-Richardson coefficient c^lambda_{mu,nu} is positive (Hall).
+The lambda with positive coefficient are found together, by one search over
+the LR tableaux of content nu on mu per (mu, nu).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import cache, lru_cache, reduce
+from itertools import product
 from math import gcd
 
-from .abelian import MEMO_SIZE, FinAbGroup
+from .abelian import MEMO_SIZE, FinAbGroup, _primary_parts
 from .record import MISSING, field, fields, record, replace, set_field
 
 
@@ -82,56 +85,84 @@ def partitions(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ..
     )
 
 
-# Sized above the 33,450 keys that one sweep over all pairs of groups of
-# order <= 64 leaves in the cache.
-LR_MEMO_SIZE = 2**16
+def _partition(parts) -> tuple[int, ...]:
+    """``parts`` as a tuple without trailing zeros."""
+    parts = tuple(parts)
+    while parts and not parts[-1]:
+        parts = parts[:-1]
+    return parts
 
 
-@lru_cache(maxsize=LR_MEMO_SIZE)
-def lr_positive(lam: tuple, mu: tuple, nu: tuple) -> bool:
-    """Whether c^lam_{mu, nu} > 0, by exhaustive skew LR-tableau search."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if sum(lam) != sum(mu) + sum(nu):
-        return False
-    mu_p = mu + (0,) * (len(lam) - len(mu))
-    if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
-        return False
-    if not nu:
-        return lam == mu
-    # cells of lam/mu in reading order: rows top to bottom, right to left
-    cells = []
-    for i, l in enumerate(lam):
-        for j in range(l - 1, mu_p[i] - 1, -1):
-            cells.append((i, j))
-    grid: dict[tuple[int, int], int] = {}
-    counts = [0] * (len(nu) + 1)
+def lr_support(mu, nu) -> tuple[tuple[int, ...], ...]:
+    """Every lam with c^lam_{mu, nu} > 0, each once, in ``partitions`` order.
+    ``mu`` and ``nu`` are partitions given as any sequences; trailing zeros
+    are ignored."""
+    return _oriented_support(_partition(mu), _partition(nu))
 
-    def fill(idx: int) -> bool:
-        if idx == len(cells):
-            return True
-        i, j = cells[idx]
-        right = grid.get((i, j + 1))
-        above = grid.get((i - 1, j))
-        for v in range(1, len(nu) + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if right is not None and v > right:
-                continue
-            if above is not None and v <= above:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice word condition
-            grid[(i, j)] = v
-            counts[v] += 1
-            if fill(idx + 1):
-                del grid[(i, j)]
-                counts[v] -= 1
-                return True
-            del grid[(i, j)]
-            counts[v] -= 1
-        return False
 
-    return fill(0)
+def _oriented_support(mu: tuple, nu: tuple) -> tuple[tuple[int, ...], ...]:
+    """``_lr_support`` with the larger partition as the base: the support is
+    symmetric in (mu, nu), and placing fewer boxes searches fewer tableaux."""
+    if (sum(nu), len(nu), nu) > (sum(mu), len(mu), mu):
+        mu, nu = nu, mu
+    return _lr_support(mu, nu)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _lr_support(mu: tuple, nu: tuple) -> tuple[tuple[int, ...], ...]:
+    """The support of c^-_{mu, nu} by one search over the LR tableaux of
+    content ``nu`` on ``mu``.  Label v adds nu_v boxes as a horizontal strip;
+    the reading word (rows top to bottom, each right to left) is a lattice
+    word iff in every row r the v's in rows <= r never outnumber the
+    (v-1)'s in rows < r.  The next strip needs only the shape so far and
+    the last label's boxes per row, so tableaux that agree on both are
+    searched on once."""
+    states = {(mu, None)}
+    for n in nu:
+        states = {new for shape, last in states for new in _strips(shape, last, n)}
+    return tuple(sorted({shape for shape, _ in states}, reverse=True))
+
+
+def _strips(shape: tuple, last: tuple | None, n: int) -> list:
+    """(new shape, boxes per row) for each horizontal strip of ``n`` boxes on
+    ``shape`` whose boxes keep the lattice bound against ``last``, the
+    previous label's boxes per row (``None`` for the first label, which is
+    unbounded)."""
+    rows = len(shape)
+    ext = shape + (0,)
+    added = [0] * (rows + 1)
+    out = []
+
+    def place(r: int, left: int, slack: int):
+        # rows < r are placed; ``slack`` is how many boxes rows <= r may
+        # still take: the last label's boxes in rows < r less this label's
+        if not left:
+            new = tuple(x + k for x, k in zip(ext, added))
+            out.append((new if new[-1] else new[:-1], tuple(added)))
+            return
+        if r > rows:
+            return
+        room = min(left, slack) if r == 0 else min(left, slack, ext[r - 1] - ext[r])
+        gain = last[r] if last is not None and r < len(last) else 0
+        for k in range(room, -1, -1):
+            added[r] = k
+            place(r + 1, left - k, slack - k + gain)
+        added[r] = 0
+
+    place(0, n, n if last is None else 0)
+    return out
+
+
+def lr_positive(lam, mu, nu) -> bool:
+    """Whether c^lam_{mu, nu} > 0: whether ``lam`` is in
+    ``lr_support(mu, nu)``.  Any sequences are accepted and trailing zeros
+    ignored.  ``cache_info()`` and ``cache_clear()`` are those of the one
+    support memo, so a clear leaves nothing of the LR step warm."""
+    return _partition(lam) in lr_support(mu, nu)
+
+
+lr_positive.cache_info = _lr_support.cache_info
+lr_positive.cache_clear = _lr_support.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -157,41 +188,32 @@ def _torsion_order(g: FinAbGroup) -> int:
 
 def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateSet:
     """All middle groups of 0 -> A -> G -> C -> 0 under the rank/order
-    contract (free rank adds, torsion order multiplies); raises
-    :class:`EnumerationBoundError` above a torsion order of ``DEFAULT_BOUND``."""
+    contract, which is an assumption: free rank adds and torsion order
+    multiplies.  It misses middle groups such as G = Z for
+    0 -> Z -> G -> Z/2 -> 0.  At each prime the types are read from
+    ``lr_support``.  Raises :class:`EnumerationBoundError` above a torsion
+    order of ``DEFAULT_BOUND``."""
     t = _torsion_order(a) * _torsion_order(c)
     if t > DEFAULT_BOUND:
         raise EnumerationBoundError(
             f"torsion order {t} exceeds enumeration bound {DEFAULT_BOUND}"
         )
-    free = a.free_rank + c.free_rank
-    primes = sorted(
-        set(a.primary_decomposition()) | set(c.primary_decomposition())
-    )
-    per_prime: list[list[list[int]]] = []  # for each prime, list of factor-lists
-    for p in primes:
-        mu = a.exponents_at(p)
-        nu = c.exponents_at(p)
-        total = sum(mu) + sum(nu)
-        shapes = [
-            lam for lam in partitions(total) if lr_positive(lam, mu, nu)
-        ]
-        per_prime.append([[p**e for e in lam] for lam in shapes])
-
-    results: set[FinAbGroup] = set()
-
-    def combine(i: int, acc: list[int]):
-        if i == len(per_prime):
-            results.add(FinAbGroup.from_factors([0] * free + acc))
-            return
-        for factors in per_prime[i]:
-            combine(i + 1, acc + factors)
-
-    combine(0, [])
-    ordered = tuple(
-        sorted(results, key=lambda g: (g.free_rank, len(g.torsion), g.torsion))
-    )
-    return ExtensionCandidateSet(ordered)
+    types: dict[int, list] = {}  # prime -> [type of A, type of C]
+    for side, g in enumerate((a, c)):
+        for p, _, exps in _primary_parts(g.torsion):
+            types.setdefault(p, [(), ()])[side] = exps
+    per_prime = [
+        [[p**e for e in lam] for lam in _oriented_support(mu, nu)]
+        for p, (mu, nu) in types.items()
+    ]
+    # distinct types at some prime are distinct groups, so no two agree
+    free = [0] * (a.free_rank + c.free_rank)
+    results = [
+        FinAbGroup.from_factors(free + [f for factors in combo for f in factors])
+        for combo in product(*per_prime)
+    ]
+    results.sort(key=lambda g: (g.free_rank, len(g.torsion), g.torsion))
+    return ExtensionCandidateSet(tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from cohomotopy.extensions import (
     enumerate_middle_groups,
     ext_group,
     lr_positive,
+    lr_support,
     partitions,
 )
 
@@ -77,6 +78,99 @@ class TestLRPositivity:
                         conjugate_partition(mu),
                         conjugate_partition(nu),
                     )
+
+
+def _lr_positive_reference(lam, mu, nu) -> bool:
+    """Whether c^lam_{mu, nu} > 0, by exhaustive skew LR-tableau search of
+    lam/mu, one search per lam; uncached, for the tests."""
+    if sum(lam) != sum(mu) + sum(nu):
+        return False
+    mu_p = mu + (0,) * (len(lam) - len(mu))
+    if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
+        return False
+    if not nu:
+        return lam == mu
+    # cells of lam/mu in reading order: rows top to bottom, right to left
+    cells = []
+    for i, l in enumerate(lam):
+        for j in range(l - 1, mu_p[i] - 1, -1):
+            cells.append((i, j))
+    grid: dict[tuple[int, int], int] = {}
+    counts = [0] * (len(nu) + 1)
+
+    def fill(idx: int) -> bool:
+        if idx == len(cells):
+            return True
+        i, j = cells[idx]
+        right = grid.get((i, j + 1))
+        above = grid.get((i - 1, j))
+        for v in range(1, len(nu) + 1):
+            if counts[v] >= nu[v - 1]:
+                continue
+            if right is not None and v > right:
+                continue
+            if above is not None and v <= above:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue  # lattice word condition
+            grid[(i, j)] = v
+            counts[v] += 1
+            found = fill(idx + 1)
+            del grid[(i, j)]
+            counts[v] -= 1
+            if found:
+                return True
+        return False
+
+    return fill(0)
+
+
+def _lr_support_reference(mu, nu):
+    return tuple(
+        lam for lam in partitions(sum(mu) + sum(nu)) if _lr_positive_reference(lam, mu, nu)
+    )
+
+
+class TestLRSupport:
+    def test_matches_the_per_lambda_search(self):
+        # every key with |mu|, |nu| <= 6, criterion 5's range, in both orders
+        keys = [(mu, nu) for m in range(7) for n in range(7)
+                for mu in partitions(m) for nu in partitions(n)]
+        assert len(keys) == 900
+        for mu, nu in keys:
+            assert lr_support(mu, nu) == _lr_support_reference(mu, nu), (mu, nu)
+
+    def test_matches_at_the_enumeration_bound(self):
+        # |mu| = |nu| = 10 reaches torsion order 2^20, DEFAULT_BOUND
+        keys = [
+            ((10,), (10,)),
+            ((4, 3, 2, 1), (3, 3, 2, 1, 1)),
+            ((1,) * 10, (2, 2, 2, 2, 2)),
+            ((5, 3, 1, 1), (4, 2, 2, 1, 1)),
+        ]
+        for mu, nu in keys:
+            assert lr_support(mu, nu) == _lr_support_reference(mu, nu), (mu, nu)
+
+    def test_zero_padding_and_sequences(self):
+        # c^(2)_{(1),(1)} = 1, however the partitions are written
+        assert lr_positive((2,), (1, 0), (1,))
+        assert lr_positive((2, 0), (1,), (1,))
+        assert lr_positive([2], [1, 0, 0], [1])
+        assert not lr_positive([2, 1], (1,), (1, 0))
+        assert lr_support([1, 0], (1,)) == lr_support((1,), [1]) == ((2,), (1, 1))
+        assert lr_support((), (0,)) == ((),)
+
+    def test_a_clear_leaves_nothing_warm(self):
+        # the enum benchmark clears lr_positive before each sweep; the one
+        # support memo behind it must empty, so the next enumeration misses
+        enumerate_middle_groups(G(4, 2), G(2))
+        assert lr_positive.cache_info().currsize > 0
+        lr_positive.cache_clear()
+        info = lr_positive.cache_info()
+        assert info.currsize == 0 and info.misses == 0
+        enumerate_middle_groups(G(4, 2), G(2))
+        assert lr_positive.cache_info().misses == 1
+        assert lr_positive((3, 1), (2, 1), (1,)) and lr_positive.cache_info().misses == 1
 
 
 class TestEnumeration:
