@@ -15,7 +15,11 @@ Conventions:
 * smith_normal_form(m) returns (u, d, v) with u @ m @ v == d, u and v
   unimodular, d diagonal with d[0] | d[1] | ... and nonnegative entries.
   Pivot choice is deterministic: smallest nonzero absolute value, ties broken
-  by lowest (row, col).  Its input and certificate are :class:`IntMatrix`.
+  by lowest (row, col).  The pivot's column and then its row are cleared in
+  one pass each: an entry the pivot divides by subtracting a multiple of the
+  pivot's row or column, any other by a unimodular 2 x 2 Bezout step that
+  leaves their gcd at the pivot (Kannan and Bachem, SIAM J. Comput. 8(4),
+  1979).  Its input and certificate are :class:`IntMatrix`.
 
 >>> s = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
 >>> s.d.diagonal()
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd, lcm
 
 from .record import record, set_field
@@ -179,6 +184,19 @@ class SmithDecomposition:
         return hash((self.u, self.d, self.v))
 
 
+def _bezout(p, x):
+    """(g, s, u) with s * p + u * x == g == gcd(p, x), for p > 0."""
+    s, s1, u, u1 = 1, 0, 0, 1
+    while x:
+        q = p // x
+        p, x = x, p - q * x
+        s, s1 = s1, s - q * s1
+        u, u1 = u1, u - q * u1
+    if p < 0:
+        return -p, -s, -u
+    return p, s, u
+
+
 def _eliminate(a, n, c) -> None:
     """Bring the top-left ``n x c`` block of ``a`` (a list of lists) to Smith
     normal form in place.
@@ -189,6 +207,17 @@ def _eliminate(a, n, c) -> None:
     operations act on the columns ``< c`` of every row of ``a``.  So columns
     beyond ``c`` of the first ``n`` rows record the row transform, and rows
     beyond ``n`` record the column transform.
+
+    The pivot p's column, then its row, is cleared in one pass each.  An
+    entry the pivot divides is cleared by subtracting a multiple of the
+    pivot's row (column).  Any other entry x is cleared by the unimodular
+    2 x 2 Bezout step that puts g = gcd(p, x) = s p + u x at the pivot and 0
+    at x, so the pivot shrinks to a proper divisor of itself.  A Bezout step
+    on the columns can refill the pivot's column below the pivot; from then
+    on the exact column steps of that pass update those rows too, and the
+    column and row are cleared once more.  Last, if the pivot does not
+    divide some entry of the remaining block, that entry's row is added to
+    the pivot's row and the step starts over with a fresh pivot scan.
     """
     below = a[n:]
     k = min(n, c)
@@ -221,31 +250,49 @@ def _eliminate(a, n, c) -> None:
         if top[t] < 0:
             top = a[t] = [-x for x in top]
         p = top[t]
-        # clear column t; columns < t of rows >= t are zero already
-        dirty = False
-        for i in range(t + 1, n):
-            row = a[i]
-            if row[t]:
-                q = row[t] // p
-                for j in range(t, w):
-                    row[j] -= q * top[j]
-                if row[t]:
-                    dirty = True
-        if dirty:
-            continue
-        # clear row t; column t of the block is zero off the pivot now, so
-        # the column operation only reduces top[j] modulo p there
-        for j in range(t + 1, c):
-            if top[j]:
-                if below:
-                    q = top[j] // p
-                    for row in below:
-                        row[j] -= q * row[t]
-                top[j] %= p
-                if top[j]:
-                    dirty = True
-        if dirty:
-            continue
+        rest = below
+        while True:
+            # clear column t; columns < t of rows >= t are zero already
+            for i in range(t + 1, n):
+                row = a[i]
+                x = row[t]
+                if x:
+                    if x % p:
+                        g, s, u = _bezout(p, x)
+                        xg, pg = x // g, p // g
+                        pivot_row = [s * y + u * z for y, z in zip(top, row)]
+                        a[i] = [pg * z - xg * y for y, z in zip(top, row)]
+                        top = a[t] = pivot_row
+                        p = g
+                    else:
+                        q = x // p
+                        for j in range(t, w):
+                            row[j] -= q * top[j]
+            # clear row t; column t of the block is zero off the pivot until
+            # a Bezout step refills it, so until then an exact column step
+            # only changes top[j] and the rows beyond n
+            for j in range(t + 1, c):
+                y = top[j]
+                if y:
+                    if y % p:
+                        g, s, u = _bezout(p, y)
+                        yg, pg = y // g, p // g
+                        for i in range(t, len(a)):
+                            row = a[i]
+                            x, z = row[t], row[j]
+                            row[t] = s * x + u * z
+                            row[j] = pg * z - yg * x
+                        p = g
+                        rest = a[t + 1 :]
+                    else:
+                        q = y // p
+                        for row in rest:
+                            row[j] -= q * row[t]
+                        top[j] = 0
+            if rest is below:
+                break
+            # a Bezout column step may have refilled column t
+            rest = below
         # enforce divisibility: pivot must divide the remaining block
         fix = None
         for i in range(t + 1, n):
@@ -271,12 +318,22 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     ``v``).
     """
     n, c = m.rows, m.cols
-    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-    a += [[int(i == j) for j in range(c)] for i in range(c)]
+    entries = m.entries
+    a = []
+    for i in range(n):
+        row = list(entries[i * c : (i + 1) * c])
+        row += [0] * n
+        row[c + i] = 1
+        a.append(row)
+    for i in range(c):
+        row = [0] * c
+        row[i] = 1
+        a.append(row)
     _eliminate(a, n, c)
-    u = IntMatrix(n, n, tuple(x for row in a[:n] for x in row[c:]))
-    d = IntMatrix(n, c, tuple(x for row in a[:n] for x in row[:c]))
-    v = IntMatrix(c, c, tuple(x for row in a[n:] for x in row))
+    upper = a[:n]
+    u = IntMatrix(n, n, tuple(chain.from_iterable(row[c:] for row in upper)))
+    d = IntMatrix(n, c, tuple(chain.from_iterable(row[:c] for row in upper)))
+    v = IntMatrix(c, c, tuple(chain.from_iterable(a[n:])))
     return SmithDecomposition(u, d, v)
 
 
@@ -349,16 +406,6 @@ def _primary_exponents(orders) -> dict[int, tuple[int, ...]]:
     return {p: tuple(sorted(exps[p], reverse=True)) for p in sorted(exps)}
 
 
-def _invariant_factors(exps: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Merge primary cyclic factors into an ascending divisibility chain: the
-    i-th largest invariant factor takes the i-th largest power of each prime."""
-    factors = [1] * max(map(len, exps.values()), default=0)
-    for p, es in exps.items():
-        for i, e in enumerate(es):
-            factors[i] *= p**e
-    return tuple(reversed(factors))
-
-
 # Groups are immutable values, so each canonical group is built once and
 # shared, and so is the primary decomposition of each torsion chain.  Every
 # memo is bounded (an evicted entry is rebuilt on its next use) and sized
@@ -373,11 +420,26 @@ def _interned(free_rank: int, torsion: tuple[int, ...]) -> "FinAbGroup":
     return FinAbGroup(free_rank, torsion)
 
 
+def _group_from_primary_powers(free_rank: int, powers) -> "FinAbGroup":
+    """The shared group Z^free_rank + the primary cyclic factors ``powers``,
+    one sequence per prime, each holding that prime's powers in descending
+    order (other orders make a non-chain, which raises :class:`AbelianError`).
+    The i-th largest invariant factor is the product of the i-th largest
+    power of each prime."""
+    factors = [1] * max(map(len, powers), default=0)
+    for qs in powers:
+        for i, q in enumerate(qs):
+            factors[i] *= q
+    factors.reverse()
+    return _interned(free_rank, tuple(factors))
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _canonical_group(orders: tuple[int, ...]) -> "FinAbGroup":
     """Memo of :meth:`FinAbGroup.from_factors`, keyed by the sorted absolute
     cyclic orders."""
-    return _interned(orders.count(0), _invariant_factors(_primary_exponents(orders)))
+    powers = [[p**e for e in es] for p, es in _primary_exponents(orders).items()]
+    return _group_from_primary_powers(orders.count(0), powers)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -20,7 +20,7 @@ from functools import cache, lru_cache, reduce
 from itertools import product
 from math import gcd
 
-from .abelian import MEMO_SIZE, FinAbGroup, _primary_parts
+from .abelian import MEMO_SIZE, FinAbGroup, _group_from_primary_powers, _primary_parts
 from .record import MISSING, field, fields, record, replace, set_field
 
 
@@ -206,12 +206,10 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
         [[p**e for e in lam] for lam in _oriented_support(mu, nu)]
         for p, (mu, nu) in types.items()
     ]
-    # distinct types at some prime are distinct groups, so no two agree
-    free = [0] * (a.free_rank + c.free_rank)
-    results = [
-        FinAbGroup.from_factors(free + [f for factors in combo for f in factors])
-        for combo in product(*per_prime)
-    ]
+    # distinct types at some prime are distinct groups, so no two agree;
+    # each type is a partition, so its powers come in descending order
+    free = a.free_rank + c.free_rank
+    results = [_group_from_primary_powers(free, combo) for combo in product(*per_prime)]
     results.sort(key=lambda g: (g.free_rank, len(g.torsion), g.torsion))
     return ExtensionCandidateSet(tuple(results))
 

@@ -1,3 +1,4 @@
+import random
 from math import gcd, lcm
 
 import pytest
@@ -22,6 +23,10 @@ from cohomotopy.abelian import (
 from cohomotopy.extensions import lr_positive, partitions
 from cohomotopy.symbols import families_of
 from test_properties import check_against_brute_force, identity, is_certificate, minor_gcds
+
+
+KERNEL_TRIALS = 300
+ARROW_TRIALS = 300
 
 
 def is_zero_hom(h: GroupHom) -> bool:
@@ -86,6 +91,68 @@ class TestSmithNormalForm:
         x = ker[0]
         assert [x[0] * 2 + x[2] * 2, x[1] * 3 + x[2] * 3] == [0, 0]
 
+    @pytest.mark.parametrize(
+        "rows, diag",
+        [
+            ([[6, 10, 15]], [1]),
+            ([[4], [6]], [2]),
+            ([[0, -4], [6, 0], [0, 0]], [2, 12]),
+            # the column Bezout step on 4 and 6 refills column 0 with the 5
+            # below the pivot, and the exact column step on 8 that follows
+            # must carry that row too
+            ([[4, 6, 8], [0, 5, 0]], [1, 20]),
+            ([[4, 6, 8, 10], [0, 5, 0, 7], [0, 0, 9, 0]], [1, 1, 36]),
+        ],
+    )
+    def test_bezout_steps(self, rows, diag):
+        # no entry divides another, so the pivot is cleared by Bezout steps
+        m = IntMatrix.from_rows(rows)
+        s = smith_normal_form(m)
+        assert is_certificate(s, m)
+        assert s.d.diagonal() == diag
+        prod = 1
+        for g, d in zip(minor_gcds(m), diag):
+            prod *= d
+            assert g == prod
+        assert smith_diagonal(rows) == diag
+
+    def test_kernel_lattice_randomized(self):
+        rng = random.Random(27_1979)
+        for _ in range(KERNEL_TRIALS):
+            width = rng.randint(1, 4)
+            rows = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(rng.randint(1, 4))]
+            # integer combinations of the rows make kernels of every rank
+            for _ in range(rng.randint(0, 2)):
+                coeffs = [rng.randint(-3, 3) for _ in rows]
+                rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width)])
+            rng.shuffle(rows)
+            ker = kernel_lattice(rows, width)
+            rank = sum(1 for d in smith_diagonal(rows) if d)
+            assert len(ker) == len(rows) - rank
+            for x in ker:
+                assert [sum(c * row[j] for c, row in zip(x, rows)) for j in range(width)] == [0] * width
+            # saturated: the basis spans every integer kernel vector
+            if ker:
+                assert smith_diagonal(ker) == [1] * len(ker)
+
+    def test_arrow_matrices_randomized(self):
+        # the shapes tests/oracles._arrow_type sends to the kernel:
+        # [[c, r_1 .. r_k], [0, diag(d_1 .. d_k)]] with c and every d_j a
+        # power of p and 0 <= r_j < d_j
+        rng = random.Random(2_3)
+        for _ in range(ARROW_TRIALS):
+            p = rng.choice([2, 3])
+            d = [p ** rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
+            rows = [[p ** rng.randint(0, 5), *(rng.randrange(dj) for dj in d)]]
+            rows += [[0] * (j + 1) + [dj] + [0] * (len(d) - j - 1) for j, dj in enumerate(d)]
+            diag = smith_diagonal(rows)
+            prod = 1
+            for g, x in zip(minor_gcds(IntMatrix.from_rows(rows)), diag):
+                prod *= x
+                assert g == prod
+            for a, b in zip(diag, diag[1:]):
+                assert b % a == 0
+
 
 class TestFinAbGroup:
     def test_invariant_factor_chain(self):
@@ -118,6 +185,14 @@ class TestFinAbGroup:
             FinAbGroup(0, (4, 2))
         with pytest.raises(AbelianError):
             FinAbGroup(-1, ())
+
+    def test_group_from_primary_powers(self):
+        g = abelian._group_from_primary_powers(1, [[8, 2], [9, 3, 3], [5]])
+        assert g is FinAbGroup.from_factors([0, 8, 2, 9, 3, 3, 5])
+        assert abelian._group_from_primary_powers(0, []) is FinAbGroup.trivial()
+        # each prime's powers must come in descending order
+        with pytest.raises(AbelianError):
+            abelian._group_from_primary_powers(0, [[2, 8], [3]])
 
 
 def _smith_element_order(p: Presentation, vec):
