@@ -31,9 +31,9 @@ FinAbGroup(free_rank=0, torsion=(2, 4))
 from __future__ import annotations
 
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .record import record, set_field
 
@@ -425,7 +425,9 @@ def _group_from_primary_powers(free_rank: int, powers) -> "FinAbGroup":
     one sequence per prime, each holding that prime's powers in descending
     order (other orders make a non-chain, which raises :class:`AbelianError`).
     The i-th largest invariant factor is the product of the i-th largest
-    power of each prime."""
+    power of each prime, so one prime's powers are the factors reversed."""
+    if len(powers) == 1:
+        return _interned(free_rank, tuple(reversed(powers[0])))
     factors = [1] * max(map(len, powers), default=0)
     for qs in powers:
         for i, q in enumerate(qs):
@@ -503,7 +505,7 @@ class FinAbGroup:
         """Group order, or None if infinite."""
         if self.free_rank:
             return None
-        return reduce(lambda a, b: a * b, self.torsion, 1)
+        return prod(self.torsion)
 
     def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
         return FinAbGroup.from_factors(

@@ -10,15 +10,16 @@ torsion problem decomposes prime by prime.  At a prime p, a p-group of type
 lambda admits a subgroup of type mu with quotient of type nu if and only if
 the Littlewood-Richardson coefficient c^lambda_{mu,nu} is positive (Hall).
 The lambda with positive coefficient are found together, by one search over
-the LR tableaux of content nu on mu per (mu, nu).
+the LR tableaux of content nu on mu per (mu, nu), and the p-parts they give
+are built once per (p, mu, nu).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from .abelian import MEMO_SIZE, FinAbGroup, _group_from_primary_powers, _primary_parts
 from .record import MISSING, field, fields, record, replace, set_field
@@ -153,16 +154,30 @@ def _strips(shape: tuple, last: tuple | None, n: int) -> list:
     return out
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _prime_parts(p: int, mu: tuple, nu: tuple) -> tuple[tuple[int, ...], ...]:
+    """The p-parts of the middle groups of a p-group of type ``mu`` by one
+    of type ``nu``: for each lam of ``_oriented_support(mu, nu)``, in that
+    order, the powers p**lam_i, descending."""
+    return tuple(tuple(p**e for e in lam) for lam in _oriented_support(mu, nu))
+
+
 def lr_positive(lam, mu, nu) -> bool:
     """Whether c^lam_{mu, nu} > 0: whether ``lam`` is in
     ``lr_support(mu, nu)``.  Any sequences are accepted and trailing zeros
-    ignored.  ``cache_info()`` and ``cache_clear()`` are those of the one
-    support memo, so a clear leaves nothing of the LR step warm."""
+    ignored.  ``cache_info()`` is the support memo's; ``cache_clear()``
+    empties it and the p-part memo built on it, so a clear leaves nothing
+    of the LR step warm."""
     return _partition(lam) in lr_support(mu, nu)
 
 
+def _clear_lr_memos() -> None:
+    _lr_support.cache_clear()
+    _prime_parts.cache_clear()
+
+
 lr_positive.cache_info = _lr_support.cache_info
-lr_positive.cache_clear = _lr_support.cache_clear
+lr_positive.cache_clear = _clear_lr_memos
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +197,15 @@ class ExtensionCandidateSet:
         return g in self.candidates
 
 
-def _torsion_order(g: FinAbGroup) -> int:
-    return reduce(lambda a, b: a * b, g.torsion, 1)
-
-
 def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateSet:
     """All middle groups of 0 -> A -> G -> C -> 0 under the rank/order
     contract, which is an assumption: free rank adds and torsion order
     multiplies.  It misses middle groups such as G = Z for
-    0 -> Z -> G -> Z/2 -> 0.  At each prime the types are read from
-    ``lr_support``.  Raises :class:`EnumerationBoundError` above a torsion
-    order of ``DEFAULT_BOUND``."""
-    t = _torsion_order(a) * _torsion_order(c)
+    0 -> Z -> G -> Z/2 -> 0.  At each prime p the p-parts, one per type in
+    ``lr_support`` order, are read from a memo keyed by (p, mu, nu).
+    Raises :class:`EnumerationBoundError` above a torsion order of
+    ``DEFAULT_BOUND``."""
+    t = prod(a.torsion) * prod(c.torsion)
     if t > DEFAULT_BOUND:
         raise EnumerationBoundError(
             f"torsion order {t} exceeds enumeration bound {DEFAULT_BOUND}"
@@ -202,10 +214,7 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
     for side, g in enumerate((a, c)):
         for p, _, exps in _primary_parts(g.torsion):
             types.setdefault(p, [(), ()])[side] = exps
-    per_prime = [
-        [[p**e for e in lam] for lam in _oriented_support(mu, nu)]
-        for p, (mu, nu) in types.items()
-    ]
+    per_prime = [_prime_parts(p, mu, nu) for p, (mu, nu) in types.items()]
     # distinct types at some prime are distinct groups, so no two agree;
     # each type is a partition, so its powers come in descending order
     free = a.free_rank + c.free_rank
@@ -631,8 +640,10 @@ def _factor_index(factors, name: str, context: str) -> int:
 def _finish(problem, candidates, factors, evidence) -> ComputedRow:
     group = FinAbGroup.from_factors([o for o, _ in factors])
     if group not in candidates:
+        used = ", ".join(_label(e) for e in evidence)
         raise ExtensionError(
-            f"{problem.context}: resolved group {group} is not among the "
-            f"enumerated candidates"
+            f"{problem.context}: resolved group {group} from {used} is not among "
+            f"the enumerated candidates; candidates: "
+            + ", ".join(str(g) for g in candidates.candidates)
         )
     return ComputedRow(group, tuple(factors), evidence_used=tuple(evidence))

@@ -9,7 +9,9 @@ distinct lines.  For each text the dump takes the outcome (as the ``mutants``
 workload names it), the ``DbParseError`` text, the family order, the
 ``validate_db`` problems and the ``CheckResult`` reprs of ``verify_all``.
 Two trees that print the same digest give byte-identical results on all of
-them.
+them.  ``tests/exactness_digest.txt`` holds the expected last line for the
+default arguments; CI compares the two, so a change that means to move the
+digest (an edit of the shipped database, say) updates that file too.
 
     PYTHONPATH=src python tests/exactness_dump.py [--seed 0] [--texts 3000]
 

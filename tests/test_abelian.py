@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomotopy import abelian
+from cohomotopy import abelian, extensions
 from cohomotopy.abelian import (
     AbelianError,
     FinAbGroup,
@@ -307,6 +307,7 @@ class TestMemos:
         parse_group,
         partitions,
         lr_positive,
+        extensions._prime_parts,
         families_of,
     )
 

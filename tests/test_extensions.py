@@ -1,9 +1,11 @@
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from cohomotopy.abelian import FinAbGroup
+from cohomotopy import extensions
+from cohomotopy.abelian import FinAbGroup, _primary_parts
 from cohomotopy.extensions import (
     EhpInjectivity,
     ElementOrderLift,
@@ -32,6 +34,7 @@ from oracles import (  # noqa: E402
     oracle_middle_groups,
     subgroup_quotient_types,
 )
+from test_acceptance import _all_abelian_groups_up_to  # noqa: E402
 
 
 def G(*orders):
@@ -161,19 +164,64 @@ class TestLRSupport:
         assert lr_support((), (0,)) == ((),)
 
     def test_a_clear_leaves_nothing_warm(self):
-        # the enum benchmark clears lr_positive before each sweep; the one
-        # support memo behind it must empty, so the next enumeration misses
+        # the enum benchmark clears lr_positive before each sweep; the
+        # support memo and the p-part memo built on it must both empty, so
+        # the next enumeration misses each
+        parts = extensions._prime_parts
         enumerate_middle_groups(G(4, 2), G(2))
-        assert lr_positive.cache_info().currsize > 0
+        assert lr_positive.cache_info().currsize > 0 and parts.cache_info().currsize > 0
         lr_positive.cache_clear()
         info = lr_positive.cache_info()
         assert info.currsize == 0 and info.misses == 0
+        assert parts.cache_info().currsize == 0 and parts.cache_info().misses == 0
         enumerate_middle_groups(G(4, 2), G(2))
-        assert lr_positive.cache_info().misses == 1
+        assert lr_positive.cache_info().misses == 1 and parts.cache_info().misses == 1
         assert lr_positive((3, 1), (2, 1), (1,)) and lr_positive.cache_info().misses == 1
+        # a second enumeration at the same (p, mu, nu) reads the p-part memo
+        enumerate_middle_groups(G(4, 2, 3), G(2, 9))
+        assert parts.cache_info().hits == 1 and lr_positive.cache_info().misses == 2
+
+
+def _enumerate_reference(a, c):
+    """The candidate tuple of one pair, built from scratch with no p-part
+    memo: each prime's p-power lists read off the LR support, the i-th
+    invariant factor the product of each prime's i-th largest power, sorted
+    by (free rank, number of factors, factors)."""
+    types = {}
+    for side, g in enumerate((a, c)):
+        for p, _, exps in _primary_parts(g.torsion):
+            types.setdefault(p, [(), ()])[side] = exps
+    per_prime = [
+        [[p**e for e in lam] for lam in lr_support(mu, nu)] for p, (mu, nu) in types.items()
+    ]
+    results = []
+    for combo in product(*per_prime):
+        factors = [1] * max(map(len, combo), default=0)
+        for qs in combo:
+            for i, q in enumerate(qs):
+                factors[i] *= q
+        results.append(FinAbGroup(a.free_rank + c.free_rank, tuple(reversed(factors))))
+    results.sort(key=lambda g: (g.free_rank, len(g.torsion), g.torsion))
+    return tuple(results)
 
 
 class TestEnumeration:
+    def test_candidate_order_matches_the_per_pair_construction(self):
+        # the order is part of the output: UnresolvedExtensionError lists
+        # the candidates in it, and criterion 5 compares sets only
+        groups = _all_abelian_groups_up_to(32)
+        pairs = [(a, c) for a in groups for c in groups]
+        pairs += [
+            (G(0), G(2)),
+            (G(0, 4), G(2, 2)),
+            (G(0, 0, 12), G(0, 6)),
+            (G(8, 9), G(0, 4, 3)),
+            (G(0, 2, 2), G(0, 0)),
+        ]
+        assert len(pairs) == 55**2 + 5
+        for a, c in pairs:
+            assert enumerate_middle_groups(a, c).candidates == _enumerate_reference(a, c), (a, c)
+
     def test_z2_by_z2(self):
         cands = enumerate_middle_groups(G(2), G(2))
         assert set(cands.candidates) == {G(4), G(2, 2)}
@@ -364,6 +412,19 @@ class TestApplyEvidence:
         )
         with pytest.raises(ExtensionError):
             apply_evidence(problem, [ElementOrderLift("L", 3, maps_to="c")])
+
+    def test_resolved_group_outside_candidates_names_the_item(self):
+        # the lift of order 4 absorbs all of Z/8 and leaves Z/4 + Z/4, which
+        # is no extension of Z/2 by Z/8: the error names the lift
+        problem = ExtensionProblem(sub=((8, "a"),), quot=((2, "c"),), context="t")
+        lift = ElementOrderLift("x", 4, maps_to="c", absorbs="a")
+        with pytest.raises(ExtensionError) as exc:
+            apply_evidence(problem, [lift])
+        assert not isinstance(exc.value, UnresolvedExtensionError)
+        assert str(exc.value) == (
+            "t: resolved group Z/4 + Z/4 from element-order-lift 'x' is not among "
+            "the enumerated candidates; candidates: Z/16, Z/2 + Z/8"
+        )
 
     def test_claimed_group_outside_candidates(self):
         problem = ExtensionProblem(
