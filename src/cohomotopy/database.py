@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import re
 from collections import OrderedDict
+from contextlib import contextmanager
 from functools import wraps
 from itertools import chain, compress
 from operator import attrgetter, is_, itemgetter
@@ -365,7 +366,10 @@ class Database:
     dict of a kind, not the mapping itself.  ``add`` replaces the mapping,
     and a load shares it, or the dicts and families in it, with its base
     (``loads_db``).  So the identity of ``families`` names what ``find``
-    reads, and ``memoised`` uses it as the database's state."""
+    reads, and ``memoised`` uses it as the database's state: a remembered
+    check stamped with this mapping holds at once, and one stamped with
+    another is confirmed query by query, by the records its queries return
+    here."""
 
     records: list = field(default_factory=list)
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
@@ -401,24 +405,19 @@ class Database:
     def find(self, kind: str, n: int | None = None, **params) -> list:
         """The records of a context kind whose other parameters equal
         ``params`` and whose n range holds ``n`` (any n when it is None),
-        ordered by n and then p.  The families read go to the open read
-        trace, if there is one (``memoised``)."""
+        ordered by n and then p.  The query, the families it read and the
+        records it returned go to the open read trace, if there is one
+        (``reading``)."""
         families = self.families.get(kind, _NO_FAMILIES)
         want = frozenset(params.items())
         # Every context of a kind has the same parameters (its record's
         # CONTEXTS), so a query naming all but n matches one family at most.
         family = families.get(want)
-        read = family if family is not None else _matching(families, want)
+        matched = None if family is not None else _matching(families, want)
+        found = _holding(family, n) if matched is None else _gathered(matched, n)
         if _TRACES:
-            _TRACES[-1][kind, want] = read
-        if family is not None:
-            return _holding(family, n)
-        found = []
-        for family in read:
-            p = family[0][2].context.get("p") or 0
-            found.extend((e.context.n_range.lo, p, e) for e in _holding(family, n))
-        found.sort(key=itemgetter(0, 1))
-        return [e for _, _, e in found]
+            _TRACES[-1][kind, want, n] = family, matched, tuple(found)
+        return found
 
     def lookup(self, kind: str, **params):
         """The record ``find`` returns for a query that names every parameter
@@ -436,6 +435,17 @@ _NO_FAMILIES: dict = {}  # the families of a kind no record has; never changed
 def _matching(families: dict, want: frozenset) -> tuple:
     """The families of one kind whose parameters include ``want``."""
     return tuple([family for key, family in families.items() if want <= key])
+
+
+def _gathered(matched: tuple, n: int | None) -> list:
+    """The records of the families ``matched`` whose n range holds ``n``
+    (every record when it is None), ordered by n and then p."""
+    found = []
+    for family in matched:
+        p = family[0][2].context.get("p") or 0
+        found.extend((e.context.n_range.lo, p, e) for e in _holding(family, n))
+    found.sort(key=itemgetter(0, 1))
+    return [e for _, _, e in found]
 
 
 def _holding(family: tuple, n: int | None) -> list:
@@ -534,63 +544,105 @@ def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, 
 # ---------------------------------------------------------------------------
 
 
-# The read traces open, innermost last: each maps (kind, parameters) of a
-# ``Database.find`` query to the family, or tuple of families, it read.
+# The read traces open, innermost last (``reading``).
 _TRACES: list[dict] = []
-# (check, arguments) -> (trace, value, the families mapping last confirmed)
+# (check, arguments) -> (the families mapping last confirmed, value, trace,
+# older): ``older`` is the result kept before, as (mapping, value, trace), or
+# None
 _MEMO: OrderedDict = OrderedDict()
 
 
+@contextmanager
+def reading():
+    """A read trace of the ``find`` queries (``lookup`` and ``evidence_for``
+    too) made inside the block, yielded as a dict.  It maps each query, as
+    (kind, parameters other than n as a frozenset of pairs, n), to (family,
+    matched, records): the family the query read, or None and the tuple of
+    families it matched when no single family has its parameters
+    (``_matching``), and the tuple of records it returned, in order.  When
+    the block ends, its queries are added to the trace open around it, if
+    there is one."""
+    trace: dict = {}
+    _TRACES.append(trace)
+    try:
+        yield trace
+    finally:
+        _TRACES.pop()
+        if _TRACES:
+            _TRACES[-1].update(trace)
+
+
 def _unchanged(db: Database, trace: dict) -> bool:
-    """Whether every query of ``trace`` reads the identical families in
-    ``db``."""
+    """Whether every query of ``trace`` returns the identical records, in
+    the same order, in ``db``.  A query whose family, or each of whose
+    matched families, is the identical object in ``db`` holds at once; any
+    other is run again on ``db`` and its records compared."""
     families = db.families
-    for (kind, want), seen in trace.items():
+    for (kind, want, n), (family, matched, found) in trace.items():
         of_kind = families.get(kind, _NO_FAMILIES)
         now = of_kind.get(want)
-        if now is None:
+        if now is not None:
+            if now is family:
+                continue
+            got = _holding(now, n)
+        else:
             now = _matching(of_kind, want)
-        if now is not seen and (len(now) != len(seen) or not all(map(is_, now, seen))):
+            if matched is not None and len(now) == len(matched) and all(map(is_, now, matched)):
+                continue
+            got = _gathered(now, n)
+        if len(got) != len(found) or not all(map(is_, got, found)):
             return False
     return True
+
+
+def _confirmed(key, kept: tuple, db: Database) -> tuple | None:
+    """The memo entry ``kept`` at ``key``, not stamped with ``db``'s
+    mapping, stamped with it and stored if one of its results holds for
+    ``db``: the latest, or else the older one, which then becomes the
+    latest.  None if neither holds."""
+    families = db.families
+    stamp, value, trace, older = kept
+    if _unchanged(db, trace):
+        kept = families, value, trace, older
+    elif older is not None and (older[0] is families or _unchanged(db, older[2])):
+        kept = families, older[1], older[2], (stamp, value, trace)
+    else:
+        return None
+    _MEMO[key] = kept
+    return kept
 
 
 def memoised(check):
     """``check(db, *args)``, remembered by (check, args) across databases.
 
     ``check`` must read ``db`` only through ``find`` (``lookup``,
-    ``evidence_for``): its value is kept with the families it read, and is
-    returned again while a database's queries read the identical family
-    objects.  The value is also kept with the ``families`` mapping of the
-    database it was last confirmed against, which is never changed in place
-    (``Database``): a database with that same mapping gets the value at
-    once, and any other has the read trace walked (``_unchanged``), which,
-    if it holds, makes its mapping the one kept.  A call inside another
-    memoised check adds its reads, whether remembered or new, to the outer
-    check's.  Exceptions are not kept."""
+    ``evidence_for``), so that a database on which its queries return the
+    identical records gets the identical value.  The value is kept with the
+    read trace of its run (``reading``) and with the ``families`` mapping of
+    the database it was last confirmed against, which is never changed in
+    place (``Database``).  A database with that same mapping gets the value
+    at once.  Any other has the trace walked query by query
+    (``_unchanged``), and a walk that holds makes its mapping the one kept.
+    Two results are kept per key: the one last confirmed, and the one
+    before it, which is tried only after the latest fails and which then
+    becomes the latest.  So the checks of a base database and of an edit of
+    it both hit while the two alternate.  A call inside another memoised
+    check adds its reads, whether remembered or new, to the outer check's.
+    Exceptions are not kept."""
 
     @wraps(check)
     def run(db, *args):
         key = (check, args)
         kept = _MEMO.get(key)
-        if kept is not None:
-            trace, value, confirmed = kept
-            if confirmed is db.families or _unchanged(db, trace):
-                if confirmed is not db.families:
-                    _MEMO[key] = trace, value, db.families
-                _MEMO.move_to_end(key)
-                if _TRACES:
-                    _TRACES[-1].update(trace)
-                return value
-        trace: dict = {}
-        _TRACES.append(trace)
-        try:
-            value = check(db, *args)
-        finally:
-            _TRACES.pop()
+        hit = kept if kept is None or kept[0] is db.families else _confirmed(key, kept, db)
+        if hit is not None:
+            _MEMO.move_to_end(key)
             if _TRACES:
-                _TRACES[-1].update(trace)
-        _MEMO[key] = trace, value, db.families
+                _TRACES[-1].update(hit[2])
+            return hit[1]
+        with reading() as trace:
+            value = check(db, *args)
+        _MEMO[key] = db.families, value, trace, None if kept is None else kept[:3]
         if len(_MEMO) > MEMO_SIZE:
             _MEMO.popitem(last=False)
         return value
@@ -900,8 +952,8 @@ def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
     (empty list = valid).  The checks of each record alone run once per
     record (``_record_checks``); each of those that read other records is
-    remembered with the families it read (``memoised``) and runs again only
-    when one of them changed."""
+    remembered with the queries it made (``memoised``) and runs again only
+    when one of them returns other records."""
     problems: list[str] = []
     symbols = set(db.symbols)
 
@@ -947,7 +999,8 @@ def _by_n(check, db: Database, kind: str) -> list[str]:
 
 # The checks of validate_db that read more than one record.  Each reads the
 # families of one kind or of one k through ``find``, so it is remembered with
-# them and runs again when one of them changes (``memoised``).
+# those queries and runs again when one of them returns other records
+# (``memoised``).
 
 
 @memoised

@@ -158,7 +158,9 @@ def _strips(shape: tuple, last: tuple | None, n: int) -> list:
 def _prime_parts(p: int, mu: tuple, nu: tuple) -> tuple[tuple[int, ...], ...]:
     """The p-parts of the middle groups of a p-group of type ``mu`` by one
     of type ``nu``: for each lam of ``_oriented_support(mu, nu)``, in that
-    order, the powers p**lam_i, descending."""
+    order, the powers p**lam_i, descending.  They are symmetric in (mu, nu),
+    so ``enumerate_middle_groups`` passes the pair with ``mu >= nu``, and
+    each unordered pair is built once."""
     return tuple(tuple(p**e for e in lam) for lam in _oriented_support(mu, nu))
 
 
@@ -202,7 +204,8 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
     contract, which is an assumption: free rank adds and torsion order
     multiplies.  It misses middle groups such as G = Z for
     0 -> Z -> G -> Z/2 -> 0.  At each prime p the p-parts, one per type in
-    ``lr_support`` order, are read from a memo keyed by (p, mu, nu).
+    ``lr_support`` order, are read from a memo keyed by p and the pair of
+    types, oriented so that (A, C) and (C, A) share an entry.
     Raises :class:`EnumerationBoundError` above a torsion order of
     ``DEFAULT_BOUND``."""
     t = prod(a.torsion) * prod(c.torsion)
@@ -214,7 +217,10 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
     for side, g in enumerate((a, c)):
         for p, _, exps in _primary_parts(g.torsion):
             types.setdefault(p, [(), ()])[side] = exps
-    per_prime = [_prime_parts(p, mu, nu) for p, (mu, nu) in types.items()]
+    per_prime = [
+        _prime_parts(p, mu, nu) if mu >= nu else _prime_parts(p, nu, mu)
+        for p, (mu, nu) in types.items()
+    ]
     # distinct types at some prime are distinct groups, so no two agree;
     # each type is a partition, so its powers come in descending order
     free = a.free_rank + c.free_rank

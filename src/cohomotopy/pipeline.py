@@ -368,9 +368,12 @@ def verify_all(db: Database) -> list[CheckResult]:
     mapping-space rows, and the Gottlieb and path-component
     classifications; both of these read one Whitehead pairing per n.
 
-    Each check is remembered with the families it read (``memoised``), so
-    a database that shares them with one checked before, as a reload after
-    an edit of another family does, reuses its result.  The plan itself,
+    Each check is remembered with the queries it made and the records they
+    returned (``memoised``), and two results are kept per check.  So a
+    database on which a check's queries return the identical records as on
+    one checked before, as a reload after an edit of a record the check did
+    not find does, reuses its result, and so does one that alternates with
+    an edit of it.  The plan itself,
     which k, n and pairings to check, is read from the families directly,
     past the read trace: ``verify_all`` is not memoised, so no remembered
     result depends on it.

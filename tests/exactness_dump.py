@@ -10,8 +10,10 @@ workload names it), the ``DbParseError`` text, the family order, the
 ``validate_db`` problems and the ``CheckResult`` reprs of ``verify_all``.
 Two trees that print the same digest give byte-identical results on all of
 them.  ``tests/exactness_digest.txt`` holds the expected last line for the
-default arguments; CI compares the two, so a change that means to move the
-digest (an edit of the shipped database, say) updates that file too.
+default arguments and ``tests/exactness_digest_seed7.txt`` that for
+``--seed 7``, whose multi-edit texts come in another order; CI compares
+both, so a change that means to move the digest (an edit of the shipped
+database, say) updates those files too.
 
     PYTHONPATH=src python tests/exactness_dump.py [--seed 0] [--texts 3000]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohomotopy import database, extensions
+from cohomotopy import database, extensions, pipeline
 from cohomotopy.abelian import FinAbGroup
 from cohomotopy.database import (
     EVIDENCE,
@@ -25,7 +25,7 @@ from cohomotopy.database import (
     validate_db,
 )
 from cohomotopy.extensions import RENAMES, EhpInjectivity, ExtensionError, RelationFact, schema
-from cohomotopy.pipeline import verify_all
+from cohomotopy.pipeline import compute_group, verify_all
 from cohomotopy.record import replace
 
 
@@ -920,6 +920,167 @@ class TestStateStamp:
             del db
             gc.collect()
             assert gone() is None
+
+
+def doubled(text, context):
+    """``text`` with the first number of the group of the row at ``context``
+    doubled."""
+    m = re.compile(r"group = \D*(\d+)").search(text, text.index(f"context = {context}\n"))
+    return text[:m.start(1)] + str(2 * int(m.group(1))) + text[m.end(1):]
+
+
+def moved(text, context, new):
+    """``text`` with the context ``context`` of one record made ``new``."""
+    return text.replace(f"context = {context}\n", f"context = {new}\n", 1)
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The (k, n) of each ``compute_group`` run during a test, in order."""
+    cells = []
+    compute = pipeline.compute_group
+
+    def counting(db, k, n):
+        cells.append((k, n))
+        return compute(db, k, n)
+
+    monkeypatch.setattr(pipeline, "compute_group", counting)
+    return cells
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """One entry for each memoised check body run during a test: each run
+    opens a read trace (``database.reading``)."""
+    opened = []
+    reading = database.reading
+
+    def counting():
+        opened.append(None)
+        return reading()
+
+    monkeypatch.setattr(database, "reading", counting)
+    return opened
+
+
+def bracket_cells(results):
+    """The (k, n) of the bracket cells among ``verify_all``'s results."""
+    return [
+        tuple(int(part.split("=")[1]) for part in r.label.split())
+        for r in results if r.family == "bracket"
+    ]
+
+
+class TestRecordConfirmation:
+    """A remembered check whose trace reads a changed family is confirmed
+    query by query: it holds while every query returns the identical
+    records.  Two results are kept per check, so a base database and an
+    edit of it both hit while they alternate."""
+
+    @pytest.mark.parametrize("context", ["bracket k=6 n=12..", "bracket k=7 n=5", "bracket k=8 n=2"])
+    def test_an_edited_row_reruns_only_the_cells_that_found_it(self, db_text, computed, context):
+        clear_memos()
+        checked(loads_db(db_text))
+        text = doubled(db_text, context)
+        db = loads_db(text)
+        computed.clear()
+        got = checked(db)
+        row = next(e for e in db.find("bracket") if str(e.context) == context)
+        found = {(k, n) for k, n in bracket_cells(got[1]) if db.lookup("bracket", k=k, n=n) is row}
+        assert found and set(computed) == found
+        if context == "bracket k=6 n=12..":
+            assert found == {(6, 12), (6, 15)}
+        clear_memos()
+        assert checked(loads_db(text)) == got
+
+    @pytest.mark.parametrize("context, new, cells", [
+        ("extension k=7 n=4", "extension k=7 n=3", {(7, 3), (7, 4)}),
+        ("odd-part k=6 n=4 p=5", "odd-part k=6 n=3 p=5", {(6, 3), (6, 4)}),
+    ])
+    def test_a_moved_range_reruns_the_cells_at_the_old_and_the_new_n(
+        self, db_text, computed, context, new, cells
+    ):
+        clear_memos()
+        checked(loads_db(db_text))
+        text = moved(db_text, context, new)
+        computed.clear()
+        got = checked(loads_db(text))
+        assert set(computed) == cells
+        clear_memos()
+        assert checked(loads_db(text)) == got
+
+    def test_a_partial_query_is_invalidated_by_any_family_it_matched(self, db_text):
+        db = loads_db(db_text)
+        with database.reading() as whole:
+            db.find("odd-part", k=6)
+        with database.reading() as at_5:
+            db.find("odd-part", k=6, n=5)
+        ((_, (family, matched, found)),) = whole.items()
+        assert family is None and len(matched) == 2 and len(found) > 2  # p = 3 and p = 5
+        for context, holds in (
+            ("odd-part k=6 n=2 p=3", (False, True)),
+            ("odd-part k=6 n=2 p=5", (False, True)),
+            ("odd-part k=6 n=5 p=3", (False, False)),
+            ("odd-part k=7 n=2 p=3", (True, True)),
+        ):
+            edited = loads_db(doubled(db_text, context))
+            assert (database._unchanged(edited, whole), database._unchanged(edited, at_5)) == holds
+
+    def test_a_base_and_its_edit_keep_both_results(self, db_text, computed, runs, walks):
+        texts = {
+            "a": db_text,
+            "b": doubled(db_text, "bracket k=6 n=12.."),
+            "c": doubled(db_text, "bracket k=6 n=11"),  # the same family as b
+        }
+        cold = {}
+        for name, text in texts.items():
+            clear_memos()
+            cold[name] = checked(loads_db(text))
+        assert cold["a"] != cold["b"] and cold["a"] != cold["c"]
+        clear_memos()
+        assert [checked(loads_db(texts[name])) for name in "ab"] == [cold["a"], cold["b"]]
+        runs.clear()
+        walks.clear()
+        a = loads_db(texts["a"])
+        assert checked(a) == cold["a"]
+        # every result of a is kept: no check runs, and the walks stamp a
+        assert runs == [] and walks
+        walks.clear()
+        assert checked(a) == cold["a"] and walks == [] and runs == []
+        computed.clear()
+        assert checked(loads_db(texts["c"])) == cold["c"]
+        assert computed == [(6, 11)]
+
+
+class TestReadTrace:
+    def test_the_trace_of_compute_group_lists_the_records_it_found(self, db, monkeypatch):
+        returned = []
+        find = Database.find
+
+        def recording(self, *args, **params):
+            found = find(self, *args, **params)
+            returned.extend(found)
+            return found
+
+        monkeypatch.setattr(Database, "find", recording)
+        for k, ns in ((6, range(2, 16)), (7, range(2, 17)), (8, range(2, 18))):
+            for n in ns:
+                returned.clear()
+                with database.reading() as trace:
+                    compute_group(db, k, n)
+                assert ("coker-eta", frozenset({("k", k)}), n) in trace
+                listed = [e for _, _, found in trace.values() for e in found]
+                assert {id(e) for e in listed} == {id(e) for e in returned}, (k, n)
+                for (_, _, at), (_, _, found) in trace.items():
+                    assert at is None or all(at in e.context.n_range for e in found), (k, n)
+
+    def test_a_trace_inside_another_adds_its_queries_to_it(self, db):
+        with database.reading() as outer:
+            db.lookup("bracket", k=6, n=4)
+            with database.reading() as inner:
+                db.evidence_for(7, 9)
+        assert len(inner) == 1 and set(inner) < set(outer) and len(outer) == 2
+        assert database._TRACES == []
 
 
 def loaded(text):

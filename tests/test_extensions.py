@@ -181,6 +181,16 @@ class TestLRSupport:
         enumerate_middle_groups(G(4, 2, 3), G(2, 9))
         assert parts.cache_info().hits == 1 and lr_positive.cache_info().misses == 2
 
+    def test_a_pair_and_its_mirror_share_one_p_part(self):
+        # the p-parts are symmetric in the two types, so (A, C) and (C, A)
+        # build them once, and the candidates are the same in the same order
+        parts = extensions._prime_parts
+        lr_positive.cache_clear()
+        one = enumerate_middle_groups(G(4, 2), G(8))
+        two = enumerate_middle_groups(G(8), G(4, 2))
+        assert one.candidates == two.candidates
+        assert parts.cache_info().misses == 1 and parts.cache_info().hits == 1
+
 
 def _enumerate_reference(a, c):
     """The candidate tuple of one pair, built from scratch with no p-part
