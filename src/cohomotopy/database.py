@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import re
-from collections import OrderedDict
 from contextlib import contextmanager
 from functools import wraps
 from itertools import chain, compress
@@ -33,7 +32,6 @@ from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 
 from .abelian import (
-    MEMO_SIZE,
     AbelianError,
     FinAbGroup,
     GroupHom,
@@ -365,21 +363,25 @@ class Database:
     Nothing in ``families`` is ever changed in place: not a family, not the
     dict of a kind, not the mapping itself.  ``add`` replaces the mapping,
     and a load shares it, or the dicts and families in it, with its base
-    (``loads_db``).  So the identity of ``families`` names what ``find``
-    reads, and ``memoised`` uses it as the database's state: a remembered
-    check stamped with this mapping holds at once, and one stamped with
-    another is confirmed query by query, by the records its queries return
-    here."""
+    (``loads_db``).
+
+    ``memo`` holds the checks run on this state of the database, and
+    ``base_memo`` those of the state it was made from: the database a load
+    was based on, or this one before an ``add`` (``memoised``).  A database
+    built by hand starts with neither."""
 
     records: list = field(default_factory=list)
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
     families: dict[str, dict[frozenset, tuple]] = field(default_factory=dict)
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
+    base_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, entry) -> None:
         """Store a record; ``ValueError`` if it clashes with a stored one.
         A record with a context gets a new family in a new dict of its kind
         in a new ``families`` mapping, so a database that shares the old
-        mapping does not see the record."""
+        mapping does not see the record, and the checks remembered so far
+        become the base ones."""
         if isinstance(entry, SymbolEntry):
             if entry.name in self.symbols:
                 raise ValueError(f"duplicate name {entry.name!r}")
@@ -390,6 +392,7 @@ class Database:
             of_kind = dict(self.families.get(ctx.kind, _NO_FAMILIES))
             of_kind[ctx.family] = _family([*of_kind.get(ctx.family, ()), (nr.lo, nr, entry)])
             self.families = {**self.families, ctx.kind: of_kind}
+            self.memo, self.base_memo = {}, self.memo
         self.records.append(entry)
 
     def entries(self):
@@ -540,16 +543,12 @@ def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, 
 
 
 # ---------------------------------------------------------------------------
-# Checks remembered across databases
+# Checks remembered on the database they ran on
 # ---------------------------------------------------------------------------
 
 
 # The read traces open, innermost last (``reading``).
 _TRACES: list[dict] = []
-# (check, arguments) -> (the families mapping last confirmed, value, trace,
-# older): ``older`` is the result kept before, as (mapping, value, trace), or
-# None
-_MEMO: OrderedDict = OrderedDict()
 
 
 @contextmanager
@@ -595,66 +594,45 @@ def _unchanged(db: Database, trace: dict) -> bool:
     return True
 
 
-def _confirmed(key, kept: tuple, db: Database) -> tuple | None:
-    """The memo entry ``kept`` at ``key``, not stamped with ``db``'s
-    mapping, stamped with it and stored if one of its results holds for
-    ``db``: the latest, or else the older one, which then becomes the
-    latest.  None if neither holds."""
-    families = db.families
-    stamp, value, trace, older = kept
-    if _unchanged(db, trace):
-        kept = families, value, trace, older
-    elif older is not None and (older[0] is families or _unchanged(db, older[2])):
-        kept = families, older[1], older[2], (stamp, value, trace)
-    else:
-        return None
-    _MEMO[key] = kept
-    return kept
-
-
 def memoised(check):
-    """``check(db, *args)``, remembered by (check, args) across databases.
+    """``check(db, *args)``, remembered on ``db`` by (check, args).
 
     ``check`` must read ``db`` only through ``find`` (``lookup``,
     ``evidence_for``), so that a database on which its queries return the
-    identical records gets the identical value.  The value is kept with the
-    read trace of its run (``reading``) and with the ``families`` mapping of
-    the database it was last confirmed against, which is never changed in
-    place (``Database``).  A database with that same mapping gets the value
-    at once.  Any other has the trace walked query by query
-    (``_unchanged``), and a walk that holds makes its mapping the one kept.
-    Two results are kept per key: the one last confirmed, and the one
-    before it, which is tried only after the latest fails and which then
-    becomes the latest.  So the checks of a base database and of an edit of
-    it both hit while the two alternate.  A call inside another memoised
-    check adds its reads, whether remembered or new, to the outer check's.
-    Exceptions are not kept."""
+    identical records gets the identical value.  The value is kept in
+    ``db.memo`` with the read trace of its run (``reading``), and is
+    returned at once on the next call.  A value of the state ``db`` was made
+    from (``db.base_memo``) is used when its trace, walked query by query,
+    still holds on ``db`` (``_unchanged``); otherwise the check runs.  Either
+    way the value is then kept in ``db.memo``.  A memo lives as long as its
+    database, or the load ``loads_db`` remembers that shares it.  A call
+    inside another memoised check adds its reads, whether remembered or
+    new, to the outer check's.  Exceptions are not kept."""
 
     @wraps(check)
     def run(db, *args):
         key = (check, args)
-        kept = _MEMO.get(key)
-        hit = kept if kept is None or kept[0] is db.families else _confirmed(key, kept, db)
-        if hit is not None:
-            _MEMO.move_to_end(key)
-            if _TRACES:
-                _TRACES[-1].update(hit[2])
-            return hit[1]
-        with reading() as trace:
-            value = check(db, *args)
-        _MEMO[key] = db.families, value, trace, None if kept is None else kept[:3]
-        if len(_MEMO) > MEMO_SIZE:
-            _MEMO.popitem(last=False)
-        return value
+        hit = db.memo.get(key)
+        if hit is None:
+            hit = db.base_memo.get(key)
+            if hit is None or not _unchanged(db, hit[1]):
+                with reading() as trace:
+                    value = check(db, *args)
+                db.memo[key] = value, trace
+                return value
+            db.memo[key] = hit
+        if _TRACES:
+            _TRACES[-1].update(hit[1])
+        return hit[0]
 
     return run
 
 
 def clear_memos() -> None:
-    """Forget every remembered check (``memoised``) and the texts ``loads_db``
-    remembers, so that the next load and check start cold."""
+    """Forget the texts ``loads_db`` remembers, and with them their
+    remembered checks (``memoised``), so that the next load and its checks
+    start cold.  A database already loaded keeps its own."""
     _LOADED.clear()
-    _MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +746,16 @@ def _common(a: str, b: str) -> tuple[int, int]:
 # The texts that ``loads_db`` remembers, at most two: the base of the latest
 # load, then that load.  Each is a normalised text that loaded without error,
 # with the (start, end) of each record's block, each record's index key (its
-# name or family) and a database of its own, never given out (only its
-# families mapping is shared, and that is never changed in place).
+# name or family) and a database of its own, never given out: the caller
+# gets copies of its records and symbols, and shares its families mapping,
+# which is never changed in place, and its memos (``_given``).
 _LOADED: list = []
 _COLD = ("", [], [], Database())  # no text: a load without a base
+
+
+def _given(db: Database) -> Database:
+    """The caller's database of a remembered load ``db``."""
+    return Database(list(db.records), dict(db.symbols), db.families, db.memo, db.base_memo)
 
 
 def _window(kept: tuple, text: str) -> tuple[int, int, int, int]:
@@ -804,9 +788,17 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     every other family object is shared with the base, and a load that
     builds no family shares the base's whole families mapping.  The caller
     gets its own record list and symbol dict; the families mapping is never
-    changed in place (``Database``), so ``add`` does not reach the base."""
+    changed in place (``Database``), so ``add`` does not reach the base.
+
+    A load that shares its base's families mapping shares its remembered
+    checks too (``memoised``); any other starts with none, and with those of
+    its base as its ``base_memo``.  A text equal to a remembered one gets
+    that load's state again, and the texts remembered stay as they are."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
+    for kept in _LOADED:
+        if kept[0] == text:
+            return _given(kept[3])
     windows = [(_window(kept, text), kept) for kept in _LOADED or [_COLD]]
     (i, j, lo, hi), base = min(windows, key=lambda w: w[0][3] - w[0][2])
     old, old_spans, old_keys, old_db = base
@@ -847,9 +839,15 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     if failed:
         block, e = failed
         raise DbParseError(path, _line_no(text, *block.span(), e.index), str(e)) from e.__cause__
-    kept = (text, spans, keys, Database(records, symbols, families))
+    if base is _COLD:
+        memos = {}, {}
+    elif families is old_db.families:
+        memos = old_db.memo, old_db.base_memo
+    else:
+        memos = {}, old_db.memo
+    kept = (text, spans, keys, Database(records, symbols, families, *memos))
     _LOADED[:] = [kept] if base is _COLD else [base, kept]
-    return Database(list(records), dict(symbols), families)
+    return _given(kept[3])
 
 
 def load_db(path) -> Database:

@@ -479,24 +479,6 @@ class ComputedRow:
     cites: tuple[str, ...] = ()
     evidence_used: tuple = ()
 
-    # built for every derived cell, so written out like abelian's value classes
-    def __init__(self, group: FinAbGroup, generators: tuple[tuple[int, str], ...],
-                 cites: tuple[str, ...] = (), evidence_used: tuple = ()):
-        set_field(self, "group", group)
-        set_field(self, "generators", generators)
-        set_field(self, "cites", cites)
-        set_field(self, "evidence_used", evidence_used)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.group, self.generators, self.cites, self.evidence_used) == (
-                other.group, other.generators, other.cites, other.evidence_used
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group, self.generators, self.cites, self.evidence_used))
-
     def generator_names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.generators)
 

@@ -368,15 +368,14 @@ def verify_all(db: Database) -> list[CheckResult]:
     mapping-space rows, and the Gottlieb and path-component
     classifications; both of these read one Whitehead pairing per n.
 
-    Each check is remembered with the queries it made and the records they
-    returned (``memoised``), and two results are kept per check.  So a
-    database on which a check's queries return the identical records as on
-    one checked before, as a reload after an edit of a record the check did
-    not find does, reuses its result, and so does one that alternates with
-    an edit of it.  The plan itself,
-    which k, n and pairings to check, is read from the families directly,
-    past the read trace: ``verify_all`` is not memoised, so no remembered
-    result depends on it.
+    Each check is remembered on ``db`` with the queries it made and the
+    records they returned (``memoised``).  So a second pass reuses every
+    result, and so does a load of an edit for each check whose queries
+    return the identical records as on its base, as they do when the check
+    did not find the edited record.  The plan itself, which k, n and
+    pairings to check, is read from the families directly, past the read
+    trace: ``verify_all`` is not memoised, so no remembered result depends
+    on it.
     """
     results = []
     families = db.families

@@ -726,21 +726,21 @@ class TestBlockMemo:
                 done.add(spec[0])
                 texts.append(mutants.apply_spec(lines, spec))
                 lines = texts[-1].split("\n")
-        dbs = []
+        loading = []
         for text in texts:
             try:
-                dbs.append(loads_db(text))
+                loading.append((text, loads_db(text)))
             except DbError:
                 pass
-        warm = [checked(db) for db in dbs]
-        for db, got in zip(dbs, warm):
+        warm = [checked(db) for _, db in loading]
+        for (_, db), got in zip(loading, warm):
             copies = Database()  # equal records, sharing no family
             for entry in db.records:
                 copies.add(replace(entry))
             assert checked(copies) == got
-        for db, got in zip(dbs, warm):
+        for (text, _), got in zip(loading, warm):
             clear_memos()
-            assert checked(db) == got
+            assert checked(loads_db(text)) == got
 
     def test_add_leaves_a_database_loaded_from_the_same_text_alone(self, db_text):
         one, two = loads_db(db_text), loads_db(db_text)
@@ -850,9 +850,10 @@ def walks(monkeypatch):
     return found
 
 
-class TestStateStamp:
-    """A remembered check keeps the ``families`` mapping of the database it
-    was last confirmed against, and a hit on that mapping walks no trace."""
+class TestStateMemo:
+    """A database keeps the checks run on it (``memo``) and those of the
+    state it was made from (``base_memo``); a hit in its own memo walks no
+    trace."""
 
     def test_a_second_pass_walks_no_trace(self, db_text, mutants, walks):
         for text in (first_caught_mutant(db_text, mutants), db_text):
@@ -866,21 +867,29 @@ class TestStateStamp:
             checked(loads_db(text))
             assert walks == []
 
-    def test_a_confirmed_hit_keeps_the_new_state(self, db_text, walks):
+    def test_a_confirmed_hit_is_kept_on_the_new_state(self, db_text, runs, walks):
         db = loads_db(db_text)
         shipped = checked(db)
-        # the same families in a new mapping: every check hits after a walk
-        copy = Database(list(db.records), dict(db.symbols), dict(db.families))
+        kept = dict(db.memo)
+        # the same families in a new mapping, built by hand: every check runs
+        runs.clear()
+        walks.clear()
+        assert checked(Database(list(db.records), dict(db.symbols), dict(db.families))) == shipped
+        assert runs and walks == []
+        # the same, made from db: every check hits after a walk
+        copy = Database(list(db.records), dict(db.symbols), dict(db.families), base_memo=db.memo)
+        runs.clear()
+        assert checked(copy) == shipped
+        assert runs == [] and walks and all(walks)
         walks.clear()
         assert checked(copy) == shipped
-        assert walks and all(walks)
-        walks.clear()
-        assert checked(copy) == shipped
-        assert walks == []
+        assert walks == [] and runs == []
+        assert db.memo == kept and copy.memo.items() <= kept.items()
 
     def test_add_replaces_the_mapping_and_changes_no_dict(self, db_text):
         db = loads_db(db_text)
-        old = db.families
+        checked(db)
+        old, memo = db.families, db.memo
         inner = {kind: (of_kind, dict(of_kind)) for kind, of_kind in old.items()}
         before = dict(old)
         for block in (  # into a family, a new family, a new range of n
@@ -891,10 +900,12 @@ class TestStateStamp:
             db.add(_parse_block(block))
             assert db.families is not old
             assert old == before
+            assert db.memo == {} and db.base_memo is memo  # the checks before the add
+            memo = db.memo
             assert all(old[kind] is same and same == copy for kind, (same, copy) in inner.items())
         added = db.families
         db.add(_parse_block("[symbol]\nname = zz\ncite = [T]"))
-        assert db.families is added  # a symbol is in no family
+        assert db.families is added and db.memo is memo  # a symbol is in no family
 
     @pytest.mark.parametrize("make_b", ["mutant", "added"])
     def test_alternating_databases_check_like_cold_ones(self, db_text, mutants, make_b):
@@ -972,10 +983,10 @@ def bracket_cells(results):
 
 
 class TestRecordConfirmation:
-    """A remembered check whose trace reads a changed family is confirmed
-    query by query: it holds while every query returns the identical
-    records.  Two results are kept per check, so a base database and an
-    edit of it both hit while they alternate."""
+    """A remembered check of a base whose trace reads a changed family is
+    confirmed query by query: it holds while every query returns the
+    identical records.  A base database and an edit of it each keep their
+    own results."""
 
     @pytest.mark.parametrize("context", ["bracket k=6 n=12..", "bracket k=7 n=5", "bracket k=8 n=2"])
     def test_an_edited_row_reruns_only_the_cells_that_found_it(self, db_text, computed, context):
@@ -1026,7 +1037,7 @@ class TestRecordConfirmation:
             edited = loads_db(doubled(db_text, context))
             assert (database._unchanged(edited, whole), database._unchanged(edited, at_5)) == holds
 
-    def test_a_base_and_its_edit_keep_both_results(self, db_text, computed, runs, walks):
+    def test_a_base_and_its_edit_keep_their_own_results(self, db_text, computed, runs, walks):
         texts = {
             "a": db_text,
             "b": doubled(db_text, "bracket k=6 n=12.."),
@@ -1041,12 +1052,10 @@ class TestRecordConfirmation:
         assert [checked(loads_db(texts[name])) for name in "ab"] == [cold["a"], cold["b"]]
         runs.clear()
         walks.clear()
-        a = loads_db(texts["a"])
-        assert checked(a) == cold["a"]
-        # every result of a is kept: no check runs, and the walks stamp a
-        assert runs == [] and walks
-        walks.clear()
-        assert checked(a) == cold["a"] and walks == [] and runs == []
+        # each reload gets the checks of its text's load: none runs, none walks
+        assert [checked(loads_db(texts[name])) for name in "ab"] == [cold["a"], cold["b"]]
+        assert runs == [] and walks == []
+        # c is an edit of a, not of b: only the cell that reads its row runs
         computed.clear()
         assert checked(loads_db(texts["c"])) == cold["c"]
         assert computed == [(6, 11)]
@@ -1196,6 +1205,21 @@ class TestIncrementalLoad:
         del mutant, new
         gc.collect()
         assert gone() is None
+
+    def test_a_text_loaded_again_keeps_the_base(self, db_text):
+        """A second load of a remembered text gets that load's state and
+        leaves the remembered texts as they are, so the next edit of the
+        base is still diffed against it."""
+        m, m2 = doubled(db_text, "bracket k=7 n=5"), doubled(db_text, "bracket k=8 n=2")
+        clear_memos()
+        loads_db(db_text)
+        first = loads_db(m)
+        again = loads_db(m)
+        assert again.records == first.records and again.records is not first.records
+        assert again.families is first.families and again.memo is first.memo
+        assert [kept[0] for kept in database._LOADED] == [db_text, m]
+        loads_db(m2)
+        assert [kept[0] for kept in database._LOADED] == [db_text, m2]
 
     def test_the_base_is_the_remembered_text_that_leaves_least_to_scan(self, db_text):
         """Single edits of one file each keep that file as the base, also

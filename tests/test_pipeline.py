@@ -253,7 +253,7 @@ class TestVerifyAll:
         fams = {r.family for r in results}
         assert fams == {"bracket", "mapspace", "gottlieb", "components"}
 
-    def test_one_whitehead_pairing_per_n(self, db, monkeypatch):
+    def test_one_whitehead_pairing_per_n(self, db_text, monkeypatch):
         built = []
         real = pipeline.whitehead_hom
 
@@ -263,6 +263,7 @@ class TestVerifyAll:
 
         monkeypatch.setattr(pipeline, "whitehead_hom", counted)
         clear_memos()  # a cold pass builds each pairing once
+        db = loads_db(db_text)
         results = verify_all(db)
         labels = {r.label for r in results if r.family in ("gottlieb", "components")}
         assert labels == {f"G_{n}" for n in built} | {f"components n={n}" for n in built}
