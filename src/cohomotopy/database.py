@@ -895,13 +895,21 @@ def dumps_db(db: Database) -> str:
 # ---------------------------------------------------------------------------
 
 
+# The kinds whose rows of each k must tile one range of n, and those whose
+# groups' primes are checked, each in the order their problems are listed.
+_TILED = ("coker-eta", "ker-eta", "bracket")
+_PRIMED = ("odd-part", "coker-eta", "ker-eta")
+
+
 def _record_checks(entry):
     """What ``validate_db`` checks on one record alone, as a tuple: the
     symbol families its generator names reference; its problems if all of
     those are registered; its checks in field order, each a problem or a
-    (generator name, families) pair; and the problems with the primes of its
-    group (odd-part, coker-eta and ker-eta rows), which ``validate_db``
-    lists with the other rows of their kind.
+    (generator name, families) pair; the problems with the primes of its
+    group (an odd-part row that is not a p-group, a coker-eta or ker-eta row
+    with odd torsion); and the odd part of a bracket row's group, which the
+    odd-part rows of its n must sum to (None for any other record).  The
+    family checks (``_family_checks``) gather these over each family.
 
     Records are immutable, so the tuple is computed once and kept on the
     record itself (an attribute, not a field: equality, hashing, ``repr``
@@ -927,7 +935,7 @@ def _record_checks(entry):
                 checks.append((name, families_of(name)))
             except NameParseError as e:
                 checks.append(f"{entry.context}: {e}")
-    primes = ()
+    primes, odd = (), None
     kind = entry.context.kind if isinstance(entry, GroupEntry) else None
     if kind == "odd-part":
         p = entry.context.get("p")
@@ -936,27 +944,93 @@ def _record_checks(entry):
     elif kind in ("coker-eta", "ker-eta"):
         if any(q != 2 for q in entry.group.primary_decomposition()):
             primes = (f"{entry.context}: entry has odd torsion",)
+    elif kind == "bracket":
+        odd = entry.group.odd_part()
     done = (
         frozenset().union(*(c[1] for c in checks if isinstance(c, tuple))),
         tuple(c for c in checks if isinstance(c, str)),
         tuple(checks),
         primes,
+        odd,
     )
     object.__setattr__(entry, "_checks", done)
     return done
 
 
+@memoised
+def _family_checks(db: Database, kind: str, key: frozenset) -> tuple:
+    """The checks of each record alone (``_record_checks``) over the family
+    of context ``kind`` whose parameters other than n are ``key``, read with
+    one ``find``, as a tuple: the symbol families its records reference; its
+    records with problems of their own; the problems with their groups'
+    primes, as (the kind's place in ``_PRIMED``, first n, p, problem), p 0
+    for a kind without one; and for a family of k whose rows must tile a
+    range of n (``_TILED``), its k, the gaps between its rows and the range
+    they span, written (None for any other family).  Records and problems
+    are in the family's order."""
+    params = dict(key)
+    rows = db.find(kind, **params)
+    checks = list(map(_record_checks, rows))
+    tiling = None
+    if kind in _TILED and "k" in params:
+        k, ranges = params["k"], [e.context.n_range for e in rows]
+        gaps = tuple(
+            f"{kind} k={k}: no row for n={NRange(a.hi + 1, b.lo - 1)}"
+            for a, b in zip(ranges, ranges[1:]) if a.hi + 1 < b.lo
+        )
+        tiling = k, gaps, str(NRange(ranges[0].lo, ranges[-1].hi))
+    primes = ()
+    if kind in _PRIMED:
+        rank, p = _PRIMED.index(kind), params.get("p") or 0
+        primes = tuple(
+            (rank, e.context.n_range.lo, p, problem)
+            for e, c in zip(rows, checks) for problem in c[3]
+        )
+    return (
+        frozenset().union(*(c[0] for c in checks)),
+        tuple(e for e, c in zip(rows, checks) if c[1]),
+        primes,
+        tiling,
+    )
+
+
 def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
-    (empty list = valid).  The checks of each record alone run once per
-    record (``_record_checks``); each of those that read other records is
-    remembered with the queries it made (``memoised``) and runs again only
-    when one of them returns other records."""
+    (empty list = valid).  First the problems of each record alone, in
+    file order; then those with the primes of the odd-part, coker-eta and
+    ker-eta groups, kind by kind, ordered by n and then p; then the pairing
+    rule; the odd-part sums, by n; the tiling of each k's rows, by k; and
+    the evidence ends, by n.
+
+    The checks of each record alone run once per record (``_record_checks``)
+    and are gathered per family (``_family_checks``).  Those, and the checks
+    that read more than one family, are remembered with the queries they
+    made (``memoised``) and run again only when one of these returns other
+    records: after an edit, the edited record's family and the checks that
+    read it.  The test against the registered symbols is made on every
+    call, outside every memo, on the symbol families each family
+    references; only a family that references an unregistered one has its
+    records tested one by one."""
     problems: list[str] = []
     symbols = set(db.symbols)
-
-    for entry in db.records:
-        families, record_problems, checks, _ = _record_checks(entry)
+    flagged, primes, tiles = [], [], {}
+    for kind, of_kind in db.families.items():
+        for key, family in of_kind.items():
+            names, own, prime, tiling = _family_checks(db, kind, key)
+            if not names <= symbols:
+                own = [
+                    e for _, _, e in family
+                    if _record_checks(e)[1] or not _record_checks(e)[0] <= symbols
+                ]
+            flagged.extend(own)
+            primes.extend(prime)
+            if tiling:
+                tiles[kind, tiling[0]] = tiling[1:]
+    if len(flagged) > 1:  # found family by family, each ordered by n: put back in file order
+        ids = set(map(id, flagged))
+        flagged = [e for e in db.records if id(e) in ids]
+    for entry in flagged:
+        families, record_problems, checks = _record_checks(entry)[:3]
         if families <= symbols:
             problems.extend(record_problems)
             continue
@@ -971,12 +1045,18 @@ def validate_db(db: Database) -> list[str]:
                     f"unregistered symbol family {fam!r}"
                 )
 
-    problems.extend(_prime_problems(db))
+    primes.sort(key=itemgetter(0, 1, 2))  # stable: families of a kind in order
+    problems.extend(problem for *_, problem in primes)
     problems.extend(_pairing_problems(db))
     problems.extend(_by_n(_odd_part_problems, db, "bracket"))
-    tiled = ("coker-eta", "ker-eta", "bracket")
-    for k in sorted({k for kind in tiled for k in _ks(db, kind)}):
-        problems.extend(_tiling_problems(db, k))
+    for k in sorted({k for _, k in tiles}):
+        spans = {}
+        for kind in _TILED:
+            gaps, spans[kind] = tiles.get((kind, k), ((), "none"))
+            problems.extend(gaps)
+        if len(set(spans.values())) > 1:
+            covers = ", ".join(f"{kind} n={span}" for kind, span in spans.items())
+            problems.append(f"k={k}: rows cover different n: {covers}")
     problems.extend(_by_n(_evidence_problems, db, "extension"))
     return problems
 
@@ -995,22 +1075,10 @@ def _by_n(check, db: Database, kind: str) -> list[str]:
     return [problem for _, problem in found]
 
 
-# The checks of validate_db that read more than one record.  Each reads the
+# The checks of validate_db that read more than one family.  Each reads the
 # families of one kind or of one k through ``find``, so it is remembered with
 # those queries and runs again when one of them returns other records
 # (``memoised``).
-
-
-@memoised
-def _prime_problems(db: Database) -> tuple[str, ...]:
-    """The odd-part records are p-groups and the coker-eta and ker-eta rows
-    have no odd torsion (``_record_checks``), listed by kind."""
-    return tuple(
-        problem
-        for kind in ("odd-part", "coker-eta", "ker-eta")
-        for entry in db.find(kind)
-        for problem in _record_checks(entry)[3]
-    )
 
 
 @memoised
@@ -1042,48 +1110,42 @@ def _pairing_problems(db: Database) -> tuple[str, ...]:
 @memoised
 def _odd_part_problems(db: Database, k: int) -> tuple[tuple[int, str], ...]:
     """The odd-part records at k must reassemble to the odd part of each
-    bracket row of k, at its first n."""
+    bracket row of k (``_record_checks``), at its first n.  Both come
+    ordered by n, so one sweep pairs them: the odd-part rows that hold a
+    bracket row's n are those begun at or below it that have not ended."""
     problems = []
-    odd_parts = db.find("odd-part", k=k)
+    odd_parts = [(e.context.n_range, e.group) for e in db.find("odd-part", k=k)]
+    held, i = [], 0
     for bracket in db.find("bracket", k=k):
         n = bracket.context.n_range.lo
-        odd = FinAbGroup.trivial()
-        for entry in odd_parts:
-            if n in entry.context.n_range:
-                odd = odd.direct_sum(entry.group)
-        if odd != bracket.group.odd_part():
+        while i < len(odd_parts) and odd_parts[i][0].lo <= n:
+            held.append(odd_parts[i])
+            i += 1
+        held = [(nr, g) for nr, g in held if nr.hi is None or n <= nr.hi]
+        if len(held) == 1:
+            odd = held[0][1]
+        else:
+            odd = FinAbGroup.from_factors(
+                [o for _, g in held for o in chain((0,) * g.free_rank, g.torsion)]
+            )
+        want = _record_checks(bracket)[4]
+        if odd != want:
             problems.append((n, (
                 f"{bracket.context}: odd-part records sum to {odd}, "
-                f"bracket has odd part {bracket.group.odd_part()}"
+                f"bracket has odd part {want}"
             )))
-    return tuple(problems)
-
-
-@memoised
-def _tiling_problems(db: Database, k: int) -> tuple[str, ...]:
-    """The coker-eta, ker-eta and bracket rows of k tile one range of n."""
-    problems = []
-    spans = {}
-    for kind in ("coker-eta", "ker-eta", "bracket"):
-        ranges = [e.context.get("n") for e in db.find(kind, k=k)]
-        for a, b in zip(ranges, ranges[1:]):
-            if a.hi + 1 < b.lo:
-                problems.append(f"{kind} k={k}: no row for n={NRange(a.hi + 1, b.lo - 1)}")
-        spans[kind] = NRange(ranges[0].lo, ranges[-1].hi) if ranges else "none"
-    if len(set(spans.values())) > 1:
-        covers = ", ".join(f"{kind} n={span}" for kind, span in spans.items())
-        problems.append(f"k={k}: rows cover different n: {covers}")
     return tuple(problems)
 
 
 @memoised
 def _evidence_problems(db: Database, k: int) -> tuple[tuple[int, str], ...]:
     """Evidence at k resolves a recorded bracket cell at each end of its n
-    range."""
+    range.  The bracket rows of k are read once, as a family."""
     problems = []
+    brackets = [(e.context.n_range.lo, e.context.n_range, e) for e in db.find("bracket", k=k)]
     for e in db.find("extension", k=k):
         nr = e.context.n_range
         for n in sorted({nr.lo, nr.hi} - {None}):
-            if db.lookup("bracket", k=k, n=n) is None:
+            if not _holding(brackets, n):
                 problems.append((nr.lo, f"{e.context}: no bracket row for n={n}"))
     return tuple(problems)

@@ -9,8 +9,10 @@ distinct lines.  For each text the dump takes the outcome (as the ``mutants``
 workload names it), the ``DbParseError`` text, the family order, the
 ``validate_db`` problems and the ``CheckResult`` reprs of ``verify_all``.
 Two trees that print the same digest give byte-identical results on all of
-them.  ``tests/exactness_digest.txt`` holds the expected last line for the
-default arguments and ``tests/exactness_digest_seed7.txt`` that for
+them.  Each section's own sha256 is printed after its tally, so when the
+last line differs, the section lines of two trees name the section that
+moved it.  ``tests/exactness_digest.txt`` holds the expected last line for
+the default arguments and ``tests/exactness_digest_seed7.txt`` that for
 ``--seed 7``, whose multi-edit texts come in another order; CI compares
 both, so a change that means to move the digest (an edit of the shipped
 database, say) updates those files too.
@@ -112,12 +114,16 @@ def main(argv=None) -> int:
     database.clear_memos()
     for name, texts in sections:
         outcomes: Counter = Counter()
+        section = hashlib.sha256()
         for edited in texts:
             outcome, record = dump(edited)
             outcomes[outcome] += 1
-            digest.update(f"{outcome}\n{record}\n\n".encode())
+            data = f"{outcome}\n{record}\n\n".encode()
+            digest.update(data)
+            section.update(data)
         tally = ", ".join(f"{o} {outcomes[o]}" for o in mutants.OUTCOMES if outcomes[o])
         print(f"{name}: {sum(outcomes.values())} texts: {tally}")
+        print(f"{name}: sha256 {section.hexdigest()}")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 

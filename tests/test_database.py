@@ -1,9 +1,11 @@
 import gc
 import re
 import weakref
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohomotopy import database, extensions, pipeline
@@ -590,6 +592,33 @@ def edited(text, edit_list):
     return text
 
 
+def interleaved_edits(text):
+    """Edits of ``text`` (for ``edited``) that give records of their own
+    problems in two families that interleave in the file, the odd-part rows
+    of k=6 at p=3 and p=5, and comment out the ``[symbol]`` record of mu,
+    which leaves records of four other families naming an unregistered
+    family.  The edits run from the end of the text back, so that each
+    position holds."""
+    out = []
+    for context, old, new in (
+        ("odd-part k=6 n=2 p=3", "Z/3", "9"),
+        ("odd-part k=6 n=2 p=5", "Z/5", "7"),  # not a 5-group either
+        ("odd-part k=6 n=4 p=3", "Z/3", "9"),
+    ):
+        at = text.index(old, text.index(f"context = {context}\n")) + len(old) - 1
+        out.append((at, "replace", new))
+    block = text.index("[symbol]\nname = mu\n")
+    out.extend(
+        (at, "insert", "#") for at in range(block, text.index("\n\n", block))
+        if text[at - 1] == "\n"  # each line of the block
+    )
+    return sorted(out, reverse=True)
+
+
+SHIPPED_TEXT = (Path(__file__).resolve().parents[1] / "src" / "cohomotopy" / "data"
+                / "paper.cohdb").read_text()
+
+
 def load_and_validate(text):
     """``loads_db`` raises only ``DbError``; ``validate_db`` on whatever
     loads returns a list and raises nothing."""
@@ -691,6 +720,7 @@ class TestBlockMemo:
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(edits)
+    @example(interleaved_edits(SHIPPED_TEXT))  # records flagged out of their families' order
     def test_a_warm_record_memo_validates_like_a_cold_one(self, db_text, edit_list):
         validate_db(loads_db(db_text))
         try:
@@ -961,17 +991,75 @@ def computed(monkeypatch):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """One entry for each memoised check body run during a test: each run
-    opens a read trace (``database.reading``)."""
+    """The read trace of each memoised check body run during a test, in
+    order: each run opens one (``database.reading``)."""
     opened = []
     reading = database.reading
 
-    def counting():
-        opened.append(None)
-        return reading()
+    @contextmanager
+    def recording():
+        with reading() as trace:
+            opened.append(trace)
+            yield trace
 
-    monkeypatch.setattr(database, "reading", counting)
+    monkeypatch.setattr(database, "reading", recording)
     return opened
+
+
+@pytest.fixture
+def record_checks(monkeypatch):
+    """The records ``database._record_checks`` was called on during a test,
+    in order."""
+    seen = []
+    checks = database._record_checks
+
+    def counting(entry):
+        seen.append(entry)
+        return checks(entry)
+
+    monkeypatch.setattr(database, "_record_checks", counting)
+    return seen
+
+
+class TestFamilyChecks:
+    """``validate_db`` gathers the checks of each record alone per family
+    (``_family_checks``), so an edit costs what it touches: the edited
+    record's family and the checks that read it."""
+
+    def test_a_one_number_edit_rebuilds_its_family_alone(self, db_text, runs, record_checks):
+        clear_memos()
+        validate_db(loads_db(db_text))
+        text = doubled(db_text, "bracket k=6 n=4")
+        db = loads_db(text)
+        runs.clear()
+        record_checks.clear()
+        got = validate_db(db)
+        assert got == [
+            "bracket k=6 n=4: generator orders disagree with the group (Z/6 + Z/120 vs Z/6 + Z/240)"
+        ]
+        # every family's checks call _record_checks on each of its records:
+        # only the edited family's are rebuilt
+        family = {id(e) for _, _, e in db.families["bracket"][frozenset({("k", 6)})]}
+        assert record_checks and {id(e) for e in record_checks} <= family
+        # the bodies that ran read the families of k=6 alone
+        assert runs and all(("k", 6) in want for trace in runs for _, want, _ in trace)
+        clear_memos()
+        assert validate_db(loads_db(text)) == got
+
+    def test_records_are_listed_in_file_order(self, db_text):
+        """The problems of each record alone come in file order, though the
+        records are found family by family: two families that interleave,
+        and four more that name the family of a removed symbol."""
+        text = edited(db_text, interleaved_edits(db_text))
+        validate_db(loads_db(db_text))
+        for _ in ("warm", "cold"):
+            listed = [
+                problem.split(": ")[0] for problem in validate_db(loads_db(text))
+                if "disagree" in problem or "unregistered" in problem
+            ]
+            assert len(listed) == 7
+            assert listed == sorted(listed, key=lambda c: text.index(f"context = {c}\n"))
+            clear_memos()
 
 
 def bracket_cells(results):
