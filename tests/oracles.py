@@ -21,24 +21,29 @@ therefore walks the tail depth first, one entry t_j at a time, and solves
 x_j at a_i = lo as soon as t_j is fixed.  Only the t_j that make x_j
 integral are visited; when none does, no completion of the prefix and no
 larger a_i lies over M, so the prefix is dropped.  At the end of a tail the
-valid a_i are lo + s for every p^s dividing all x_j.  The search still
-visits every basis that lies over M exactly once.  The sums the solve
+valid a_i are lo + s for every p^s dividing all x_j, up to the largest
+exponent the target subgroup order allows (see below).  The search still visits every
+basis of that order that lies over M exactly once.  The sums the solve
 reads, the later columns of the rows fixed so far weighted by their
 coordinates, are carried down the walk, one vector added per entry.
 :func:`_subgroup_quotient_types_bruteforce` keeps the plain enumeration of
 every basis, for the tests to compare against.
 
-Only half of the subgroups are searched.  Pontryagin duality gives G ~ G^,
-and for a subgroup H the annihilator H^perp in G^ satisfies H^perp ~ (G/H)^
-~ G/H and G^/H^perp ~ H^ ~ H.  So when G has a subgroup of type mu with
-quotient of type nu, it also has one of type nu with quotient of type mu,
-of order |G|/|H|.  Every subgroup of order above p^floor(|lam|/2) is
-therefore the annihilator of one of order at most p^floor(|lam|/2) with the
-two types swapped: the search builds only the bases whose subgroup order
-p^sum(lam_i - a_i) is at most that bound (pruned bottom-up, as the partial
-sum over rows i..g-1 only grows) and records each pair both ways round.
-This is elementary duality, not Hall's theorem, which the enumerator
-implements, so the oracle stays independent of it.
+The search is by subgroup order: one search builds only the bases whose
+subgroup order p^sum(lam_i - a_i) is exactly p^m.  Bottom-up, row i adds
+lam_i - a_i to that exponent; it may add at most what the rows below row i
+have left to reach m, and at least that less lam_0 + ... + lam_{i-1}, the
+most rows 0..i-1 can add.  So each row's exponents form one interval, and
+at row 0 the target leaves a single a_0.  Pontryagin duality halves the
+layers: G ~ G^, and for a subgroup H the annihilator H^perp in G^
+satisfies H^perp ~ (G/H)^ ~ G/H and G^/H^perp ~ H^ ~ H.  So when G has a
+subgroup of type mu with quotient of type nu, it also has one of type nu
+with quotient of type mu, of order |G|/|H|.  The search of order p^m
+therefore records each pair both ways round, and so also answers for order
+p^(|lam| - m): :func:`realizable` asks only for m = min(|mu|, |nu|), at
+most floor(|lam|/2), and searches no other order.  This is elementary
+duality, not Hall's theorem, which the enumerator implements, so the oracle
+stays independent of it.
 
 The leaves under one choice of rows 1..g-1 differ only in row 0, and
 likewise the coordinate matrices only in their row 0 (column 0 of rows
@@ -50,21 +55,21 @@ leaves the arrow matrix [[c, t V mod d], [0, diag(d)]], of the same type as
 the whole matrix.  Columns with d_j = 1 carry only zeros and are dropped.
 For g = 1 the block is empty and the arrow is [[c]].  At row 0 the walk
 carries t V and x V in place of t and x, adding t_j or x_j times row j of V
-per entry (at rows i >= 1 V is the identity, so one walk serves every row).
-The row residues t V mod d depend on the tail only and are shared by every
-a_0; at a_0 = lo + s the coordinate residues are (x V / p^s) mod d, exact as
-p^s divides every x_j.  Block forms (by block rows) and arrow types (by p,
-c, the residues and d) recur across parents and across keys of the same
-prime, so both are memoised.
+per entry (at rows i >= 1 V is the identity, so one walk serves every row),
+and at its last entry it reads both residues t V mod d and x V mod d of
+each leaf directly.  Block forms (by block rows) and arrow types (by p, c,
+the residues and d) recur across parents and across the keys and orders of
+the same prime, so both are memoised.
 
 Since subgroup types are invariant under conjugating all three partitions,
 each key is searched in whichever orientation has fewer generators, keeping
 g small.  :func:`oracle_middle_groups` needs, at each prime p, the types
 lam of the p-part of G over the types (mu, nu) of A and C at p; that list
 recurs across pairs and is memoised per (p, mu, nu), with mu and nu
-conjugated once per key.  The three memos live exactly as long as the cache
-of :func:`subgroup_quotient_types`: its ``cache_clear()`` empties them
-too, so a sweep that clears it starts cold.
+conjugated once per key.  :func:`subgroup_quotient_types` caches each
+search per (p, lam, m), and the block, arrow and shape memos live exactly
+as long as that cache: its ``cache_clear()`` empties all four, so a sweep
+that clears it starts cold.
 """
 
 from functools import lru_cache
@@ -133,19 +138,22 @@ def _exponent(p, q):
 
 
 @lru_cache(maxsize=None)
-def _subgroup_quotient_types(p, lam):
+def _subgroup_quotient_types(p, lam, m):
     g = len(lam)
     if not g:
         return frozenset({((), ())})
-    half = sum(lam) // 2
+    room = [sum(lam[:i]) for i in range(g)]  # the most rows 0..i-1 can add
     rows = [None] * g  # rows[i]: basis row i
     coords = [None] * g  # coords[i]: p^lam_i e_i in the basis rows i..g-1
     out = set()
 
-    def place(i, sub_exp):
-        # sub_exp: sum(lam_j - a_j) over the rows j > i placed so far, the
-        # p-exponent of the subgroup order they account for
-        lo = max(lam[i] - (half - sub_exp), 0)
+    def place(i, need):
+        # need: m less sum(lam_j - a_j) over the rows j > i placed so far,
+        # what rows 0..i must still add to the p-exponent of the subgroup
+        # order; row i adds lam_i - a_i, at most need and at least
+        # need - room[i], so a_i runs over lo .. lo + span
+        lo = max(lam[i] - need, 0)
+        span = min(lam[i], lam[i] - need + room[i]) - lo  # 0 at row 0
         top = p ** (lam[i] - lo)  # x_i at a_i = lo, its largest value
         p_lo = p**lo
         n = g - 1 - i  # tail entries t_{i+1..g-1}
@@ -159,27 +167,27 @@ def _subgroup_quotient_types(p, lam):
             row_map, row_d = _block_form(tuple(r[1:] for r in rows[1:]))
             coord_map, coord_d = _block_form(tuple(x[1:] for x in coords[1:]))
 
-        def walk(k, acc, r, w, gcd_x):
+        def record(row_res, coord_res):
+            # a_0 = lo, the one exponent that meets the target
+            out.add((_arrow_type(p, top, coord_res, coord_d), _arrow_type(p, p_lo, row_res, row_d)))
+
+        def walk(k, acc, r, w):
             # t_{i+1..i+k} are fixed, and so x_{i+1..i+k} (at x_i = top):
             # acc holds columns i+k+1.. of sum x_j rows[j] over those j,
-            # r = t @ row_map and w = x @ coord_map over them, and gcd_x =
-            # gcd(top, x_{i+1..i+k}) = p^v: a_i = lo + s keeps every
-            # x_j / p^s integral exactly for s <= v
+            # and r = t @ row_map and w = x @ coord_map over them
             if k == n:
-                if not i:
-                    row_res = tuple(x % dj for x, dj in zip(r, row_d))
+                if not i:  # g = 1; a longer row 0 records at its last entry
+                    record((), ())
+                    return
+                # w = x here: a_i = lo + s keeps every x_j / p^s integral
+                # exactly for p^s dividing gcd(top, x_{i+1..g-1})
+                gcd_x = gcd(top, *w)
                 s, ps = 0, 1
-                while ps <= gcd_x:
-                    a = p_lo * ps
-                    if i:
-                        rows[i] = (0,) * i + (a, *r)
-                        coords[i] = (0,) * i + (top // ps, *(x // ps for x in w))
-                        place(i - 1, sub_exp + lam[i] - lo - s)
-                    else:
-                        # exact: ps divides every x_j, so x_j // ps = x_j / ps
-                        coord_res = tuple(x // ps % dj for x, dj in zip(w, coord_d))
-                        mu = _arrow_type(p, top // ps, coord_res, coord_d)
-                        out.add((mu, _arrow_type(p, a, row_res, row_d)))
+                while s <= span and ps <= gcd_x:
+                    rows[i] = (0,) * i + (p_lo * ps, *r)
+                    # exact: ps divides every x_j, so x_j // ps = x_j / ps
+                    coords[i] = (0,) * i + (top // ps, *(x // ps for x in w))
+                    place(i - 1, need - lam[i] + lo + s)
                     s, ps = s + 1, ps * p
                 return
             d, c = pivots[k], acc[0]
@@ -190,6 +198,16 @@ def _subgroup_quotient_types(p, lam):
             if c % q:
                 return
             step = d // q
+            if not i and k == n - 1:
+                # the last entry of row 0: read each leaf's types here
+                rm, cm = row_map[k], coord_map[k]
+                for t in range(-(c // q) % step, d, step):
+                    x = -(c + top * t) // d
+                    record(
+                        tuple((u + t * e) % dj for u, e, dj in zip(r, rm, row_d)),
+                        tuple((u + x * e) % dj for u, e, dj in zip(w, cm, coord_d)),
+                    )
+                return
             for t in range(-(c // q) % step, d, step):
                 x = -(c + top * t) // d
                 walk(
@@ -197,23 +215,23 @@ def _subgroup_quotient_types(p, lam):
                     [u + x * e for u, e in zip(acc[1:], right[k])],
                     [u + t * e for u, e in zip(r, row_map[k])],
                     [u + x * e for u, e in zip(w, coord_map[k])],
-                    gcd(gcd_x, x),
                 )
 
         # zip trims r and w to the width of their maps at the first step
         zeros = [0] * n
-        walk(0, zeros, zeros, zeros, top)
+        walk(0, zeros, zeros, zeros)
 
-    place(g - 1, 0)
+    place(g - 1, m)
     return frozenset(out | {(nu, mu) for mu, nu in out})
 
 
-def subgroup_quotient_types(p, lam):
+def subgroup_quotient_types(p, lam, m):
     """All (subgroup type, quotient type) pairs realized inside the abelian
-    p-group of type ``lam`` (a descending partition).  Cached, with the
-    ``cache_info()`` of that cache; ``cache_clear()`` also empties the
-    block, arrow and shape memos."""
-    return _subgroup_quotient_types(p, tuple(lam))
+    p-group of type ``lam`` (a descending partition) whose subgroup has
+    order p^m or p^(|lam| - m), for 0 <= m <= |lam|.  Cached per (p, lam,
+    m), with the ``cache_info()`` of that cache; ``cache_clear()`` also
+    empties the block, arrow and shape memos."""
+    return _subgroup_quotient_types(p, tuple(lam), m)
 
 
 def _cache_clear():
@@ -275,9 +293,10 @@ def _subgroup_quotient_types_bruteforce(p, lam):
 @lru_cache(maxsize=None)
 def realizable(p, lam, mu, nu):
     """Whether the p-group of type ``lam`` has a subgroup of type ``mu`` with
-    quotient of type ``nu``.  :func:`_shapes` asks it in the orientation of
-    fewer generators."""
-    return (mu, nu) in subgroup_quotient_types(p, lam)
+    quotient of type ``nu``.  It searches only the subgroups of order
+    p^min(|mu|, |nu|), which by duality answer either way round.
+    :func:`_shapes` asks it in the orientation of fewer generators."""
+    return (mu, nu) in subgroup_quotient_types(p, lam, min(sum(mu), sum(nu)))
 
 
 def _shapes(p, mu, nu):

@@ -187,8 +187,9 @@ def test_criterion_5_oracle_equivalence():
                 assert got == want, f"A={a}, C={c}: {got ^ want}"
                 checked += 1
     finally:
-        # the oracle memos hold about 14,400 block forms and arrow types and
-        # 1,000 shape lists (per prime and pair of types), and realizable's
+        # the oracle memos hold 335 searched orders (per prime, type and
+        # subgroup order), about 5,600 block forms and arrow types and 1,000
+        # shape lists (per prime and pair of types), and realizable's
         # lru_cache 18,753 entries; free them for the rest of the suite
         subgroup_quotient_types.cache_clear()
         realizable.cache_clear()

@@ -1,3 +1,4 @@
+import ast
 import sys
 from itertools import product
 from pathlib import Path
@@ -32,6 +33,7 @@ from oracles import (  # noqa: E402
     _subgroup_quotient_types_bruteforce,
     conjugate_partition,
     oracle_middle_groups,
+    realizable,
     subgroup_quotient_types,
 )
 from test_acceptance import _all_abelian_groups_up_to  # noqa: E402
@@ -277,24 +279,54 @@ class TestOracle:
         # (about 0.1 s and 0.3 s) check the walk at an odd prime there
         keys += [(2, (5, 1, 1, 1, 1)), (3, (4, 1, 1, 1)), (3, (3, 2, 1, 1))]
         for p, lam in keys:
-            want = _subgroup_quotient_types_bruteforce(p, lam)
-            assert subgroup_quotient_types(p, lam) == want, (p, lam)
-        assert subgroup_quotient_types(2, ()) == _subgroup_quotient_types_bruteforce(2, ())
+            # each order p^m searched alone holds exactly the pairs whose
+            # subgroup has order p^m or, by duality, p^(|lam| - m)
+            pairs = _subgroup_quotient_types_bruteforce(p, lam)
+            n = sum(lam)
+            for m in range(n // 2 + 1):
+                want = {(mu, nu) for mu, nu in pairs if sum(mu) in (m, n - m)}
+                assert subgroup_quotient_types(p, lam, m) == want, (p, lam, m)
+        assert subgroup_quotient_types(2, (), 0) == _subgroup_quotient_types_bruteforce(2, ())
 
     def test_memos_live_as_long_as_the_cache(self):
-        # a sweep that clears the cache starts cold: no block form, arrow
-        # type or shape list outlives the clear
-        key = (2, (3, 2, 1))
+        # a sweep that clears the cache starts cold: no searched order,
+        # block form, arrow type or shape list outlives the clear
+        key = (2, (3, 2, 1), 1)
         want = subgroup_quotient_types(*key)
         oracle_middle_groups(G(4, 2), G(2))
         subgroup_quotient_types.cache_clear()
+        realizable.cache_clear()
         assert subgroup_quotient_types.cache_info().currsize == 0
         assert not _BLOCKS and not _ARROWS and not _SHAPES
-        assert subgroup_quotient_types(*key) == want
+        # one realizable query searches one order, the smaller one of its
+        # pair: Z/2 in Z/8 + Z/4 + Z/2, with quotient Z/8 + Z/4
+        assert realizable(2, (3, 2, 1), (1,), (3, 2))
         assert subgroup_quotient_types.cache_info().currsize == 1
+        assert subgroup_quotient_types(*key) == want
+        assert subgroup_quotient_types.cache_info()[:2] == (1, 1)  # hits, misses
         assert _BLOCKS and _ARROWS
         assert oracle_middle_groups(G(4, 2), G(2)) == {G(8, 2), G(4, 4), G(4, 2, 2)}
         assert _SHAPES == {(2, (2, 1), (1,)): [[8, 2], [4, 4], [4, 2, 2]]}
+
+    def test_the_oracle_uses_none_of_the_enumerators_search(self):
+        # criterion 5 trusts the enumerator because an independent search
+        # agrees with it: the oracle may share partitions, but no name of
+        # the Hall/Littlewood-Richardson search it checks
+        enumerator = {
+            "enumerate_middle_groups", "lr_support", "_lr_support", "_strips",
+            "lr_positive", "_prime_parts", "_oriented_support",
+        }
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {part for alias in node.names for part in alias.name.split(".")}
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        assert "*" not in names
+        assert not names & enumerator, names & enumerator
 
 
 class TestApplyEvidence:
