@@ -45,13 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_db_path() -> str:
-    local = Path("data") / "paper.cohdb"
-    if local.is_file():
-        return str(local)
-    return str(Path(__file__).parent / "data" / "paper.cohdb")
-
-
 def _recorded_ns(db, kind) -> list[int]:
     return [e.context.get("n").lo for e in db.find(kind)]
 
@@ -79,9 +72,8 @@ def build_parser() -> _Parser:
         "groups, and Gottlieb/evaluation data from a curated database.",
     )
     parser.add_argument(
-        "--db", default=None, metavar="PATH",
-        help="database file (default: ./data/paper.cohdb, falling back to the "
-        "packaged copy)",
+        "--db", default=Path(__file__).parent / "data" / "paper.cohdb", metavar="PATH",
+        help="database file (default: the packaged paper.cohdb)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -113,9 +105,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    db_path = args.db or _default_db_path()
     try:
-        db = load_db(db_path)
+        db = load_db(args.db)
     except (OSError, DbError) as e:
         print(f"error: cannot load database: {e}", file=sys.stderr)
         return EXIT_DB

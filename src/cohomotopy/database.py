@@ -353,47 +353,47 @@ RECORD_TYPES = {
 }
 
 
-@record
+@record(frozen=True)
 class Database:
     """The records of a ``.cohdb`` file in load order, indexed twice: symbols
     by name, and each record with a context by its family, the pair (context
     kind, parameters other than n).  A family is a tuple of (n.lo, n range,
     record) ordered by n (``_family``).
 
-    Nothing in ``families`` is ever changed in place: not a family, not the
-    dict of a kind, not the mapping itself.  ``add`` replaces the mapping,
-    and a load shares it, or the dicts and families in it, with its base
-    (``loads_db``).
+    A database never changes: its fields are never assigned, and nothing in
+    ``symbols`` or ``families`` is changed in place, not a family, not the
+    dict of a kind, not a mapping.  A new state is a new database that
+    shares what did not change with the one it was made from: a load with
+    its base (``loads_db``), ``with_record`` with its parent.
 
-    ``memo`` holds the checks run on this state of the database, and
-    ``base_memo`` those of the state it was made from: the database a load
-    was based on, or this one before an ``add`` (``memoised``).  A database
-    built by hand starts with neither."""
+    ``memo`` holds the checks run on this database, and ``base_memo`` those
+    of the database it was made from (``memoised``).  Every database made
+    from another starts with an empty ``memo`` and the other's ``memo`` as
+    its ``base_memo``; a database built by hand starts with neither."""
 
-    records: list = field(default_factory=list)
+    records: tuple = ()
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
     families: dict[str, dict[frozenset, tuple]] = field(default_factory=dict)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
     base_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def add(self, entry) -> None:
-        """Store a record; ``ValueError`` if it clashes with a stored one.
-        A record with a context gets a new family in a new dict of its kind
-        in a new ``families`` mapping, so a database that shares the old
-        mapping does not see the record, and the checks remembered so far
-        become the base ones."""
+    def with_record(self, entry) -> "Database":
+        """A new database with ``entry`` stored after the records of this
+        one; ``ValueError`` if it clashes with a stored record.  A record
+        with a context gets a new family in a new dict of its kind in a new
+        ``families`` mapping; the other dicts and families are shared."""
+        symbols, families = self.symbols, self.families
         if isinstance(entry, SymbolEntry):
-            if entry.name in self.symbols:
+            if entry.name in symbols:
                 raise ValueError(f"duplicate name {entry.name!r}")
-            self.symbols[entry.name] = entry
+            symbols = {**symbols, entry.name: entry}
         ctx = getattr(entry, "context", None)
         if ctx is not None:
             nr = ctx.n_range
-            of_kind = dict(self.families.get(ctx.kind, _NO_FAMILIES))
+            of_kind = dict(families.get(ctx.kind, _NO_FAMILIES))
             of_kind[ctx.family] = _family([*of_kind.get(ctx.family, ()), (nr.lo, nr, entry)])
-            self.families = {**self.families, ctx.kind: of_kind}
-            self.memo, self.base_memo = {}, self.memo
-        self.records.append(entry)
+            families = {**families, ctx.kind: of_kind}
+        return Database((*self.records, entry), symbols, families, base_memo=self.memo)
 
     def entries(self):
         """Every record, in the order ``dumps_db`` writes them: by record type
@@ -490,7 +490,7 @@ def _family(rows: list) -> tuple:
     return tuple(sorted(rows, key=itemgetter(0)))
 
 
-def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, k: int,
+def _reindexed(old: Database, keys: list, records: tuple, touched: dict, i: int, k: int,
                reorder: bool):
     """The symbols and families of ``records`` (in load order, indexed at
     ``keys``), given ``old``, whose records are the same but for those at
@@ -498,15 +498,16 @@ def _reindexed(old: Database, keys: list, records: list, touched: dict, i: int, 
     of the records they replace, to their positions: only these names and
     families are built again.  Families are ordered by first appearance: as
     in ``old`` unless ``reorder``, as in ``touched`` when ``old`` is empty.
-    The families mapping of ``old`` is returned itself when no family is
-    touched; otherwise the dict of each kind that no new family enters is
-    shared with it, unless ``reorder``.
+    The symbols dict of ``old`` is returned itself when no name is touched,
+    and its families mapping when no family is; otherwise the dict of each
+    kind that no new family enters is shared with it, unless ``reorder``.
     ``_Clash`` names the first record, in load order, that clashes with an
     earlier one: a symbol name taken, or an overlapping context."""
     for x in chain(compress(range(i), map(touched.__contains__, keys[:i])),
                    compress(range(k, len(keys)), map(touched.__contains__, keys[k:]))):
         touched[keys[x]].append(x)
-    symbols, built, clashes = dict(old.symbols), {}, []
+    symbols = dict(old.symbols) if any(type(key) is str for key in touched) else old.symbols
+    built, clashes = {}, []
     for key, where in touched.items():
         where.sort()
         if type(key) is str:
@@ -601,13 +602,13 @@ def memoised(check):
     ``evidence_for``), so that a database on which its queries return the
     identical records gets the identical value.  The value is kept in
     ``db.memo`` with the read trace of its run (``reading``), and is
-    returned at once on the next call.  A value of the state ``db`` was made
-    from (``db.base_memo``) is used when its trace, walked query by query,
-    still holds on ``db`` (``_unchanged``); otherwise the check runs.  Either
-    way the value is then kept in ``db.memo``.  A memo lives as long as its
-    database, or the load ``loads_db`` remembers that shares it.  A call
-    inside another memoised check adds its reads, whether remembered or
-    new, to the outer check's.  Exceptions are not kept."""
+    returned at once on the next call.  A value of the database ``db`` was
+    made from (``db.base_memo``) is used when its trace, walked query by
+    query, still holds on ``db`` (``_unchanged``); otherwise the check runs.
+    Either way the value is then kept in ``db.memo``.  A memo lives as long
+    as its database, or a database made from it.  A call inside another
+    memoised check adds its reads, whether remembered or new, to the outer
+    check's.  Exceptions are not kept."""
 
     @wraps(check)
     def run(db, *args):
@@ -629,9 +630,9 @@ def memoised(check):
 
 
 def clear_memos() -> None:
-    """Forget the texts ``loads_db`` remembers, and with them their
-    remembered checks (``memoised``), so that the next load and its checks
-    start cold.  A database already loaded keeps its own."""
+    """Forget the loads ``loads_db`` remembers, so that the next load and
+    its checks start cold (``memoised``).  A database already given out
+    keeps its checks."""
     _LOADED.clear()
 
 
@@ -743,19 +744,12 @@ def _common(a: str, b: str) -> tuple[int, int]:
     return pre, lo
 
 
-# The texts that ``loads_db`` remembers, at most two: the base of the latest
+# The loads that ``loads_db`` remembers, at most two: the base of the latest
 # load, then that load.  Each is a normalised text that loaded without error,
 # with the (start, end) of each record's block, each record's index key (its
-# name or family) and a database of its own, never given out: the caller
-# gets copies of its records and symbols, and shares its families mapping,
-# which is never changed in place, and its memos (``_given``).
+# name or family) and its database, the one the load returned.
 _LOADED: list = []
-_COLD = ("", [], [], Database())  # no text: a load without a base
-
-
-def _given(db: Database) -> Database:
-    """The caller's database of a remembered load ``db``."""
-    return Database(list(db.records), dict(db.symbols), db.families, db.memo, db.base_memo)
+_COLD = ("", [], [], Database())  # no text: a load without a base; its memo stays empty
 
 
 def _window(kept: tuple, text: str) -> tuple[int, int, int, int]:
@@ -786,19 +780,19 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     and parsed; the others keep their record objects.  Only the symbols and
     families that gained or lost a record are built again (``_family``);
     every other family object is shared with the base, and a load that
-    builds no family shares the base's whole families mapping.  The caller
-    gets its own record list and symbol dict; the families mapping is never
-    changed in place (``Database``), so ``add`` does not reach the base.
+    builds no family or name shares the base's whole families mapping or
+    symbols dict.
 
-    A load that shares its base's families mapping shares its remembered
-    checks too (``memoised``); any other starts with none, and with those of
-    its base as its ``base_memo``.  A text equal to a remembered one gets
-    that load's state again, and the texts remembered stay as they are."""
+    The new database, like every database made from another (``Database``),
+    starts with no remembered checks and with its base's as its
+    ``base_memo`` (``memoised``).  A text equal to a remembered one gets
+    that remembered database itself, and the loads remembered stay as they
+    are."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
     for kept in _LOADED:
         if kept[0] == text:
-            return _given(kept[3])
+            return kept[3]
     windows = [(_window(kept, text), kept) for kept in _LOADED or [_COLD]]
     (i, j, lo, hi), base = min(windows, key=lambda w: w[0][3] - w[0][2])
     old, old_spans, old_keys, old_db = base
@@ -830,7 +824,7 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     k = i + len(records)
     after = [(s + shift, e + shift) for s, e in old_spans[j:]] if shift else old_spans[j:]
     spans = old_spans[:i] + spans + after
-    records = old_db.records[:i] + records + old_db.records[j:]
+    records = (*old_db.records[:i], *records, *old_db.records[j:])
     keys = old_keys[:i] + keys + old_keys[j:]
     try:
         symbols, families = _reindexed(old_db, keys, records, touched, i, k, reorder)
@@ -839,15 +833,9 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     if failed:
         block, e = failed
         raise DbParseError(path, _line_no(text, *block.span(), e.index), str(e)) from e.__cause__
-    if base is _COLD:
-        memos = {}, {}
-    elif families is old_db.families:
-        memos = old_db.memo, old_db.base_memo
-    else:
-        memos = {}, old_db.memo
-    kept = (text, spans, keys, Database(records, symbols, families, *memos))
+    kept = (text, spans, keys, Database(records, symbols, families, base_memo=old_db.memo))
     _LOADED[:] = [kept] if base is _COLD else [base, kept]
-    return _given(kept[3])
+    return kept[3]
 
 
 def load_db(path) -> Database:
@@ -1075,17 +1063,35 @@ def _by_n(check, db: Database, kind: str) -> list[str]:
     return [problem for _, problem in found]
 
 
-# The checks of validate_db that read more than one family.  Each reads the
-# families of one kind or of one k through ``find``, so it is remembered with
-# those queries and runs again when one of them returns other records
+# The checks of validate_db that read more than one family, and the pairing
+# at each n, which the pairing rule shares with verify_all.  Each reads the
+# families of one kind, one k or one n through ``find``, so it is remembered
+# with those queries and runs again when one of them returns other records
 # (``memoised``).
 
 
 @memoised
+def pairing(db: Database, n: int) -> GroupHom | DbError:
+    """The Whitehead pairing at n, built from the ``whitehead`` record on the
+    ``bracket-id`` row (``WhiteheadEntry.pairing``), or the ``DbError`` that
+    names its first problem.  The error is a new one with the same text and
+    no traceback or cause, so that a remembered error keeps no database
+    alive."""
+    src = db.lookup("bracket-id", n=n)
+    wh = db.lookup("whitehead", n=n)
+    if src is None or wh is None:
+        return DbError(f"no bracket-id/whitehead records for n={n}")
+    try:
+        return wh.pairing(src)
+    except DbError as e:
+        return DbError(str(e))
+
+
+@memoised
 def _pairing_problems(db: Database) -> tuple[str, ...]:
-    """The pairing's own rule (``WhiteheadEntry.pairing``), as the commands
-    that read it apply it; verify_all checks a pairing's n only through the
-    gottlieb and components rows that exist, so each n needs both."""
+    """The pairing's own rule (``pairing``), as the commands that read it
+    apply it; verify_all checks a pairing's n only through the gottlieb and
+    components rows that exist, so each n needs both."""
     problems = []
     checked = {
         kind: {e.context.n_range.lo for e in db.find(kind)}
@@ -1096,14 +1102,10 @@ def _pairing_problems(db: Database) -> tuple[str, ...]:
         for kind, ns in checked.items():
             if n not in ns:
                 problems.append(f"{w.context}: no {kind} row for this n")
-        src = db.lookup("bracket-id", n=n)
-        if src is None:
+        if db.lookup("bracket-id", n=n) is None:
             problems.append(f"{w.context}: no bracket-id entry for this n")
-            continue
-        try:
-            w.pairing(src)
-        except DbError as e:
-            problems.append(str(e))
+        elif isinstance(h := pairing(db, n), DbError):
+            problems.append(str(h))
     return tuple(problems)
 
 

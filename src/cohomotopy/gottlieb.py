@@ -14,21 +14,22 @@ pairing's target is infinite.
 from __future__ import annotations
 
 from .abelian import FinAbGroup, GroupHom, Presentation
-from .database import Database, DbError
+from .database import Database, DbError, pairing
 from .record import record
 
 
 def whitehead_hom(db: Database, n: int) -> GroupHom:
-    """The pairing ``[-, identity]`` on the recorded bracket-id row.
+    """The pairing ``[-, identity]`` on the recorded bracket-id row
+    (``database.pairing``, remembered on ``db``).
 
     A ``DbError`` names the whitehead record when its images define no
     homomorphism, with the problem ``db-check`` reports
-    (``WhiteheadEntry.pairing``)."""
-    src = db.lookup("bracket-id", n=n)
-    wh = db.lookup("whitehead", n=n)
-    if src is None or wh is None:
-        raise DbError(f"no bracket-id/whitehead records for n={n}")
-    return wh.pairing(src)
+    (``WhiteheadEntry.pairing``), or the n when either record is missing.
+    It is a new error with the remembered one's text."""
+    h = pairing(db, n)
+    if isinstance(h, DbError):
+        raise DbError(str(h))
+    return h
 
 
 def gottlieb_group(h: GroupHom) -> FinAbGroup:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .abelian import FinAbGroup, GroupHom
-from .database import Database, DbError, memoised
+from .database import Database, DbError, memoised, pairing
 from .extensions import (
     ComputedRow,
     EhpInjectivity,
@@ -24,7 +24,7 @@ from .extensions import (
     apply_evidence,
     map_names,
 )
-from .gottlieb import classify_components, gottlieb_group, whitehead_hom
+from .gottlieb import classify_components, gottlieb_group
 from .record import record
 
 
@@ -234,23 +234,15 @@ def check_mapspace(db: Database, n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-# Each check takes the Whitehead pairing at n, ``whitehead_hom(db, n)``, or
-# the ``DbError`` that building it raised (``_pairing``).
-
-
-@memoised
-def _pairing(db: Database, n: int) -> GroupHom | DbError:
-    try:
-        return whitehead_hom(db, n)
-    except DbError as err:
-        return err.with_traceback(None)  # a kept traceback would keep db alive
+# Each check takes the Whitehead pairing at n, or the ``DbError`` that
+# building it gave (``database.pairing``).
 
 
 @memoised
 def _paired_check(db: Database, check, n: int) -> CheckResult:
     """``check`` (``check_gottlieb`` or ``check_components``) at n, on the
     pairing that both read."""
-    return check(db, n, _pairing(db, n))
+    return check(db, n, pairing(db, n))
 
 
 def check_gottlieb(db: Database, n: int, h: GroupHom | DbError) -> CheckResult:

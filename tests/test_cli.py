@@ -99,6 +99,15 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert "group records" in out
 
+    def test_without_db_the_packaged_copy_is_read(self, capsys, monkeypatch, tmp_path):
+        # a database in the working directory is only read when --db names it
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "paper.cohdb").write_text("[group]\nbroken line\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "verify")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "65/65 checks passed"
+
 
 class TestExitCodes:
     def test_usage_error_is_4(self, capsys):

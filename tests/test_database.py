@@ -2,6 +2,7 @@ import gc
 import re
 import weakref
 from contextlib import contextmanager
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -679,6 +680,11 @@ def checked(db):
     return out
 
 
+def built(records):
+    """The database that ``with_record`` builds from ``records``, one by one."""
+    return reduce(Database.with_record, records, Database())
+
+
 class TestBlockMemo:
     def test_unchanged_blocks_are_parsed_once(self, db_text):
         first = loads_db(db_text, "a.cohdb").records
@@ -728,10 +734,8 @@ class TestBlockMemo:
         except DbError:
             return
         warm = validate_db(db)
-        copies = Database()  # equal records, none checked yet
-        for entry in db.records:
-            copies.add(replace(entry))
-        assert validate_db(copies) == warm
+        # equal records, none checked yet
+        assert validate_db(built(map(replace, db.records))) == warm
         clear_memos()
         assert validate_db(loads_db(edited(db_text, edit_list))) == warm
 
@@ -741,8 +745,9 @@ class TestBlockMemo:
         """A run of number edits, each text keeping the edits before it, is
         checked with every memo warm from the texts before; the checks must
         agree with those of a cold start and of equal records built by
-        ``add``.  Half of the edits fall on the records of one n that the
-        Gottlieb and components checks read through their shared pairing."""
+        ``with_record``.  Half of the edits fall on the records of one n that
+        the Gottlieb and components checks read through their shared
+        pairing."""
         specs = mutants.mutant_specs(db_text)
         n = data.draw(st.integers(1, 8))
         at_n = lines_of_n(db_text, n)
@@ -764,40 +769,37 @@ class TestBlockMemo:
                 pass
         warm = [checked(db) for _, db in loading]
         for (_, db), got in zip(loading, warm):
-            copies = Database()  # equal records, sharing no family
-            for entry in db.records:
-                copies.add(replace(entry))
-            assert checked(copies) == got
+            # equal records, sharing no family
+            assert checked(built(map(replace, db.records))) == got
         for (text, _), got in zip(loading, warm):
             clear_memos()
             assert checked(loads_db(text)) == got
 
-    def test_add_leaves_a_database_loaded_from_the_same_text_alone(self, db_text):
-        one, two = loads_db(db_text), loads_db(db_text)
-        assert all(
-            one.families[kind][key] is family
-            for kind, families in two.families.items() for key, family in families.items()
-        )
-        shared = {kind: dict(families) for kind, families in two.families.items()}
-        text = dumps_db(two)
-        one.add(_parse_block("[group]\ncontext = odd-part k=6 n=3 p=5\ngroup = Z/5\n"
-                             "generators = eta_3 . ext(alpha_1_5(4)) : 5\ncite = [T]"))
-        assert two.families == shared and dumps_db(two) == text
-        assert all(
-            two.families[kind][key] is family
-            for kind, families in shared.items() for key, family in families.items()
-        )
-        assert len(one.find("odd-part", k=6, p=5)) == len(two.find("odd-part", k=6, p=5)) + 1
-        # nor the text loads_db remembers
-        assert loads_db(db_text).find("odd-part", k=6, p=5) == two.find("odd-part", k=6, p=5)
+    def test_with_record_leaves_its_parent_and_the_remembered_load_alone(self, db_text):
+        parent = loads_db(db_text)
+        checked(parent)
+        before, text = parts(parent), dumps_db(parent)
+        copies = [type(part)(part) for part in before]
+        child = parent.with_record(_parse_block(ODD_PART_5))
+        assert child.memo == {} and child.base_memo is parent.memo
+        checked(child)
+        # the parent's fields, its families mapping and each dict of a kind:
+        # the same objects, holding what they held
+        assert list(map(id, parts(parent))) == list(map(id, before))
+        assert parts(parent) == copies and dumps_db(parent) == text
+        assert len(child.find("odd-part", k=6, p=5)) == len(parent.find("odd-part", k=6, p=5)) + 1
+        # a load of the same text gets the load loads_db remembers: the parent
+        assert loads_db(db_text) is parent
 
     @pytest.mark.parametrize("p", [5, 11], ids=["into-a-family", "a-new-family"])
-    def test_checks_after_add_see_the_new_record(self, db_text, p):
+    def test_checks_after_with_record_see_the_new_record(self, db_text, p):
         db = loads_db(db_text)
         before = verify_all(db)
         assert all(r.passed() for r in before) and validate_db(db) == []
-        db.add(_parse_block(f"[group]\ncontext = odd-part k=6 n=3 p={p}\ngroup = Z/{p}\n"
-                            f"generators = eta_3 . ext(alpha_1_5(4)) : {p}\ncite = [T]"))
+        db = db.with_record(_parse_block(
+            f"[group]\ncontext = odd-part k=6 n=3 p={p}\ngroup = Z/{p}\n"
+            f"generators = eta_3 . ext(alpha_1_5(4)) : {p}\ncite = [T]"
+        ))
         assert [r.label for r in verify_all(db) if not r.passed()] == ["k=6 n=3"]
         assert validate_db(db) == [
             f"bracket k=6 n=3: odd-part records sum to Z/{3 * p}, bracket has odd part Z/3"
@@ -814,12 +816,7 @@ class TestBlockMemo:
         # the kept checks are no field: equality, hashing and text ignore them
         fresh = replace(entry)
         assert (fresh, hash(fresh), repr(fresh)) == (copy, hash(copy), repr(copy))
-        dumped = []
-        for record in (copy, fresh):
-            one = Database()
-            one.add(record)
-            dumped.append(dumps_db(one))
-        assert dumped[0] == dumped[1]
+        assert dumps_db(Database().with_record(copy)) == dumps_db(Database().with_record(fresh))
 
     def test_removing_a_symbol_is_seen_through_the_record_memo(self, db_text):
         """Dropping a ``[symbol]`` record changes the registered families
@@ -843,10 +840,14 @@ ODD_PART_5 = ("[group]\ncontext = odd-part k=6 n=3 p=5\ngroup = Z/5\n"
 
 
 def with_added(text):
-    """The database of ``text`` with ``ODD_PART_5`` added by ``add``."""
-    db = loads_db(text)
-    db.add(_parse_block(ODD_PART_5))
-    return db
+    """The database of ``text`` with ``ODD_PART_5`` added by ``with_record``."""
+    return loads_db(text).with_record(_parse_block(ODD_PART_5))
+
+
+def parts(db):
+    """The objects a database is made of: its fields, then the dict of each
+    kind in its families mapping."""
+    return [db.records, db.symbols, db.families, db.memo, db.base_memo, *db.families.values()]
 
 
 def first_caught_mutant(db_text, mutants):
@@ -904,10 +905,10 @@ class TestStateMemo:
         # the same families in a new mapping, built by hand: every check runs
         runs.clear()
         walks.clear()
-        assert checked(Database(list(db.records), dict(db.symbols), dict(db.families))) == shipped
+        assert checked(Database(db.records, db.symbols, dict(db.families))) == shipped
         assert runs and walks == []
         # the same, made from db: every check hits after a walk
-        copy = Database(list(db.records), dict(db.symbols), dict(db.families), base_memo=db.memo)
+        copy = Database(db.records, db.symbols, dict(db.families), base_memo=db.memo)
         runs.clear()
         assert checked(copy) == shipped
         assert runs == [] and walks and all(walks)
@@ -916,26 +917,25 @@ class TestStateMemo:
         assert walks == [] and runs == []
         assert db.memo == kept and copy.memo.items() <= kept.items()
 
-    def test_add_replaces_the_mapping_and_changes_no_dict(self, db_text):
+    def test_with_record_replaces_the_mapping_and_changes_no_dict(self, db_text):
         db = loads_db(db_text)
-        checked(db)
-        old, memo = db.families, db.memo
-        inner = {kind: (of_kind, dict(of_kind)) for kind, of_kind in old.items()}
-        before = dict(old)
-        for block in (  # into a family, a new family, a new range of n
+        for block in (  # into a family, a new family, a new range of n, a symbol
             ODD_PART_5,
             "[group]\ncontext = odd-part k=6 n=3 p=11\ngroup = Z/11\ncite = [T]",
             "[components]\ncontext = components n=30\nexpected = 1\ncite = [T]",
+            "[symbol]\nname = zz\ncite = [T]",
         ):
-            db.add(_parse_block(block))
-            assert db.families is not old
-            assert old == before
-            assert db.memo == {} and db.base_memo is memo  # the checks before the add
-            memo = db.memo
-            assert all(old[kind] is same and same == copy for kind, (same, copy) in inner.items())
-        added = db.families
-        db.add(_parse_block("[symbol]\nname = zz\ncite = [T]"))
-        assert db.families is added and db.memo is memo  # a symbol is in no family
+            checked(db)
+            before = parts(db)
+            copies = [type(part)(part) for part in before]
+            new = db.with_record(_parse_block(block))
+            assert list(map(id, parts(db))) == list(map(id, before)) and parts(db) == copies
+            assert new.memo == {} and new.base_memo is db.memo  # the checks of the parent
+            if block.startswith("[symbol]"):  # a symbol is in no family
+                assert new.families is db.families and new.symbols is not db.symbols
+            else:
+                assert new.families is not db.families and new.symbols is db.symbols
+            db = new
 
     @pytest.mark.parametrize("make_b", ["mutant", "added"])
     def test_alternating_databases_check_like_cold_ones(self, db_text, mutants, make_b):
@@ -954,13 +954,21 @@ class TestStateMemo:
         assert [checked(db) for db in (a, b, a)] == [cold["a"], cold["b"], cold["a"]]
 
     def test_the_memo_keeps_no_database_alive(self, db_text):
-        for make in (lambda: loads_db(db_text), lambda: with_added(db_text)):
-            db = make()
-            checked(db)
-            gone = weakref.ref(db)
-            del db
-            gc.collect()
-            assert gone() is None
+        """Nor does a memo made from it: a database made from another keeps
+        the other's memo, with the checks confirmed from it, but not the
+        other database, also where a check keeps the error a pairing gave."""
+        image = "S nu' . S^3 p -> (0, 0, 0)"  # of order 2: an image of order 4 is an error
+        for text in (db_text, db_text.replace(image, image.replace("(0", "(1"), 1)):
+            for make in (lambda: loads_db(text), lambda: with_added(text)):
+                db = make()
+                checked(db)
+                child = db.with_record(_parse_block("[symbol]\nname = zz\ncite = [T]"))
+                assert checked(child) == checked(db) and child.memo.items() <= db.memo.items()
+                gone = weakref.ref(db)
+                del db
+                clear_memos()  # a loaded database is the load loads_db remembers
+                gc.collect()
+                assert gone() is None
 
 
 def doubled(text, context):
@@ -1295,16 +1303,14 @@ class TestIncrementalLoad:
         assert gone() is None
 
     def test_a_text_loaded_again_keeps_the_base(self, db_text):
-        """A second load of a remembered text gets that load's state and
-        leaves the remembered texts as they are, so the next edit of the
+        """A second load of a remembered text gets the remembered database
+        and leaves the remembered texts as they are, so the next edit of the
         base is still diffed against it."""
         m, m2 = doubled(db_text, "bracket k=7 n=5"), doubled(db_text, "bracket k=8 n=2")
         clear_memos()
         loads_db(db_text)
         first = loads_db(m)
-        again = loads_db(m)
-        assert again.records == first.records and again.records is not first.records
-        assert again.families is first.families and again.memo is first.memo
+        assert loads_db(m) is first
         assert [kept[0] for kept in database._LOADED] == [db_text, m]
         loads_db(m2)
         assert [kept[0] for kept in database._LOADED] == [db_text, m2]
@@ -1407,7 +1413,7 @@ def reference_outcome(text, path="ref.cohdb"):
             except _BlockError as e:
                 raise DbParseError(path, block[e.index][0], str(e)) from e
             try:
-                db.add(entry)
+                db = db.with_record(entry)
             except ValueError as e:
                 raise DbParseError(path, block[0][0], str(e)) from e
     except DbParseError as e:

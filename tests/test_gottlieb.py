@@ -1,3 +1,4 @@
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -151,9 +152,9 @@ class TestOddUnits:
                     for u in units:
                         images = list(w.images)
                         images[i] = (name, vec[:j] + (u,) + vec[j + 1:])
-                        variant = Database()
-                        for e in db.records:
-                            variant.add(replace(e, images=tuple(images)) if e is w else e)
+                        variant = reduce(Database.with_record, (
+                            replace(e, images=tuple(images)) if e is w else e for e in db.records
+                        ), Database())
                         assert self.results(variant, n) == shipped, (n, name, u)
                     checked.append((n, name, tuple(units)))
         assert (7, "nu_8 . S^7 p", (1, 3)) in checked

@@ -1,8 +1,15 @@
 import pytest
 
-from cohomotopy import pipeline
 from cohomotopy.abelian import FinAbGroup, parse_group
-from cohomotopy.database import DbError, NRange, clear_memos, dumps_db, loads_db, validate_db
+from cohomotopy.database import (
+    DbError,
+    NRange,
+    WhiteheadEntry,
+    clear_memos,
+    dumps_db,
+    loads_db,
+    validate_db,
+)
 from cohomotopy.extensions import ExtensionError, UnresolvedExtensionError
 from cohomotopy.pipeline import (
     check_bracket,
@@ -255,22 +262,29 @@ class TestVerifyAll:
 
     def test_one_whitehead_pairing_per_n(self, db_text, monkeypatch):
         built = []
-        real = pipeline.whitehead_hom
+        real = WhiteheadEntry.pairing
 
-        def counted(db, n):
-            built.append(n)
-            return real(db, n)
+        def counted(self, src):
+            built.append(self.context.n_range.lo)
+            return real(self, src)
 
-        monkeypatch.setattr(pipeline, "whitehead_hom", counted)
-        clear_memos()  # a cold pass builds each pairing once
+        monkeypatch.setattr(WhiteheadEntry, "pairing", counted)
+        clear_memos()  # a cold validate_db, then verify_all, builds each pairing once
         db = loads_db(db_text)
+        assert validate_db(db) == []
         results = verify_all(db)
         labels = {r.label for r in results if r.family in ("gottlieb", "components")}
         assert labels == {f"G_{n}" for n in built} | {f"components n={n}" for n in built}
-        assert len(built) == len(set(built))
+        assert sorted(built) == list(range(1, 9))
         # a second pass over the same database builds none
         built.clear()
-        assert verify_all(db) == results and built == []
+        assert verify_all(db) == results and validate_db(db) == [] and built == []
+        # an edit of one image builds the pairing at its n alone
+        image = "nu_4 . S^3 p -> (2, 0, 0)"
+        edited = loads_db(db_text.replace(image, image.replace("(2", "(0"), 1))
+        validate_db(edited)
+        verify_all(edited)
+        assert built == [3]
 
     def test_evidence_range_ends_are_checked(self, db_text):
         # the sigma_8 . nu_15 lift moved to n=16, a cell no row range starts at

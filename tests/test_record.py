@@ -178,11 +178,14 @@ class TestInit:
         with pytest.raises(TypeError, match="takes 8 positional arguments but 9 were given"):
             RelationFact("L", "c", 2, "a", 1, None, "", "extra")
 
-    def test_database_is_mutable_unhashable_and_gets_fresh_defaults(self):
+    def test_database_is_frozen_unhashable_and_gets_fresh_defaults(self):
         a, b = Database(), Database()
-        assert a == b and a.records is not b.records
-        a.records.append(None)
-        assert a != b
+        assert a == b and a.records == () and a.symbols is not b.symbols
+        assert a.memo is not b.memo and a.base_memo is not b.base_memo
+        for f in fields(Database):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{f.name}'"):
+                setattr(a, f.name, getattr(b, f.name))
+        assert a == b and a.with_record(SymbolEntry("eta", "[T]")) != b
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
 
