@@ -65,7 +65,7 @@ class IllDefinedHomError(AbelianError):
 # hot path, so each writes out its __init__, __eq__ and __hash__.
 
 
-@record(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix, row-major."""
 
@@ -164,7 +164,7 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class SmithDecomposition:
     u: IntMatrix
     d: IntMatrix
@@ -453,7 +453,7 @@ def _primary_parts(torsion: tuple[int, ...]):
     )
 
 
-@record(frozen=True)
+@record
 class FinAbGroup:
     """Finitely generated abelian group in canonical form.
 
@@ -581,7 +581,7 @@ def parse_group(text: str) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class Presentation:
     """Z^num_generators modulo ``orders[i]`` times the i-th generator: a sum of
     cyclic groups, where order 0 means a copy of Z."""
@@ -646,7 +646,7 @@ def group_from_presentation(relations, g: int) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class GroupHom:
     """Homomorphism between presented groups, x |-> x @ matrix.
 

@@ -66,7 +66,7 @@ class DbParseError(DbError):
         super().__init__(f"{path}:{line}: {msg}")
 
 
-@record(frozen=True)
+@record
 class NRange:
     """A single n, a closed range, or an open-ended stable range."""
 
@@ -103,7 +103,7 @@ class NRange:
         return cls(lo, hi)
 
 
-@record(frozen=True)
+@record
 class Context:
     """A record's context: a kind and its parameters.  ``family`` (the
     parameters other than n, which with the kind name the context's family)
@@ -175,7 +175,7 @@ def _parse_images(text: str):
             raise ValueError(f"image vector {vec!r} must be parenthesized")
         inner = vec[1:-1].strip()
         coeffs = [c.strip() for c in inner.split(",")] if inner else []
-        out.append((name, tuple("odd" if c in ("odd", "-odd") else int(c) for c in coeffs)))
+        out.append((name, tuple(c if c == "odd" else int(c) for c in coeffs)))
     return tuple(out)
 
 
@@ -218,17 +218,16 @@ EVIDENCE = ValueType(  # the ``kind`` value, read as its class, which reads the 
 # parsed, dumped and validated.  Fields are written in the order declared.
 
 
-@record(frozen=True)
+@record
 class SymbolEntry:
     TAG = "symbol"
     UNIQUE = "name"
 
     name: str = record_field("name", TEXT)
     cite: str = record_field("cite", TEXT, default="")
-    note: str = record_field("note", TEXT, default="")
 
 
-@record(frozen=True)
+@record
 class GroupEntry:
     """A group with named generators, as written in the source tables.
 
@@ -252,7 +251,6 @@ class GroupEntry:
     group: FinAbGroup = record_field("group", GROUP, terms="terms")
     terms: tuple[tuple[int, str], ...] = record_field("generators", TERMS, default=())
     cite: str = record_field("cite", TEXT, default="")
-    note: str = record_field("note", TEXT, default="")
 
     def generator_names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.terms)
@@ -261,7 +259,7 @@ class GroupEntry:
         return Presentation.from_orders([o for o, _ in self.terms])
 
 
-@record(frozen=True)
+@record
 class WhiteheadEntry:
     """The Whitehead-pairing map f |-> [f, identity-class] on a bracket-id row.
 
@@ -283,7 +281,6 @@ class WhiteheadEntry:
         "images", IMAGES, default=()
     )
     cite: str = record_field("cite", TEXT, default="")
-    note: str = record_field("note", TEXT, default="")
 
     def target_presentation(self) -> Presentation:
         return Presentation.from_orders([o for o, _ in self.target_terms])
@@ -324,7 +321,7 @@ class WhiteheadEntry:
             ) from e
 
 
-@record(frozen=True)
+@record
 class EvidenceEntry:
     TAG = "evidence"
     UNIQUE = None
@@ -334,7 +331,7 @@ class EvidenceEntry:
     item: object = record_field("kind", EVIDENCE)  # an instance of an EVIDENCE_KINDS class
 
 
-@record(frozen=True)
+@record
 class ComponentsEntry:
     TAG = "components"
     UNIQUE = "context"
@@ -353,7 +350,7 @@ RECORD_TYPES = {
 }
 
 
-@record(frozen=True)
+@record
 class Database:
     """The records of a ``.cohdb`` file in load order, indexed twice: symbols
     by name, and each record with a context by its family, the pair (context

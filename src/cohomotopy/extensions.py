@@ -187,7 +187,7 @@ lr_positive.cache_clear = _clear_lr_memos
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class ExtensionCandidateSet:
     candidates: tuple[FinAbGroup, ...]
 
@@ -360,7 +360,7 @@ def schema(cls) -> tuple[tuple[str, str, ValueType, bool, str | None], ...]:
     )
 
 
-@record(frozen=True)
+@record
 class Retraction:
     """The quotient map admits a section, so the sequence splits.
 
@@ -374,26 +374,20 @@ class Retraction:
     cite: str = record_field("cite", TEXT, default="")
 
 
-@record(frozen=True)
+@record
 class ElementOrderLift:
-    """A named lift of a quotient generator with known order.
-
-    ``order`` is 0 for an infinite-order lift.  If the order exceeds the
-    order of the quotient generator, ``absorbs`` names the sub-side factor
-    the lift cyclically extends.
-    """
+    """A named lift of a quotient generator with the generator's own order,
+    so that it splits off.  ``order`` is 0 for an infinite-order lift."""
 
     KIND = "element-order-lift"
 
     lift_name: str = record_field("lift", NAME)
     order: int = record_field("order", ORDER)
     maps_to: str = record_field("maps-to", NAME)
-    absorbs: str | None = record_field("absorbs", OPT_NAME, default=None)
-    remainder_name: str | None = record_field("remainder-name", OPT_NAME, default=None)
     cite: str = record_field("cite", TEXT, default="")
 
 
-@record(frozen=True)
+@record
 class RelationFact:
     """A composition relation m * lift = s * rhs determining a lift's order.
 
@@ -413,18 +407,7 @@ class RelationFact:
     cite: str = record_field("cite", TEXT, default="")
 
 
-@record(frozen=True)
-class ExternalFact:
-    """An external theorem pinning the middle group outright."""
-
-    KIND = "external-fact"
-
-    factors: tuple[tuple[int, str], ...] = record_field("factors", TERMS)
-    statement: str = record_field("statement", TEXT, default="")
-    cite: str = record_field("cite", TEXT, default="")
-
-
-@record(frozen=True)
+@record
 class EhpInjectivity:
     """Resolve by transporting the resolution of another row (n_source, k);
     translated into that row's concrete evidence before reaching the solver.
@@ -439,7 +422,7 @@ class EhpInjectivity:
 
 EVIDENCE_KINDS = {
     cls.KIND: cls
-    for cls in (Retraction, ElementOrderLift, RelationFact, ExternalFact, EhpInjectivity)
+    for cls in (Retraction, ElementOrderLift, RelationFact, EhpInjectivity)
 }
 
 
@@ -451,7 +434,7 @@ def map_names(item, f):
     })
 
 
-@record(frozen=True)
+@record
 class ExtensionProblem:
     """A concrete extension problem with named generators.
 
@@ -470,7 +453,7 @@ class ExtensionProblem:
         return FinAbGroup.from_factors([o for o, _ in self.quot])
 
 
-@record(frozen=True)
+@record
 class ComputedRow:
     """A group with named generators: resolved, derived or recorded."""
 
@@ -494,32 +477,27 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ComputedRow:
 
     Raises :class:`UnresolvedExtensionError` if the evidence leaves more than
     one candidate, and :class:`ExtensionError` on inconsistent evidence (a
-    claimed middle group outside the candidate set) or on an item it would
-    not consume: an external fact or retraction that does not stand alone,
-    a lift or relation fact naming no quotient generator, or a second one
-    for the same quotient generator, a lift of an infinite-order quotient
-    generator that claims a finite order or an ``absorbs``, a lift of the
-    quotient generator's own order (``inf`` included) that claims an
-    ``absorbs`` or a ``remainder-name``, a relation fact whose ``rhs`` or a
-    lift whose ``absorbs`` has infinite order, or a ``remainder-name`` where
-    nothing is left over.
+    resolved middle group outside the candidate set) or on an item it would
+    not consume: a retraction that does not stand alone, a lift or relation
+    fact naming no quotient generator, or a second one for the same quotient
+    generator, a lift whose order is not its quotient generator's (``inf``
+    for an infinite one), a relation fact whose ``rhs`` has infinite order,
+    or a ``remainder-name`` where nothing is left over.
     """
     evidence = list(evidence)
     a_group = problem.sub_group()
     candidates = enumerate_middle_groups(a_group, problem.quot_group())
     ctx = problem.context
 
-    whole = [e for e in evidence if isinstance(e, (ExternalFact, Retraction))]
-    if whole and len(evidence) > 1:
-        other = next(e for e in evidence if e is not whole[0])
+    retraction = next((e for e in evidence if isinstance(e, Retraction)), None)
+    if retraction and len(evidence) > 1:
+        other = next(e for e in evidence if e is not retraction)
         raise ExtensionError(
-            f"{ctx}: {_label(whole[0])} settles the extension alone, "
+            f"{ctx}: {_label(retraction)} settles the extension alone, "
             f"but {_label(other)} is given too"
         )
-    if whole and isinstance(whole[0], ExternalFact):
-        return _finish(problem, candidates, list(whole[0].factors), evidence)
-    if whole:
-        sections = dict(whole[0].sections)
+    if retraction:
+        sections = dict(retraction.sections)
         factors = list(problem.sub)
         factors += [(o, sections.get(name, f"ext({name})")) for o, name in problem.quot]
         return _finish(problem, candidates, factors, evidence)
@@ -554,7 +532,27 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ComputedRow:
                     f"{ctx}: relation multiplier {e.multiplier} != "
                     f"order {order or 'inf'} of quotient generator {name}"
                 )
-            _absorb(factors, e, order, ctx)
+            # m * lift = s * rhs, with rhs of order o_a: the lift takes the
+            # place of rhs with order m * o_a / gcd(o_a, s), and gcd(o_a, s) is
+            # left over
+            idx = next((i for i, (_, n) in enumerate(factors) if n == e.rhs), None)
+            if idx is None:
+                raise ExtensionError(f"{ctx}: evidence references unknown generator {e.rhs!r}")
+            o_a = factors[idx][0]
+            if not o_a:
+                raise ExtensionError(
+                    f"{ctx}: {_label(e)} has rhs {e.rhs!r} of infinite order, "
+                    f"so its lift has no finite order"
+                )
+            leftover = gcd(o_a, e.rhs_mult)
+            factors[idx] = (order * (o_a // leftover), e.lift_name)
+            if leftover > 1:
+                factors.insert(idx + 1, (leftover, e.remainder_name or f"{leftover}-part({e.rhs})"))
+            elif e.remainder_name:
+                raise ExtensionError(
+                    f"{ctx}: {_label(e)} leaves no remainder of {e.rhs}, "
+                    f"so its remainder-name {e.remainder_name!r} is unused"
+                )
         elif e is None:
             # no evidence: split automatically only when Ext forces it,
             # Ext(Z/order, A) = 0, A the torsion so far and the free sub
@@ -564,20 +562,13 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ComputedRow:
                 factors.append((order, f"ext({name})"))
             else:
                 unresolved.append(name)
-        elif not order and (e.order or e.absorbs):
+        elif not order and e.order:
             raise ExtensionError(
                 f"{ctx}: {_label(e)} lifts {name}, which has infinite "
                 f"order, so it takes order inf and no absorbs"
             )
         elif e.order == order:
-            if e.absorbs or e.remainder_name:
-                raise ExtensionError(
-                    f"{ctx}: {_label(e)} has the order of {name}, so it "
-                    f"splits off and takes no absorbs or remainder-name"
-                )
             factors.append((order, e.lift_name))
-        elif e.order > order and e.absorbs:
-            _absorb(factors, e, order, ctx)
         else:
             raise ExtensionError(
                 f"{ctx}: lift {e.lift_name} has order {ORDER.write(e.order)} "
@@ -590,39 +581,6 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ComputedRow:
             "no evidence for quotient generator(s) " + ", ".join(unresolved),
         )
     return _finish(problem, candidates, factors, evidence)
-
-
-def _absorb(factors, e: RelationFact | ElementOrderLift, order: int, context: str):
-    """Put the lift of a quotient generator of finite ``order`` in place of
-    the sub factor of order o_a that ``e`` absorbs (a relation's ``rhs``, a
-    lift's ``absorbs``), with order m * o_a / gcd(o_a, s) for m * lift =
-    s * rhs and ``e.order`` for a lift, then place what is left over."""
-    relation = isinstance(e, RelationFact)
-    absorbed = e.rhs if relation else e.absorbs
-    idx = _factor_index(factors, absorbed, context)
-    o_a = factors[idx][0]
-    if not o_a:
-        raise ExtensionError(
-            f"{context}: {_label(e)} {'has rhs' if relation else 'absorbs'} {absorbed!r} "
-            f"of infinite order, so its lift has no finite order"
-        )
-    lift_order = e.multiplier * (o_a // gcd(o_a, e.rhs_mult)) if relation else e.order
-    leftover = o_a * order // lift_order
-    factors[idx] = (lift_order, e.lift_name)
-    if leftover > 1:
-        factors.insert(idx + 1, (leftover, e.remainder_name or f"{leftover}-part({absorbed})"))
-    elif e.remainder_name:
-        raise ExtensionError(
-            f"{context}: {_label(e)} leaves no remainder of {absorbed}, "
-            f"so its remainder-name {e.remainder_name!r} is unused"
-        )
-
-
-def _factor_index(factors, name: str, context: str) -> int:
-    for i, (_, n) in enumerate(factors):
-        if n == name:
-            return i
-    raise ExtensionError(f"{context}: evidence references unknown generator {name!r}")
 
 
 def _finish(problem, candidates, factors, evidence) -> ComputedRow:

@@ -60,7 +60,7 @@ def _classes_up_to_sign(image: FinAbGroup) -> int:
     return (image.order() + fixed) // 2
 
 
-@record(frozen=True)
+@record
 class ComponentsResult:
     computed: int
     expected: int

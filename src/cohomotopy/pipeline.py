@@ -28,7 +28,7 @@ from .gottlieb import classify_components, gottlieb_group
 from .record import record
 
 
-@record(frozen=True)
+@record
 class CheckResult:
     family: str  # "bracket" | "mapspace" | "gottlieb" | "components"
     label: str

@@ -7,14 +7,15 @@ itself: ``__init__`` (positional or keyword arguments, defaults and
 ``default_factory``; fields with ``init=False`` are no arguments and are
 left to ``__post_init__``, which runs last), ``__eq__`` on the compared
 fields of two instances of one class, and ``__repr__`` as
-``Name(field=value, ...)``.  A ``frozen`` class also gets ``__hash__``, the
-hash of the tuple of its compared fields, and a ``__setattr__`` and
-``__delattr__`` that raise :class:`FrozenInstanceError`; an ``__init__`` or
-``__post_init__`` sets fields with :func:`set_field`.  Instances keep a
-``__dict__``.  No code is compiled at run time, so a class on a hot path
-writes out the methods it needs fast.
+``Name(field=value, ...)``.  Every record is frozen: it also gets
+``__hash__``, the hash of the tuple of its compared fields, and a
+``__setattr__`` and ``__delattr__`` that raise
+:class:`FrozenInstanceError`; an ``__init__`` or ``__post_init__`` sets
+fields with :func:`set_field`.  Instances keep a ``__dict__``.  No code is
+compiled at run time, so a class on a hot path writes out the methods it
+needs fast.
 
->>> @record(frozen=True)
+>>> @record
 ... class Pair:
 ...     a: int
 ...     b: tuple = field(default=(), repr=False)
@@ -28,12 +29,12 @@ from operator import attrgetter
 
 MISSING = object()  # no default, no default factory
 
-# ``object.__setattr__``: sets a field past a frozen record's __setattr__
+# ``object.__setattr__``: sets a field past a record's __setattr__
 set_field = object.__setattr__
 
 
 class FrozenInstanceError(AttributeError):
-    """An assignment to, or a deletion of, an attribute of a frozen record."""
+    """An assignment to, or a deletion of, an attribute of a record."""
 
 
 class Field:
@@ -75,14 +76,8 @@ def replace(obj, **changes):
     return type(obj)(**changes)
 
 
-def record(cls=None, *, frozen: bool = False):
-    """The class decorator, used as ``@record`` or ``@record(frozen=True)``."""
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)
-
-
-def _build(cls, frozen: bool):
+def record(cls):
+    """The class decorator: ``cls`` as a frozen record class."""
     found = []
     for name in cls.__annotations__:
         f = cls.__dict__.get(name, MISSING)
@@ -119,16 +114,9 @@ def _build(cls, frozen: bool):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    methods = [_init(cls, found), __eq__, __repr__]
-    if frozen:
-        methods += [__setattr__, __delattr__]
-    # an own __eq__ leaves __hash__ None in the class body
-    if cls.__dict__.get("__hash__") is None:
-        if frozen:
-            methods.append(__hash__)
-        else:
-            cls.__hash__ = None
-    for method in methods:
+    # a method of the class body is kept; an own __eq__ leaves __hash__ None
+    # there, so that one is given too
+    for method in (_init(cls, found), __eq__, __hash__, __repr__, __setattr__, __delattr__):
         name = method.__name__
         if cls.__dict__.get(name) is None:
             method.__qualname__ = f"{cls.__qualname__}.{name}"

@@ -295,13 +295,12 @@ class TestParsing:
             loads_db(text)
 
 
-# One record of every type and one evidence record of every kind, with the
-# optional keys that the shipped database leaves out.
+# One record of every type and one evidence record of every kind, with every
+# optional key.
 EVERY_RECORD = """
 [symbol]
 name = nu
 cite = [T]
-note = a symbol note
 
 [group]
 context = bracket k=6 n=4..
@@ -319,7 +318,6 @@ context = whitehead n=3
 target = Z/2
 target-generators = nu_4 : 2
 cite = [T]
-note = no images
 
 [evidence]
 context = extension k=6 n=5
@@ -333,8 +331,6 @@ kind = element-order-lift
 lift = L
 order = inf
 maps-to = nu_6
-absorbs = nu_5
-remainder-name = R
 cite = [T]
 
 [evidence]
@@ -346,13 +342,6 @@ multiplier = 2
 rhs = nu_4
 rhs-mult = 3
 remainder-name = R
-cite = [T]
-
-[evidence]
-context = extension k=6 n=10..
-kind = external-fact
-factors = a : 4 ; b : inf
-statement = a theorem
 cite = [T]
 
 [evidence]
@@ -380,9 +369,7 @@ class TestRoundTrip:
     def test_every_record_type_roundtrips(self):
         db = loads_db(EVERY_RECORD)
         kinds = {type(e.item).__name__ for e in db.find("extension")}
-        assert kinds == {
-            "Retraction", "ElementOrderLift", "RelationFact", "ExternalFact", "EhpInjectivity"
-        }
+        assert kinds == {"Retraction", "ElementOrderLift", "RelationFact", "EhpInjectivity"}
         assert db.lookup("whitehead", n=3).images == ()
         assert db.lookup("components", n=7).computed == 7
         again = loads_db(dumps_db(db))
@@ -439,6 +426,27 @@ class TestValueTypes:
 
     def test_every_type_occurs_in_the_shipped_db(self, values):
         assert {id(vtype) for vtype, _ in values} == {id(t) for t in VALUE_TYPES}
+
+    def test_every_record_key_occurs_in_the_shipped_db(self, db_text):
+        # the keys each record class and evidence kind reads, against those
+        # the shipped records write
+        written = {}
+        for block in re.split(r"\n\s*\n", db_text):
+            lines = [line for line in block.splitlines() if not line.startswith("#")]
+            if not lines:
+                continue
+            keys = dict(map(str.strip, line.split("=", 1)) for line in lines[1:])
+            classes = [database.RECORD_TYPES[lines[0].strip("[]")]]
+            if "kind" in keys:
+                classes.append(extensions.EVIDENCE_KINDS[keys["kind"]])
+            for cls in classes:
+                written.setdefault(cls, set()).update(keys)
+        unused = {
+            cls.__name__: keys
+            for cls in [*database.RECORD_TYPES.values(), *extensions.EVIDENCE_KINDS.values()]
+            if (keys := [key for _, key, *_ in schema(cls) if key not in written.get(cls, ())])
+        }
+        assert unused == {}
 
     def test_write_then_parse_gives_the_value(self, values):
         for vtype, value in values:
@@ -700,8 +708,30 @@ class TestBlockMemo:
             ("[symbol]\nname = nu\nname = mu\ncite = [T]\n", 2, "duplicate key 'name'"),
             ("[group]\ncontext = coker-eta k=6 n=30\ngroup = Z/1\ncite = [T]\n", 0,
              "bad [group] record: bad torsion coefficient in 'Z/1'"),
+            # keys and spellings that no shipped record used, since deleted
+            ("[evidence]\ncontext = extension k=6 n=30\nkind = external-fact\n"
+             "factors = a : 4\ncite = [T]\n", 0, "unknown evidence kind 'external-fact'"),
+            ("[evidence]\ncontext = extension k=6 n=30\nkind = element-order-lift\nlift = L\n"
+             "order = 16\nmaps-to = nu_30\nabsorbs = nu_4\ncite = [T]\n", 0,
+             "unknown key(s) in [evidence] record: absorbs"),
+            ("[group]\ncontext = coker-eta k=6 n=30\ngroup = 0\nnote = a note\ncite = [T]\n", 0,
+             "unknown key(s) in [group] record: note"),
+            ("[whitehead]\ncontext = whitehead n=3\ntarget = Z/2\ntarget-generators = x : 2\n"
+             "images = y -> (-odd)\ncite = [T]\n", 0,
+             "bad [whitehead] record: invalid literal for int() with base 10: '-odd'"),
+            ("[evidence]\ncontext = extension k=6 n=30\nkind = element-order-lift\nlift = L\n"
+             "order = 16\nmaps-to = nu_30\nremainder-name = R\ncite = [T]\n", 0,
+             "unknown key(s) in [evidence] record: remainder-name"),
+            ("[symbol]\nname = nu\nnote = a note\ncite = [T]\n", 0,
+             "unknown key(s) in [symbol] record: note"),
+            ("[whitehead]\ncontext = whitehead n=3\ntarget = Z/2\ntarget-generators = x : 2\n"
+             "note = a note\ncite = [T]\n", 0,
+             "unknown key(s) in [whitehead] record: note"),
         ],
-        ids=["duplicate-key", "bad-group"],
+        ids=[
+            "duplicate-key", "bad-group", "external-fact", "absorbs", "group-note", "minus-odd",
+            "lift-remainder-name", "symbol-note", "whitehead-note",
+        ],
     )
     def test_errors_name_their_own_path_and_line(self, bad, offset, message):
         # path -> (text before the bad block, text after it)

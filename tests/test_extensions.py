@@ -13,7 +13,6 @@ from cohomotopy.extensions import (
     EnumerationBoundError,
     ExtensionError,
     ExtensionProblem,
-    ExternalFact,
     RelationFact,
     Retraction,
     UnresolvedExtensionError,
@@ -353,27 +352,6 @@ class TestApplyEvidence:
         assert r.group == G(4, 2)
         assert r.generators == ((4, "a"), (2, "L"))
 
-    def test_order_lift_fuse(self):
-        problem = ExtensionProblem(
-            sub=((4, "a"),), quot=((2, "c"),), context="t"
-        )
-        r = apply_evidence(
-            problem, [ElementOrderLift("L", 8, maps_to="c", absorbs="a")]
-        )
-        assert r.group == G(8)
-        assert r.generators == ((8, "L"),)
-
-    def test_order_lift_fuse_with_remainder(self):
-        problem = ExtensionProblem(
-            sub=((4, "a"),), quot=((4, "c"),), context="t"
-        )
-        r = apply_evidence(
-            problem,
-            [ElementOrderLift("L", 8, maps_to="c", absorbs="a", remainder_name="R")],
-        )
-        assert r.group == G(8, 2)
-        assert r.generators == ((8, "L"), (2, "R"))
-
     def test_relation_fact(self):
         # 0 -> Z/4{a} -> G -> Z/2{c} -> 0 with 2*L = a: L has order 8
         problem = ExtensionProblem(
@@ -399,6 +377,26 @@ class TestApplyEvidence:
         assert r.group == G(4, 2)
         assert r.generators == ((4, "L"), (2, "R"))
 
+    def test_relation_fact_on_a_larger_quotient_generator(self):
+        # 4*L = 2*a with a and c of order 4: L has order 8, Z/2 remainder
+        # survives
+        problem = ExtensionProblem(sub=((4, "a"),), quot=((4, "c"),), context="t")
+        r = apply_evidence(
+            problem,
+            [RelationFact("L", lift_of="c", multiplier=4, rhs="a",
+                          rhs_mult=2, remainder_name="R")],
+        )
+        assert r.group == G(8, 2)
+        assert r.generators == ((8, "L"), (2, "R"))
+
+    def test_relation_fact_names_an_unnamed_remainder(self):
+        # without a remainder-name, the Z/2 left of a is named for a
+        problem = ExtensionProblem(sub=((4, "a"),), quot=((2, "c"),), context="t")
+        r = apply_evidence(
+            problem, [RelationFact("L", lift_of="c", multiplier=2, rhs="a", rhs_mult=2)]
+        )
+        assert r.generators == ((4, "L"), (2, "2-part(a)"))
+
     def test_relation_multiplier_must_match_order(self):
         problem = ExtensionProblem(
             sub=((4, "a"),), quot=((2, "c"),), context="t"
@@ -408,15 +406,6 @@ class TestApplyEvidence:
                 problem,
                 [RelationFact("L", lift_of="c", multiplier=4, rhs="a")],
             )
-
-    def test_external_fact(self):
-        problem = ExtensionProblem(
-            sub=((2, "a"),), quot=((2, "c"),), context="t"
-        )
-        r = apply_evidence(
-            problem, [ExternalFact(factors=((4, "g"),))]
-        )
-        assert r.group == G(4)
 
     def test_coprime_auto_split(self):
         problem = ExtensionProblem(
@@ -456,24 +445,18 @@ class TestApplyEvidence:
             apply_evidence(problem, [ElementOrderLift("L", 3, maps_to="c")])
 
     def test_resolved_group_outside_candidates_names_the_item(self):
-        # the lift of order 4 absorbs all of Z/8 and leaves Z/4 + Z/4, which
-        # is no extension of Z/2 by Z/8: the error names the lift
+        # 2 x = 4 a with a of order 8 gives x order 4 and leaves Z/4 over:
+        # Z/4 + Z/4 is no extension of Z/2 by Z/8, and the error names the
+        # relation
         problem = ExtensionProblem(sub=((8, "a"),), quot=((2, "c"),), context="t")
-        lift = ElementOrderLift("x", 4, maps_to="c", absorbs="a")
+        relation = RelationFact("x", lift_of="c", multiplier=2, rhs="a", rhs_mult=4)
         with pytest.raises(ExtensionError) as exc:
-            apply_evidence(problem, [lift])
+            apply_evidence(problem, [relation])
         assert not isinstance(exc.value, UnresolvedExtensionError)
         assert str(exc.value) == (
-            "t: resolved group Z/4 + Z/4 from element-order-lift 'x' is not among "
+            "t: resolved group Z/4 + Z/4 from relation-fact 'x' is not among "
             "the enumerated candidates; candidates: Z/16, Z/2 + Z/8"
         )
-
-    def test_claimed_group_outside_candidates(self):
-        problem = ExtensionProblem(
-            sub=((2, "a"),), quot=((2, "c"),), context="t"
-        )
-        with pytest.raises(ExtensionError):
-            apply_evidence(problem, [ExternalFact(factors=((8, "g"),))])
 
     def test_infinite_lift(self):
         problem = ExtensionProblem(
@@ -496,15 +479,11 @@ class TestApplyEvidence:
         "evidence, match",
         [
             (
-                [ExternalFact(((8, "L"),), cite="[A]"), ExternalFact(((8, "M"),), cite="[B]")],
-                "external-fact '\\[A\\]' settles the extension alone, but external-fact '\\[B\\]'",
-            ),
-            (
                 [Retraction(cite="[A]"), Retraction(cite="[B]")],
-                "retraction '\\[A\\]' settles .* retraction '\\[B\\]'",
+                "retraction '\\[A\\]' settles the extension alone, but retraction '\\[B\\]'",
             ),
             (
-                [ExternalFact(((8, "L"),), cite="[A]"), ElementOrderLift("L", 2, maps_to="c")],
+                [Retraction(cite="[A]"), ElementOrderLift("L", 2, maps_to="c")],
                 "but element-order-lift 'L' is given too",
             ),
             (
@@ -538,13 +517,8 @@ class TestApplyEvidence:
                 "element-order-lift 'L' names 'a', which is no quotient generator",
             ),
             (
-                [ElementOrderLift("L", 2, maps_to="c", remainder_name="R")],
-                "'L' has the order of c, so it splits off and takes no absorbs or remainder-name",
-            ),
-            ([ElementOrderLift("L", 2, maps_to="c", absorbs="a")], "'L' has the order of c"),
-            (
-                [ElementOrderLift("L", 8, maps_to="c", absorbs="a", remainder_name="R")],
-                "'L' leaves no remainder of a, so its remainder-name 'R' is unused",
+                [ElementOrderLift("L", 8, maps_to="c")],
+                "lift L has order 8 incompatible with quotient generator c of order 2",
             ),
             (
                 [RelationFact("L", lift_of="c", multiplier=2, rhs="a", remainder_name="R")],
@@ -555,8 +529,12 @@ class TestApplyEvidence:
                 "relation-fact 'L' has rhs 'z' of infinite order, so its lift has no finite order",
             ),
             (
-                [ElementOrderLift("L", 4, maps_to="c", absorbs="z")],
-                "element-order-lift 'L' absorbs 'z' of infinite order, so its lift has no finite order",
+                [ElementOrderLift("L", 0, maps_to="c")],
+                "lift L has order inf incompatible with quotient generator c of order 2",
+            ),
+            (
+                [RelationFact("L", lift_of="c", multiplier=2, rhs="b")],
+                "evidence references unknown generator 'b'",
             ),
         ],
     )
@@ -574,8 +552,7 @@ class TestApplyEvidence:
         "lift",
         [
             ElementOrderLift("L", 2, maps_to="c"),
-            ElementOrderLift("L", 0, maps_to="c", absorbs="a"),
-            ElementOrderLift("L", 8, maps_to="c", absorbs="a"),
+            ElementOrderLift("L", 8, maps_to="c"),
         ],
     )
     def test_finite_claim_on_infinite_generator_rejected(self, lift):
@@ -584,12 +561,3 @@ class TestApplyEvidence:
             ExtensionError, match="element-order-lift 'L' lifts c, which has infinite order"
         ):
             apply_evidence(problem, [lift])
-
-    def test_infinite_lift_takes_no_remainder_name(self):
-        # it splits off like a lift of a finite generator's own order
-        problem = ExtensionProblem(sub=((4, "a"),), quot=((0, "z"),), context="t")
-        with pytest.raises(
-            ExtensionError,
-            match="'L' has the order of z, so it splits off and takes no absorbs or remainder-name",
-        ):
-            apply_evidence(problem, [ElementOrderLift("L", 0, maps_to="z", remainder_name="R")])

@@ -128,23 +128,31 @@ class TestFailureModes:
         result = check_bracket(broken, 6, 5)
         assert result.status == "fail"
 
-    def test_ehp_transports_an_external_fact(self, db):
-        # resolve row n=9 by an external fact; rows 7 and 8 pull it back
-        # along EHP and must name its generators in their own terms
+    def test_ehp_transports_a_retraction(self, db):
+        # split row n=9 by a retraction; rows 7 and 8 pull it back along EHP
+        # and must name both sides of its sections in their own terms (the
+        # shipped rows transport a relation fact and a lift)
         blocks = [
             b
             for b in dumps_db(db).split("\n\n")
             if not (b.startswith("[evidence]") and "context = extension k=7 n=9\n" in b)
         ]
         blocks.append(
-            "[evidence]\ncontext = extension k=7 n=9\nkind = external-fact\n"
-            "factors = ext(eta_9 . eps_10) : 8 ; nubar_9 . nu_17 : 2 ; "
-            "nu_9^2 . g_15(C) : 2\ncite = x\n"
+            "[evidence]\ncontext = extension k=7 n=9\nkind = retraction\n"
+            "sections = eta_9 . eps_10 -> ext(eta_9 . eps_10) ; "
+            "nu_9^3 -> nu_9^2 . g_15(C)\ncite = x\n"
         )
         broken = loads_db("\n\n".join(blocks))
         assert len(broken.find("extension")) == len(db.find("extension")) - 1
-        for n in (7, 8, 9):
-            assert check_bracket(broken, 7, n).status == "ok", check_bracket(broken, 7, n)
+        rows = {n: compute_group(broken, 7, n) for n in (7, 8, 9)}
+        assert rows[7].group == rows[8].group == rows[9].group
+        assert {(2, "ext(eta_9 . eps_10)"), (2, "nu_9^2 . g_15(C)")} <= set(rows[9].generators)
+        assert {
+            (2, "ext(sigma' . eta_14^2 + eta_7 . eps_8)"), (2, "nu_7^2 . g_13(C)")
+        } <= set(rows[7].generators)
+        assert {
+            (2, "ext(S sigma' . eta_15^2 + eta_8 . eps_9)"), (2, "nu_8^2 . g_14(C)")
+        } <= set(rows[8].generators)
 
     def test_ehp_shape_mismatch_detected(self, db):
         text = dumps_db(db).replace("source-n = 9", "source-n = 5")
