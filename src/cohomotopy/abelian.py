@@ -61,8 +61,9 @@ class IllDefinedHomError(AbelianError):
 # ---------------------------------------------------------------------------
 
 
-# The value classes of this module are built, compared and hashed on every
-# hot path, so each writes out its __init__, __eq__ and __hash__.
+# The value classes of this module are built on every hot path, so each
+# writes out its __init__; IntMatrix, SmithDecomposition and FinAbGroup also
+# write out their __eq__ and __hash__.
 
 
 @record
@@ -591,14 +592,6 @@ class Presentation:
     def __init__(self, orders: tuple[int, ...]):
         set_field(self, "orders", orders)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.orders == other.orders
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.orders,))
-
     @classmethod
     def from_orders(cls, orders) -> "Presentation":
         """Order 0 means an infinite generator."""
@@ -679,16 +672,6 @@ class GroupHom:
         set_field(self, "source", source)
         set_field(self, "target", target)
         set_field(self, "matrix", matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.matrix) == (
-                other.source, other.target, other.matrix
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
 
     def apply(self, vec) -> list[int]:
         vec = list(vec)

@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from .database import DbError, load_db, validate_db
-from .extensions import ORDER, TERMS, ExtensionError, UnresolvedExtensionError
+from .extensions import ExtensionError, UnresolvedExtensionError, order_text
 from .gottlieb import (
     classify_components,
     fibration_equivalences,
@@ -54,7 +54,7 @@ def _print_row(row, show_evidence=False):
     print(f"order notation: {paper_notation(row.group)}")
     print("generators:")
     for order, name in row.generators:
-        print(f"  {name}  (order {ORDER.write(order)})")
+        print(f"  {name}  (order {order_text(order)})")
     if row.cites:
         print("cites:")
         for c in row.cites:
@@ -140,7 +140,7 @@ def _dispatch(args, db) -> int:
         ns = [args.n] if args.n is not None else list(MAPSPACE_RANGE)
         for n in ns:
             row = mapping_space_pi(db, n)
-            gens = TERMS.write(row.generators)
+            gens = " ; ".join(f"{name} : {order_text(order)}" for order, name in row.generators)
             print(f"pi_{n} = {row.group}" + (f"  {{ {gens} }}" if gens else ""))
         return EXIT_OK
 
@@ -154,7 +154,7 @@ def _dispatch(args, db) -> int:
             entry = db.lookup("gottlieb", n=n)
             if entry is not None:
                 for order, name in entry.terms:
-                    print(f"  {name}  (order {ORDER.write(order)})")
+                    print(f"  {name}  (order {order_text(order)})")
             if args.equivalences:
                 for name, classes in fibration_equivalences(db, n, h).items():
                     parts = " | ".join(

@@ -38,7 +38,6 @@ from .abelian import (
     IllDefinedHomError,
     Presentation,
     parse_group,
-    render_group,
 )
 from .extensions import (
     EVIDENCE_KINDS,
@@ -189,18 +188,14 @@ def _evidence_kind(text: str):
 # The value types of record fields beyond those the evidence kinds share
 # (``extensions``):
 CONTEXT = ValueType(parse_context)  # ``kind key=value ...``
-GROUP = ValueType(parse_group, render_group)  # written from its ``terms`` when it has them
+GROUP = ValueType(parse_group)  # checked against its ``terms`` when it has them
 # ``name -> (c, ...) ; ...``, coordinates int or ``odd``; the names are those of
 # the source row, which ``WhiteheadEntry.pairing`` checks
-IMAGES = ValueType(
-    _parse_images,
-    lambda v: " ; ".join(f"{name} -> ({', '.join(map(str, vec))})" for name, vec in v),
-)
-# an integer or None, written empty
-OPT_INT = ValueType(lambda text: int(text) if text else None, lambda v: "" if v is None else str(v))
+IMAGES = ValueType(_parse_images)
+# an integer, or None when empty
+OPT_INT = ValueType(lambda text: int(text) if text else None)
 EVIDENCE = ValueType(  # the ``kind`` value, read as its class, which reads the other keys
     _evidence_kind,
-    lambda item: item.KIND,
     names=lambda item: [
         name
         for attr, _, vtype, _, _ in schema(type(item))
@@ -215,7 +210,7 @@ EVIDENCE = ValueType(  # the ``kind`` value, read as its class, which reads the 
 # no two records of the file may share (a context is shared when two records
 # of one family hold a common n), and every field carries its record
 # key and value type (``extensions.record_field``), from which the record is
-# parsed, dumped and validated.  Fields are written in the order declared.
+# parsed and validated.
 
 
 @record
@@ -359,47 +354,20 @@ class Database:
 
     A database never changes: its fields are never assigned, and nothing in
     ``symbols`` or ``families`` is changed in place, not a family, not the
-    dict of a kind, not a mapping.  A new state is a new database that
-    shares what did not change with the one it was made from: a load with
-    its base (``loads_db``), ``with_record`` with its parent.
+    dict of a kind, not a mapping.  A new state is a new database, made
+    from another only by a load (``loads_db``), which shares what did not
+    change with its base.
 
     ``memo`` holds the checks run on this database, and ``base_memo`` those
-    of the database it was made from (``memoised``).  Every database made
-    from another starts with an empty ``memo`` and the other's ``memo`` as
-    its ``base_memo``; a database built by hand starts with neither."""
+    of the database it was made from (``memoised``).  A load starts with an
+    empty ``memo`` and its base's ``memo`` as its ``base_memo``; a database
+    built by hand starts with neither."""
 
     records: tuple = ()
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
     families: dict[str, dict[frozenset, tuple]] = field(default_factory=dict)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
     base_memo: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def with_record(self, entry) -> "Database":
-        """A new database with ``entry`` stored after the records of this
-        one; ``ValueError`` if it clashes with a stored record.  A record
-        with a context gets a new family in a new dict of its kind in a new
-        ``families`` mapping; the other dicts and families are shared."""
-        symbols, families = self.symbols, self.families
-        if isinstance(entry, SymbolEntry):
-            if entry.name in symbols:
-                raise ValueError(f"duplicate name {entry.name!r}")
-            symbols = {**symbols, entry.name: entry}
-        ctx = getattr(entry, "context", None)
-        if ctx is not None:
-            nr = ctx.n_range
-            of_kind = dict(families.get(ctx.kind, _NO_FAMILIES))
-            of_kind[ctx.family] = _family([*of_kind.get(ctx.family, ()), (nr.lo, nr, entry)])
-            families = {**families, ctx.kind: of_kind}
-        return Database((*self.records, entry), symbols, families, base_memo=self.memo)
-
-    def entries(self):
-        """Every record, in the order ``dumps_db`` writes them: by record type
-        in ``RECORD_TYPES`` order, group records by context kind in order of
-        first appearance, and otherwise in load order."""
-        tags, kinds = list(RECORD_TYPES), list(self.families)
-        return sorted(self.records, key=lambda e: (
-            tags.index(e.TAG), kinds.index(e.context.kind) if hasattr(e, "context") else 0
-        ))
 
     # -- queries ----------------------------------------------------------
     def find(self, kind: str, n: int | None = None, **params) -> list:
@@ -849,33 +817,6 @@ def load_db(path) -> Database:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (round-trip)
-# ---------------------------------------------------------------------------
-
-
-def _dump_record(obj):
-    """(record key, value text) for every field of a record.  A group with
-    generators is written one term per generator, in table order."""
-    for attr, key, vtype, _, terms in schema(type(obj)):
-        value = getattr(obj, attr)
-        if vtype is GROUP and getattr(obj, terms):
-            yield key, " + ".join("Z" if o == 0 else f"Z/{o}" for o, _ in getattr(obj, terms))
-        else:
-            yield key, vtype.write(value)
-        if vtype is EVIDENCE:
-            yield from _dump_record(value)
-
-
-def dumps_db(db: Database) -> str:
-    out = []
-    for entry in db.entries():
-        out.append(f"[{entry.TAG}]")
-        out.extend(f"{k} = {v}" for k, v in _dump_record(entry) if v)
-        out.append("")
-    return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
@@ -897,8 +838,8 @@ def _record_checks(entry):
     family checks (``_family_checks``) gather these over each family.
 
     Records are immutable, so the tuple is computed once and kept on the
-    record itself (an attribute, not a field: equality, hashing, ``repr``
-    and ``dumps_db`` do not see it).  ``loads_db`` keeps the record of each
+    record itself (an attribute, not a field: equality, hashing and
+    ``repr`` do not see it).  ``loads_db`` keeps the record of each
     unchanged block, so the checks run once per parsed block."""
     done = entry.__dict__.get("_checks")
     if done is not None:

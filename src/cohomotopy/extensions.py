@@ -236,21 +236,19 @@ def enumerate_middle_groups(a: FinAbGroup, c: FinAbGroup) -> ExtensionCandidateS
 
 class ValueType:
     """A value type of ``.cohdb`` record fields: how a value is read from its
-    record text and written back, the generator names it holds (those
-    ``validate_db`` checks) and the value with a map applied to those names.
-    Value types compare by identity."""
+    record text, the generator names it holds (those ``validate_db``
+    checks) and the value with a map applied to those names.  Value types
+    compare by identity."""
 
-    __slots__ = ("parse", "write", "names", "rename")
+    __slots__ = ("parse", "names", "rename")
 
     def __init__(
         self,
         parse: Callable[[str], object],
-        write: Callable[[object], str] = str,
         names: Callable[[object], Iterable[str]] = lambda value: (),
         rename: Callable[[object, Callable[[str], str]], object] = lambda value, f: value,
     ):
         self.parse = parse
-        self.write = write
         self.names = names
         self.rename = rename
 
@@ -285,6 +283,11 @@ def _order(text: str, what: str, item: str) -> int:
     return value
 
 
+def order_text(order: int) -> str:
+    """An order as the records write it: ``inf`` for 0."""
+    return "inf" if order == 0 else str(order)
+
+
 def _parse_pairs(text: str):
     return tuple((a, b) for _, a, b in split_items(text, "->", "pair", "->", skip_blank=True))
 
@@ -300,31 +303,27 @@ def _parse_terms(text: str):
 # records use.
 TEXT = ValueType(str)  # free text
 NAME = ValueType(str, names=lambda v: (v,), rename=lambda v, f: f(v))  # a generator name
-OPT_NAME = ValueType(  # a generator name or None, written empty
+OPT_NAME = ValueType(  # a generator name, or None when empty
     lambda text: text or None,
-    lambda v: v or "",
     names=lambda v: (v,) if v else (),
     rename=lambda v, f: v and f(v),
 )
 INT = ValueType(int)
 ORDER = ValueType(  # ``inf`` (0) or a positive integer
     lambda text: _order(text, "order value", text),
-    lambda v: "inf" if v == 0 else str(v),
 )
 PAIRS = ValueType(  # ``name -> name ; ...``
     _parse_pairs,
-    lambda v: " ; ".join(f"{a} -> {b}" for a, b in v),
     names=lambda v: [name for pair in v for name in pair],
     rename=lambda v, f: tuple((f(a), f(b)) for a, b in v),
 )
 # ``source-row name -> local name ; ...``: the source side names generators of
 # another row, so only the local side is renamed
 RENAMES = ValueType(
-    PAIRS.parse, PAIRS.write, PAIRS.names, rename=lambda v, f: tuple((a, f(b)) for a, b in v)
+    PAIRS.parse, PAIRS.names, rename=lambda v, f: tuple((a, f(b)) for a, b in v)
 )
 TERMS = ValueType(  # ``name : order ; ...`` as (order, name) pairs
     _parse_terms,
-    lambda v: " ; ".join(f"{name} : {ORDER.write(order)}" for order, name in v),
     names=lambda v: [name for _, name in v],
     rename=lambda v, f: tuple((order, f(name)) for order, name in v),
 )
@@ -337,15 +336,15 @@ TERMS = ValueType(  # ``name : order ; ...`` as (order, name) pairs
 
 # Each evidence class is the schema of its ``[evidence]`` record: ``KIND`` is
 # the record's ``kind`` value and every field carries its record key and value
-# type, from which ``database`` parses, dumps and validates the record and
+# type, from which ``database`` parses and validates the record and
 # ``map_names`` rewrites it (the other record types follow the same
 # convention in ``database``).
 
 
 def record_field(key: str, vtype: ValueType, terms: str | None = None, **default):
-    """A field read from and written to record key ``key`` as a ``vtype``
-    value; a group-valued field names the field of its ``terms``, from which
-    it is written."""
+    """A field read from record key ``key`` as a ``vtype`` value; a
+    group-valued field names the field of its ``terms``, which validation
+    checks it against."""
     return field(metadata={"key": key, "type": vtype, "terms": terms}, **default)
 
 
@@ -565,13 +564,13 @@ def apply_evidence(problem: ExtensionProblem, evidence) -> ComputedRow:
         elif not order and e.order:
             raise ExtensionError(
                 f"{ctx}: {_label(e)} lifts {name}, which has infinite "
-                f"order, so it takes order inf and no absorbs"
+                f"order, so it takes order inf"
             )
         elif e.order == order:
             factors.append((order, e.lift_name))
         else:
             raise ExtensionError(
-                f"{ctx}: lift {e.lift_name} has order {ORDER.write(e.order)} "
+                f"{ctx}: lift {e.lift_name} has order {order_text(e.order)} "
                 f"incompatible with quotient generator {name} of order {order}"
             )
     if unresolved:

@@ -27,3 +27,10 @@ def mutants():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def replaced(text, old, new, count=1):
+    """``text`` with ``old`` made ``new``, once ``old`` is seen to occur
+    ``count`` times: an edit meant for some records then changes no other."""
+    assert text.count(old) == count, (old, text.count(old))
+    return text.replace(old, new)

@@ -9,7 +9,7 @@ from cohomotopy.cli import (
     EXIT_VERIFY,
     main,
 )
-from cohomotopy.database import dumps_db
+from conftest import replaced
 
 
 def run(capsys, *args):
@@ -161,25 +161,25 @@ class TestExitCodes:
         assert code == EXIT_DB
         assert "problem:" in out and "nested deeper than" in out
 
-    def test_verify_failure_is_1(self, capsys, tmp_path, db):
-        text = dumps_db(db).replace(
-            "context = bracket k=6 n=5\ngroup = Z/4 + Z/9",
-            "context = bracket k=6 n=5\ngroup = Z/8 + Z/9",
-        ).replace("nu_5 . sigma_8 . S^11 p : 4", "nu_5 . sigma_8 . S^11 p : 8")
+    def test_verify_failure_is_1(self, capsys, tmp_path, db_text):
+        text = replaced(
+            db_text,
+            "context = bracket k=6 n=5\ngroup = Z/4 + Z/9\n"
+            "generators = nu_5 . sigma_8 . S^11 p : 4",
+            "context = bracket k=6 n=5\ngroup = Z/8 + Z/9\n"
+            "generators = nu_5 . sigma_8 . S^11 p : 8",
+        )
         broken = tmp_path / "broken.cohdb"
         broken.write_text(text)
         code, out, _ = run(capsys, "--db", str(broken), "verify")
         assert code == EXIT_VERIFY
         assert "FAIL" in out
 
-    def test_unresolved_extension_is_3(self, capsys, tmp_path, db):
+    def test_unresolved_extension_is_3(self, capsys, tmp_path, db_text):
         # drop every k=7 n=9 evidence record: that extension is then ambiguous
-        lines = dumps_db(db).split("\n\n")
-        kept = [
-            b
-            for b in lines
-            if not (b.startswith("[evidence]") and "extension k=7 n=9" in b)
-        ]
+        blocks = db_text.split("\n\n")
+        kept = [b for b in blocks if "context = extension k=7 n=9\n" not in b]
+        assert len(blocks) - len(kept) == 2
         path = tmp_path / "gapped.cohdb"
         path.write_text("\n\n".join(kept))
         code, _, err = run(capsys, "--db", str(path), "compute", "7", "9")

@@ -2,7 +2,7 @@ import gc
 import re
 import weakref
 from contextlib import contextmanager
-from functools import reduce
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -14,15 +14,14 @@ from cohomotopy.abelian import FinAbGroup
 from cohomotopy.database import (
     EVIDENCE,
     _BlockError,
-    _dump_record,
     _parse_block,
     _record_checks,
     Database,
     DbError,
     DbParseError,
     NRange,
+    SymbolEntry,
     clear_memos,
-    dumps_db,
     loads_db,
     parse_context,
     validate_db,
@@ -30,6 +29,7 @@ from cohomotopy.database import (
 from cohomotopy.extensions import RENAMES, EhpInjectivity, ExtensionError, RelationFact, schema
 from cohomotopy.pipeline import compute_group, verify_all
 from cohomotopy.record import replace
+from conftest import replaced
 
 
 class TestNRange:
@@ -360,21 +360,13 @@ cite = [T]
 """
 
 
-class TestRoundTrip:
-    def test_shipped_db_roundtrips(self, db, db_text):
-        again = loads_db(dumps_db(db))
-        assert list(again.entries()) == list(db.entries())
-        assert dumps_db(again) == dumps_db(db)
-
-    def test_every_record_type_roundtrips(self):
+class TestEveryRecord:
+    def test_every_record_type_parses(self):
         db = loads_db(EVERY_RECORD)
         kinds = {type(e.item).__name__ for e in db.find("extension")}
         assert kinds == {"Retraction", "ElementOrderLift", "RelationFact", "EhpInjectivity"}
         assert db.lookup("whitehead", n=3).images == ()
         assert db.lookup("components", n=7).computed == 7
-        again = loads_db(dumps_db(db))
-        assert list(again.entries()) == list(db.entries())
-        assert dumps_db(again) == dumps_db(db)
 
 
 VALUE_TYPES = [
@@ -394,13 +386,6 @@ def field_values(obj):
         yield vtype, getattr(obj, attr)
         if vtype is EVIDENCE:
             yield from field_values(getattr(obj, attr))
-
-
-def written(vtype, value) -> str:
-    """A value's record text; an evidence item's is that of all its keys."""
-    if vtype is EVIDENCE:
-        return "\n".join(f"{k} = {v}" for k, v in _dump_record(value))
-    return vtype.write(value)
 
 
 def renamed_names(vtype, value) -> list:
@@ -448,21 +433,12 @@ class TestValueTypes:
         }
         assert unused == {}
 
-    def test_write_then_parse_gives_the_value(self, values):
-        for vtype, value in values:
-            if vtype is EVIDENCE:  # the kind: its class reads the other keys
-                assert vtype.parse(vtype.write(value)) is type(value)
-            else:
-                assert vtype.parse(vtype.write(value)) == value
-
     def test_rename_changes_exactly_the_listed_names(self, values):
         for vtype, value in values:
             renamed = vtype.rename(value, lambda name: name + MARK)
-            want = renamed_names(vtype, value)
-            assert list(vtype.names(renamed)) == want
-            text = written(vtype, renamed)
-            assert text.count(MARK) == sum(name.endswith(MARK) for name in want)
-            assert text.replace(MARK, "") == written(vtype, value)
+            assert list(vtype.names(renamed)) == renamed_names(vtype, value)
+            # renaming back restores the value: nothing but the names changed
+            assert vtype.rename(renamed, lambda name: name.removesuffix(MARK)) == value
 
 
 class TestValidation:
@@ -655,14 +631,6 @@ class TestRandomEdits:
         load_and_validate(edited(db_text, edit_list))
 
 
-def load_outcome(text):
-    """What a load gives: the dumped database, or the error message."""
-    try:
-        return dumps_db(loads_db(text))
-    except DbError as e:
-        return str(e)
-
-
 def lines_of_n(text, n):
     """The line indices of the bracket-id, whitehead, gottlieb and
     components records at n."""
@@ -688,9 +656,33 @@ def checked(db):
     return out
 
 
-def built(records):
-    """The database that ``with_record`` builds from ``records``, one by one."""
-    return reduce(Database.with_record, records, Database())
+def indexed(records):
+    """A ``Database`` of ``records`` (in load order) indexed one record at a
+    time, apart from ``loads_db``'s indexer: symbols by name, and each
+    family (context kind and parameters other than n), in order of first
+    appearance, as its (n.lo, n range, record) rows in load order, sorted by
+    n.lo.  The first record that clashes with an earlier one, a symbol name
+    taken or a context that overlaps one of its family's, is a
+    ``ValueError`` of (message, its position)."""
+    symbols, families = {}, {}
+    for i, entry in enumerate(records):
+        if isinstance(entry, SymbolEntry):
+            if entry.name in symbols:
+                raise ValueError(f"duplicate name {entry.name!r}", i)
+            symbols[entry.name] = entry
+            continue
+        ctx = entry.context
+        rows = families.setdefault(ctx.kind, {}).setdefault(ctx.family, [])
+        if entry.UNIQUE == "context":
+            for _, nr, other in sorted(rows, key=itemgetter(0)):
+                if nr.overlaps(ctx.n_range):
+                    raise ValueError(f"context {ctx} overlaps {other.context}", i)
+        rows.append((ctx.n_range.lo, ctx.n_range, entry))
+    families = {
+        kind: {key: tuple(sorted(rows, key=itemgetter(0))) for key, rows in of_kind.items()}
+        for kind, of_kind in families.items()
+    }
+    return Database(tuple(records), symbols, families)
 
 
 class TestBlockMemo:
@@ -750,9 +742,9 @@ class TestBlockMemo:
     def test_a_warm_memo_loads_like_a_cold_one(self, db_text, edit_list):
         text = edited(db_text, edit_list)
         loads_db(db_text)
-        warm = load_outcome(text)
+        warm = loaded(text)
         clear_memos()
-        assert load_outcome(text) == warm
+        assert loaded(text) == warm
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(edits)
@@ -765,7 +757,7 @@ class TestBlockMemo:
             return
         warm = validate_db(db)
         # equal records, none checked yet
-        assert validate_db(built(map(replace, db.records))) == warm
+        assert validate_db(indexed(tuple(map(replace, db.records)))) == warm
         clear_memos()
         assert validate_db(loads_db(edited(db_text, edit_list))) == warm
 
@@ -774,8 +766,8 @@ class TestBlockMemo:
     def test_a_warm_check_memo_checks_like_a_cold_one(self, db_text, mutants, data):
         """A run of number edits, each text keeping the edits before it, is
         checked with every memo warm from the texts before; the checks must
-        agree with those of a cold start and of equal records built by
-        ``with_record``.  Half of the edits fall on the records of one n that
+        agree with those of a cold start and of equal records indexed apart
+        (``indexed``).  Half of the edits fall on the records of one n that
         the Gottlieb and components checks read through their shared
         pairing."""
         specs = mutants.mutant_specs(db_text)
@@ -800,40 +792,31 @@ class TestBlockMemo:
         warm = [checked(db) for _, db in loading]
         for (_, db), got in zip(loading, warm):
             # equal records, sharing no family
-            assert checked(built(map(replace, db.records))) == got
+            assert checked(indexed(tuple(map(replace, db.records)))) == got
         for (text, _), got in zip(loading, warm):
             clear_memos()
             assert checked(loads_db(text)) == got
 
-    def test_with_record_leaves_its_parent_and_the_remembered_load_alone(self, db_text):
-        parent = loads_db(db_text)
-        checked(parent)
-        before, text = parts(parent), dumps_db(parent)
-        copies = [type(part)(part) for part in before]
-        child = parent.with_record(_parse_block(ODD_PART_5))
-        assert child.memo == {} and child.base_memo is parent.memo
-        checked(child)
-        # the parent's fields, its families mapping and each dict of a kind:
-        # the same objects, holding what they held
-        assert list(map(id, parts(parent))) == list(map(id, before))
-        assert parts(parent) == copies and dumps_db(parent) == text
-        assert len(child.find("odd-part", k=6, p=5)) == len(parent.find("odd-part", k=6, p=5)) + 1
-        # a load of the same text gets the load loads_db remembers: the parent
-        assert loads_db(db_text) is parent
-
     @pytest.mark.parametrize("p", [5, 11], ids=["into-a-family", "a-new-family"])
-    def test_checks_after_with_record_see_the_new_record(self, db_text, p):
-        db = loads_db(db_text)
-        before = verify_all(db)
-        assert all(r.passed() for r in before) and validate_db(db) == []
-        db = db.with_record(_parse_block(
+    def test_checks_see_an_appended_record(self, db_text, p):
+        base = loads_db(db_text)
+        before = verify_all(base)
+        assert all(r.passed() for r in before) and validate_db(base) == []
+        held = parts(base)
+        copies = [type(part)(part) for part in held]
+        db = loads_db(appended(
+            db_text,
             f"[group]\ncontext = odd-part k=6 n=3 p={p}\ngroup = Z/{p}\n"
-            f"generators = eta_3 . ext(alpha_1_5(4)) : {p}\ncite = [T]"
+            f"generators = eta_3 . ext(alpha_1_5(4)) : {p}\ncite = [T]",
         ))
+        assert db.memo == {} and db.base_memo is base.memo
         assert [r.label for r in verify_all(db) if not r.passed()] == ["k=6 n=3"]
         assert validate_db(db) == [
             f"bracket k=6 n=3: odd-part records sum to Z/{3 * p}, bracket has odd part Z/3"
         ]
+        # the base's fields, its families mapping and each dict of a kind:
+        # the same objects, holding what they held
+        assert list(map(id, parts(base))) == list(map(id, held)) and parts(base) == copies
         assert verify_all(loads_db(db_text)) == before
 
     def test_record_checks_are_kept_on_their_record(self, db):
@@ -843,10 +826,9 @@ class TestBlockMemo:
         copy = replace(entry)  # an equal record with its own checks
         again = _record_checks(copy)
         assert again is not first and again == first
-        # the kept checks are no field: equality, hashing and text ignore them
+        # the kept checks are no field: equality, hashing and repr ignore them
         fresh = replace(entry)
         assert (fresh, hash(fresh), repr(fresh)) == (copy, hash(copy), repr(copy))
-        assert dumps_db(Database().with_record(copy)) == dumps_db(Database().with_record(fresh))
 
     def test_removing_a_symbol_is_seen_through_the_record_memo(self, db_text):
         """Dropping a ``[symbol]`` record changes the registered families
@@ -869,15 +851,15 @@ ODD_PART_5 = ("[group]\ncontext = odd-part k=6 n=3 p=5\ngroup = Z/5\n"
               "generators = eta_3 . ext(alpha_1_5(4)) : 5\ncite = [T]")
 
 
-def with_added(text):
-    """The database of ``text`` with ``ODD_PART_5`` added by ``with_record``."""
-    return loads_db(text).with_record(_parse_block(ODD_PART_5))
-
-
 def parts(db):
     """The objects a database is made of: its fields, then the dict of each
     kind in its families mapping."""
     return [db.records, db.symbols, db.families, db.memo, db.base_memo, *db.families.values()]
+
+
+def appended(text, block):
+    """``text`` with the record ``block`` added after its last record."""
+    return text.rstrip("\n") + "\n\n" + block + "\n"
 
 
 def first_caught_mutant(db_text, mutants):
@@ -947,33 +929,14 @@ class TestStateMemo:
         assert walks == [] and runs == []
         assert db.memo == kept and copy.memo.items() <= kept.items()
 
-    def test_with_record_replaces_the_mapping_and_changes_no_dict(self, db_text):
-        db = loads_db(db_text)
-        for block in (  # into a family, a new family, a new range of n, a symbol
-            ODD_PART_5,
-            "[group]\ncontext = odd-part k=6 n=3 p=11\ngroup = Z/11\ncite = [T]",
-            "[components]\ncontext = components n=30\nexpected = 1\ncite = [T]",
-            "[symbol]\nname = zz\ncite = [T]",
-        ):
-            checked(db)
-            before = parts(db)
-            copies = [type(part)(part) for part in before]
-            new = db.with_record(_parse_block(block))
-            assert list(map(id, parts(db))) == list(map(id, before)) and parts(db) == copies
-            assert new.memo == {} and new.base_memo is db.memo  # the checks of the parent
-            if block.startswith("[symbol]"):  # a symbol is in no family
-                assert new.families is db.families and new.symbols is not db.symbols
-            else:
-                assert new.families is not db.families and new.symbols is db.symbols
-            db = new
-
     @pytest.mark.parametrize("make_b", ["mutant", "added"])
     def test_alternating_databases_check_like_cold_ones(self, db_text, mutants, make_b):
         if make_b == "mutant":
             text_b = first_caught_mutant(db_text, mutants)
             build = {"a": lambda: loads_db(db_text), "b": lambda: loads_db(text_b)}
         else:
-            build = {"a": lambda: loads_db(db_text), "b": lambda: with_added(db_text)}
+            build = {"a": lambda: loads_db(db_text),
+                     "b": lambda: loads_db(appended(db_text, ODD_PART_5))}
         cold = {}
         for name, make in build.items():
             clear_memos()
@@ -988,11 +951,12 @@ class TestStateMemo:
         the other's memo, with the checks confirmed from it, but not the
         other database, also where a check keeps the error a pairing gave."""
         image = "S nu' . S^3 p -> (0, 0, 0)"  # of order 2: an image of order 4 is an error
-        for text in (db_text, db_text.replace(image, image.replace("(0", "(1"), 1)):
-            for make in (lambda: loads_db(text), lambda: with_added(text)):
-                db = make()
+        for text in (db_text, replaced(db_text, image, image.replace("(0", "(1"))):
+            for base in (text, appended(text, ODD_PART_5)):
+                db = loads_db(base)
                 checked(db)
-                child = db.with_record(_parse_block("[symbol]\nname = zz\ncite = [T]"))
+                child = loads_db(appended(base, "[symbol]\nname = zz\ncite = [T]"))
+                assert child.base_memo is db.memo
                 assert checked(child) == checked(db) and child.memo.items() <= db.memo.items()
                 gone = weakref.ref(db)
                 del db
@@ -1218,16 +1182,19 @@ class TestReadTrace:
         assert database._TRACES == []
 
 
-def loaded(text):
-    """What a load gives, to compare: the error text, or the records (their
-    ``repr`` and the records themselves), the symbols and the families, in
-    order."""
-    try:
-        db = loads_db(text, "run.cohdb")
-    except DbParseError as e:
-        return str(e)
+def contents(db):
+    """What a database holds, to compare: its records (their ``repr`` and the
+    records themselves), its symbols and its families, in order."""
     families = [(kind, list(of_kind.items())) for kind, of_kind in db.families.items()]
     return repr(db.records), db.records, db.symbols, families
+
+
+def loaded(text):
+    """What a load gives, to compare: the error text, or its ``contents``."""
+    try:
+        return contents(loads_db(text, "run.cohdb"))
+    except DbParseError as e:
+        return str(e)
 
 
 def edit_once(data, text):
@@ -1345,6 +1312,46 @@ class TestIncrementalLoad:
         loads_db(m2)
         assert [kept[0] for kept in database._LOADED] == [db_text, m2]
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            ODD_PART_5,
+            "[group]\ncontext = odd-part k=6 n=3 p=11\ngroup = Z/11\ncite = [T]",
+            "[components]\ncontext = components n=30\nexpected = 1\ncite = [T]",
+            "[symbol]\nname = zz\ncite = [T]",
+        ],
+        ids=["into-a-family", "a-new-family", "a-new-range-of-n", "a-symbol"],
+    )
+    def test_an_appended_record_builds_only_what_it_enters(self, db_text, block):
+        """Loading a text with one record added after the base's records
+        changes nothing of the base, builds only the family or the symbols
+        dict the record enters, and shares every other family with the base."""
+        clear_memos()
+        base = loads_db(db_text)
+        checked(base)
+        held = parts(base)
+        copies = [type(part)(part) for part in held]
+        db = loads_db(appended(db_text, block))
+        assert list(map(id, parts(base))) == list(map(id, held)) and parts(base) == copies
+        assert db.memo == {} and db.base_memo is base.memo
+        new = db.records[-1]
+        assert db.records[:-1] == base.records
+        if block.startswith("[symbol]"):  # a symbol is in no family
+            assert db.families is base.families and db.symbols is not base.symbols
+            assert db.symbols == {**base.symbols, new.name: new}
+        else:
+            assert db.symbols is base.symbols and db.families is not base.families
+            entered = (new.context.kind, new.context.family)
+            assert new in (row[2] for row in db.families[entered[0]][entered[1]])
+            for kind, of_kind in db.families.items():
+                for fam, family in of_kind.items():
+                    if (kind, fam) != entered:
+                        assert family is base.families[kind][fam]
+            assert sum(map(len, db.families.values())) == (
+                sum(map(len, base.families.values())) + (entered[1] not in base.families[entered[0]]))
+        clear_memos()
+        assert contents(loads_db(appended(db_text, block))) == contents(db)
+
     def test_the_base_is_the_remembered_text_that_leaves_least_to_scan(self, db_text):
         """Single edits of one file each keep that file as the base, also
         two in a row in one block; edits that pile up follow the latest
@@ -1433,38 +1440,44 @@ def reference_blocks(lines):
 
 
 def reference_outcome(text, path="ref.cohdb"):
-    """``load_outcome`` through ``reference_blocks``, each error at the line
-    the line-by-line loader named."""
-    db = Database()
+    """``split_outcome`` through ``reference_blocks`` and ``indexed``, each
+    error at the line the line-by-line loader named: a clash among the
+    records before the first bad block, at its record's header, or else
+    that block's error."""
+    records, headers, failed = [], [], None
+    for block in reference_blocks(text.splitlines()):
+        try:
+            records.append(_parse_block("\n".join(line for _, line in block)))
+        except _BlockError as e:
+            failed = DbParseError(path, block[e.index][0], str(e))
+            break
+        headers.append(block[0][0])
     try:
-        for block in reference_blocks(text.splitlines()):
-            try:
-                entry = _parse_block("\n".join(line for _, line in block))
-            except _BlockError as e:
-                raise DbParseError(path, block[e.index][0], str(e)) from e
-            try:
-                db = db.with_record(entry)
-            except ValueError as e:
-                raise DbParseError(path, block[0][0], str(e)) from e
-    except DbParseError as e:
-        return (e.path, e.line, str(e))
-    return dumps_db(db)
+        db = indexed(records)
+    except ValueError as e:
+        failed = DbParseError(path, headers[e.args[1]], e.args[0])
+    if failed:
+        return (failed.path, failed.line, str(failed))
+    return contents(db)
 
 
 def split_outcome(text, path="ref.cohdb"):
     try:
-        return dumps_db(loads_db(text, path))
+        return contents(loads_db(text, path))
     except DbParseError as e:
         return (e.path, e.line, str(e))
 
 
 BAD_KEY = "[symbol]\nname = mu\nname = mu\ncite = [T]\n"  # an error on the block's third line
 CLASH = "[symbol]\nname = nu\ncite = [T]\n"  # MINI has nu: an error on the header
+# MINI has coker-eta k=6 n=5..: an error on the header
+OVERLAP = "[group]\ncontext = coker-eta k=6 n=7\ngroup = Z/2\ngenerators = nu_n : 2\ncite = [T]\n"
 
 
 class TestBlockSplitter:
-    """``loads_db`` finds its blocks with one regular expression; every
-    record and every error line is the line-by-line splitter's."""
+    """``loads_db`` finds its blocks with one regular expression and indexes
+    them incrementally; every record, every family and every error line is
+    that of the line-by-line splitter and the one-by-one indexer."""
 
     @pytest.mark.parametrize(
         "text",
@@ -1488,6 +1501,8 @@ class TestBlockSplitter:
             MINI.replace("\n\n", "\n\x0b\n") + "\n" + BAD_KEY,
             MINI.replace("\n\n", "\n\u2028") + "\n" + BAD_KEY,
             "\n\n\n" + MINI + "\n\n\n\n" + BAD_KEY + "\n\n\n",
+            MINI + "\n# before the header\n" + OVERLAP,
+            (MINI + "\n" + OVERLAP + "\n" + BAD_KEY).replace("\n", "\r\n"),
         ],
         ids=[
             "whitespace-separator", "whitespace-separators", "whitespace-everywhere",
@@ -1495,6 +1510,7 @@ class TestBlockSplitter:
             "comment-only-blocks", "comment-joins-blocks", "crlf", "crlf-clash", "crlf-blank",
             "no-trailing-newline", "no-trailing-newline-clash", "valid-no-trailing-newline",
             "trailing-spaces", "form-feed", "vertical-tab", "line-separator", "blank-runs",
+            "comment-before-overlap", "crlf-overlap-then-bad-key",
         ],
     )
     def test_blocks_and_error_lines_match_the_line_by_line_splitter(self, text):

@@ -557,7 +557,8 @@ class TestApplyEvidence:
     )
     def test_finite_claim_on_infinite_generator_rejected(self, lift):
         problem = ExtensionProblem(sub=((4, "a"),), quot=((0, "c"),), context="t")
-        with pytest.raises(
-            ExtensionError, match="element-order-lift 'L' lifts c, which has infinite order"
-        ):
+        with pytest.raises(ExtensionError) as err:
             apply_evidence(problem, [lift])
+        assert str(err.value) == (
+            "t: element-order-lift 'L' lifts c, which has infinite order, so it takes order inf"
+        )

@@ -1,10 +1,9 @@
-from functools import reduce
 from math import gcd
 
 import pytest
 
 from cohomotopy.abelian import parse_group
-from cohomotopy.database import Database, DbError, dumps_db, loads_db
+from cohomotopy.database import DbError, loads_db
 from cohomotopy.gottlieb import (
     classify_components,
     fibration_equivalences,
@@ -12,7 +11,7 @@ from cohomotopy.gottlieb import (
     whitehead_hom,
 )
 from cohomotopy.pipeline import check_components, check_gottlieb
-from cohomotopy.record import replace
+from conftest import replaced
 
 
 def G(text):
@@ -66,9 +65,10 @@ class TestGottliebGroups:
         for n in sorted(self.EXPECTED):
             assert check_gottlieb(db, n, whitehead_hom(db, n)).status == "ok"
 
-    def test_check_flags_mismatch(self, db):
+    def test_check_flags_mismatch(self, db_text):
         broken = loads_db(
-            dumps_db(db).replace(
+            replaced(
+                db_text,
                 "context = gottlieb n=7\ngroup = 0",
                 "context = gottlieb n=7\ngroup = Z/2\ngenerators = nu_8 . S^7 p : 2",
             )
@@ -90,8 +90,8 @@ class TestComponents:
         assert r.status == "documented-discrepancy"
         assert check_components(db, 7, whitehead_hom(db, 7)).passed()
 
-    def test_unflagged_mismatch_fails(self, db):
-        broken = loads_db(dumps_db(db).replace("expected = 2", "expected = 3"))
+    def test_unflagged_mismatch_fails(self, db_text):
+        broken = loads_db(replaced(db_text, "expected = 2", "expected = 3"))
         assert check_components(broken, 8, whitehead_hom(broken, 8)).status == "fail"
 
     @pytest.mark.parametrize(
@@ -105,10 +105,8 @@ class TestComponents:
             ("expected = 6\ncomputed = 7", "expected = 6\ncomputed = "),
         ],
     )
-    def test_n7_discrepancy_checks_both_numbers(self, db, old, new):
-        text = dumps_db(db)
-        assert text.count(old) == 1
-        broken = loads_db(text.replace(old, new))
+    def test_n7_discrepancy_checks_both_numbers(self, db_text, old, new):
+        broken = loads_db(replaced(db_text, old, new))
         assert check_components(broken, 7, whitehead_hom(broken, 7)).status == "fail"
 
 
@@ -138,23 +136,29 @@ class TestOddUnits:
             fibration_equivalences(db, n, h),
         )
 
-    def test_every_odd_unit_gives_the_shipped_results(self, db):
+    def test_every_odd_unit_gives_the_shipped_results(self, db, db_text):
         checked = []
         for w in db.find("whitehead"):
             n = w.context.get("n").lo
             shipped = self.results(db, n)
+            at = db_text.index(f"context = whitehead n={n}\n")
+            line = db_text[at:].split("\nimages = ", 1)[1].split("\n", 1)[0]
+            written = line.split(" ; ")  # the images as the file writes them, in order
             for i, (name, vec) in enumerate(w.images):
                 for j, c in enumerate(vec):
                     if c != "odd":
                         continue
                     order = w.target_terms[j][0]
                     units = [u for u in range(1, order) if gcd(u, order) == 1]
+                    head, coords = written[i][:-1].split(" -> (")
+                    assert head == name and coords.split(", ")[j] == "odd"
                     for u in units:
-                        images = list(w.images)
-                        images[i] = (name, vec[:j] + (u,) + vec[j + 1:])
-                        variant = reduce(Database.with_record, (
-                            replace(e, images=tuple(images)) if e is w else e for e in db.records
-                        ), Database())
+                        image = coords.split(", ")
+                        image[j] = str(u)
+                        images = [*written[:i], f"{name} -> ({', '.join(image)})", *written[i + 1:]]
+                        variant = loads_db(replaced(
+                            db_text, f"images = {line}\n", f"images = {' ; '.join(images)}\n"
+                        ))
                         assert self.results(variant, n) == shipped, (n, name, u)
                     checked.append((n, name, tuple(units)))
         assert (7, "nu_8 . S^7 p", (1, 3)) in checked

@@ -6,7 +6,6 @@ from cohomotopy.database import (
     NRange,
     WhiteheadEntry,
     clear_memos,
-    dumps_db,
     loads_db,
     validate_db,
 )
@@ -23,6 +22,7 @@ from cohomotopy.pipeline import (
     table_rows,
     verify_all,
 )
+from conftest import replaced
 
 
 def G(text):
@@ -106,37 +106,30 @@ class TestComputeGroup:
 
 
 class TestFailureModes:
-    def test_dropped_evidence_leaves_extension_unresolved(self, db):
-        blocks = [
-            b
-            for b in dumps_db(db).split("\n\n")
-            if not (b.startswith("[evidence]") and "context = extension k=7 n=9\n" in b)
-        ]
+    def test_dropped_evidence_leaves_extension_unresolved(self, db, db_text):
+        blocks = [b for b in db_text.split("\n\n") if "context = extension k=7 n=9\n" not in b]
         broken = loads_db("\n\n".join(blocks))
         assert len(broken.evidence_for(7, 9)) == 0 and len(db.evidence_for(7, 9)) == 2
         with pytest.raises(UnresolvedExtensionError):
             compute_group(broken, 7, 9)
 
-    def test_corrupted_golden_row_is_caught(self, db):
-        text = dumps_db(db).replace(
-            "context = bracket k=6 n=5\ngroup = Z/4 + Z/9",
-            "context = bracket k=6 n=5\ngroup = Z/2 + Z/2 + Z/9",
-        ).replace(
-            "nu_5 . sigma_8 . S^11 p : 4", "nu_5 . sigma_8 . S^11 p : 2 ; extra : 2"
+    def test_corrupted_golden_row_is_caught(self, db_text):
+        text = replaced(
+            db_text,
+            "context = bracket k=6 n=5\ngroup = Z/4 + Z/9\n"
+            "generators = nu_5 . sigma_8 . S^11 p : 4",
+            "context = bracket k=6 n=5\ngroup = Z/2 + Z/2 + Z/9\n"
+            "generators = nu_5 . sigma_8 . S^11 p : 2 ; extra : 2",
         )
         broken = loads_db(text)
         result = check_bracket(broken, 6, 5)
         assert result.status == "fail"
 
-    def test_ehp_transports_a_retraction(self, db):
+    def test_ehp_transports_a_retraction(self, db, db_text):
         # split row n=9 by a retraction; rows 7 and 8 pull it back along EHP
         # and must name both sides of its sections in their own terms (the
         # shipped rows transport a relation fact and a lift)
-        blocks = [
-            b
-            for b in dumps_db(db).split("\n\n")
-            if not (b.startswith("[evidence]") and "context = extension k=7 n=9\n" in b)
-        ]
+        blocks = [b for b in db_text.split("\n\n") if "context = extension k=7 n=9\n" not in b]
         blocks.append(
             "[evidence]\ncontext = extension k=7 n=9\nkind = retraction\n"
             "sections = eta_9 . eps_10 -> ext(eta_9 . eps_10) ; "
@@ -154,8 +147,9 @@ class TestFailureModes:
             (2, "ext(S sigma' . eta_15^2 + eta_8 . eps_9)"), (2, "nu_8^2 . g_14(C)")
         } <= set(rows[8].generators)
 
-    def test_ehp_shape_mismatch_detected(self, db):
-        text = dumps_db(db).replace("source-n = 9", "source-n = 5")
+    def test_ehp_shape_mismatch_detected(self, db_text):
+        # the rows n=7 and n=8 both transport the n=9 resolution
+        text = replaced(db_text, "source-n = 9", "source-n = 5", count=2)
         broken = loads_db(text)
         with pytest.raises(ExtensionError):
             compute_group(broken, 7, 7)

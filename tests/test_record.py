@@ -183,7 +183,7 @@ class TestInit:
         for f in fields(Database):
             with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{f.name}'"):
                 setattr(a, f.name, getattr(b, f.name))
-        assert a == b and a.with_record(SymbolEntry("eta", "[T]")) != b
+        assert a == b and Database((SymbolEntry("eta", "[T]"),)) != b
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
 

@@ -1,5 +1,5 @@
-"""Golden transcripts: CLI output and ``dumps_db`` of the shipped database,
-compared byte for byte with the files under ``tests/golden/``.
+"""Golden transcripts: CLI output on the shipped database, compared byte
+for byte with the files under ``tests/golden/``.
 
 A deliberate output change regenerates them with
 ``PYTHONPATH=src python tests/test_transcripts.py``; review the diff.
@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from cohomotopy.cli import EXIT_OK, main
-from cohomotopy.database import dumps_db, load_db
 
 ROOT = Path(__file__).resolve().parents[1]
 DB_PATH = ROOT / "src" / "cohomotopy" / "data" / "paper.cohdb"
@@ -36,7 +35,6 @@ TRANSCRIPTS = {
     "verify.txt": ["verify"],
     "db-check.txt": ["db-check"],
 }
-DUMP = "dumps_db.cohdb"
 
 
 def cli_output(argv) -> str:
@@ -52,12 +50,7 @@ def test_cli_transcript(name):
     assert cli_output(TRANSCRIPTS[name]) == (GOLDEN / name).read_text()
 
 
-def test_dumps_db_transcript():
-    assert dumps_db(load_db(DB_PATH)) == (GOLDEN / DUMP).read_text()
-
-
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in TRANSCRIPTS.items():
         (GOLDEN / name).write_text(cli_output(argv))
-    (GOLDEN / DUMP).write_text(dumps_db(load_db(DB_PATH)))
