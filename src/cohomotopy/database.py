@@ -27,7 +27,7 @@ import bisect
 import re
 from contextlib import contextmanager
 from functools import wraps
-from itertools import chain, compress
+from itertools import chain, combinations
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 
@@ -361,13 +361,17 @@ class Database:
     ``memo`` holds the checks run on this database, and ``base_memo`` those
     of the database it was made from (``memoised``).  A load starts with an
     empty ``memo`` and its base's ``memo`` as its ``base_memo``; a database
-    built by hand starts with neither."""
+    built by hand starts with neither.  ``rebuilt`` holds each family whose
+    object is not its base's (rebuilt, added or removed) as its kind with
+    every subset of its parameters, as the queries that can read it name
+    them; it is None on a database that no load made."""
 
     records: tuple = ()
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
     families: dict[str, dict[frozenset, tuple]] = field(default_factory=dict)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
     base_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    rebuilt: frozenset | None = field(default=None, repr=False, compare=False)
 
     # -- queries ----------------------------------------------------------
     def find(self, kind: str, n: int | None = None, **params) -> list:
@@ -437,58 +441,66 @@ class _Clash(ValueError):
         super().__init__(msg)
 
 
-def _family(rows: list) -> tuple:
-    """The family of ``rows``, the (n.lo, n range, record) triples of one
-    context family in the order stored: a tuple ordered by n.lo, then by that
-    order.  When its contexts are unique (``UNIQUE``), the first row, in the
-    order stored, whose n range overlaps that of an earlier row is a
-    ``_Clash``."""
-    if rows[0][2].UNIQUE == "context":
-        stored = []  # the rows so far, ordered by n.lo; their ranges are disjoint
-        for i, row in enumerate(rows):
-            lo, nr, entry = row
-            j = bisect.bisect_right(stored, lo, key=itemgetter(0))
-            for _, other_nr, other in stored[max(j - 1, 0):j + 1]:
-                if nr.overlaps(other_nr):
-                    raise _Clash(i, f"context {entry.context} overlaps {other.context}")
-            stored.insert(j, row)
-    return tuple(sorted(rows, key=itemgetter(0)))
+def _family(new, base: tuple = (), out: set = frozenset()) -> tuple:
+    """The family of the rows of ``base``, a family, whose records' ids are
+    not in ``out``, and of the records ``new`` in the order stored after
+    them: a tuple of (n.lo, n range, record) ordered by n.lo, then by that
+    order.  The first of ``new`` whose context is unique (``UNIQUE``) and
+    whose n range overlaps that of a row before it is a ``_Clash``; given a
+    ``base``, so is one that starts where a row does, as the order stored
+    of the two is not known then."""
+    rows = [row for row in base if id(row[2]) not in out]
+    for i, entry in enumerate(new):
+        nr = entry.context.n_range
+        j = bisect.bisect_right(rows, nr.lo, key=itemgetter(0))
+        for lo, other_nr, other in rows[max(j - 1, 0):j + 1]:
+            if nr.overlaps(other_nr) if entry.UNIQUE else base and lo == nr.lo:
+                raise _Clash(i, f"context {entry.context} overlaps {other.context}")
+        rows.insert(j, (nr.lo, nr, entry))
+    return tuple(rows)
 
 
-def _reindexed(old: Database, keys: list, records: tuple, touched: dict, i: int, k: int,
+def _reindexed(old: Database, keys: list, records: tuple, touched: dict, gone: tuple,
                reorder: bool):
     """The symbols and families of ``records`` (in load order, indexed at
-    ``keys``), given ``old``, whose records are the same but for those at
-    positions ``i`` to ``k - 1``.  ``touched`` maps the keys of these, and
-    of the records they replace, to their positions: only these names and
-    families are built again.  Families are ordered by first appearance: as
-    in ``old`` unless ``reorder``, as in ``touched`` when ``old`` is empty.
-    The symbols dict of ``old`` is returned itself when no name is touched,
-    and its families mapping when no family is; otherwise the dict of each
-    kind that no new family enters is shared with it, unless ``reorder``.
+    ``keys``), given ``old``, whose records are the same but for those
+    ``gone``.  ``touched`` maps the keys of the new records, and of those
+    gone, to the new ones' positions: only these names and families are
+    built again, each from ``old``'s (``_family``), or by a scan of
+    ``keys`` when a clash or a tie needs the others' positions.  Families
+    are ordered by first appearance: as in ``old`` unless ``reorder``, as in
+    ``touched`` when ``old`` is empty.  The symbols dict of ``old`` is
+    returned itself when no name is touched, and its families mapping when
+    no family is; otherwise the dict of each kind that no new family enters
+    is shared with it, unless ``reorder``.
     ``_Clash`` names the first record, in load order, that clashes with an
     earlier one: a symbol name taken, or an overlapping context."""
-    for x in chain(compress(range(i), map(touched.__contains__, keys[:i])),
-                   compress(range(k, len(keys)), map(touched.__contains__, keys[k:]))):
-        touched[keys[x]].append(x)
+    out = set(map(id, gone))
     symbols = dict(old.symbols) if any(type(key) is str for key in touched) else old.symbols
     built, clashes = {}, []
     for key, where in touched.items():
-        where.sort()
         if type(key) is str:
+            if (held := old.symbols.get(key)) is not None and id(held) not in out:  # taken again
+                where = [x for x, other in enumerate(keys) if other == key]
             if len(where) > 1:
                 clashes.append(_Clash(where[1], f"duplicate name {key!r}"))
             elif where:
                 symbols[key] = records[where[0]]
             else:
                 del symbols[key]
-        elif where:
-            rows = [(e.context.n_range.lo, e.context.n_range, e)
-                    for e in map(records.__getitem__, where)]
+            continue
+        base = old.families.get(key[0], _NO_FAMILIES).get(key[1], ())
+        try:
+            family = _family(map(records.__getitem__, where), base, out)
+        except _Clash:  # a clash or a tie: the family is built from all its rows in load order
+            where = [x for x, other in enumerate(keys) if other == key]
             try:
-                built[key] = _family(rows)
+                family = _family(map(records.__getitem__, where))
             except _Clash as e:
                 clashes.append(_Clash(where[e.index], str(e)))
+                continue
+        if family:
+            built[key] = family
     if clashes:
         raise min(clashes, key=attrgetter("index"))
     if not any(type(key) is tuple for key in touched):  # no family gained or lost a record
@@ -566,10 +578,13 @@ def memoised(check):
     ``check`` must read ``db`` only through ``find`` (``lookup``,
     ``evidence_for``), so that a database on which its queries return the
     identical records gets the identical value.  The value is kept in
-    ``db.memo`` with the read trace of its run (``reading``), and is
-    returned at once on the next call.  A value of the database ``db`` was
-    made from (``db.base_memo``) is used when its trace, walked query by
-    query, still holds on ``db`` (``_unchanged``); otherwise the check runs.
+    ``db.memo`` with the read trace of its run (``reading``) and its
+    queries' (kind, parameters), and is returned at once on the next call.
+    A value of the database ``db`` was made from (``db.base_memo``) is used
+    at once when none of those is in ``db.rebuilt``: every family its
+    queries read or matched is then the base's own.  Otherwise, or on a
+    database no load made, it is used when its trace, walked query by
+    query, still holds on ``db`` (``_unchanged``); else the check runs.
     Either way the value is then kept in ``db.memo``.  A memo lives as long
     as its database, or a database made from it.  A call inside another
     memoised check adds its reads, whether remembered or new, to the outer
@@ -581,10 +596,11 @@ def memoised(check):
         hit = db.memo.get(key)
         if hit is None:
             hit = db.base_memo.get(key)
-            if hit is None or not _unchanged(db, hit[1]):
+            if hit is None or not (db.rebuilt is not None and hit[2].isdisjoint(db.rebuilt)
+                                   or _unchanged(db, hit[1])):
                 with reading() as trace:
                     value = check(db, *args)
-                db.memo[key] = value, trace
+                db.memo[key] = value, trace, frozenset(map(itemgetter(0, 1), trace))
                 return value
             db.memo[key] = hit
         if _TRACES:
@@ -688,42 +704,43 @@ def _line_no(text: str, start: int, end: int, index: int) -> int:
     return text.count("\n", 0, start) + 1 + kept[index]
 
 
-def _common(a: str, b: str) -> tuple[int, int]:
-    """The lengths of the longest common prefix of ``a`` and ``b``, and of
-    the longest common suffix of what follows it, found by bisection."""
-    lo, hi = 0, min(len(a), len(b))
+def _shared(a: str, b: str, lo: int, hi: int, at_end: bool) -> int:
+    """How many characters ``a`` and ``b`` share at their start (at their
+    end when ``at_end``), known to be from ``lo`` to ``hi``: by bisection."""
+    na, nb = len(a), len(b)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if a.startswith(b[lo:mid], lo):
+        if a.endswith(b[nb - mid:nb - lo], 0, na - lo) if at_end else a.startswith(b[lo:mid], lo):
             lo = mid
         else:
             hi = mid - 1
-    pre, na, nb = lo, len(a), len(b)
-    lo, hi = 0, min(na, nb) - pre
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a.endswith(b[nb - mid:nb - lo], 0, na - lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return pre, lo
+    return lo
+
+
+def _common(a: str, b: str, pre=(0, False), suf=(0, False)) -> tuple[int, int]:
+    """The lengths of the longest common prefix and suffix of ``a`` and
+    ``b``, given each as (a length they share, whether it is the longest)."""
+    most = min(len(a), len(b))
+    return (pre[0] if pre[1] else _shared(a, b, pre[0], most, False),
+            suf[0] if suf[1] else _shared(a, b, suf[0], most, True))
 
 
 # The loads that ``loads_db`` remembers, at most two: the base of the latest
 # load, then that load.  Each is a normalised text that loaded without error,
 # with the (start, end) of each record's block, each record's index key (its
-# name or family) and its database, the one the load returned.
+# name or family), its database, the one the load returned, and the common
+# prefix and suffix of its text and its base's (``_common``).
 _LOADED: list = []
-_COLD = ("", [], [], Database())  # no text: a load without a base; its memo stays empty
+_COLD = ("", [], [], Database(), (0, 0))  # no text: a load without a base; its memo stays empty
 
 
-def _window(kept: tuple, text: str) -> tuple[int, int, int, int]:
+def _window(kept: tuple, text: str, pre: int, suf: int) -> tuple[int, int, int, int]:
     """The blocks of a remembered load that ``text`` does not keep, the ith
     to the (j - 1)th, and the part of ``text`` that replaces them, from lo to
-    hi: a block is kept when a blank line, unchanged, lies between it and
-    the lines that differ."""
+    hi, given the texts' common prefix and suffix: a block is kept when a
+    blank line, unchanged, lies between it and the lines that differ."""
     old, spans = kept[0], kept[1]
-    pre, suf = _common(old, text)
+    suf = min(suf, len(old) - pre, len(text) - pre)  # the suffix of what follows the prefix
     start, end = text.rfind("\n", 0, pre) + 1, old.find("\n", len(old) - suf)
     i = bisect.bisect_left(spans, start - 1, key=itemgetter(1))
     j = bisect.bisect_right(spans, len(old) if end < 0 else end + 1, key=itemgetter(0))
@@ -739,28 +756,42 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     without error are remembered, with their blocks and records.  The new
     text is compared with each by common prefix and suffix, and its base is
     the one that leaves the least of it to scan (the older on a tie, so that
-    edits of one file each keep that file as their base).  The first load,
-    or the first after ``clear_memos``, has no base and scans the whole
-    text.  Only the blocks on or next to the lines that differ are scanned
-    and parsed; the others keep their record objects.  Only the symbols and
-    families that gained or lost a record are built again (``_family``);
-    every other family object is shared with the base, and a load that
-    builds no family or name shares the base's whole families mapping or
-    symbols dict.
+    edits of one file each keep that file as their base).  Only the older
+    text is diffed in full: the newer one was loaded from it, so its diff
+    follows from the two diffs with the older text.  The first load, or the
+    first after ``clear_memos``, has no base and scans the whole text.  Only
+    the blocks on or next to the lines that differ are scanned and parsed;
+    the others keep their record objects.  Only the symbols and families
+    that gained or lost a record are built again, from the base's
+    (``_reindexed``); every other family object is shared with the base, and
+    a load that builds no family or name shares the base's families mapping
+    or symbols dict.
 
-    The new database, like every database made from another (``Database``),
-    starts with no remembered checks and with its base's as its
-    ``base_memo`` (``memoised``).  A text equal to a remembered one gets
-    that remembered database itself, and the loads remembered stay as they
-    are."""
+    The new database starts with no remembered checks, its base's as its
+    ``base_memo``, and the families it built, added or removed as
+    ``rebuilt`` (``Database``), against which ``memoised`` confirms the
+    base's checks.  So a one-number edit costs one full diff, one family
+    built again, and a walk only for each check that read that family.  A
+    text equal to a remembered one gets that remembered database itself,
+    and the loads remembered stay as they are."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
     for kept in _LOADED:
         if kept[0] == text:
             return kept[3]
-    windows = [(_window(kept, text), kept) for kept in _LOADED or [_COLD]]
-    (i, j, lo, hi), base = min(windows, key=lambda w: w[0][3] - w[0][2])
-    old, old_spans, old_keys, old_db = base
+    older, *newer = _LOADED or [_COLD]
+    common = [_common(older[0], text)]
+    # the newer text was loaded from the older: when it and the new text part
+    # from the older one at different places, they part from each other at the
+    # nearer one, from the start as from the end
+    for kept in newer:
+        (pre, suf), (p, s) = common[0], kept[4]
+        common.append(_common(kept[0], text, (min(pre, p), pre != p), (min(suf, s), suf != s)))
+    (i, j, lo, hi), base, common = min(
+        ((_window(kept, text, *c), kept, c) for kept, c in zip([older, *newer], common)),
+        key=lambda w: w[0][3] - w[0][2],
+    )
+    old, old_spans, old_keys, old_db, _ = base
     shift = len(text) - len(old)
     spans, records = [], []
     failed = None
@@ -786,19 +817,23 @@ def loads_db(text: str, path: str = "<string>") -> Database:
             touched.setdefault(key, [])
     # the families keep the base's order while every record keeps its key
     reorder = not failed and bool(old_keys) and keys != old_keys[i:j]
-    k = i + len(records)
     after = [(s + shift, e + shift) for s, e in old_spans[j:]] if shift else old_spans[j:]
     spans = old_spans[:i] + spans + after
     records = (*old_db.records[:i], *records, *old_db.records[j:])
     keys = old_keys[:i] + keys + old_keys[j:]
     try:
-        symbols, families = _reindexed(old_db, keys, records, touched, i, k, reorder)
+        symbols, families = _reindexed(old_db, keys, records, touched, old_db.records[i:j],
+                                       reorder)
     except _Clash as e:
         raise DbParseError(path, _line_no(text, *spans[e.index], 0), str(e)) from e
     if failed:
         block, e = failed
         raise DbParseError(path, _line_no(text, *block.span(), e.index), str(e)) from e.__cause__
-    kept = (text, spans, keys, Database(records, symbols, families, base_memo=old_db.memo))
+    # a query of any part of a rebuilt family's parameters may find other records
+    rebuilt = frozenset((key[0], frozenset(part)) for key in touched if type(key) is tuple
+                        for r in range(len(key[1]) + 1) for part in combinations(key[1], r))
+    db = Database(records, symbols, families, base_memo=old_db.memo, rebuilt=rebuilt)
+    kept = (text, spans, keys, db, common)
     _LOADED[:] = [kept] if base is _COLD else [base, kept]
     return kept[3]
 

@@ -11,7 +11,9 @@ workload names it), the ``DbParseError`` text, the family order, the
 Two trees that print the same digest give byte-identical results on all of
 them.  Each section's own sha256 is printed after its tally, so when the
 last line differs, the section lines of two trees name the section that
-moved it.  ``tests/exactness_digest.txt`` holds the expected last line for
+moved it.  A third line per section gives its wall time, which no digest
+covers, so every run logs what the curator's loop costs.
+``tests/exactness_digest.txt`` holds the expected last line for
 the default arguments and ``tests/exactness_digest_seed7.txt`` that for
 ``--seed 7``, whose multi-edit texts come in another order; CI compares
 both, so a change that means to move the digest (an edit of the shipped
@@ -29,6 +31,7 @@ import hashlib
 import importlib.util
 import random
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -115,6 +118,7 @@ def main(argv=None) -> int:
     for name, texts in sections:
         outcomes: Counter = Counter()
         section = hashlib.sha256()
+        started = time.perf_counter()
         for edited in texts:
             outcome, record = dump(edited)
             outcomes[outcome] += 1
@@ -124,6 +128,7 @@ def main(argv=None) -> int:
         tally = ", ".join(f"{o} {outcomes[o]}" for o in mutants.OUTCOMES if outcomes[o])
         print(f"{name}: {sum(outcomes.values())} texts: {tally}")
         print(f"{name}: sha256 {section.hexdigest()}")
+        print(f"{name}: {time.perf_counter() - started:.1f} s wall")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 

@@ -2,6 +2,7 @@ import gc
 import re
 import weakref
 from contextlib import contextmanager
+from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from cohomotopy.extensions import RENAMES, EhpInjectivity, ExtensionError, Relat
 from cohomotopy.pipeline import compute_group, verify_all
 from cohomotopy.record import replace
 from conftest import replaced
+from test_record_deletions import record_blocks
 
 
 class TestNRange:
@@ -1149,6 +1151,133 @@ class TestRecordConfirmation:
         computed.clear()
         assert checked(loads_db(texts["c"])) == cold["c"]
         assert computed == [(6, 11)]
+
+
+def widened(keys):
+    """Each (kind, parameters) of the family keys ``keys`` with every subset
+    of its parameters: the queries that can read or match the family."""
+    return {(kind, frozenset(part))
+            for kind, fam in keys for r in range(len(fam) + 1) for part in combinations(fam, r)}
+
+
+def changed_families(db, base):
+    """The family keys whose object in ``db`` is not ``base``'s: rebuilt,
+    added or removed."""
+    return {
+        (kind, fam)
+        for kind in {**base.families, **db.families}
+        for fam in {**base.families.get(kind, {}), **db.families.get(kind, {})}
+        if db.families.get(kind, {}).get(fam) is not base.families.get(kind, {}).get(fam)
+    }
+
+
+K6 = frozenset({("k", 6)})
+
+
+def reads_bracket_k6(trace):
+    """Whether a read trace read, or matched, the bracket family at k=6."""
+    return any(kind == "bracket" and want <= K6 for kind, want, _ in trace)
+
+
+class TestRebuiltFamilies:
+    """A load records the families it rebuilt relative to its base
+    (``Database.rebuilt``), and a remembered check of the base is confirmed
+    at once when it read none of them: only the checks that read an edited
+    family are walked, and only those whose walk fails run again."""
+
+    def test_a_one_number_edit_walks_and_reruns_only_what_read_its_family(
+        self, db_text, walks, runs, monkeypatch
+    ):
+        clear_memos()
+        shipped = loads_db(db_text)
+        checked(shipped)
+        text = doubled(db_text, "bracket k=6 n=4")
+        db = loads_db(text)
+        assert db.base_memo is shipped.memo
+        walked = []
+        walk = database._unchanged  # the walks fixture's
+        monkeypatch.setattr(database, "_unchanged",
+                            lambda db, trace: walked.append(trace) or walk(db, trace))
+        walks.clear()
+        runs.clear()
+        got = checked(db)
+        assert walked and len(walked) == len(walks) < len(shipped.memo) // 4
+        assert all(map(reads_bracket_k6, walked))
+        assert runs and all(map(reads_bracket_k6, runs))
+        # every other check consulted is the base's own entry, taken unwalked
+        others = [key for key, hit in shipped.memo.items()
+                  if key in db.memo and not reads_bracket_k6(hit[1])]
+        assert others and all(db.memo[key] is shipped.memo[key] for key in others)
+        clear_memos()
+        assert checked(loads_db(text)) == got
+
+    def test_the_recorded_families_confirm_what_a_walk_confirms(self, db_text, mutants):
+        """Over seeded mutants, every record deletion, the file with its
+        blocks reversed, a record that makes a new family and the edits that
+        a partial query matches: the recorded set is the families the load
+        changed, and a remembered check that read none of them holds on a
+        walk too."""
+        clear_memos()
+        shipped = loads_db(db_text)
+        assert shipped.rebuilt == widened(changed_families(shipped, Database()))
+        checked(shipped)
+        with database.reading() as whole:
+            shipped.find("odd-part", k=6)
+        with database.reading() as at_5:
+            shipped.find("odd-part", k=6, n=5)
+        entries = [*shipped.memo.values(), *((None, trace, frozenset(map(itemgetter(0, 1), trace)))
+                                             for trace in (whole, at_5))]
+        lines = db_text.split("\n")
+        blocks = [m.group() for m in database._BLOCK.finditer(db_text)]
+        texts = [mutants.apply_spec(lines, spec) for spec in mutants.seeded_specs(db_text, 1)[:300]]
+        texts += [db_text[:start] + db_text[end:] for _, start, end in record_blocks(db_text)]
+        texts += ["\n\n".join(reversed(blocks)) + "\n",
+                  appended(db_text, "[group]\ncontext = odd-part k=6 n=3 p=11\ngroup = Z/11\ncite = [T]")]
+        texts += [doubled(db_text, f"odd-part k={k} n={n} p={p}")
+                  for k, n, p in ((6, 2, 3), (6, 2, 5), (6, 5, 3), (7, 2, 3))]
+        held = confirmed = 0
+        for text in texts:
+            assert loads_db(db_text) is shipped
+            try:
+                db = loads_db(text)
+            except DbError:
+                continue
+            assert db.base_memo is shipped.memo
+            assert db.rebuilt == widened(changed_families(db, shipped))
+            for _, trace, queries in entries:
+                assert queries == frozenset(map(itemgetter(0, 1), trace))
+                holds = database._unchanged(db, trace)
+                if queries.isdisjoint(db.rebuilt):
+                    assert holds, (text, trace)
+                    confirmed += 1
+                held += holds
+        assert confirmed > held * 3 // 4  # the set test leaves few walks that hold
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_the_newer_text_is_diffed_from_what_its_load_found(self, db_text, data):
+        """The common prefix and suffix with the newer remembered text are
+        derived from its diff with the older one: they equal a full diff."""
+        common = database._common
+
+        def checking(a, b, *bounds):
+            got = common(a, b, *bounds)
+            assert got == common(a, b)
+            return got
+
+        clear_memos()
+        loads_db(db_text)
+        text = db_text
+        database._common = checking
+        try:
+            for _ in range(data.draw(st.integers(2, 5))):
+                text = edit_once(data, data.draw(st.sampled_from((text, db_text))))
+                try:
+                    loads_db(text)
+                except DbError:
+                    pass
+        finally:
+            database._common = common
 
 
 class TestReadTrace:
