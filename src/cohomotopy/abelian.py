@@ -61,9 +61,10 @@ class IllDefinedHomError(AbelianError):
 # ---------------------------------------------------------------------------
 
 
-# The value classes of this module are built on every hot path, so each
-# writes out its __init__; IntMatrix, SmithDecomposition and FinAbGroup also
-# write out their __eq__ and __hash__.
+# The value classes of this module write out their __init__:
+# smith_normal_form builds IntMatrix and SmithDecomposition on each call, and
+# every product path builds FinAbGroup.  Only FinAbGroup, which those paths
+# also compare and hash, writes out its __eq__ and __hash__.
 
 
 @record
@@ -78,14 +79,6 @@ class IntMatrix:
         set_field(self, "rows", rows)
         set_field(self, "cols", cols)
         set_field(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -175,14 +168,6 @@ class SmithDecomposition:
         set_field(self, "u", u)
         set_field(self, "d", d)
         set_field(self, "v", v)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.u, self.d, self.v) == (other.u, other.d, other.v)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.u, self.d, self.v))
 
 
 def _bezout(p, x):

@@ -19,8 +19,9 @@ from .record import record
 
 
 def whitehead_hom(db: Database, n: int) -> GroupHom:
-    """The pairing ``[-, identity]`` on the recorded bracket-id row
-    (``database.pairing``, remembered on ``db``).
+    """The pairing ``[-, identity]`` on the recorded bracket-id row, read
+    here by each function of (db, n) that needs it; it is remembered on
+    ``db`` (``database.pairing``), so it is built once per n.
 
     A ``DbError`` names the whitehead record when its images define no
     homomorphism, with the problem ``db-check`` reports
@@ -68,9 +69,10 @@ class ComponentsResult:
     note: str = ""
 
 
-def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
+def classify_components(db: Database, n: int) -> ComponentsResult:
     """Count fibre-homotopy equivalence classes of evaluation fibrations,
-    from the Whitehead pairing ``h = whitehead_hom(db, n)``.
+    from the Whitehead pairing at n (``whitehead_hom``, whose error comes
+    first; then a missing components row).
 
     Two classes f, g give equivalent fibrations iff [f, id] = +-[g, id], so
     the count is the number of image elements up to sign; an infinite image
@@ -79,6 +81,7 @@ def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
     ``documented-discrepancy`` when the count is that value and differs from
     ``expected``, and ``fail`` otherwise.
     """
+    h = whitehead_hom(db, n)
     entry = db.lookup("components", n=n)
     if entry is None:
         raise DbError(f"no components row for n={n}")
@@ -95,17 +98,17 @@ def classify_components(db: Database, n: int, h: GroupHom) -> ComponentsResult:
     return ComponentsResult(computed, entry.expected, status, entry.note)
 
 
-def fibration_equivalences(
-    db: Database, n: int, h: GroupHom
-) -> dict[str, list[tuple[int, ...]]]:
+def fibration_equivalences(db: Database, n: int) -> dict[str, list[tuple[int, ...]]]:
     """For each bracket-id generator, partition its multiples by equivalence
-    of the induced evaluation fibration (equal pairing ``h =
-    whitehead_hom(db, n)`` up to sign).
+    of the induced evaluation fibration (equal Whitehead pairing at n,
+    ``whitehead_hom``, up to sign).
 
     A finite generator contributes all residues 0..order-1, an infinite one
     its residues modulo the order of its image, which decides the pairing;
-    an image of infinite order is a ``DbError`` naming the whitehead record.
+    after the pairing's error, an image of infinite order is a ``DbError``
+    naming the whitehead record.
     """
+    h = whitehead_hom(db, n)
     src = db.lookup("bracket-id", n=n)
     out: dict[str, list[tuple[int, ...]]] = {}
     for i, (order, name) in enumerate(src.terms):

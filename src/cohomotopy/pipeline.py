@@ -13,9 +13,10 @@ introduced by evidence (lifts, sections, remainders) are used verbatim.
 from __future__ import annotations
 
 import re
+from functools import wraps
 
-from .abelian import FinAbGroup, GroupHom
-from .database import Database, DbError, memoised, pairing
+from .abelian import FinAbGroup
+from .database import Database, DbError, memoised
 from .extensions import (
     ComputedRow,
     EhpInjectivity,
@@ -24,7 +25,7 @@ from .extensions import (
     apply_evidence,
     map_names,
 )
-from .gottlieb import classify_components, gottlieb_group
+from .gottlieb import classify_components, gottlieb_group, whitehead_hom
 from .record import record
 
 
@@ -171,32 +172,40 @@ def golden_row(db: Database, k: int, n: int) -> ComputedRow:
     return _recorded_row(db, "bracket", n, k=k, n=n)
 
 
-def _check_row(family: str, label: str, rows) -> CheckResult:
-    """Compare the (computed, recorded) rows that ``rows()`` returns: the
-    group, then the sorted generators."""
-    try:
-        computed, recorded = rows()
-    except (DbError, ExtensionError) as e:
-        return CheckResult(family, label, "fail", str(e))
+def _check(family: str, label: str):
+    """A check of ``family``, remembered on its database (``memoised``), from
+    a function of (db, *args) that returns its (status, detail): labelled by
+    ``label`` formatted with the args, and failed with the error's text when
+    the function raises a ``DbError`` or ``ExtensionError``."""
+
+    def wrap(compare):
+        @wraps(compare)
+        def check(db: Database, *args) -> CheckResult:
+            try:
+                status, detail = compare(db, *args)
+            except (DbError, ExtensionError) as e:
+                status, detail = "fail", str(e)
+            return CheckResult(family, label.format(*args), status, detail)
+
+        return memoised(check)
+
+    return wrap
+
+
+def _compare_rows(computed: ComputedRow, recorded: ComputedRow) -> tuple[str, str]:
+    """Compare the group, then the sorted generators."""
     if computed.group != recorded.group:
-        return CheckResult(
-            family, label, "fail",
-            f"group {computed.group} != recorded {recorded.group}",
-        )
-    if sorted(computed.generators) != sorted(recorded.generators):
-        return CheckResult(
-            family, label, "fail",
-            f"generators {sorted(computed.generators)} != "
-            f"recorded {sorted(recorded.generators)}",
-        )
-    return CheckResult(family, label, "ok", str(computed.group))
+        return "fail", f"group {computed.group} != recorded {recorded.group}"
+    got, want = sorted(computed.generators), sorted(recorded.generators)
+    if got != want:
+        return "fail", f"generators {got} != recorded {want}"
+    return "ok", str(computed.group)
 
 
-@memoised
-def check_bracket(db: Database, k: int, n: int) -> CheckResult:
+@_check("bracket", "k={} n={}")
+def check_bracket(db: Database, k: int, n: int):
     """Compare the computed bracket row against the golden row."""
-    return _check_row("bracket", f"k={k} n={n}", lambda: (
-        compute_group(db, k, n), golden_row(db, k, n)))
+    return _compare_rows(compute_group(db, k, n), golden_row(db, k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +229,12 @@ def mapping_space_pi(db: Database, n: int) -> ComputedRow:
     return _recorded_row(db, "mapspace", None, n=n)
 
 
-@memoised
-def check_mapspace(db: Database, n: int) -> CheckResult:
+@_check("mapspace", "pi_{}")
+def check_mapspace(db: Database, n: int):
     # The record's names are compared as written, not instantiated at n: pi_n
     # is the bracket cell (k = n - 5, n = 5), and for n < 11 both sides are
     # this same record until pi_4..pi_10 are derived too (ROADMAP.md).
-    return _check_row("mapspace", f"pi_{n}", lambda: (
-        mapping_space_pi(db, n), _recorded_row(db, "mapspace", None, n=n)))
+    return _compare_rows(mapping_space_pi(db, n), _recorded_row(db, "mapspace", None, n=n))
 
 
 # ---------------------------------------------------------------------------
@@ -234,45 +242,24 @@ def check_mapspace(db: Database, n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-# Each check takes the Whitehead pairing at n, or the ``DbError`` that
-# building it gave (``database.pairing``).
-
-
-@memoised
-def _paired_check(db: Database, check, n: int) -> CheckResult:
-    """``check`` (``check_gottlieb`` or ``check_components``) at n, on the
-    pairing that both read."""
-    return check(db, n, pairing(db, n))
-
-
-def check_gottlieb(db: Database, n: int, h: GroupHom | DbError) -> CheckResult:
-    label = f"G_{n}"
-    entry = db.lookup("gottlieb", n=n)
+@_check("gottlieb", "G_{}")
+def check_gottlieb(db: Database, n: int):
+    entry = db.lookup("gottlieb", n=n)  # a missing row comes before the pairing's error
     if entry is None:
-        return CheckResult("gottlieb", label, "fail", f"no gottlieb row for n={n}")
-    if isinstance(h, DbError):
-        return CheckResult("gottlieb", label, "fail", str(h))
-    computed = gottlieb_group(h)
+        raise DbError(f"no gottlieb row for n={n}")
+    computed = gottlieb_group(whitehead_hom(db, n))
     if computed != entry.group:
-        return CheckResult(
-            "gottlieb", label, "fail",
-            f"kernel {computed} != recorded {entry.group}",
-        )
-    return CheckResult("gottlieb", label, "ok", str(computed))
+        return "fail", f"kernel {computed} != recorded {entry.group}"
+    return "ok", str(computed)
 
 
-def check_components(db: Database, n: int, h: GroupHom | DbError) -> CheckResult:
-    label = f"components n={n}"
-    if isinstance(h, DbError):
-        return CheckResult("components", label, "fail", str(h))
-    try:
-        r = classify_components(db, n, h)
-    except DbError as e:
-        return CheckResult("components", label, "fail", str(e))
+@_check("components", "components n={}")
+def check_components(db: Database, n: int):
+    r = classify_components(db, n)  # the pairing's error comes before a missing row
     detail = f"computed {r.computed}, recorded {r.expected}"
     if r.note:
         detail += f" ({r.note})"
-    return CheckResult("components", label, r.status, detail)
+    return r.status, detail
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +345,16 @@ def verify_all(db: Database) -> list[CheckResult]:
     range at its first n and three above it (when the range holds that n),
     and every n at which an evidence range starts or ends.  Then all
     mapping-space rows, and the Gottlieb and path-component
-    classifications; both of these read one Whitehead pairing per n.
+    classifications, at each n of their records; both checks at an n read
+    its one Whitehead pairing (``whitehead_hom``).
 
     Each check is remembered on ``db`` with the queries it made and the
     records they returned (``memoised``).  So a second pass reuses every
     result, and so does a load of an edit for each check whose queries
     return the identical records as on its base, as they do when the check
-    did not find the edited record.  The plan itself, which k, n and
-    pairings to check, is read from the families directly, past the read
-    trace: ``verify_all`` is not memoised, so no remembered result depends
-    on it.
+    did not find the edited record.  The plan itself, which k and n to
+    check, is read from the families directly, past the read trace:
+    ``verify_all`` is not memoised, so no remembered result depends on it.
     """
     results = []
     families = db.families
@@ -395,5 +382,5 @@ def verify_all(db: Database) -> list[CheckResult]:
     for kind, check in (("gottlieb", check_gottlieb), ("components", check_components)):
         # one family: the only parameter of these contexts is n
         for lo, _, _ in families.get(kind, {}).get(frozenset(), ()):
-            results.append(_paired_check(db, check, lo))
+            results.append(check(db, lo))
     return results

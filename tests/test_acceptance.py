@@ -143,10 +143,10 @@ def test_criterion_3_gottlieb_suite(db):
 
 def test_criterion_4_component_counts(db):
     for n, expected in ((1, 1), (2, 1), (4, 1), (6, 1), (3, 4), (5, 4), (8, 2)):
-        r = classify_components(db, n, whitehead_hom(db, n))
+        r = classify_components(db, n)
         assert r.computed == r.expected == expected, f"n={n}"
         assert r.status == "ok"
-    r7 = classify_components(db, 7, whitehead_hom(db, 7))
+    r7 = classify_components(db, 7)
     assert r7.computed == 7 and r7.expected == 6
     assert r7.status == "documented-discrepancy"
     print(

@@ -1,6 +1,5 @@
 import pytest
 
-from cohomotopy import cli
 from cohomotopy.cli import (
     EXIT_DB,
     EXIT_OK,
@@ -9,6 +8,7 @@ from cohomotopy.cli import (
     EXIT_VERIFY,
     main,
 )
+from cohomotopy.database import WhiteheadEntry, clear_memos
 from conftest import replaced
 
 
@@ -73,13 +73,14 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv", [["gottlieb"], ["gottlieb", "--equivalences"], ["components"]])
     def test_one_whitehead_pairing_per_n(self, capsys, monkeypatch, argv):
         built = []
-        real = cli.whitehead_hom
+        real = WhiteheadEntry.pairing
 
-        def counted(db, n):
-            built.append(n)
-            return real(db, n)
+        def counted(self, src):
+            built.append(self.context.n_range.lo)
+            return real(self, src)
 
-        monkeypatch.setattr(cli, "whitehead_hom", counted)
+        monkeypatch.setattr(WhiteheadEntry, "pairing", counted)
+        clear_memos()  # a cold load: no pairing is remembered yet
         code, _, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert built == list(range(1, 9))  # the n of the shipped records, each once

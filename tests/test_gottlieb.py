@@ -3,14 +3,14 @@ from math import gcd
 import pytest
 
 from cohomotopy.abelian import parse_group
-from cohomotopy.database import DbError, loads_db
+from cohomotopy.database import DbError, clear_memos, loads_db, validate_db
 from cohomotopy.gottlieb import (
     classify_components,
     fibration_equivalences,
     gottlieb_group,
     whitehead_hom,
 )
-from cohomotopy.pipeline import check_components, check_gottlieb
+from cohomotopy.pipeline import check_components, check_gottlieb, verify_all
 from conftest import replaced
 
 
@@ -63,7 +63,7 @@ class TestGottliebGroups:
 
     def test_check_helper(self, db):
         for n in sorted(self.EXPECTED):
-            assert check_gottlieb(db, n, whitehead_hom(db, n)).status == "ok"
+            assert check_gottlieb(db, n).status == "ok"
 
     def test_check_flags_mismatch(self, db_text):
         broken = loads_db(
@@ -73,7 +73,7 @@ class TestGottliebGroups:
                 "context = gottlieb n=7\ngroup = Z/2\ngenerators = nu_8 . S^7 p : 2",
             )
         )
-        assert check_gottlieb(broken, 7, whitehead_hom(broken, 7)).status == "fail"
+        assert check_gottlieb(broken, 7).status == "fail"
 
 
 class TestComponents:
@@ -81,18 +81,18 @@ class TestComponents:
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
     def test_orbit_counts(self, db, n):
-        r = classify_components(db, n, whitehead_hom(db, n))
+        r = classify_components(db, n)
         assert r.computed == self.EXPECTED[n]
 
     def test_n7_discrepancy_is_flagged_pass(self, db):
-        r = classify_components(db, 7, whitehead_hom(db, 7))
+        r = classify_components(db, 7)
         assert r.computed == 7 and r.expected == 6
         assert r.status == "documented-discrepancy"
-        assert check_components(db, 7, whitehead_hom(db, 7)).passed()
+        assert check_components(db, 7).passed()
 
     def test_unflagged_mismatch_fails(self, db_text):
         broken = loads_db(replaced(db_text, "expected = 2", "expected = 3"))
-        assert check_components(broken, 8, whitehead_hom(broken, 8)).status == "fail"
+        assert check_components(broken, 8).status == "fail"
 
     @pytest.mark.parametrize(
         "old, new",
@@ -107,20 +107,94 @@ class TestComponents:
     )
     def test_n7_discrepancy_checks_both_numbers(self, db_text, old, new):
         broken = loads_db(replaced(db_text, old, new))
-        assert check_components(broken, 7, whitehead_hom(broken, 7)).status == "fail"
+        assert check_components(broken, 7).status == "fail"
 
 
 class TestFibrationEquivalences:
     def test_n3_partitions(self, db):
-        eq = fibration_equivalences(db, 3, whitehead_hom(db, 3))
+        eq = fibration_equivalences(db, 3)
         assert sorted(eq["nu_4 . S^3 p"]) == [(0,), (1,)]
         assert eq["S nu' . S^3 p"] == [(0, 1)]
         assert sorted(eq["alpha_1(4) . S^3 p"]) == [(0,), (1, 2)]
 
     def test_zero_pairing_means_all_equivalent(self, db):
-        eq = fibration_equivalences(db, 4, whitehead_hom(db, 4))
+        eq = fibration_equivalences(db, 4)
         for classes in eq.values():
             assert len(classes) == 1
+
+
+class TestBrokenPairing:
+    """Each function of (db, n) reads the pairing at n itself, so an edit
+    that breaks it gives the same text wherever the pairing is read."""
+
+    # name -> (old text, new text, n, the problem, and check_gottlieb's
+    # detail where the pairing rule (WhiteheadEntry.pairing) accepts the
+    # record, None where it rejects it)
+    EDITS = {
+        "image missing": (
+            "nu_4 . S^3 p -> (2, 0, 0) ; ", "", 3,
+            "whitehead n=3: missing image for generator 'nu_4 . S^3 p'", None,
+        ),
+        "image of wrong order": (
+            "alpha_1(6) . S^5 p -> (0, 1)", "alpha_1(6) . S^5 p -> (1, 1)", 5,
+            "whitehead n=5: image of 'alpha_1(6) . S^5 p' has order 12, not a divisor of 3",
+            None,
+        ),
+        # a well-formed record: G_3 fails on its kernel, db-check finds nothing
+        "infinite image": (
+            "target = Z/4 + Z/3 + Z/3\ntarget-generators = nu_4^2 . S^6 p : 4 ;",
+            "target = Z + Z/3 + Z/3\ntarget-generators = nu_4^2 . S^6 p : inf ;", 3,
+            "whitehead n=3: the pairing has an infinite image",
+            "kernel Z/2 != recorded Z + Z/2",
+        ),
+    }
+
+    @pytest.fixture(params=sorted(EDITS))
+    def edit(self, request, db_text):
+        old, new, n, problem, gottlieb = self.EDITS[request.param]
+        return replaced(db_text, old, new), n, problem, gottlieb
+
+    def test_every_reader_reports_the_same_problem(self, edit):
+        text, n, problem, gottlieb = edit
+        broken = loads_db(text)
+        rejected = gottlieb is None
+        for check, detail in (
+            (check_gottlieb, problem if rejected else gottlieb), (check_components, problem)
+        ):
+            assert (check(broken, n).status, check(broken, n).detail) == ("fail", detail)
+        for read in (classify_components, fibration_equivalences):
+            with pytest.raises(DbError) as e:
+                read(broken, n)
+            assert str(e.value) == problem
+        assert validate_db(broken) == ([problem] if rejected else [])
+
+    def test_each_check_reports_its_first_problem(self, db_text):
+        # at n=5 the pairing is ill-defined and the gottlieb and components
+        # rows are gone: a missing gottlieb row comes before the pairing's
+        # error, the pairing's error before a missing components row
+        old, new, n, problem, _ = self.EDITS["image of wrong order"]
+        text = replaced(db_text, old, new)
+        for row in ("context = gottlieb n=5\n", "context = components n=5\n"):
+            start = text.index(row)
+            text = text[:text.rindex("\n\n", 0, start)] + text[text.index("\n\n", start):]
+        broken = loads_db(text)
+        assert check_gottlieb(broken, n).detail == "no gottlieb row for n=5"
+        assert check_components(broken, n).detail == problem
+
+    def test_an_edit_reruns_the_two_checks_at_its_n_alone(self, edit, db_text):
+        text, n, _, _ = edit
+        clear_memos()
+        shipped = loads_db(db_text)
+        verify_all(shipped)
+        edited = loads_db(text)
+        assert edited.base_memo is shipped.memo
+        verify_all(edited)
+        for check in (check_gottlieb, check_components):
+            key = check.__wrapped__  # the function the memo is keyed by
+            checked = {args for f, args in shipped.memo if f is key}
+            assert checked == {(m,) for m in range(1, 9)}
+            rerun = {a for a in checked if edited.memo[key, a] is not shipped.memo[key, a]}
+            assert rerun == {(n,)}
 
 
 class TestOddUnits:
@@ -129,11 +203,10 @@ class TestOddUnits:
 
     @staticmethod
     def results(db, n):
-        h = whitehead_hom(db, n)
         return (
-            gottlieb_group(h),
-            classify_components(db, n, h).computed,
-            fibration_equivalences(db, n, h),
+            gottlieb_group(whitehead_hom(db, n)),
+            classify_components(db, n).computed,
+            fibration_equivalences(db, n),
         )
 
     def test_every_odd_unit_gives_the_shipped_results(self, db, db_text):
