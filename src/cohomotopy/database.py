@@ -283,11 +283,12 @@ class WhiteheadEntry:
     def pairing(self, src: GroupEntry) -> GroupHom:
         """The pairing as a homomorphism from the bracket-id row ``src``.
 
-        The one rule for a well-formed record: a ``DbError`` names this
-        record and its first problem, in this order: a source generator
-        without an image; then, image by image, one given twice, one for a
-        generator ``src`` lacks, or one with the wrong number of coordinates;
-        then an image whose order does not divide its generator's."""
+        The one rule for a usable record: a ``DbError`` names this record
+        and its first problem, in this order: a source generator without an
+        image; then, image by image, one given twice, one for a generator
+        ``src`` lacks, or one with the wrong number of coordinates; then an
+        image whose order does not divide its generator's; then an infinite
+        image, which only a generator of infinite order can have."""
         names = src.generator_names()
         imap = dict(self.images)
         width = len(self.target_terms)
@@ -309,11 +310,14 @@ class WhiteheadEntry:
             seen.add(name)
         rows = [[1 if c == "odd" else c for c in imap[name]] for name in names]
         try:
-            return GroupHom(src.presentation(), self.target_presentation(), rows)
+            h = GroupHom(src.presentation(), self.target_presentation(), rows)
         except IllDefinedHomError as e:
             raise fail(
                 f"image of {names[e.index]!r} has order {e.image_order}, not a divisor of {e.order}"
             ) from e
+        if any(not o and h.target.element_order(r) is None for o, r in zip(h.source.orders, rows)):
+            raise fail("the pairing has an infinite image")
+        return h
 
 
 @record
@@ -991,11 +995,7 @@ def validate_db(db: Database) -> list[str]:
         ids = set(map(id, flagged))
         flagged = [e for e in db.records if id(e) in ids]
     for entry in flagged:
-        families, record_problems, checks = _record_checks(entry)[:3]
-        if families <= symbols:
-            problems.extend(record_problems)
-            continue
-        for check in checks:
+        for check in _record_checks(entry)[2]:
             if isinstance(check, str):
                 problems.append(check)
                 continue
@@ -1063,21 +1063,16 @@ def pairing(db: Database, n: int) -> GroupHom | DbError:
 @memoised
 def _pairing_problems(db: Database) -> tuple[str, ...]:
     """The pairing's own rule (``pairing``), as the commands that read it
-    apply it; verify_all checks a pairing's n only through the gottlieb and
-    components rows that exist, so each n needs both."""
+    apply it, at each n that a whitehead, gottlieb or components record
+    names, by n; verify_all checks a pairing's n only through the gottlieb
+    and components rows that exist, so a whitehead record needs both."""
     problems = []
-    checked = {
-        kind: {e.context.n_range.lo for e in db.find(kind)}
-        for kind in ("gottlieb", "components")
-    }
-    for w in db.find("whitehead"):
-        n = w.context.n_range.lo
-        for kind, ns in checked.items():
-            if n not in ns:
-                problems.append(f"{w.context}: no {kind} row for this n")
-        if db.lookup("bracket-id", n=n) is None:
-            problems.append(f"{w.context}: no bracket-id entry for this n")
-        elif isinstance(h := pairing(db, n), DbError):
+    wh = {e.context.n_range.lo: e.context for e in db.find("whitehead")}
+    rows = {k: {e.context.n_range.lo for e in db.find(k)} for k in ("gottlieb", "components")}
+    for n in sorted(set(wh).union(*rows.values())):
+        missing = [kind for kind, ns in rows.items() if n in wh and n not in ns]
+        problems.extend(f"{wh[n]}: no {kind} row for this n" for kind in missing)
+        if isinstance(h := pairing(db, n), DbError):
             problems.append(str(h))
     return tuple(problems)
 

@@ -7,8 +7,10 @@ fibrations over two classes are equivalent exactly when their pairings agree
 up to sign, so the number of fibre-homotopy equivalence classes is the number
 of elements of the image I up to sign.  By Burnside's lemma that is
 (|I| + |I[2]|) / 2, where the 2-torsion I[2] has one Z/2 for each even
-invariant factor of I; it is counted whenever I is finite, also when the
-pairing's target is infinite.
+invariant factor of I.  I is finite for every pairing read here, also in an
+infinite target: a whitehead record whose pairing has an infinite image
+breaks the pairing rule (``WhiteheadEntry.pairing``), so every reader of the
+pairing, and ``db-check``, reports it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ def whitehead_hom(db: Database, n: int) -> GroupHom:
     ``db`` (``database.pairing``), so it is built once per n.
 
     A ``DbError`` names the whitehead record when its images define no
-    homomorphism, with the problem ``db-check`` reports
-    (``WhiteheadEntry.pairing``), or the n when either record is missing.
+    homomorphism or one with an infinite image, with the problem
+    ``db-check`` reports (``WhiteheadEntry.pairing``), or the n when either
+    record is missing.
     It is a new error with the remembered one's text."""
     h = pairing(db, n)
     if isinstance(h, DbError):
@@ -50,10 +53,6 @@ def _up_to_sign(target: Presentation, x) -> tuple[int, ...]:
     return min(x, target.reduce([-c for c in x]))
 
 
-def _infinite_image(db: Database, n: int) -> DbError:
-    return DbError(f"{db.lookup('whitehead', n=n).context}: the pairing has an infinite image")
-
-
 def _classes_up_to_sign(image: FinAbGroup) -> int:
     """The number of elements of the finite group ``image`` up to sign: the
     orbits of x |-> -x, which fixes exactly the 2-torsion."""
@@ -75,9 +74,9 @@ def classify_components(db: Database, n: int) -> ComponentsResult:
     first; then a missing components row).
 
     Two classes f, g give equivalent fibrations iff [f, id] = +-[g, id], so
-    the count is the number of image elements up to sign; an infinite image
-    is a ``DbError`` naming the whitehead record.  A record that documents a
-    discrepancy also records the count in ``computed``: the status is then
+    the count is the number of image elements up to sign, of an image the
+    pairing rule keeps finite.  A record that documents a discrepancy also
+    records the count in ``computed``: the status is then
     ``documented-discrepancy`` when the count is that value and differs from
     ``expected``, and ``fail`` otherwise.
     """
@@ -85,10 +84,7 @@ def classify_components(db: Database, n: int) -> ComponentsResult:
     entry = db.lookup("components", n=n)
     if entry is None:
         raise DbError(f"no components row for n={n}")
-    image = h.image()
-    if not image.is_finite():
-        raise _infinite_image(db, n)
-    computed = _classes_up_to_sign(image)
+    computed = _classes_up_to_sign(h.image())
     if entry.computed is None and computed == entry.expected:
         status = "ok"
     elif computed == entry.computed != entry.expected:
@@ -104,17 +100,15 @@ def fibration_equivalences(db: Database, n: int) -> dict[str, list[tuple[int, ..
     ``whitehead_hom``, up to sign).
 
     A finite generator contributes all residues 0..order-1, an infinite one
-    its residues modulo the order of its image, which decides the pairing;
-    after the pairing's error, an image of infinite order is a ``DbError``
-    naming the whitehead record.
+    its residues modulo the order of its image, which decides the pairing
+    and is finite by the pairing rule: an infinite image is the pairing's
+    ``DbError``.
     """
     h = whitehead_hom(db, n)
     src = db.lookup("bracket-id", n=n)
     out: dict[str, list[tuple[int, ...]]] = {}
     for i, (order, name) in enumerate(src.terms):
         order = order or h.target.element_order(h.matrix[i])
-        if order is None:
-            raise _infinite_image(db, n)
         classes: dict[tuple, list[int]] = {}
         for c in range(order):
             vec = [c if j == i else 0 for j in range(len(src.terms))]

@@ -287,6 +287,8 @@ class TestPairingImage:
         "target = Z/4 + Z/3 + Z/3\ntarget-generators = nu_4^2 . S^6 p : 4 ;",
         "target = Z + Z/3 + Z/3\ntarget-generators = nu_4^2 . S^6 p : inf ;",
     )
+    # a well-formed pairing whose kernel is not the recorded G_3
+    WRONG_KERNEL = ("alpha_1(4) . S^3 p -> (0, 0, 1)", "alpha_1(4) . S^3 p -> (0, 0, 0)")
 
     def test_finite_image_in_an_infinite_target_is_counted(self, capsys, tmp_path, db_text):
         path = edited(tmp_path, db_text, *self.FINITE_IMAGE)
@@ -298,23 +300,30 @@ class TestPairingImage:
 
     def test_infinite_image_is_a_db_error(self, capsys, tmp_path, db_text):
         path = edited(tmp_path, db_text, *self.INFINITE_IMAGE)
-        problem = "error: whitehead n=3: the pairing has an infinite image\n"
+        problem = "whitehead n=3: the pairing has an infinite image"
         for argv in (
-            ["components", "3"], ["components"],
+            ["components", "3"], ["components"], ["gottlieb", "3"],
             ["gottlieb", "3", "--equivalences"], ["gottlieb", "--equivalences"],
         ):
             code, out, err = run(capsys, "--db", path, *argv)
-            assert (code, out, err) == (EXIT_DB, "", problem)
+            assert (code, out, err) == (EXIT_DB, "", f"error: {problem}\n")
+        code, out, _ = run(capsys, "--db", path, "db-check")
+        assert code == EXIT_DB
+        assert [line for line in out.splitlines() if line.startswith("problem:")] == [
+            f"problem: {problem}"
+        ]
         code, out, _ = run(capsys, "--db", path, "verify")
         assert code == EXIT_VERIFY
-        [line] = [line for line in out.splitlines() if "components n=3" in line]
-        assert line.startswith("[FAIL]") and "whitehead n=3: " in line
+        for check in ("G_3", "components n=3"):
+            [line] = [line for line in out.splitlines() if f" {check} " in line]
+            assert line.startswith("[FAIL]") and line.endswith(problem)
 
     def test_gottlieb_fails_on_a_kernel_that_is_not_the_recorded_row(
         self, capsys, tmp_path, db_text
     ):
-        path = edited(tmp_path, db_text, *self.INFINITE_IMAGE)
+        path = edited(tmp_path, db_text, *self.WRONG_KERNEL)
         code, out, err = run(capsys, "--db", path, "gottlieb", "3")
         assert code == EXIT_VERIFY
-        assert out.startswith("G_3 = Z/2\n")
-        assert err == "G_3: kernel Z/2 != recorded Z + Z/2\n"
+        assert out.startswith("G_3 = Z + Z/6\n")
+        assert err == "G_3: kernel Z + Z/6 != recorded Z + Z/2\n"
+        assert run(capsys, "--db", path, "db-check")[0] == EXIT_OK
