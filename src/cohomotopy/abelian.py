@@ -484,9 +484,6 @@ class FinAbGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def order(self):
         """Group order, or None if infinite."""
         if self.free_rank:

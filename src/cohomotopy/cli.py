@@ -26,6 +26,7 @@ from .pipeline import (
     check_gottlieb,
     compute_group,
     mapping_space_pi,
+    pairing_ns,
     paper_notation,
     render_table,
     verify_all,
@@ -43,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _recorded_ns(db, kind) -> list[int]:
-    return [e.context.get("n").lo for e in db.find(kind)]
 
 
 def _print_row(row, show_evidence=False):
@@ -145,7 +142,7 @@ def _dispatch(args, db) -> int:
         return EXIT_OK
 
     if args.command == "gottlieb":
-        ns = [args.n] if args.n is not None else _recorded_ns(db, "gottlieb")
+        ns = [args.n] if args.n is not None else pairing_ns(db)
         checks = []
         for n in ns:
             # the pairing's error ends the command; check_gottlieb would fail on it
@@ -167,7 +164,7 @@ def _dispatch(args, db) -> int:
         return EXIT_VERIFY if failed else EXIT_OK
 
     if args.command == "components":
-        ns = [args.n] if args.n is not None else _recorded_ns(db, "components")
+        ns = [args.n] if args.n is not None else pairing_ns(db)
         failures = 0
         for n in ns:
             r = classify_components(db, n)

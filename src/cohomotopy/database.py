@@ -963,9 +963,11 @@ def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
     (empty list = valid).  First the problems of each record alone, in
     file order; then those with the primes of the odd-part, coker-eta and
-    ker-eta groups, kind by kind, ordered by n and then p; then the pairing
-    rule; the odd-part sums, by n; the tiling of each k's rows, by k; and
-    the evidence ends, by n.
+    ker-eta groups, kind by kind, ordered by n and then p; then the
+    odd-part sums, by n; and the tiling of each k's rows, by k.  When none
+    of these finds a problem, the text of each error that ends a check of
+    ``pipeline.verify_all`` (status "error"), once each in its order: the
+    commands read what ``verify`` checks, so a file they cannot read fails.
 
     The checks of each record alone run once per record (``_record_checks``)
     and are gathered per family (``_family_checks``).  Those, and the checks
@@ -1008,7 +1010,6 @@ def validate_db(db: Database) -> list[str]:
 
     primes.sort(key=itemgetter(0, 1, 2))  # stable: families of a kind in order
     problems.extend(problem for *_, problem in primes)
-    problems.extend(_pairing_problems(db))
     problems.extend(_by_n(_odd_part_problems, db, "bracket"))
     for k in sorted({k for _, k in tiles}):
         spans = {}
@@ -1018,7 +1019,10 @@ def validate_db(db: Database) -> list[str]:
         if len(set(spans.values())) > 1:
             covers = ", ".join(f"{kind} n={span}" for kind, span in spans.items())
             problems.append(f"k={k}: rows cover different n: {covers}")
-    problems.extend(_by_n(_evidence_problems, db, "extension"))
+    if not problems:  # a record problem is reported alone, and no cell is resolved
+        from .pipeline import verify_all  # here, since pipeline imports database
+
+        problems.extend(dict.fromkeys(r.detail for r in verify_all(db) if r.status == "error"))
     return problems
 
 
@@ -1037,7 +1041,7 @@ def _by_n(check, db: Database, kind: str) -> list[str]:
 
 
 # The checks of validate_db that read more than one family, and the pairing
-# at each n, which the pairing rule shares with verify_all.  Each reads the
+# at each n, which verify_all's checks and the commands read.  Each reads the
 # families of one kind, one k or one n through ``find``, so it is remembered
 # with those queries and runs again when one of them returns other records
 # (``memoised``).
@@ -1047,9 +1051,10 @@ def _by_n(check, db: Database, kind: str) -> list[str]:
 def pairing(db: Database, n: int) -> GroupHom | DbError:
     """The Whitehead pairing at n, built from the ``whitehead`` record on the
     ``bracket-id`` row (``WhiteheadEntry.pairing``), or the ``DbError`` that
-    names its first problem.  The error is a new one with the same text and
-    no traceback or cause, so that a remembered error keeps no database
-    alive."""
+    names its first problem: ``validate_db`` reports it through the checks
+    of ``verify_all`` at each n of ``pipeline.pairing_ns``.  The error is a
+    new one with the same text and no traceback or cause, so that a
+    remembered error keeps no database alive."""
     src = db.lookup("bracket-id", n=n)
     wh = db.lookup("whitehead", n=n)
     if src is None or wh is None:
@@ -1058,23 +1063,6 @@ def pairing(db: Database, n: int) -> GroupHom | DbError:
         return wh.pairing(src)
     except DbError as e:
         return DbError(str(e))
-
-
-@memoised
-def _pairing_problems(db: Database) -> tuple[str, ...]:
-    """The pairing's own rule (``pairing``), as the commands that read it
-    apply it, at each n that a whitehead, gottlieb or components record
-    names, by n; verify_all checks a pairing's n only through the gottlieb
-    and components rows that exist, so a whitehead record needs both."""
-    problems = []
-    wh = {e.context.n_range.lo: e.context for e in db.find("whitehead")}
-    rows = {k: {e.context.n_range.lo for e in db.find(k)} for k in ("gottlieb", "components")}
-    for n in sorted(set(wh).union(*rows.values())):
-        missing = [kind for kind, ns in rows.items() if n in wh and n not in ns]
-        problems.extend(f"{wh[n]}: no {kind} row for this n" for kind in missing)
-        if isinstance(h := pairing(db, n), DbError):
-            problems.append(str(h))
-    return tuple(problems)
 
 
 @memoised
@@ -1104,18 +1092,4 @@ def _odd_part_problems(db: Database, k: int) -> tuple[tuple[int, str], ...]:
                 f"{bracket.context}: odd-part records sum to {odd}, "
                 f"bracket has odd part {want}"
             )))
-    return tuple(problems)
-
-
-@memoised
-def _evidence_problems(db: Database, k: int) -> tuple[tuple[int, str], ...]:
-    """Evidence at k resolves a recorded bracket cell at each end of its n
-    range.  The bracket rows of k are read once, as a family."""
-    problems = []
-    brackets = [(e.context.n_range.lo, e.context.n_range, e) for e in db.find("bracket", k=k)]
-    for e in db.find("extension", k=k):
-        nr = e.context.n_range
-        for n in sorted({nr.lo, nr.hi} - {None}):
-            if not _holding(brackets, n):
-                problems.append((nr.lo, f"{e.context}: no bracket row for n={n}"))
     return tuple(problems)

@@ -33,7 +33,9 @@ from .record import record
 class CheckResult:
     family: str  # "bracket" | "mapspace" | "gottlieb" | "components"
     label: str
-    status: str  # "ok" | "documented-discrepancy" | "fail"
+    # "ok" | "documented-discrepancy" | "fail": a derived value differs from
+    # the recorded one | "error": a DbError or ExtensionError, a db-check problem
+    status: str
     detail: str = ""
 
     def passed(self) -> bool:
@@ -175,8 +177,9 @@ def golden_row(db: Database, k: int, n: int) -> ComputedRow:
 def _check(family: str, label: str):
     """A check of ``family``, remembered on its database (``memoised``), from
     a function of (db, *args) that returns its (status, detail): labelled by
-    ``label`` formatted with the args, and failed with the error's text when
-    the function raises a ``DbError`` or ``ExtensionError``."""
+    ``label`` formatted with the args, and given status "error" with the
+    error's text when the function raises a ``DbError`` or
+    ``ExtensionError``."""
 
     def wrap(compare):
         @wraps(compare)
@@ -184,7 +187,7 @@ def _check(family: str, label: str):
             try:
                 status, detail = compare(db, *args)
             except (DbError, ExtensionError) as e:
-                status, detail = "fail", str(e)
+                status, detail = "error", str(e)
             return CheckResult(family, label.format(*args), status, detail)
 
         return memoised(check)
@@ -240,6 +243,14 @@ def check_mapspace(db: Database, n: int):
 # ---------------------------------------------------------------------------
 # Gottlieb groups and path components
 # ---------------------------------------------------------------------------
+
+
+@memoised
+def pairing_ns(db: Database) -> tuple[int, ...]:
+    """The n that a whitehead, gottlieb or components record names, sorted:
+    where ``verify``, ``gottlieb`` and ``components`` read the pairing."""
+    kinds = ("whitehead", "gottlieb", "components")
+    return tuple(sorted({e.context.n_range.lo for kind in kinds for e in db.find(kind)}))
 
 
 @_check("gottlieb", "G_{}")
@@ -339,22 +350,24 @@ def render_table(db: Database, k: int, fmt: str = "ascii") -> str:
 
 
 def verify_all(db: Database) -> list[CheckResult]:
-    """Recompute every recorded golden value and compare.
+    """Recompute every recorded golden value and compare: the one list of
+    what the product promises, so ``validate_db`` reports each check here
+    that ends in an error (status "error").
 
     Covers the bracket cells of every k-table, in order of n: each row
     range at its first n and three above it (when the range holds that n),
     and every n at which an evidence range starts or ends.  Then all
     mapping-space rows, and the Gottlieb and path-component
-    classifications, at each n of their records; both checks at an n read
+    classifications at each n of ``pairing_ns``; both checks at an n read
     its one Whitehead pairing (``whitehead_hom``).
 
     Each check is remembered on ``db`` with the queries it made and the
     records they returned (``memoised``).  So a second pass reuses every
     result, and so does a load of an edit for each check whose queries
     return the identical records as on its base, as they do when the check
-    did not find the edited record.  The plan itself, which k and n to
-    check, is read from the families directly, past the read trace:
-    ``verify_all`` is not memoised, so no remembered result depends on it.
+    did not find the edited record.  The bracket cells to check are read
+    from the families directly, past the read trace: ``verify_all`` is not
+    memoised, so no remembered result depends on it.
     """
     results = []
     families = db.families
@@ -379,8 +392,7 @@ def verify_all(db: Database) -> list[CheckResult]:
             results.append(check_bracket(db, k, n))
     for n in MAPSPACE_RANGE:
         results.append(check_mapspace(db, n))
-    for kind, check in (("gottlieb", check_gottlieb), ("components", check_components)):
-        # one family: the only parameter of these contexts is n
-        for lo, _, _ in families.get(kind, {}).get(frozenset(), ()):
-            results.append(check(db, lo))
+    for check in (check_gottlieb, check_components):
+        for n in pairing_ns(db):
+            results.append(check(db, n))
     return results

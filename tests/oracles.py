@@ -320,7 +320,7 @@ def _shapes(p, mu, nu):
 def oracle_middle_groups(a, c):
     """All middle groups of 0 -> A -> G -> C -> 0 for finite A, C, as a set
     of FinAbGroup values, by exhaustive subgroup search."""
-    assert a.is_finite() and c.is_finite()
+    assert not a.free_rank and not c.free_rank
     per_prime = [
         _shapes(p, a.exponents_at(p), c.exponents_at(p))
         for p in a.primary_decomposition().keys() | c.primary_decomposition().keys()

@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import pytest
 
 from cohomotopy.cli import (
@@ -8,8 +11,10 @@ from cohomotopy.cli import (
     EXIT_VERIFY,
     main,
 )
-from cohomotopy.database import WhiteheadEntry, clear_memos
+from cohomotopy.database import DbError, WhiteheadEntry, clear_memos, loads_db, validate_db
+from cohomotopy.pipeline import verify_all
 from conftest import replaced
+from test_record_deletions import record_blocks
 
 
 def run(capsys, *args):
@@ -126,6 +131,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "--db", str(bad), "verify")
         assert code == EXIT_DB
 
+    def test_empty_db_fails_db_check(self, capsys, tmp_path):
+        # no mapspace rows: mapspace, and so verify, cannot read it
+        empty = tmp_path / "empty.cohdb"
+        empty.write_text("")
+        code, out, _ = run(capsys, "--db", str(empty), "db-check")
+        assert code == EXIT_DB
+        assert out.startswith("problem: no mapspace row for n=4\n")
+        assert run(capsys, "--db", str(empty), "mapspace")[0] == EXIT_DB
+
     def test_db_that_is_not_utf8_is_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.cohdb"
         bad.write_bytes(b"\xff\xfe[group]\n")
@@ -200,7 +214,11 @@ class TestExitCodes:
             "bracket k=7 n=4: relation-fact 'nu_4^2 . g_10(C)' has rhs 'nu_4 . eps_7' "
             "of infinite order, so its lift has no finite order"
         )
-        assert run(capsys, "--db", path, "db-check")[0] == EXIT_OK
+        code, out, _ = run(capsys, "--db", path, "db-check")
+        assert code == EXIT_DB
+        assert [line for line in out.splitlines() if line.startswith("problem")] == [
+            f"problem: {problem}"
+        ]
         code, out, err = run(capsys, "--db", path, "compute", "7", "4")
         assert (code, out, err) == (EXIT_DB, "", f"error: {problem}\n")
         code, out, err = run(capsys, "--db", path, "verify")
@@ -327,3 +345,47 @@ class TestPairingImage:
         assert out.startswith("G_3 = Z + Z/6\n")
         assert err == "G_3: kernel Z + Z/6 != recorded Z + Z/2\n"
         assert run(capsys, "--db", path, "db-check")[0] == EXIT_OK
+
+
+class TestWhatDbCheckAccepts:
+    """``db-check`` accepts only what every command can read."""
+
+    # the commands that read a whole table, list or pairing; `compute` runs
+    # at each bracket cell that verify checks
+    ARGVS = (
+        ("table", "6"), ("table", "7"), ("table", "8"), ("mapspace",),
+        ("gottlieb", "--equivalences"), ("components",),
+    )
+
+    def test_no_command_errs_on_a_text_db_check_accepts(self, tmp_path, db_text, mutants):
+        # every record deletion of the shipped text and 500 of its number
+        # mutants, in the mutants workload's order for seed 1
+        lines = db_text.split("\n")
+        texts = [(label, db_text[:a] + db_text[b:]) for label, a, b in record_blocks(db_text)]
+        texts += [
+            (spec[4], mutants.apply_spec(lines, spec))
+            for spec in mutants.seeded_specs(db_text, 1)[:500]
+        ]
+        path = tmp_path / "edited.cohdb"
+        accepted, errors, exits = 0, [], []
+        for label, text in texts:
+            try:
+                db = loads_db(text)
+            except DbError:
+                continue
+            if validate_db(db):
+                continue
+            accepted += 1
+            results = verify_all(db)
+            errors += [(label, r.label, r.detail) for r in results if r.status == "error"]
+            cells = [r.label.replace("=", " ").split()[1::2] for r in results if r.family == "bracket"]
+            path.write_text(text)
+            for argv in [*self.ARGVS, *(("compute", k, n) for k, n in cells)]:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["--db", str(path), *argv])
+                if code not in (EXIT_OK, EXIT_VERIFY):
+                    exits.append((label, " ".join(argv), code))
+        assert accepted
+        assert errors == []
+        assert exits == []

@@ -507,8 +507,10 @@ class TestValidation:
             ("bracket k=6 n=12..\n", "bracket k=6 n=24..\n", "bracket k=6: no row for n=12..23"),
             ("ker-eta k=7 n=13..\n", "ker-eta k=7 n=13..20\n",
              "k=7: rows cover different n: coker-eta n=2.., ker-eta n=2..20, bracket n=2.."),
+            # verify_all plans every evidence end, so the cell's error is the
+            # problem, as `compute 16 3` prints it
             ("extension k=8 n=3\n", "extension k=16 n=3\n",
-             "extension k=16 n=3: no bracket row for n=3"),
+             "no coker-eta/ker-eta rows for k=16 n=3"),
         ],
     )
     def test_detects_rows_and_evidence_off_the_bracket_cells(self, db_text, old, new, problem):
@@ -519,12 +521,12 @@ class TestValidation:
     @pytest.mark.parametrize("kind", ["gottlieb", "components"])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_detects_a_whitehead_n_without_its_row(self, db_text, kind, n):
-        # verify_all checks only the rows that exist, so a deleted one
-        # would vanish from its count unseen
+        # verify_all checks both rows at each n a pairing record names, so a
+        # deleted one is the error the commands print, not a smaller count
         block = re.compile(rf"\[\w+\]\ncontext = {kind} n={n}\n(?:[^\n]+\n)*\n")
         broken, deleted = block.subn("", db_text)
         assert deleted == 1
-        assert validate_db(loads_db(broken)) == [f"whitehead n={n}: no {kind} row for this n"]
+        assert validate_db(loads_db(broken)) == [f"no {kind} row for n={n}"]
 
     def test_components_context_without_n_is_flagged_not_a_crash(self, db_text):
         broken = db_text.replace(

@@ -1,5 +1,6 @@
 import pytest
 
+from cohomotopy import pipeline
 from cohomotopy.abelian import FinAbGroup, parse_group
 from cohomotopy.database import (
     DbError,
@@ -198,7 +199,7 @@ class TestMapSpace:
         kept = [b for b in blocks if "context = mapspace n=7\n" not in b]
         assert len(kept) == len(blocks) - 1
         result = check_mapspace(loads_db("\n\n".join(kept)), 7)
-        assert (result.status, result.detail) == ("fail", "no mapspace row for n=7")
+        assert (result.status, result.detail) == ("error", "no mapspace row for n=7")
 
 
 class TestRendering:
@@ -293,5 +294,28 @@ class TestVerifyAll:
         old = "context = extension k=8 n=8\nkind = element-order-lift\nlift = ext(sigma_8 . nu_15)"
         assert old in db_text
         moved = loads_db(db_text.replace(old, old.replace("n=8", "n=16")))
-        assert validate_db(moved) == []
-        assert [r.label for r in verify_all(moved) if not r.passed()] == ["k=8 n=16"]
+        failed = [r for r in verify_all(moved) if not r.passed()]
+        assert [(r.label, r.status) for r in failed] == [("k=8 n=16", "error")]
+        assert validate_db(moved) == [failed[0].detail]
+
+    def test_cells_are_resolved_only_once_no_record_has_a_problem(self, db_text, monkeypatch):
+        # the lift above moved to n=16, a cell error, with a group that its
+        # generator orders disagree with, a record problem
+        old = "context = extension k=8 n=8\nkind = element-order-lift\nlift = ext(sigma_8 . nu_15)"
+        moved = replaced(db_text, old, old.replace("n=8", "n=16"))
+        row = "context = mapspace n=7\ngroup = Z/2\n"
+        both = replaced(moved, row, row.replace("Z/2", "Z/4"))
+        computed, real = [], pipeline.compute_group
+        monkeypatch.setattr(
+            pipeline, "compute_group", lambda db, k, n: computed.append((k, n)) or real(db, k, n)
+        )
+        clear_memos()  # cold loads: no check is remembered from the shipped text
+        assert validate_db(loads_db(both)) == [
+            "mapspace n=7: generator orders disagree with the group (Z/2 vs Z/4)"
+        ]
+        assert computed == []
+        assert validate_db(loads_db(moved)) == [
+            "bracket k=8 n=16: element-order-lift 'ext(sigma_8 . nu_15)' names "
+            "'sigma_8 . nu_15', which is no quotient generator"
+        ]
+        assert (8, 16) in computed
