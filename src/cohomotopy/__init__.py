@@ -1,80 +1,48 @@
 """Exact-arithmetic computation of stable/metastable bracket groups
 ``[Sigma^{n+k} CP^2, S^n]``, mapping-space homotopy groups, and Gottlieb
-(evaluation) subgroup data, driven by a curated plain-text database."""
+(evaluation) subgroup data, driven by a curated plain-text database.
 
-from .abelian import (
-    AbelianError,
-    FinAbGroup,
-    GroupHom,
-    IllDefinedHomError,
-    IntMatrix,
-    Presentation,
-    parse_group,
-    render_group,
-    smith_diagonal,
-    smith_normal_form,
-)
-from .database import Database, DbError, DbParseError, load_db, loads_db, validate_db
-from .extensions import (
-    ComputedRow,
-    EnumerationBoundError,
-    ExtensionError,
-    ExtensionProblem,
-    UnresolvedExtensionError,
-    apply_evidence,
-    enumerate_middle_groups,
-    ext_group,
-)
-from .gottlieb import (
-    classify_components,
-    fibration_equivalences,
-    gottlieb_group,
-    whitehead_hom,
-)
-from .pipeline import (
-    compute_group,
-    golden_row,
-    mapping_space_pi,
-    paper_notation,
-    render_table,
-    verify_all,
-)
+The namespace is lazy (PEP 562): ``import cohomotopy`` imports no
+submodule, and the first use of an exported name imports the module that
+defines it, so a process compiles only the modules it uses."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianError",
-    "ComputedRow",
-    "Database",
-    "DbError",
-    "DbParseError",
-    "EnumerationBoundError",
-    "ExtensionError",
-    "ExtensionProblem",
-    "FinAbGroup",
-    "GroupHom",
-    "IllDefinedHomError",
-    "IntMatrix",
-    "Presentation",
-    "UnresolvedExtensionError",
-    "apply_evidence",
-    "classify_components",
-    "compute_group",
-    "enumerate_middle_groups",
-    "ext_group",
-    "fibration_equivalences",
-    "golden_row",
-    "gottlieb_group",
-    "load_db",
-    "loads_db",
-    "mapping_space_pi",
-    "paper_notation",
-    "parse_group",
-    "render_group",
-    "render_table",
-    "smith_diagonal",
-    "smith_normal_form",
-    "validate_db",
-    "verify_all",
-    "whitehead_hom",
-]
+# each submodule, with the names the package exports from it
+_EXPORTS = {
+    "abelian": (
+        "AbelianError", "FinAbGroup", "GroupHom", "IllDefinedHomError", "IntMatrix",
+        "Presentation", "parse_group", "render_group", "smith_diagonal", "smith_normal_form",
+    ),
+    "cli": (),
+    "database": ("Database", "DbError", "DbParseError", "load_db", "loads_db", "validate_db"),
+    "extensions": (
+        "ComputedRow", "EnumerationBoundError", "ExtensionError", "ExtensionProblem",
+        "UnresolvedExtensionError", "apply_evidence", "enumerate_middle_groups", "ext_group",
+    ),
+    "gottlieb": ("classify_components", "fibration_equivalences", "gottlieb_group", "whitehead_hom"),
+    "pipeline": (
+        "compute_group", "golden_row", "mapping_space_pi", "paper_notation", "render_table",
+        "verify_all",
+    ),
+    "record": (),
+    "symbols": (),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)  # the import binds it here
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

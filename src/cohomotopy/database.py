@@ -51,7 +51,6 @@ from .extensions import (
     split_items,
 )
 from .record import field, fields, record, set_field
-from .symbols import NameParseError, families_of
 
 
 class DbError(Exception):
@@ -883,6 +882,8 @@ def _record_checks(entry):
     done = entry.__dict__.get("_checks")
     if done is not None:
         return done
+    from .symbols import NameParseError, families_of  # here, so a load compiles no name grammar
+
     checks: list = []
     for attr, _, vtype, _, terms in schema(type(entry)):
         value = getattr(entry, attr)

@@ -166,6 +166,19 @@ class TestExitCodes:
         code, out, err = run(capsys, "--db", path, "mapspace")
         assert (code, out, err) == (EXIT_DB, "", "error: no mapspace row for n=10\n")
 
+    @pytest.mark.parametrize("record, command", [
+        ("[group]\ncontext = gottlieb n=3\n", "gottlieb"),
+        ("[components]\ncontext = components n=3\n", "components"),
+    ], ids=["gottlieb", "components"])
+    def test_missing_pairing_row_is_2(self, capsys, tmp_path, db_text, record, command):
+        # the pairing at n=3 is well formed; only the row it is checked against is gone
+        block = db_text[db_text.index(record):]
+        path = edited(tmp_path, db_text, block[: block.index("\n\n") + 2], "")
+        extra = [["--equivalences"]] if command == "gottlieb" else []
+        for argv in [["3"], []] + extra:
+            code, out, err = run(capsys, "--db", path, command, *argv)
+            assert (code, out, err) == (EXIT_DB, "", f"error: no {command} row for n=3\n")
+
     def test_deeply_nested_name_is_2(self, capsys, tmp_path, db_text):
         old = "generators = eta_2 . mu_3 : 2\n"
         assert old in db_text
