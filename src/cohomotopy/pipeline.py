@@ -349,50 +349,57 @@ def render_table(db: Database, k: int, fmt: str = "ascii") -> str:
 # ---------------------------------------------------------------------------
 
 
+@memoised
+def planned_ns(db: Database, k: int) -> tuple[int, ...]:
+    """The n at which ``verify_all`` checks the bracket cells of k, sorted:
+    each bracket range's first n, and three above it when the range holds
+    that n, and both ends of each evidence range."""
+    ns = set()
+    for entry in db.find("bracket", k=k):
+        nr = entry.context.n_range
+        ns.add(nr.lo)
+        if nr.lo + 3 in nr:
+            ns.add(nr.lo + 3)
+    for entry in db.find("extension", k=k):
+        nr = entry.context.n_range
+        ns.add(nr.lo)
+        if nr.hi is not None:
+            ns.add(nr.hi)
+    return tuple(sorted(ns))
+
+
 def verify_all(db: Database) -> list[CheckResult]:
     """Recompute every recorded golden value and compare: the one list of
     what the product promises, so ``validate_db`` reports each check here
     that ends in an error (status "error").
 
-    Covers the bracket cells of every k-table, in order of n: each row
-    range at its first n and three above it (when the range holds that n),
-    and every n at which an evidence range starts or ends.  Then all
-    mapping-space rows, and the Gottlieb and path-component
-    classifications at each n of ``pairing_ns``; both checks at an n read
-    its one Whitehead pairing (``whitehead_hom``).
+    Covers the bracket cells of every k-table, in order of k and then n,
+    at the n of ``planned_ns``: each row range at its first n and three
+    above it (when the range holds that n), and every n at which an
+    evidence range starts or ends.  Then all mapping-space rows, and the
+    Gottlieb and path-component classifications at each n of
+    ``pairing_ns``; both checks at an n read its one Whitehead pairing
+    (``whitehead_hom``).
 
     Each check is remembered on ``db`` with the queries it made and the
-    records they returned (``memoised``).  So a second pass reuses every
-    result, and so does a load of an edit for each check whose queries
-    return the identical records as on its base, as they do when the check
-    did not find the edited record.  The bracket cells to check are read
-    from the families directly, past the read trace: ``verify_all`` is not
-    memoised, so no remembered result depends on it.
+    records they returned (``memoised``), and so are ``planned_ns`` and
+    ``pairing_ns``.  So a second pass reuses every result, and so does a
+    load of an edit for each check whose queries return the identical
+    records as on its base, as they do when the check did not find the
+    edited record.  Only the list of k is read from the families directly,
+    past the read trace: ``verify_all`` is not memoised, so no remembered
+    result depends on it.
     """
     results = []
-    families = db.families
-    plan: dict[int, set] = {}  # k -> the n to check
     # one family per k: the only other parameter of these contexts is k
-    for key, family in families.get("bracket", {}).items():
-        ((_, k),) = key
-        ns = plan.setdefault(k, set())
-        for lo, nr, _ in family:
-            ns.add(lo)
-            if lo + 3 in nr:
-                ns.add(lo + 3)
-    for key, family in families.get("extension", {}).items():
-        ((_, k),) = key
-        ns = plan.setdefault(k, set())
-        for lo, nr, _ in family:
-            ns.add(lo)
-            if nr.hi is not None:
-                ns.add(nr.hi)
-    for k in sorted(plan):
-        for n in sorted(plan[k]):
+    ks = {k for kind in ("bracket", "extension") for ((_, k),) in db.families.get(kind, ())}
+    for k in sorted(ks):
+        for n in planned_ns(db, k):
             results.append(check_bracket(db, k, n))
     for n in MAPSPACE_RANGE:
         results.append(check_mapspace(db, n))
+    ns = pairing_ns(db)
     for check in (check_gottlieb, check_components):
-        for n in pairing_ns(db):
+        for n in ns:
             results.append(check(db, n))
     return results

@@ -1282,6 +1282,50 @@ class TestRebuiltFamilies:
             database._common = common
 
 
+class TestPlannedCells:
+    """``verify_all`` plans its bracket cells per k (``pipeline.planned_ns``),
+    a memoised check like the others: an edit plans its own k again, and a
+    second pass plans nothing."""
+
+    def test_an_edit_plans_only_its_own_k_again(self, db_text, runs, monkeypatch):
+        clear_memos()
+        shipped = loads_db(db_text)
+        checked(shipped)
+        db = loads_db(doubled(db_text, "bracket k=6 n=4"))
+        assert db.base_memo is shipped.memo
+        walked = []
+        walk = database._unchanged
+        monkeypatch.setattr(database, "_unchanged",
+                            lambda db, trace: walked.append(trace) or walk(db, trace))
+        runs.clear()
+        checked(db)
+        plan = pipeline.planned_ns.__wrapped__  # the function the memo is keyed by
+        base = {k: shipped.memo[plan, (k,)] for k in (6, 7, 8)}
+        for k in (7, 8):
+            assert db.memo[plan, (k,)] is base[k]
+            assert not any(trace is base[k][1] for trace in walked)
+        assert any(trace is base[6][1] for trace in walked)
+        assert db.memo[plan, (6,)][0] == base[6][0]
+        assert any(reads_bracket_k6(trace) and ("extension", K6, None) in trace for trace in runs)
+
+    def test_a_second_pass_runs_nothing_and_finds_nothing(self, db_text, runs, monkeypatch):
+        found = []
+        find = Database.find
+
+        def counting(self, *args, **params):
+            found.append((args, params))
+            return find(self, *args, **params)
+
+        monkeypatch.setattr(Database, "find", counting)
+        for text in (db_text, doubled(db_text, "bracket k=6 n=4")):
+            db = loads_db(text)
+            first = verify_all(db)
+            runs.clear()
+            found.clear()
+            assert verify_all(db) == first
+            assert runs == [] and found == []
+
+
 class TestReadTrace:
     def test_the_trace_of_compute_group_lists_the_records_it_found(self, db, monkeypatch):
         returned = []

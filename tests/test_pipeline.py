@@ -24,6 +24,7 @@ from cohomotopy.pipeline import (
     verify_all,
 )
 from conftest import replaced
+from test_record_deletions import record_blocks
 
 
 def G(text):
@@ -250,7 +251,41 @@ class TestRendering:
             render_table(db, 6, "json")
 
 
+def planned_cells(db):
+    """The (k, n) bracket cells ``verify_all`` promises to check, read from
+    the records one by one: each bracket range's first n, and three above it
+    when the range holds that n, and both ends of each evidence range."""
+    cells = set()
+    for entry in db.records:
+        context = getattr(entry, "context", None)
+        if context is None or context.kind not in ("bracket", "extension"):
+            continue
+        k, nr = context.get("k"), context.n_range
+        cells.add((k, nr.lo))
+        if context.kind == "bracket" and nr.lo + 3 in nr:
+            cells.add((k, nr.lo + 3))
+        if context.kind == "extension" and nr.hi is not None:
+            cells.add((k, nr.hi))
+    return [f"k={k} n={n}" for k, n in sorted(cells)]
+
+
 class TestVerifyAll:
+    def test_bracket_cells_are_the_planned_ones_in_order(self, db, db_text):
+        def bracket_labels(db):
+            return [r.label for r in verify_all(db) if r.family == "bracket"]
+
+        assert bracket_labels(db) == planned_cells(db)
+        assert "k=6 n=15" in planned_cells(db)  # the range n=12.. at its first n + 3
+        loaded = 0
+        for _, start, end in record_blocks(db_text):
+            try:
+                deleted = loads_db(db_text[:start] + db_text[end:])
+            except DbError:
+                continue
+            loaded += 1
+            assert bracket_labels(deleted) == planned_cells(deleted), db_text[start:end]
+        assert loaded == 237
+
     def test_everything_passes(self, db):
         results = verify_all(db)
         failures = [r for r in results if not r.passed()]
