@@ -145,13 +145,11 @@ def _dispatch(args, db) -> int:
         ns = [args.n] if args.n is not None else pairing_ns(db)
         checks = []
         for n in ns:
-            # the pairing's error comes before a missing row, as in components;
-            # check_gottlieb would name the missing row first
-            print(f"G_{n} = {gottlieb_group(whitehead_hom(db, n))}")
             check = check_gottlieb(db, n)
             if check.status == "error":  # a database error, not a failed check
                 raise DbError(check.detail)
             checks.append(check)
+            print(f"G_{n} = {gottlieb_group(whitehead_hom(db, n))}")
             for order, name in db.lookup("gottlieb", n=n).terms:
                 print(f"  {name}  (order {order_text(order)})")
             if args.equivalences:

@@ -842,8 +842,9 @@ def loads_db(text: str, path: str = "<string>") -> Database:
 
 
 def load_db(path) -> Database:
-    """Read a UTF-8 ``.cohdb`` file and parse it; bytes that are not UTF-8
-    are a ``DbParseError`` at the line of the first bad one."""
+    """Read a UTF-8 ``.cohdb`` file and parse it, less one leading byte-order
+    mark; bytes that are not UTF-8 are a ``DbParseError`` at the line of the
+    first bad one, and at its offset in the file."""
     p = Path(path)
     data = p.read_bytes()
     try:
@@ -851,7 +852,7 @@ def load_db(path) -> Database:
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         raise DbParseError(p, line, f"not UTF-8 text: {e.reason} at byte {e.start}") from e
-    return loads_db(text, str(p))
+    return loads_db(text.removeprefix("\ufeff"), str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1012,11 @@ def validate_db(db: Database) -> list[str]:
 
     primes.sort(key=itemgetter(0, 1, 2))  # stable: families of a kind in order
     problems.extend(problem for *_, problem in primes)
-    problems.extend(_by_n(_odd_part_problems, db, "bracket"))
+    # each k's (n, problem) pairs, ordered as find("bracket") orders its rows:
+    # by n, then by family (sorted is stable)
+    ks = [k for ((_, k),) in db.families.get("bracket", ())]
+    sums = sorted((pair for k in ks for pair in _odd_part_problems(db, k)), key=itemgetter(0))
+    problems.extend(problem for _, problem in sums)
     for k in sorted({k for _, k in tiles}):
         spans = {}
         for kind in _TILED:
@@ -1027,43 +1032,10 @@ def validate_db(db: Database) -> list[str]:
     return problems
 
 
-def _ks(db: Database, kind: str) -> list:
-    """The k of each family of ``kind``, in the families' order."""
-    return [dict(key).get("k") for key in db.families.get(kind, ())]
-
-
-def _by_n(check, db: Database, kind: str) -> list[str]:
-    """The problems ``check(db, k)`` finds for each k of ``kind``, as (n,
-    problem) pairs, ordered as ``find(kind)`` orders its records: by n, then
-    by family."""
-    found = [pair for k in _ks(db, kind) for pair in check(db, k)]
-    found.sort(key=itemgetter(0))
-    return [problem for _, problem in found]
-
-
-# The checks of validate_db that read more than one family, and the pairing
-# at each n, which verify_all's checks and the commands read.  Each reads the
-# families of one kind, one k or one n through ``find``, so it is remembered
-# with those queries and runs again when one of them returns other records
+# The check of validate_db that reads more than one family.  It reads the
+# families of two kinds at one k through ``find``, so it is remembered with
+# those queries and runs again when one of them returns other records
 # (``memoised``).
-
-
-@memoised
-def pairing(db: Database, n: int) -> GroupHom | DbError:
-    """The Whitehead pairing at n, built from the ``whitehead`` record on the
-    ``bracket-id`` row (``WhiteheadEntry.pairing``), or the ``DbError`` that
-    names its first problem: ``validate_db`` reports it through the checks
-    of ``verify_all`` at each n of ``pipeline.pairing_ns``.  The error is a
-    new one with the same text and no traceback or cause, so that a
-    remembered error keeps no database alive."""
-    src = db.lookup("bracket-id", n=n)
-    wh = db.lookup("whitehead", n=n)
-    if src is None or wh is None:
-        return DbError(f"no bracket-id/whitehead records for n={n}")
-    try:
-        return wh.pairing(src)
-    except DbError as e:
-        return DbError(str(e))
 
 
 @memoised

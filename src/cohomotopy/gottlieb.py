@@ -2,38 +2,43 @@
 
 The Whitehead pairing ``h: f |-> [f, identity]`` on the identity-component
 bracket row is a homomorphism of finitely generated abelian groups, and both
-results are read off it.  Its kernel is the Gottlieb subgroup.  Evaluation
-fibrations over two classes are equivalent exactly when their pairings agree
-up to sign, so the number of fibre-homotopy equivalence classes is the number
-of elements of the image I up to sign.  By Burnside's lemma that is
-(|I| + |I[2]|) / 2, where the 2-torsion I[2] has one Z/2 for each even
-invariant factor of I.  I is finite for every pairing read here, also in an
-infinite target: a whitehead record whose pairing has an infinite image
-breaks the pairing rule (``WhiteheadEntry.pairing``), so every reader of the
-pairing, and ``db-check``, reports it.
+results are read off it.  ``whitehead_hom`` builds it at n and remembers it
+on the database; every reader of a row at n calls it first, so a broken
+pairing is named before a missing row.  Its kernel is the Gottlieb subgroup.
+Evaluation fibrations over two classes are equivalent exactly when their
+pairings agree up to sign, so the number of fibre-homotopy equivalence
+classes is the number of elements of the image I up to sign.  By Burnside's
+lemma that is (|I| + |I[2]|) / 2, where the 2-torsion I[2] has one Z/2 for
+each even invariant factor of I.  I is finite for every pairing read here,
+also in an infinite target: a whitehead record whose pairing has an infinite
+image breaks the pairing rule (``WhiteheadEntry.pairing``), so
+``whitehead_hom`` raises its ``DbError`` to every reader, and ``db-check``
+reports it.
 """
 
 from __future__ import annotations
 
 from .abelian import FinAbGroup, GroupHom, Presentation
-from .database import Database, DbError, pairing
+from .database import Database, DbError, memoised
 from .record import record
 
 
+@memoised
 def whitehead_hom(db: Database, n: int) -> GroupHom:
-    """The pairing ``[-, identity]`` on the recorded bracket-id row, read
-    here by each function of (db, n) that needs it; it is remembered on
-    ``db`` (``database.pairing``), so it is built once per n.
+    """The pairing ``[-, identity]`` at n, from the ``whitehead`` record on
+    the ``bracket-id`` row (``WhiteheadEntry.pairing``): the one place it is
+    built, read by each function of (db, n) that needs it and remembered on
+    ``db`` (``memoised``), so it is built once per n.
 
     A ``DbError`` names the whitehead record when its images define no
     homomorphism or one with an infinite image, with the problem
-    ``db-check`` reports (``WhiteheadEntry.pairing``), or the n when either
-    record is missing.
-    It is a new error with the remembered one's text."""
-    h = pairing(db, n)
-    if isinstance(h, DbError):
-        raise DbError(str(h))
-    return h
+    ``db-check`` reports, or the n when either record is missing.  An error
+    is not remembered, so each reader raises it anew."""
+    src = db.lookup("bracket-id", n=n)
+    wh = db.lookup("whitehead", n=n)
+    if src is None or wh is None:
+        raise DbError(f"no bracket-id/whitehead records for n={n}")
+    return wh.pairing(src)
 
 
 def gottlieb_group(h: GroupHom) -> FinAbGroup:

@@ -255,10 +255,11 @@ def pairing_ns(db: Database) -> tuple[int, ...]:
 
 @_check("gottlieb", "G_{}")
 def check_gottlieb(db: Database, n: int):
-    entry = db.lookup("gottlieb", n=n)  # a missing row comes before the pairing's error
+    h = whitehead_hom(db, n)  # the pairing's error comes before a missing row
+    entry = db.lookup("gottlieb", n=n)
     if entry is None:
         raise DbError(f"no gottlieb row for n={n}")
-    computed = gottlieb_group(whitehead_hom(db, n))
+    computed = gottlieb_group(h)
     if computed != entry.group:
         return "fail", f"kernel {computed} != recorded {entry.group}"
     return "ok", str(computed)

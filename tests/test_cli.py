@@ -11,9 +11,16 @@ from cohomotopy.cli import (
     EXIT_VERIFY,
     main,
 )
-from cohomotopy.database import DbError, WhiteheadEntry, clear_memos, loads_db, validate_db
+from cohomotopy.database import (
+    DbError,
+    WhiteheadEntry,
+    clear_memos,
+    load_db,
+    loads_db,
+    validate_db,
+)
 from cohomotopy.pipeline import verify_all
-from conftest import replaced
+from conftest import DB_PATH, replaced
 from test_record_deletions import record_blocks
 
 
@@ -140,14 +147,18 @@ class TestExitCodes:
         assert out.startswith("problem: no mapspace row for n=4\n")
         assert run(capsys, "--db", str(empty), "mapspace")[0] == EXIT_DB
 
-    def test_db_that_is_not_utf8_is_2(self, capsys, tmp_path):
+    # a bad byte is named at its offset in the file, a byte-order mark's included
+    @pytest.mark.parametrize("data, at", [
+        (b"\xff\xfe[group]\n", 0), (b"\xef\xbb\xbf\xff[group]\n", 3),
+    ], ids=["bad-first-byte", "bad-byte-after-a-bom"])
+    def test_db_that_is_not_utf8_is_2(self, capsys, tmp_path, data, at):
         bad = tmp_path / "bad.cohdb"
-        bad.write_bytes(b"\xff\xfe[group]\n")
+        bad.write_bytes(data)
         code, out, err = run(capsys, "--db", str(bad), "db-check")
         assert (code, out) == (EXIT_DB, "")
         assert err == (
             f"error: cannot load database: {bad}:1: "
-            "not UTF-8 text: invalid start byte at byte 0\n"
+            f"not UTF-8 text: invalid start byte at byte {at}\n"
         )
 
     def test_context_without_n_is_2(self, capsys, tmp_path, db_text):
@@ -239,6 +250,26 @@ class TestExitCodes:
         assert f"[FAIL] bracket    k=7 n=4            {problem}\n" in out
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark that starts the file is not part of its text."""
+
+    @pytest.fixture
+    def bom_copy(self, tmp_path):
+        path = tmp_path / "paper-bom.cohdb"
+        path.write_bytes(b"\xef\xbb\xbf" + DB_PATH.read_bytes())
+        return str(path)
+
+    def test_the_copy_loads_to_the_database_of_the_file(self, bom_copy):
+        shipped = load_db(DB_PATH)
+        assert load_db(bom_copy) is shipped
+
+    @pytest.mark.parametrize("command", ["verify", "db-check"])
+    def test_the_copy_prints_what_the_file_prints(self, capsys, bom_copy, command):
+        shipped = run(capsys, command)
+        assert shipped[0] == EXIT_OK
+        assert run(capsys, "--db", bom_copy, command) == shipped
+
+
 class TestMalformedWhitehead:
     """A ``[whitehead]`` record whose images define no homomorphism is a
     database error: ``verify`` fails its two checks, the other commands exit
@@ -295,6 +326,34 @@ class TestMalformedWhitehead:
 
     def test_db_check_reports_it(self, capsys, broken):
         path, _, problem = broken
+        code, out, _ = run(capsys, "--db", path, "db-check")
+        assert code == EXIT_DB
+        assert [line for line in out.splitlines() if line.startswith("problem:")] == [
+            f"problem: {problem}"
+        ]
+
+    def test_the_pairing_comes_before_a_missing_row(self, capsys, tmp_path, db_text):
+        # at n=5 the gottlieb and components rows are gone and the pairing is
+        # ill-defined: every command names the pairing's problem alone
+        old, new, n, problem = self.EDITS["ill-defined"]
+        problem = f"whitehead n={n}: {problem}"
+        text = db_text
+        for row in ("[group]\ncontext = gottlieb n=5\n",
+                    "[components]\ncontext = components n=5\n"):
+            block = text[text.index(row):]
+            text = replaced(text, block[: block.index("\n\n") + 2], "")
+        path = edited(tmp_path, text, old, new)
+        for command in ("gottlieb", "components"):
+            code, out, err = run(capsys, "--db", path, command, str(n))
+            assert (code, out, err) == (EXIT_DB, "", f"error: {problem}\n")
+        code, out, err = run(capsys, "--db", path, "verify")
+        assert (code, err) == (EXIT_VERIFY, "")
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert [line.split()[1:3] for line in failed] == [
+            ["gottlieb", f"G_{n}"], ["components", "components"]
+        ]
+        assert failed[1].split()[3] == f"n={n}"
+        assert all(line.endswith(f" {problem}") for line in failed)
         code, out, _ = run(capsys, "--db", path, "db-check")
         assert code == EXIT_DB
         assert [line for line in out.splitlines() if line.startswith("problem:")] == [

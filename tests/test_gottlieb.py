@@ -184,17 +184,21 @@ class TestBrokenPairing:
         assert gaps == []
 
     def test_each_check_reports_its_first_problem(self, db_text):
-        # at n=5 the pairing is ill-defined and the gottlieb and components
-        # rows are gone: a missing gottlieb row comes before the pairing's
-        # error, the pairing's error before a missing components row
+        # at n=5 the gottlieb and components rows are gone and the pairing is
+        # ill-defined: both checks name the pairing's error, which comes
+        # before a missing row; only with the pairing repaired do they name
+        # their rows
         old, new, n, problem = self.EDITS["image of wrong order"]
-        text = replaced(db_text, old, new)
+        text = db_text
         for row in ("context = gottlieb n=5\n", "context = components n=5\n"):
             start = text.index(row)
             text = text[:text.rindex("\n\n", 0, start)] + text[text.index("\n\n", start):]
-        broken = loads_db(text)
-        assert check_gottlieb(broken, n).detail == "no gottlieb row for n=5"
+        broken = loads_db(replaced(text, old, new))
+        assert check_gottlieb(broken, n).detail == problem
         assert check_components(broken, n).detail == problem
+        repaired = loads_db(text)
+        assert check_gottlieb(repaired, n).detail == "no gottlieb row for n=5"
+        assert check_components(repaired, n).detail == "no components row for n=5"
 
     def test_an_edit_reruns_the_two_checks_at_its_n_alone(self, edit, db_text):
         text, n, _ = edit
