@@ -15,14 +15,10 @@ from pathlib import Path
 
 from .database import DbError, load_db, validate_db
 from .extensions import ExtensionError, UnresolvedExtensionError, order_text
-from .gottlieb import (
-    classify_components,
-    fibration_equivalences,
-    gottlieb_group,
-    whitehead_hom,
-)
+from .gottlieb import fibration_equivalences
 from .pipeline import (
     MAPSPACE_RANGE,
+    check_components,
     check_gottlieb,
     compute_group,
     mapping_space_pi,
@@ -149,8 +145,8 @@ def _dispatch(args, db) -> int:
             if check.status == "error":  # a database error, not a failed check
                 raise DbError(check.detail)
             checks.append(check)
-            print(f"G_{n} = {gottlieb_group(whitehead_hom(db, n))}")
-            for order, name in db.lookup("gottlieb", n=n).terms:
+            print(f"G_{n} = {check.computed}")
+            for order, name in check.recorded.terms:
                 print(f"  {name}  (order {order_text(order)})")
             if args.equivalences:
                 for name, classes in fibration_equivalences(db, n).items():
@@ -167,11 +163,12 @@ def _dispatch(args, db) -> int:
         ns = [args.n] if args.n is not None else pairing_ns(db)
         failures = 0
         for n in ns:
-            r = classify_components(db, n)
-            line = f"n={n}: {r.computed} equivalence classes (recorded {r.expected}, {r.status})"
-            print(line)
-            if r.status == "fail":
-                failures += 1
+            check = check_components(db, n)
+            if check.status == "error":
+                raise DbError(check.detail)
+            expected = check.recorded.expected
+            print(f"n={n}: {check.computed} equivalence classes (recorded {expected}, {check.status})")
+            failures += check.status == "fail"
         return EXIT_VERIFY if failures else EXIT_OK
 
     if args.command == "verify":

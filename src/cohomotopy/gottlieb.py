@@ -14,13 +14,16 @@ also in an infinite target: a whitehead record whose pairing has an infinite
 image breaks the pairing rule (``WhiteheadEntry.pairing``), so
 ``whitehead_hom`` raises its ``DbError`` to every reader, and ``db-check``
 reports it.
+
+This module reads no ``gottlieb`` or ``components`` record: the checks
+``pipeline.check_gottlieb`` and ``check_components`` compare its values with
+them, and the ``gottlieb`` and ``components`` commands print those checks.
 """
 
 from __future__ import annotations
 
 from .abelian import FinAbGroup, GroupHom, Presentation
 from .database import Database, DbError, memoised
-from .record import record
 
 
 @memoised
@@ -65,38 +68,10 @@ def _classes_up_to_sign(image: FinAbGroup) -> int:
     return (image.order() + fixed) // 2
 
 
-@record
-class ComponentsResult:
-    computed: int
-    expected: int
-    status: str  # "ok" | "documented-discrepancy" | "fail"
-    note: str = ""
-
-
-def classify_components(db: Database, n: int) -> ComponentsResult:
-    """Count fibre-homotopy equivalence classes of evaluation fibrations,
-    from the Whitehead pairing at n (``whitehead_hom``, whose error comes
-    first; then a missing components row).
-
-    Two classes f, g give equivalent fibrations iff [f, id] = +-[g, id], so
-    the count is the number of image elements up to sign, of an image the
-    pairing rule keeps finite.  A record that documents a discrepancy also
-    records the count in ``computed``: the status is then
-    ``documented-discrepancy`` when the count is that value and differs from
-    ``expected``, and ``fail`` otherwise.
-    """
-    h = whitehead_hom(db, n)
-    entry = db.lookup("components", n=n)
-    if entry is None:
-        raise DbError(f"no components row for n={n}")
-    computed = _classes_up_to_sign(h.image())
-    if entry.computed is None and computed == entry.expected:
-        status = "ok"
-    elif computed == entry.computed != entry.expected:
-        status = "documented-discrepancy"
-    else:
-        status = "fail"
-    return ComponentsResult(computed, entry.expected, status, entry.note)
+def classify_components(db: Database, n: int) -> int:
+    """The number of fibre-homotopy equivalence classes of evaluation
+    fibrations at n: the elements up to sign of the image of ``whitehead_hom``."""
+    return _classes_up_to_sign(whitehead_hom(db, n).image())
 
 
 def fibration_equivalences(db: Database, n: int) -> dict[str, list[tuple[int, ...]]]:

@@ -8,8 +8,8 @@ from pathlib import Path
 from cohomotopy.abelian import FinAbGroup, parse_group
 from cohomotopy.database import loads_db, validate_db
 from cohomotopy.extensions import enumerate_middle_groups, partitions
-from cohomotopy.gottlieb import classify_components, gottlieb_group, whitehead_hom
-from cohomotopy.pipeline import compute_group, mapping_space_pi, verify_all
+from cohomotopy.gottlieb import gottlieb_group, whitehead_hom
+from cohomotopy.pipeline import check_components, compute_group, mapping_space_pi, verify_all
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import oracle_middle_groups, realizable, subgroup_quotient_types  # noqa: E402
@@ -143,11 +143,11 @@ def test_criterion_3_gottlieb_suite(db):
 
 def test_criterion_4_component_counts(db):
     for n, expected in ((1, 1), (2, 1), (4, 1), (6, 1), (3, 4), (5, 4), (8, 2)):
-        r = classify_components(db, n)
-        assert r.computed == r.expected == expected, f"n={n}"
+        r = check_components(db, n)
+        assert r.computed == r.recorded.expected == expected, f"n={n}"
         assert r.status == "ok"
-    r7 = classify_components(db, 7)
-    assert r7.computed == 7 and r7.expected == 6
+    r7 = check_components(db, 7)
+    assert r7.computed == 7 and r7.recorded.expected == 6
     assert r7.status == "documented-discrepancy"
     print(
         "PASS criterion 4: component counts exact; n=7 shows 7 rule-derived "

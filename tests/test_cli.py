@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from cohomotopy.abelian import GroupHom
 from cohomotopy.cli import (
     EXIT_DB,
     EXIT_OK,
@@ -96,6 +97,22 @@ class TestOtherCommands:
         code, _, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert built == list(range(1, 9))  # the n of the shipped records, each once
+
+    @pytest.mark.parametrize("argv", [["gottlieb"], ["gottlieb", "--equivalences"]])
+    def test_one_kernel_per_n(self, capsys, monkeypatch, argv):
+        # the command prints the kernel its check computed, not a second one
+        kernels = []
+        real = GroupHom.kernel
+
+        def counted(self):
+            kernels.append(self)
+            return real(self)
+
+        monkeypatch.setattr(GroupHom, "kernel", counted)
+        clear_memos()  # a cold load: no check is remembered yet
+        code, _, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert len(kernels) == 8  # one per n of the shipped records
 
     def test_components(self, capsys):
         code, out, _ = run(capsys, "components")

@@ -82,14 +82,13 @@ class TestComponents:
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
     def test_orbit_counts(self, db, n):
-        r = classify_components(db, n)
-        assert r.computed == self.EXPECTED[n]
+        assert classify_components(db, n) == self.EXPECTED[n]
 
     def test_n7_discrepancy_is_flagged_pass(self, db):
-        r = classify_components(db, 7)
-        assert r.computed == 7 and r.expected == 6
+        r = check_components(db, 7)
+        assert r.computed == 7 and r.recorded.expected == 6
         assert r.status == "documented-discrepancy"
-        assert check_components(db, 7).passed()
+        assert r.passed()
 
     def test_unflagged_mismatch_fails(self, db_text):
         broken = loads_db(replaced(db_text, "expected = 2", "expected = 3"))
@@ -224,7 +223,7 @@ class TestOddUnits:
     def results(db, n):
         return (
             gottlieb_group(whitehead_hom(db, n)),
-            classify_components(db, n).computed,
+            classify_components(db, n),
             fibration_equivalences(db, n),
         )
 

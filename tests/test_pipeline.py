@@ -298,6 +298,30 @@ class TestVerifyAll:
         fams = {r.family for r in results}
         assert fams == {"bracket", "mapspace", "gottlieb", "components"}
 
+    def test_checks_carry_their_values(self, db, db_text):
+        # what each check derived and the record it compared that with; they
+        # agree where the check is ok
+        results = verify_all(db)
+        for r in results:
+            assert r.computed is not None and r.recorded is not None, r.label
+            if r.family in ("bracket", "mapspace"):
+                got, want = r.computed, r.recorded
+                agree = (got.group, sorted(got.generators)) == (want.group, sorted(want.generators))
+            elif r.family == "gottlieb":
+                agree = r.computed == r.recorded.group
+            else:
+                agree = r.computed == r.recorded.expected and r.recorded.computed is None
+            assert agree == (r.status == "ok"), r.label
+        documented = [r for r in results if r.status == "documented-discrepancy"]
+        assert [(r.label, r.computed, r.recorded.computed) for r in documented] == [
+            ("components n=7", 7, 7)
+        ]
+        # an error keeps neither value
+        image = "alpha_1(6) . S^5 p -> (0, 1)"
+        broken = verify_all(loads_db(replaced(db_text, image, image.replace("(0", "(1"))))
+        errors = [(r.label, r.computed, r.recorded) for r in broken if r.status == "error"]
+        assert errors == [("G_5", None, None), ("components n=5", None, None)]
+
     def test_one_whitehead_pairing_per_n(self, db_text, monkeypatch):
         built = []
         real = WhiteheadEntry.pairing
