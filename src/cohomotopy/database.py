@@ -27,7 +27,7 @@ import bisect
 import re
 from contextlib import contextmanager
 from functools import wraps
-from itertools import chain, combinations
+from itertools import combinations
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 
@@ -870,11 +870,10 @@ def _record_checks(entry):
     """What ``validate_db`` checks on one record alone, as a tuple: the
     symbol families its generator names reference; its problems if all of
     those are registered; its checks in field order, each a problem or a
-    (generator name, families) pair; the problems with the primes of its
+    (generator name, families) pair; and the problems with the primes of its
     group (an odd-part row that is not a p-group, a coker-eta or ker-eta row
-    with odd torsion); and the odd part of a bracket row's group, which the
-    odd-part rows of its n must sum to (None for any other record).  The
-    family checks (``_family_checks``) gather these over each family.
+    with odd torsion).  The family checks (``_family_checks``) gather these
+    over each family.
 
     Records are immutable, so the tuple is computed once and kept on the
     record itself (an attribute, not a field: equality, hashing and
@@ -902,7 +901,7 @@ def _record_checks(entry):
                 checks.append((name, families_of(name)))
             except NameParseError as e:
                 checks.append(f"{entry.context}: {e}")
-    primes, odd = (), None
+    primes = ()
     kind = entry.context.kind if isinstance(entry, GroupEntry) else None
     if kind == "odd-part":
         p = entry.context.get("p")
@@ -911,14 +910,11 @@ def _record_checks(entry):
     elif kind in ("coker-eta", "ker-eta"):
         if any(q != 2 for q in entry.group.primary_decomposition()):
             primes = (f"{entry.context}: entry has odd torsion",)
-    elif kind == "bracket":
-        odd = entry.group.odd_part()
     done = (
         frozenset().union(*(c[1] for c in checks if isinstance(c, tuple))),
         tuple(c for c in checks if isinstance(c, str)),
         tuple(checks),
         primes,
-        odd,
     )
     object.__setattr__(entry, "_checks", done)
     return done
@@ -965,11 +961,13 @@ def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
     (empty list = valid).  First the problems of each record alone, in
     file order; then those with the primes of the odd-part, coker-eta and
-    ker-eta groups, kind by kind, ordered by n and then p; then the
-    odd-part sums, by n; and the tiling of each k's rows, by k.  When none
-    of these finds a problem, the text of each error that ends a check of
-    ``pipeline.verify_all`` (status "error"), once each in its order: the
-    commands read what ``verify`` checks, so a file they cannot read fails.
+    ker-eta groups, kind by kind, ordered by n and then p; and the tiling of
+    each k's rows, by k.  When none of these finds a problem, the text of
+    each error that ends a check of ``pipeline.verify_all`` (status
+    "error"), once each in its order: the commands read what ``verify``
+    checks, so a file they cannot read fails.  Among those errors is the
+    rule that the odd-part records sum to the bracket row's odd part, which
+    ``pipeline.check_bracket`` checks at every cell ``verify`` plans.
 
     The checks of each record alone run once per record (``_record_checks``)
     and are gathered per family (``_family_checks``).  Those, and the checks
@@ -1012,11 +1010,6 @@ def validate_db(db: Database) -> list[str]:
 
     primes.sort(key=itemgetter(0, 1, 2))  # stable: families of a kind in order
     problems.extend(problem for *_, problem in primes)
-    # each k's (n, problem) pairs, ordered as find("bracket") orders its rows:
-    # by n, then by family (sorted is stable)
-    ks = [k for ((_, k),) in db.families.get("bracket", ())]
-    sums = sorted((pair for k in ks for pair in _odd_part_problems(db, k)), key=itemgetter(0))
-    problems.extend(problem for _, problem in sums)
     for k in sorted({k for _, k in tiles}):
         spans = {}
         for kind in _TILED:
@@ -1031,38 +1024,3 @@ def validate_db(db: Database) -> list[str]:
         problems.extend(dict.fromkeys(r.detail for r in verify_all(db) if r.status == "error"))
     return problems
 
-
-# The check of validate_db that reads more than one family.  It reads the
-# families of two kinds at one k through ``find``, so it is remembered with
-# those queries and runs again when one of them returns other records
-# (``memoised``).
-
-
-@memoised
-def _odd_part_problems(db: Database, k: int) -> tuple[tuple[int, str], ...]:
-    """The odd-part records at k must reassemble to the odd part of each
-    bracket row of k (``_record_checks``), at its first n.  Both come
-    ordered by n, so one sweep pairs them: the odd-part rows that hold a
-    bracket row's n are those begun at or below it that have not ended."""
-    problems = []
-    odd_parts = [(e.context.n_range, e.group) for e in db.find("odd-part", k=k)]
-    held, i = [], 0
-    for bracket in db.find("bracket", k=k):
-        n = bracket.context.n_range.lo
-        while i < len(odd_parts) and odd_parts[i][0].lo <= n:
-            held.append(odd_parts[i])
-            i += 1
-        held = [(nr, g) for nr, g in held if nr.hi is None or n <= nr.hi]
-        if len(held) == 1:
-            odd = held[0][1]
-        else:
-            odd = FinAbGroup.from_factors(
-                [o for _, g in held for o in chain((0,) * g.free_rank, g.torsion)]
-            )
-        want = _record_checks(bracket)[4]
-        if odd != want:
-            problems.append((n, (
-                f"{bracket.context}: odd-part records sum to {odd}, "
-                f"bracket has odd part {want}"
-            )))
-    return tuple(problems)

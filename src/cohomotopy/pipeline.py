@@ -212,8 +212,19 @@ def _compare_rows(computed: ComputedRow, recorded: ComputedRow):
 
 @_check("bracket", "k={} n={}")
 def check_bracket(db: Database, k: int, n: int):
-    """Compare the computed bracket row against the golden row."""
-    return _compare_rows(compute_group(db, k, n), golden_row(db, k, n))
+    """Compare the computed bracket row against the golden row.  First the
+    odd parts: the computed one is the sum of the odd-part records at
+    (k, n), as the coker-eta and ker-eta groups have no odd torsion
+    (``validate_db`` checks that), and one that is not the recorded row's
+    is a ``DbError``."""
+    computed, recorded = compute_group(db, k, n), golden_row(db, k, n)
+    odd, want = computed.group.odd_part(), recorded.group.odd_part()
+    if odd != want:
+        raise DbError(
+            f"{db.lookup('bracket', k=k, n=n).context}: odd-part records sum to {odd}, "
+            f"bracket has odd part {want}"
+        )
+    return _compare_rows(computed, recorded)
 
 
 # ---------------------------------------------------------------------------

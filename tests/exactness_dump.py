@@ -13,13 +13,17 @@ them.  Each section's own sha256 is printed after its tally, so when the
 last line differs, the section lines of two trees name the section that
 moved it.  A third line per section gives its wall time, which no digest
 covers, so every run logs what the curator's loop costs.
+``--per-text FILE`` also writes one line per text to FILE: its section, its
+index in the section, its outcome and the sha256 of its record lines, tab
+separated.  Diffing the files of two trees lists the texts whose results
+moved, and says whether any outcome moved with them.
 ``tests/exactness_digest.txt`` holds the expected last line for
 the default arguments and ``tests/exactness_digest_seed7.txt`` that for
 ``--seed 7``, whose multi-edit texts come in another order; CI compares
 both, so a change that means to move the digest (an edit of the shipped
 database, say) updates those files too.
 
-    PYTHONPATH=src python tests/exactness_dump.py [--seed 0] [--texts 3000]
+    PYTHONPATH=src python tests/exactness_dump.py [--seed 0] [--texts 3000] [--per-text FILE]
 
 It is not collected by pytest (no ``test_`` prefix).
 """
@@ -97,6 +101,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--texts", type=int, default=3000, help="seeded multi-edit texts")
+    parser.add_argument(
+        "--per-text", type=Path, metavar="FILE",
+        help="write section, index, outcome and the sha256 of the record lines of each text",
+    )
     args = parser.parse_args(argv)
 
     mutants = _module("perfbench_mutants", ROOT / "perfbench" / "mutants.py")
@@ -113,23 +121,27 @@ def main(argv=None) -> int:
         ("deletions reversed", deleted_texts[::-1]),
         ("multi-edit", multi_edit_texts(text, specs, args.seed, args.texts, mutants.apply_spec)),
     ]
-    digest = hashlib.sha256()
+    digest, per_text = hashlib.sha256(), []
     database.clear_memos()
     for name, texts in sections:
         outcomes: Counter = Counter()
         section = hashlib.sha256()
         started = time.perf_counter()
-        for edited in texts:
+        for index, edited in enumerate(texts):
             outcome, record = dump(edited)
             outcomes[outcome] += 1
             data = f"{outcome}\n{record}\n\n".encode()
             digest.update(data)
             section.update(data)
+            lines_sha = hashlib.sha256(record.encode()).hexdigest()
+            per_text.append(f"{name}\t{index}\t{outcome}\t{lines_sha}\n")
         tally = ", ".join(f"{o} {outcomes[o]}" for o in mutants.OUTCOMES if outcomes[o])
         print(f"{name}: {sum(outcomes.values())} texts: {tally}")
         print(f"{name}: sha256 {section.hexdigest()}")
         print(f"{name}: {time.perf_counter() - started:.1f} s wall")
     print(f"sha256 {digest.hexdigest()}")
+    if args.per_text:
+        args.per_text.write_text("".join(per_text))
     return 0
 
 

@@ -21,7 +21,14 @@ from cohomotopy.database import (
     validate_db,
 )
 from cohomotopy.pipeline import verify_all
-from conftest import DB_PATH, replaced
+from conftest import (
+    DB_PATH,
+    NINEFOLD_ODD_PART_K6_N7,
+    ODD_PART_K6_N7,
+    ODD_PART_K6_STABLE,
+    SPLIT_ODD_PART_K6_STABLE,
+    replaced,
+)
 from test_record_deletions import record_blocks
 
 
@@ -230,6 +237,25 @@ class TestExitCodes:
         code, out, _ = run(capsys, "--db", str(broken), "verify")
         assert code == EXIT_VERIFY
         assert "FAIL" in out
+
+    def test_odd_part_sums_past_a_rows_first_n_are_2(self, capsys, tmp_path, db_text):
+        path = edited(tmp_path, db_text, ODD_PART_K6_STABLE, SPLIT_ODD_PART_K6_STABLE)
+        code, out, _ = run(capsys, "--db", path, "db-check")
+        assert code == EXIT_DB
+        assert [line for line in out.splitlines() if line.startswith("problem:")] == [
+            "problem: bracket k=6 n=12..: odd-part records sum to Z/9, bracket has odd part Z/3"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, line", [(("compute", "6", "7"), "group:"), (("table", "6"), "n=7 ")]
+    )
+    def test_compute_and_table_print_the_odd_part_sum(self, capsys, tmp_path, db_text, argv, line):
+        # db-check rejects an odd-part sum that is not the bracket row's odd
+        # part; compute and table print the group with the sum and succeed
+        path = edited(tmp_path, db_text, ODD_PART_K6_N7, NINEFOLD_ODD_PART_K6_N7)
+        code, out, _ = run(capsys, "--db", path, *argv)
+        assert code == EXIT_OK
+        assert [row.split()[-1] for row in out.splitlines() if row.startswith(line)] == ["Z/36"]
 
     def test_unresolved_extension_is_3(self, capsys, tmp_path, db_text):
         # drop every k=7 n=9 evidence record: that extension is then ambiguous

@@ -30,7 +30,13 @@ from cohomotopy.database import (
 from cohomotopy.extensions import RENAMES, EhpInjectivity, ExtensionError, RelationFact, schema
 from cohomotopy.pipeline import compute_group, verify_all
 from cohomotopy.record import replace
-from conftest import replaced
+from conftest import (
+    NINEFOLD_ODD_PART_K6_N7,
+    ODD_PART_K6_N7,
+    ODD_PART_K6_STABLE,
+    SPLIT_ODD_PART_K6_STABLE,
+    replaced,
+)
 from test_record_deletions import record_blocks
 
 
@@ -493,13 +499,23 @@ class TestValidation:
         ]
 
     def test_detects_odd_part_sum_mismatch(self, db_text):
-        broken = db_text.replace(
-            "context = odd-part k=6 n=7 p=3\ngroup = Z/3",
-            "context = odd-part k=6 n=7 p=3\ngroup = Z/9",
-        )
-        assert broken != db_text
-        problems = validate_db(loads_db(broken))
-        assert any("odd-part records sum" in p for p in problems)
+        # the edited record agrees with itself (group and generator order 9),
+        # so the sum of the odd parts at n=7 is the one problem
+        broken = replaced(db_text, ODD_PART_K6_N7, NINEFOLD_ODD_PART_K6_N7)
+        assert validate_db(loads_db(broken)) == [
+            "bracket k=6 n=7: odd-part records sum to Z/9, bracket has odd part Z/3"
+        ]
+
+    def test_odd_part_sums_hold_past_a_rows_first_n(self, db_text):
+        # the stable odd-part row split in two: its first n=12..14 still sum
+        # to the bracket row's Z/3, its n=15.. do not
+        broken = replaced(db_text, ODD_PART_K6_STABLE, SPLIT_ODD_PART_K6_STABLE)
+        db = loads_db(broken)
+        assert validate_db(db) == [
+            "bracket k=6 n=12..: odd-part records sum to Z/9, bracket has odd part Z/3"
+        ]
+        cells = {r.label: r.status for r in verify_all(db) if not r.passed()}
+        assert cells == {"k=6 n=15": "error"}
 
     @pytest.mark.parametrize(
         "old, new, problem",
