@@ -27,8 +27,8 @@ import bisect
 import re
 from contextlib import contextmanager
 from functools import wraps
-from itertools import combinations
-from operator import attrgetter, is_, itemgetter
+from itertools import chain, combinations
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .abelian import (
@@ -367,7 +367,9 @@ class Database:
     built by hand starts with neither.  ``rebuilt`` holds each family whose
     object is not its base's (rebuilt, added or removed) as its kind with
     every subset of its parameters, as the queries that can read it name
-    them; it is None on a database that no load made."""
+    them.  ``edits`` maps each of those to the n ranges of the records that
+    its families gained or lost, against which ``memoised`` confirms the
+    base's checks.  Both are None on a database that no load made."""
 
     records: tuple = ()
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
@@ -375,6 +377,7 @@ class Database:
     memo: dict = field(default_factory=dict, repr=False, compare=False)
     base_memo: dict = field(default_factory=dict, repr=False, compare=False)
     rebuilt: frozenset | None = field(default=None, repr=False, compare=False)
+    edits: dict | None = field(default=None, repr=False, compare=False)
 
     # -- queries ----------------------------------------------------------
     def find(self, kind: str, n: int | None = None, **params) -> list:
@@ -552,25 +555,25 @@ def reading():
             _TRACES[-1].update(trace)
 
 
-def _unchanged(db: Database, trace: dict) -> bool:
-    """Whether every query of ``trace`` returns the identical records, in
-    the same order, in ``db``.  A query whose family, or each of whose
-    matched families, is the identical object in ``db`` holds at once; any
-    other is run again on ``db`` and its records compared."""
-    families = db.families
-    for (kind, want, n), (family, matched, found) in trace.items():
-        of_kind = families.get(kind, _NO_FAMILIES)
-        now = of_kind.get(want)
-        if now is not None:
-            if now is family:
-                continue
-            got = _holding(now, n)
-        else:
-            now = _matching(of_kind, want)
-            if matched is not None and len(now) == len(matched) and all(map(is_, now, matched)):
-                continue
-            got = _gathered(now, n)
-        if len(got) != len(found) or not all(map(is_, got, found)):
+def _untouched(db: Database, trace: dict) -> bool:
+    """Whether every query of ``trace``, made on the base of the loaded
+    database ``db``, returns the identical records, in the same order, in
+    ``db``: whether none can find a record that the load gained or lost
+    (``Database.edits``).  A query (kind, parameters, n) can when a gained
+    or lost record of a family of the kind whose parameters include the
+    query's holds n, and always when n is None.
+
+    A query that can find no such record finds the same objects, and in
+    the same order within a family (by n.lo, then in load order).  Across
+    the families a partial query matches, ``_gathered`` orders them by
+    (n.lo, p), with ties in the order of the families, which a reorder of
+    the file can change.  So the test assumes that no two families one
+    query matches share p.  Every partial query names k today, and matches
+    the odd-part families of one k, one per p."""
+    edits = db.edits
+    for kind, want, n in trace:
+        ranges = edits.get((kind, want))
+        if ranges is not None and (n is None or any(n in nr for nr in ranges)):
             return False
     return True
 
@@ -583,15 +586,17 @@ def memoised(check):
     identical records gets the identical value.  The value is kept in
     ``db.memo`` with the read trace of its run (``reading``) and its
     queries' (kind, parameters), and is returned at once on the next call.
-    A value of the database ``db`` was made from (``db.base_memo``) is used
-    at once when none of those is in ``db.rebuilt``: every family its
-    queries read or matched is then the base's own.  Otherwise, or on a
-    database no load made, it is used when its trace, walked query by
-    query, still holds on ``db`` (``_unchanged``); else the check runs.
-    Either way the value is then kept in ``db.memo``.  A memo lives as long
-    as its database, or a database made from it.  A call inside another
-    memoised check adds its reads, whether remembered or new, to the outer
-    check's.  Exceptions are not kept."""
+    On a database a load made, a value of its base (``db.base_memo``) is
+    used at once when none of those is in ``db.rebuilt``: every family its
+    queries read or matched is then the base's own.  Otherwise it is used
+    when no query of its trace holds an n at which the load gained or lost
+    a record of a family the query reads or matches (``_untouched``), read
+    off the n ranges the load recorded, with no query run again; else the
+    check runs.  Either way the value is then kept in ``db.memo``.  A
+    database no load made takes nothing from a ``base_memo``.  A memo lives
+    as long as its database, or a database made from it.  A call inside
+    another memoised check adds its reads, whether remembered or new, to the
+    outer check's.  Exceptions are not kept."""
 
     @wraps(check)
     def run(db, *args):
@@ -599,8 +604,8 @@ def memoised(check):
         hit = db.memo.get(key)
         if hit is None:
             hit = db.base_memo.get(key)
-            if hit is None or not (db.rebuilt is not None and hit[2].isdisjoint(db.rebuilt)
-                                   or _unchanged(db, hit[1])):
+            if hit is None or db.rebuilt is None or not (
+                    hit[2].isdisjoint(db.rebuilt) or _untouched(db, hit[1])):
                 with reading() as trace:
                     value = check(db, *args)
                 db.memo[key] = value, trace, frozenset(map(itemgetter(0, 1), trace))
@@ -771,12 +776,13 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     or symbols dict.
 
     The new database starts with no remembered checks, its base's as its
-    ``base_memo``, and the families it built, added or removed as
-    ``rebuilt`` (``Database``), against which ``memoised`` confirms the
-    base's checks.  So a one-number edit costs one full diff, one family
-    built again, and a walk only for each check that read that family.  A
-    text equal to a remembered one gets that remembered database itself,
-    and the loads remembered stay as they are."""
+    ``base_memo``, the families it built, added or removed as ``rebuilt``,
+    and the n ranges of the records those gained or lost as ``edits``
+    (``Database``), against which ``memoised`` confirms the base's checks.
+    So a one-number edit costs one full diff, one family built again, and a
+    test of the edited n only for each check that read that family.  A text
+    equal to a remembered one gets that remembered database itself, and the
+    loads remembered stay as they are."""
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
     for kept in _LOADED:
@@ -810,6 +816,7 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     # a symbol is indexed by its name, any other record by its family
     keys = [e.name if isinstance(e, SymbolEntry) else (e.context.kind, e.context.family)
             for e in records]
+    scanned = keys, records
     touched: dict = {}  # key -> the positions of its records, for those scanned
     for x, key in enumerate(keys, i):
         touched.setdefault(key, []).append(x)
@@ -832,10 +839,19 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     if failed:
         block, e = failed
         raise DbParseError(path, _line_no(text, *block.span(), e.index), str(e)) from e.__cause__
-    # a query of any part of a rebuilt family's parameters may find other records
-    rebuilt = frozenset((key[0], frozenset(part)) for key in touched if type(key) is tuple
-                        for r in range(len(key[1]) + 1) for part in combinations(key[1], r))
-    db = Database(records, symbols, families, base_memo=old_db.memo, rebuilt=rebuilt)
+    # the n ranges of the records each family gained or lost, then under every
+    # part of its parameters: a query of any part may find other records there
+    ranges: dict = {}
+    for key, entry in chain(zip(*scanned), zip(old_keys[i:j], old_db.records[i:j])):
+        if type(key) is tuple:
+            ranges.setdefault(key, set()).add(entry.context.n_range)
+    edits: dict = {}
+    for (kind, params), nrs in ranges.items():
+        for r in range(len(params) + 1):
+            for part in combinations(params, r):
+                edits.setdefault((kind, frozenset(part)), set()).update(nrs)
+    db = Database(records, symbols, families, base_memo=old_db.memo, rebuilt=frozenset(edits),
+                  edits=edits)
     kept = (text, spans, keys, db, common)
     _LOADED[:] = [kept] if base is _COLD else [base, kept]
     return kept[3]

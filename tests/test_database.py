@@ -1,9 +1,10 @@
 import gc
 import re
+import sys
 import weakref
 from contextlib import contextmanager
 from itertools import combinations
-from operator import itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from conftest import (
     SPLIT_ODD_PART_K6_STABLE,
     replaced,
 )
+from exactness_dump import multi_edit_texts
 from test_record_deletions import record_blocks
 
 
@@ -898,18 +900,44 @@ def first_caught_mutant(db_text, mutants):
     raise AssertionError("no mutant changes a check")
 
 
+def unchanged(db, trace):
+    """Whether every query of ``trace`` returns the identical records, in
+    the same order, in ``db``: the reference walk that the range test of a
+    load (``database._untouched``) must agree with.  A query whose family,
+    or each of whose matched families, is the identical object in ``db``
+    holds at once; any other is run again on ``db`` and its records
+    compared."""
+    families = db.families
+    for (kind, want, n), (family, matched, found) in trace.items():
+        of_kind = families.get(kind, {})
+        now = of_kind.get(want)
+        if now is not None:
+            if now is family:
+                continue
+            got = database._holding(now, n)
+        else:
+            now = database._matching(of_kind, want)
+            if matched is not None and len(now) == len(matched) and all(map(is_, now, matched)):
+                continue
+            got = database._gathered(now, n)
+        if len(got) != len(found) or not all(map(is_, got, found)):
+            return False
+    return True
+
+
 @pytest.fixture
 def walks(monkeypatch):
-    """What each trace walk (``database._unchanged``) made during a test
-    found, in order."""
+    """What each walk of a remembered check's queries against the n ranges
+    its load touched (``database._untouched``) found during a test, in
+    order: one per base entry whose queries meet ``rebuilt``."""
     found = []
-    unchanged = database._unchanged
+    untouched = database._untouched
 
     def walk(*args):
-        found.append(unchanged(*args))
+        found.append(untouched(*args))
         return found[-1]
 
-    monkeypatch.setattr(database, "_unchanged", walk)
+    monkeypatch.setattr(database, "_untouched", walk)
     return found
 
 
@@ -934,20 +962,24 @@ class TestStateMemo:
         db = loads_db(db_text)
         shipped = checked(db)
         kept = dict(db.memo)
-        # the same families in a new mapping, built by hand: every check runs
-        runs.clear()
-        walks.clear()
-        assert checked(Database(db.records, db.symbols, dict(db.families))) == shipped
-        assert runs and walks == []
-        # the same, made from db: every check hits after a walk
-        copy = Database(db.records, db.symbols, dict(db.families), base_memo=db.memo)
+        # the same families in a new mapping, built by hand: every check runs,
+        # with a base memo too, since no load made the copy
+        for base_memo in ({}, db.memo):
+            runs.clear()
+            walks.clear()
+            copy = Database(db.records, db.symbols, dict(db.families), base_memo=base_memo)
+            assert checked(copy) == shipped
+            assert runs and walks == []
+        # the same, made from db with no family rebuilt: every check hits unwalked
+        copy = Database(db.records, db.symbols, dict(db.families), base_memo=db.memo,
+                        rebuilt=frozenset())
         runs.clear()
         assert checked(copy) == shipped
-        assert runs == [] and walks and all(walks)
-        walks.clear()
+        assert runs == [] and walks == []
+        assert copy.memo and all(hit is kept[key] for key, hit in copy.memo.items())
         assert checked(copy) == shipped
         assert walks == [] and runs == []
-        assert db.memo == kept and copy.memo.items() <= kept.items()
+        assert db.memo == kept
 
     @pytest.mark.parametrize("make_b", ["mutant", "added"])
     def test_alternating_databases_check_like_cold_ones(self, db_text, mutants, make_b):
@@ -1145,7 +1177,7 @@ class TestRecordConfirmation:
             ("odd-part k=7 n=2 p=3", (True, True)),
         ):
             edited = loads_db(doubled(db_text, context))
-            assert (database._unchanged(edited, whole), database._unchanged(edited, at_5)) == holds
+            assert (unchanged(edited, whole), unchanged(edited, at_5)) == holds
 
     def test_a_base_and_its_edit_keep_their_own_results(self, db_text, computed, runs, walks):
         texts = {
@@ -1199,9 +1231,11 @@ def reads_bracket_k6(trace):
 
 class TestRebuiltFamilies:
     """A load records the families it rebuilt relative to its base
-    (``Database.rebuilt``), and a remembered check of the base is confirmed
-    at once when it read none of them: only the checks that read an edited
-    family are walked, and only those whose walk fails run again."""
+    (``Database.rebuilt``), and the n ranges of the records they gained or
+    lost (``Database.edits``).  A remembered check of the base is confirmed
+    at once when it read none of those families; only the checks that read
+    an edited family have their queries tested against the ranges, and only
+    those with a query at an edited n run again."""
 
     def test_a_one_number_edit_walks_and_reruns_only_what_read_its_family(
         self, db_text, walks, runs, monkeypatch
@@ -1212,9 +1246,10 @@ class TestRebuiltFamilies:
         text = doubled(db_text, "bracket k=6 n=4")
         db = loads_db(text)
         assert db.base_memo is shipped.memo
+        assert db.edits == {("bracket", part): {NRange(4, 4)} for part in (frozenset(), K6)}
         walked = []
-        walk = database._unchanged  # the walks fixture's
-        monkeypatch.setattr(database, "_unchanged",
+        walk = database._untouched  # the walks fixture's
+        monkeypatch.setattr(database, "_untouched",
                             lambda db, trace: walked.append(trace) or walk(db, trace))
         walks.clear()
         runs.clear()
@@ -1229,12 +1264,38 @@ class TestRebuiltFamilies:
         clear_memos()
         assert checked(loads_db(text)) == got
 
+    def test_a_confirmation_runs_no_query_again(self, db_text, monkeypatch):
+        """A check of an edit reads records only through ``find``: no
+        remembered check of the base is confirmed by running its queries
+        again."""
+        clear_memos()
+        checked(loads_db(db_text))
+        db = loads_db(doubled(db_text, "bracket k=6 n=4"))
+        callers, gathered = [], database._gathered.__code__
+        for name in ("_holding", "_gathered"):
+            inner = getattr(database, name)
+
+            def called(*args, inner=inner):
+                frame = sys._getframe(1)
+                while frame.f_code in within:  # _gathered reads each family with _holding
+                    frame = frame.f_back
+                callers.append(frame.f_code)
+                return inner(*args)
+
+            monkeypatch.setattr(database, name, called)
+        within = {called.__code__, gathered}
+        checked(db)
+        assert callers and {code.co_name for code in callers} == {"find"}
+        assert all(code is Database.find.__code__ for code in callers)
+
     def test_the_recorded_families_confirm_what_a_walk_confirms(self, db_text, mutants):
         """Over seeded mutants, every record deletion, the file with its
-        blocks reversed, a record that makes a new family and the edits that
-        a partial query matches: the recorded set is the families the load
-        changed, and a remembered check that read none of them holds on a
-        walk too."""
+        blocks reversed, a record that makes a new family, the edits that a
+        partial query matches and seeded texts with several edits: the
+        recorded set is the families the load changed, a remembered check
+        that read none of them holds on a walk too, and the test of each
+        check's queries against the recorded ranges says what the walk
+        says."""
         clear_memos()
         shipped = loads_db(db_text)
         assert shipped.rebuilt == widened(changed_families(shipped, Database()))
@@ -1253,6 +1314,8 @@ class TestRebuiltFamilies:
                   appended(db_text, "[group]\ncontext = odd-part k=6 n=3 p=11\ngroup = Z/11\ncite = [T]")]
         texts += [doubled(db_text, f"odd-part k={k} n={n} p={p}")
                   for k, n, p in ((6, 2, 3), (6, 2, 5), (6, 5, 3), (7, 2, 3))]
+        specs = mutants.mutant_specs(db_text)
+        texts += multi_edit_texts(db_text, specs, 0, 200, mutants.apply_spec)
         held = confirmed = 0
         for text in texts:
             assert loads_db(db_text) is shipped
@@ -1261,10 +1324,11 @@ class TestRebuiltFamilies:
             except DbError:
                 continue
             assert db.base_memo is shipped.memo
-            assert db.rebuilt == widened(changed_families(db, shipped))
+            assert db.rebuilt == widened(changed_families(db, shipped)) == db.edits.keys()
             for _, trace, queries in entries:
                 assert queries == frozenset(map(itemgetter(0, 1), trace))
-                holds = database._unchanged(db, trace)
+                holds = unchanged(db, trace)
+                assert database._untouched(db, trace) == holds, (text, trace)
                 if queries.isdisjoint(db.rebuilt):
                     assert holds, (text, trace)
                     confirmed += 1
@@ -1310,8 +1374,8 @@ class TestPlannedCells:
         db = loads_db(doubled(db_text, "bracket k=6 n=4"))
         assert db.base_memo is shipped.memo
         walked = []
-        walk = database._unchanged
-        monkeypatch.setattr(database, "_unchanged",
+        walk = database._untouched
+        monkeypatch.setattr(database, "_untouched",
                             lambda db, trace: walked.append(trace) or walk(db, trace))
         runs.clear()
         checked(db)
