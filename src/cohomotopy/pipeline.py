@@ -213,12 +213,15 @@ def _compare_rows(computed: ComputedRow, recorded: ComputedRow):
 @_check("bracket", "k={} n={}")
 def check_bracket(db: Database, k: int, n: int):
     """Compare the computed bracket row against the golden row.  First the
-    odd parts: the computed one is the sum of the odd-part records at
-    (k, n), as the coker-eta and ker-eta groups have no odd torsion
-    (``validate_db`` checks that), and one that is not the recorded row's
-    is a ``DbError``."""
+    odd parts: when the odd part of the sum of the odd-part records at
+    (k, n) is not the recorded row's odd part, that is a ``DbError``.  Odd
+    torsion of a coker-eta or ker-eta row is no part of that sum, so it
+    shows as a group that differs from the recorded one, and 2-torsion of
+    an odd-part record is ``validate_db``'s problem with its prime."""
     computed, recorded = compute_group(db, k, n), golden_row(db, k, n)
-    odd, want = computed.group.odd_part(), recorded.group.odd_part()
+    found = db.find("odd-part", k=k, n=n)
+    odd = FinAbGroup.from_factors([q for e in found for q in e.group.torsion]).odd_part()
+    want = recorded.group.odd_part()
     if odd != want:
         raise DbError(
             f"{db.lookup('bracket', k=k, n=n).context}: odd-part records sum to {odd}, "

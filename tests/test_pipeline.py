@@ -127,6 +127,23 @@ class TestFailureModes:
         result = check_bracket(broken, 6, 5)
         assert result.status == "fail"
 
+    def test_odd_torsion_of_a_coker_eta_row_is_no_odd_part_sum(self, db_text):
+        # the odd-part records at k=6 n=4 still sum to the bracket row's odd
+        # part: the Z/3 of the edited row makes the computed group differ
+        text = replaced(
+            db_text,
+            "context = coker-eta k=6 n=4\ngroup = Z/8 + Z/2\n"
+            "generators = nu_4 . sigma' : 8 ; S eps' : 2",
+            "context = coker-eta k=6 n=4\ngroup = Z/8 + Z/6\n"
+            "generators = nu_4 . sigma' : 8 ; S eps' : 6",
+        )
+        broken = loads_db(text)
+        result = check_bracket(broken, 6, 4)
+        assert (result.status, result.detail) == (
+            "fail", "group Z/3 + Z/6 + Z/120 != recorded Z/6 + Z/120"
+        )
+        assert validate_db(broken) == ["coker-eta k=6 n=4: entry has odd torsion"]
+
     def test_ehp_transports_a_retraction(self, db, db_text):
         # split row n=9 by a retraction; rows 7 and 8 pull it back along EHP
         # and must name both sides of its sections in their own terms (the
