@@ -353,7 +353,9 @@ class Database:
     """The records of a ``.cohdb`` file in load order, indexed twice: symbols
     by name, and each record with a context by its family, the pair (context
     kind, parameters other than n).  A family is a tuple of (n.lo, n range,
-    record) ordered by n (``_family``).
+    record) ordered by n (``_family``).  ``families`` maps each kind, in
+    order of name, to its families, in order of their parameters, so that
+    it depends on the records alone, not on their order in the file.
 
     A database never changes: its fields are never assigned, and nothing in
     ``symbols`` or ``families`` is changed in place, not a family, not the
@@ -364,28 +366,27 @@ class Database:
     ``memo`` holds the checks run on this database, and ``base_memo`` those
     of the database it was made from (``memoised``).  A load starts with an
     empty ``memo`` and its base's ``memo`` as its ``base_memo``; a database
-    built by hand starts with neither.  ``rebuilt`` holds each family whose
-    object is not its base's (rebuilt, added or removed) as its kind with
+    built by hand starts with neither.  ``edits`` maps each family whose
+    object is not its base's (rebuilt, added or removed), as its kind with
     every subset of its parameters, as the queries that can read it name
-    them.  ``edits`` maps each of those to the n ranges of the records that
-    its families gained or lost, against which ``memoised`` confirms the
-    base's checks.  Both are None on a database that no load made."""
+    them, to the n ranges of the records that its families gained or lost,
+    against which ``memoised`` confirms the base's checks.  It is None on a
+    database that no load made."""
 
     records: tuple = ()
     symbols: dict[str, SymbolEntry] = field(default_factory=dict)
     families: dict[str, dict[frozenset, tuple]] = field(default_factory=dict)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
     base_memo: dict = field(default_factory=dict, repr=False, compare=False)
-    rebuilt: frozenset | None = field(default=None, repr=False, compare=False)
     edits: dict | None = field(default=None, repr=False, compare=False)
 
     # -- queries ----------------------------------------------------------
     def find(self, kind: str, n: int | None = None, **params) -> list:
         """The records of a context kind whose other parameters equal
         ``params`` and whose n range holds ``n`` (any n when it is None),
-        ordered by n and then p.  The query, the families it read and the
-        records it returned go to the open read trace, if there is one
-        (``reading``)."""
+        ordered by n and then by family (``_gathered``).  The query, the
+        families it read and the records it returned go to the open read
+        trace, if there is one (``reading``)."""
         families = self.families.get(kind, _NO_FAMILIES)
         want = frozenset(params.items())
         # Every context of a kind has the same parameters (its record's
@@ -417,13 +418,13 @@ def _matching(families: dict, want: frozenset) -> tuple:
 
 def _gathered(matched: tuple, n: int | None) -> list:
     """The records of the families ``matched`` whose n range holds ``n``
-    (every record when it is None), ordered by n and then p."""
+    (every record when it is None), ordered by n and then in the order of
+    the families, their parameters': for a query that names k, by p."""
     found = []
     for family in matched:
-        p = family[0][2].context.get("p") or 0
-        found.extend((e.context.n_range.lo, p, e) for e in _holding(family, n))
-    found.sort(key=itemgetter(0, 1))
-    return [e for _, _, e in found]
+        found.extend(_holding(family, n))
+    found.sort(key=attrgetter("context.n_range.lo"))  # stable: ties stay in family order
+    return found
 
 
 def _holding(family: tuple, n: int | None) -> list:
@@ -466,19 +467,18 @@ def _family(new, base: tuple = (), out: set = frozenset()) -> tuple:
     return tuple(rows)
 
 
-def _reindexed(old: Database, keys: list, records: tuple, touched: dict, gone: tuple,
-               reorder: bool):
+def _reindexed(old: Database, keys: list, records: tuple, touched: dict, gone: tuple):
     """The symbols and families of ``records`` (in load order, indexed at
     ``keys``), given ``old``, whose records are the same but for those
     ``gone``.  ``touched`` maps the keys of the new records, and of those
     gone, to the new ones' positions: only these names and families are
     built again, each from ``old``'s (``_family``), or by a scan of
-    ``keys`` when a clash or a tie needs the others' positions.  Families
-    are ordered by first appearance: as in ``old`` unless ``reorder``, as in
-    ``touched`` when ``old`` is empty.  The symbols dict of ``old`` is
-    returned itself when no name is touched, and its families mapping when
-    no family is; otherwise the dict of each kind that no new family enters
-    is shared with it, unless ``reorder``.
+    ``keys`` when a clash or a tie needs the others' positions.  Kinds are
+    ordered by name and each kind's families by their parameters
+    (``Database``); a kind's dict is sorted again only when a family enters
+    or leaves it.  The symbols dict of ``old`` is returned itself when no
+    name is touched, and its families mapping when no family is; otherwise
+    the dict of each kind that no touched family is in is shared with it.
     ``_Clash`` names the first record, in load order, that clashes with an
     earlier one: a symbol name taken, or an overlapping context."""
     out = set(map(id, gone))
@@ -505,25 +505,29 @@ def _reindexed(old: Database, keys: list, records: tuple, touched: dict, gone: t
             except _Clash as e:
                 clashes.append(_Clash(where[e.index], str(e)))
                 continue
-        if family:
-            built[key] = family
+        built[key] = family  # empty when the family lost every record
     if clashes:
         raise min(clashes, key=attrgetter("index"))
-    if not any(type(key) is tuple for key in touched):  # no family gained or lost a record
-        families = old.families
-    elif reorder:
-        families: dict = {}
-        for key in dict.fromkeys(keys):
-            if type(key) is tuple:
-                kind, fam = key
-                families.setdefault(kind, {})[fam] = built.get(key) or old.families[kind][fam]
-    else:  # a new dict for each kind with a new family; the other dicts are shared
-        families = dict(old.families)
-        for kind in dict.fromkeys(kind for kind, _ in built):  # in order: a new kind goes last
-            families[kind] = dict(old.families.get(kind, _NO_FAMILIES))
-        for (kind, fam), family in built.items():
-            families[kind][fam] = family
-    return symbols, families
+    if not built:  # no family gained or lost a record
+        return symbols, old.families
+    families = dict(old.families)  # a new dict for each touched kind; the others are shared
+    for kind in {kind for kind, _ in built}:
+        families[kind] = dict(old.families.get(kind, _NO_FAMILIES))
+    moved = set()  # the kinds a family entered or left: only these are sorted again
+    for (kind, fam), family in built.items():
+        of_kind = families[kind]
+        if (fam in of_kind) != bool(family):
+            moved.add(kind)
+        if family:
+            of_kind[fam] = family
+        else:
+            del of_kind[fam]
+    for kind in moved:
+        if families[kind]:
+            families[kind] = dict(sorted(families[kind].items(), key=lambda kv: sorted(kv[0])))
+        else:
+            del families[kind]
+    return symbols, dict(sorted(families.items())) if moved else families
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +567,10 @@ def _untouched(db: Database, trace: dict) -> bool:
     or lost record of a family of the kind whose parameters include the
     query's holds n, and always when n is None.
 
-    A query that can find no such record finds the same objects, and in
-    the same order within a family (by n.lo, then in load order).  Across
-    the families a partial query matches, ``_gathered`` orders them by
-    (n.lo, p), with ties in the order of the families, which a reorder of
-    the file can change.  So the test assumes that no two families one
-    query matches share p.  Every partial query names k today, and matches
-    the odd-part families of one k, one per p."""
+    A query that can find no such record finds the same objects, in the
+    same order: within a family by n.lo, then in load order, and across
+    the families a partial query matches by n.lo, then in the order of the
+    families, which is that of their parameters (``Database``)."""
     edits = db.edits
     for kind, want, n in trace:
         ranges = edits.get((kind, want))
@@ -587,16 +588,17 @@ def memoised(check):
     ``db.memo`` with the read trace of its run (``reading``) and its
     queries' (kind, parameters), and is returned at once on the next call.
     On a database a load made, a value of its base (``db.base_memo``) is
-    used at once when none of those is in ``db.rebuilt``: every family its
+    used at once when none of those is in ``db.edits``: every family its
     queries read or matched is then the base's own.  Otherwise it is used
     when no query of its trace holds an n at which the load gained or lost
     a record of a family the query reads or matches (``_untouched``), read
     off the n ranges the load recorded, with no query run again; else the
     check runs.  Either way the value is then kept in ``db.memo``.  A
-    database no load made takes nothing from a ``base_memo``.  A memo lives
-    as long as its database, or a database made from it.  A call inside
-    another memoised check adds its reads, whether remembered or new, to the
-    outer check's.  Exceptions are not kept."""
+    database no load made (``edits`` None) takes nothing from a
+    ``base_memo``.  A memo lives as long as its database, or a database
+    made from it.  A call inside another memoised check adds its reads,
+    whether remembered or new, to the outer check's.  Exceptions are not
+    kept."""
 
     @wraps(check)
     def run(db, *args):
@@ -604,8 +606,8 @@ def memoised(check):
         hit = db.memo.get(key)
         if hit is None:
             hit = db.base_memo.get(key)
-            if hit is None or db.rebuilt is None or not (
-                    hit[2].isdisjoint(db.rebuilt) or _untouched(db, hit[1])):
+            if hit is None or db.edits is None or not (
+                    hit[2].isdisjoint(db.edits) or _untouched(db, hit[1])):
                 with reading() as trace:
                     value = check(db, *args)
                 db.memo[key] = value, trace, frozenset(map(itemgetter(0, 1), trace))
@@ -773,11 +775,13 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     that gained or lost a record are built again, from the base's
     (``_reindexed``); every other family object is shared with the base, and
     a load that builds no family or name shares the base's families mapping
-    or symbols dict.
+    or symbols dict.  The families are in the order of their kinds' names
+    and their parameters, whatever the order of the text or of the loads
+    before (``Database``).
 
     The new database starts with no remembered checks, its base's as its
-    ``base_memo``, the families it built, added or removed as ``rebuilt``,
-    and the n ranges of the records those gained or lost as ``edits``
+    ``base_memo``, and, under the families it built, added or removed, the
+    n ranges of the records those gained or lost as ``edits``
     (``Database``), against which ``memoised`` confirms the base's checks.
     So a one-number edit costs one full diff, one family built again, and a
     test of the edited n only for each check that read that family.  A text
@@ -825,15 +829,12 @@ def loads_db(text: str, path: str = "<string>") -> Database:
     else:  # the names and families that lost a record
         for key in old_keys[i:j]:
             touched.setdefault(key, [])
-    # the families keep the base's order while every record keeps its key
-    reorder = not failed and bool(old_keys) and keys != old_keys[i:j]
     after = [(s + shift, e + shift) for s, e in old_spans[j:]] if shift else old_spans[j:]
     spans = old_spans[:i] + spans + after
     records = (*old_db.records[:i], *records, *old_db.records[j:])
     keys = old_keys[:i] + keys + old_keys[j:]
     try:
-        symbols, families = _reindexed(old_db, keys, records, touched, old_db.records[i:j],
-                                       reorder)
+        symbols, families = _reindexed(old_db, keys, records, touched, old_db.records[i:j])
     except _Clash as e:
         raise DbParseError(path, _line_no(text, *spans[e.index], 0), str(e)) from e
     if failed:
@@ -850,8 +851,7 @@ def loads_db(text: str, path: str = "<string>") -> Database:
         for r in range(len(params) + 1):
             for part in combinations(params, r):
                 edits.setdefault((kind, frozenset(part)), set()).update(nrs)
-    db = Database(records, symbols, families, base_memo=old_db.memo, rebuilt=frozenset(edits),
-                  edits=edits)
+    db = Database(records, symbols, families, base_memo=old_db.memo, edits=edits)
     kept = (text, spans, keys, db, common)
     _LOADED[:] = [kept] if base is _COLD else [base, kept]
     return kept[3]

@@ -681,11 +681,12 @@ def checked(db):
 def indexed(records):
     """A ``Database`` of ``records`` (in load order) indexed one record at a
     time, apart from ``loads_db``'s indexer: symbols by name, and each
-    family (context kind and parameters other than n), in order of first
-    appearance, as its (n.lo, n range, record) rows in load order, sorted by
-    n.lo.  The first record that clashes with an earlier one, a symbol name
-    taken or a context that overlaps one of its family's, is a
-    ``ValueError`` of (message, its position)."""
+    family (context kind and parameters other than n), kinds by name and
+    each kind's families by their parameters, as its (n.lo, n range,
+    record) rows in load order, sorted by n.lo.  The first record that
+    clashes with an earlier one, a symbol name taken or a context that
+    overlaps one of its family's, is a ``ValueError`` of (message, its
+    position)."""
     symbols, families = {}, {}
     for i, entry in enumerate(records):
         if isinstance(entry, SymbolEntry):
@@ -701,8 +702,9 @@ def indexed(records):
                     raise ValueError(f"context {ctx} overlaps {other.context}", i)
         rows.append((ctx.n_range.lo, ctx.n_range, entry))
     families = {
-        kind: {key: tuple(sorted(rows, key=itemgetter(0))) for key, rows in of_kind.items()}
-        for kind, of_kind in families.items()
+        kind: {key: tuple(sorted(families[kind][key], key=itemgetter(0)))
+               for key in sorted(families[kind], key=sorted)}
+        for kind in sorted(families)
     }
     return Database(tuple(records), symbols, families)
 
@@ -929,7 +931,7 @@ def unchanged(db, trace):
 def walks(monkeypatch):
     """What each walk of a remembered check's queries against the n ranges
     its load touched (``database._untouched``) found during a test, in
-    order: one per base entry whose queries meet ``rebuilt``."""
+    order: one per base entry whose queries meet ``edits``."""
     found = []
     untouched = database._untouched
 
@@ -971,8 +973,7 @@ class TestStateMemo:
             assert checked(copy) == shipped
             assert runs and walks == []
         # the same, made from db with no family rebuilt: every check hits unwalked
-        copy = Database(db.records, db.symbols, dict(db.families), base_memo=db.memo,
-                        rebuilt=frozenset())
+        copy = Database(db.records, db.symbols, dict(db.families), base_memo=db.memo, edits={})
         runs.clear()
         assert checked(copy) == shipped
         assert runs == [] and walks == []
@@ -1230,12 +1231,12 @@ def reads_bracket_k6(trace):
 
 
 class TestRebuiltFamilies:
-    """A load records the families it rebuilt relative to its base
-    (``Database.rebuilt``), and the n ranges of the records they gained or
-    lost (``Database.edits``).  A remembered check of the base is confirmed
-    at once when it read none of those families; only the checks that read
-    an edited family have their queries tested against the ranges, and only
-    those with a query at an edited n run again."""
+    """A load records the families it rebuilt relative to its base, with
+    the n ranges of the records they gained or lost (``Database.edits``).
+    A remembered check of the base is confirmed at once when it read none
+    of those families; only the checks that read an edited family have
+    their queries tested against the ranges, and only those with a query
+    at an edited n run again."""
 
     def test_a_one_number_edit_walks_and_reruns_only_what_read_its_family(
         self, db_text, walks, runs, monkeypatch
@@ -1297,7 +1298,7 @@ class TestRebuiltFamilies:
         says."""
         clear_memos()
         shipped = loads_db(db_text)
-        assert shipped.rebuilt == widened(changed_families(shipped, Database()))
+        assert shipped.edits.keys() == widened(changed_families(shipped, Database()))
         checked(shipped)
         with database.reading() as whole:
             shipped.find("odd-part", k=6)
@@ -1323,12 +1324,12 @@ class TestRebuiltFamilies:
             except DbError:
                 continue
             assert db.base_memo is shipped.memo
-            assert db.rebuilt == widened(changed_families(db, shipped)) == db.edits.keys()
+            assert db.edits.keys() == widened(changed_families(db, shipped))
             for _, trace, queries in entries:
                 assert queries == frozenset(map(itemgetter(0, 1), trace))
                 holds = unchanged(db, trace)
                 assert database._untouched(db, trace) == holds, (text, trace)
-                if queries.isdisjoint(db.rebuilt):
+                if queries.isdisjoint(db.edits):
                     assert holds, (text, trace)
                     confirmed += 1
                 held += holds
@@ -1449,6 +1450,54 @@ def loaded(text):
         return contents(loads_db(text, "run.cohdb"))
     except DbParseError as e:
         return str(e)
+
+
+def family_order(db):
+    """Each kind of a database with its family keys, in order."""
+    return [(kind, list(of_kind)) for kind, of_kind in db.families.items()]
+
+
+class TestFamilyOrder:
+    """The families of a database are ordered by its records alone: kinds
+    by name, and each kind's families by their parameters, whatever the
+    order of the file or the loads before."""
+
+    def test_a_reversed_text_orders_its_families_as_the_text_does(self, db_text):
+        """The shipped text and the same text with its blocks reversed (as CI
+        reverses it) give one order, each from a cold load and from a load
+        of it after the other."""
+        reversed_text = "\n\n".join(reversed(db_text.strip("\n").split("\n\n"))) + "\n"
+        orders = []
+        for first, second in ((db_text, reversed_text), (reversed_text, db_text)):
+            clear_memos()
+            base = loads_db(first)
+            db = loads_db(second)
+            assert db.base_memo is base.memo
+            orders += [family_order(base), family_order(db)]
+        assert all(order == orders[0] for order in orders)
+        kinds = [kind for kind, _ in orders[0]]
+        assert kinds == sorted(kinds)
+        for _, keys in orders[0]:
+            assert keys == sorted(keys, key=sorted)
+
+    def test_a_record_moved_between_families_keeps_their_order(self, db_text):
+        """A context edit that moves a record from one family to another,
+        both of which stay, builds the two families again in place: their
+        kind's families keep the base's order, every other kind's dict is
+        the base's own, and the load records the edited n under both."""
+        text = moved(db_text, "extension k=8 n=9", "extension k=7 n=9")
+        clear_memos()
+        base = loads_db(db_text)
+        db = loads_db(text)
+        assert db.base_memo is base.memo
+        assert family_order(db) == family_order(base)
+        assert db.families["extension"] is not base.families["extension"]
+        for kind, of_kind in db.families.items():
+            assert kind == "extension" or of_kind is base.families[kind]
+        for k in (7, 8):
+            assert db.edits["extension", frozenset({("k", k)})] == {NRange(9, 9)}
+        clear_memos()
+        assert contents(loads_db(text)) == contents(db)
 
 
 def edit_once(data, text):
