@@ -876,22 +876,20 @@ def load_db(path) -> Database:
 # ---------------------------------------------------------------------------
 
 
-# The kinds whose rows of each k must tile one range of n, and those whose
-# groups' primes are checked, each in the order their problems are listed.
+# The kinds whose rows of each k must tile one range of n.
 _TILED = ("coker-eta", "ker-eta", "bracket")
-_PRIMED = ("odd-part", "coker-eta", "ker-eta")
 
 
 def _record_checks(entry):
-    """What ``validate_db`` checks on one record alone, as a tuple: the
-    symbol families its generator names reference; its problems if all of
-    those are registered; its checks in field order, each a problem or a
-    (generator name, families) pair; and the problems with the primes of its
-    group (an odd-part row that is not a p-group, a coker-eta or ker-eta row
-    with odd torsion).  The family checks (``_family_checks``) gather these
-    over each family.
+    """What ``validate_db`` checks on one record alone, as a pair: the
+    symbol families its generator names reference, and its checks, each a
+    problem or a (generator name, families) pair.  The checks are in field
+    order, and the problem with the primes of its group comes last (an
+    odd-part row that is not a p-group, a coker-eta or ker-eta row with odd
+    torsion).  The family checks (``_family_checks``) gather these over
+    each family.
 
-    Records are immutable, so the tuple is computed once and kept on the
+    Records are immutable, so the pair is computed once and kept on the
     record itself (an attribute, not a field: equality, hashing and
     ``repr`` do not see it).  ``loads_db`` keeps the record of each
     unchanged block, so the checks run once per parsed block."""
@@ -917,21 +915,15 @@ def _record_checks(entry):
                 checks.append((name, families_of(name)))
             except NameParseError as e:
                 checks.append(f"{entry.context}: {e}")
-    primes = ()
     kind = entry.context.kind if isinstance(entry, GroupEntry) else None
     if kind == "odd-part":
         p = entry.context.get("p")
         if entry.group.free_rank or any(q != p for q in entry.group.primary_decomposition()):
-            primes = (f"{entry.context}: entry is not a {p}-group",)
+            checks.append(f"{entry.context}: entry is not a {p}-group")
     elif kind in ("coker-eta", "ker-eta"):
         if any(q != 2 for q in entry.group.primary_decomposition()):
-            primes = (f"{entry.context}: entry has odd torsion",)
-    done = (
-        frozenset().union(*(c[1] for c in checks if isinstance(c, tuple))),
-        tuple(c for c in checks if isinstance(c, str)),
-        tuple(checks),
-        primes,
-    )
+            checks.append(f"{entry.context}: entry has odd torsion")
+    done = frozenset().union(*(c[1] for c in checks if isinstance(c, tuple))), tuple(checks)
     object.__setattr__(entry, "_checks", done)
     return done
 
@@ -940,13 +932,11 @@ def _record_checks(entry):
 def _family_checks(db: Database, kind: str, key: frozenset) -> tuple:
     """The checks of each record alone (``_record_checks``) over the family
     of context ``kind`` whose parameters other than n are ``key``, read with
-    one ``find``, as a tuple: the symbol families its records reference; its
-    records with problems of their own; the problems with their groups'
-    primes, as (the kind's place in ``_PRIMED``, first n, p, problem), p 0
-    for a kind without one; and for a family of k whose rows must tile a
+    one ``find``, as a tuple: the symbol families its records reference; the
+    problems of its records if all of those are registered, record by record
+    in the family's order; and for a family of k whose rows must tile a
     range of n (``_TILED``), its k, the gaps between its rows and the range
-    they span, written (None for any other family).  Records and problems
-    are in the family's order."""
+    they span, written (None for any other family)."""
     params = dict(key)
     rows = db.find(kind, **params)
     checks = list(map(_record_checks, rows))
@@ -958,26 +948,19 @@ def _family_checks(db: Database, kind: str, key: frozenset) -> tuple:
             for a, b in zip(ranges, ranges[1:]) if a.hi + 1 < b.lo
         )
         tiling = k, gaps, str(NRange(ranges[0].lo, ranges[-1].hi))
-    primes = ()
-    if kind in _PRIMED:
-        rank, p = _PRIMED.index(kind), params.get("p") or 0
-        primes = tuple(
-            (rank, e.context.n_range.lo, p, problem)
-            for e, c in zip(rows, checks) for problem in c[3]
-        )
     return (
         frozenset().union(*(c[0] for c in checks)),
-        tuple(e for e, c in zip(rows, checks) if c[1]),
-        primes,
+        tuple(c for _, done in checks for c in done if isinstance(c, str)),
         tiling,
     )
 
 
 def validate_db(db: Database) -> list[str]:
     """Structural and cross-reference checks; returns a list of problems
-    (empty list = valid).  First the problems of each record alone, in
-    file order; then those with the primes of the odd-part, coker-eta and
-    ker-eta groups, kind by kind, ordered by n and then p; and the tiling of
+    (empty list = valid).  First the problems of each record alone, in the
+    order of ``db.families`` (kinds by name, families by their parameters,
+    records by n: the order ``find`` returns), each record's in field order
+    and the problem with the primes of its group last; then the tiling of
     each k's rows, by k.  When none of these finds a problem, the text of
     each error that ends a check of ``pipeline.verify_all`` (status
     "error"), once each in its order: the commands read what ``verify``
@@ -996,36 +979,26 @@ def validate_db(db: Database) -> list[str]:
     records tested one by one."""
     problems: list[str] = []
     symbols = set(db.symbols)
-    flagged, primes, tiles = [], [], {}
+    tiles = {}
     for kind, of_kind in db.families.items():
         for key, family in of_kind.items():
-            names, own, prime, tiling = _family_checks(db, kind, key)
-            if not names <= symbols:
-                own = [
-                    e for _, _, e in family
-                    if _record_checks(e)[1] or not _record_checks(e)[0] <= symbols
-                ]
-            flagged.extend(own)
-            primes.extend(prime)
+            names, own, tiling = _family_checks(db, kind, key)
+            if names <= symbols:
+                problems.extend(own)
+            else:
+                for _, _, entry in family:
+                    for check in _record_checks(entry)[1]:
+                        if isinstance(check, str):
+                            problems.append(check)
+                            continue
+                        name, fams = check
+                        problems.extend(
+                            f"{entry.context}: generator {name!r} references "
+                            f"unregistered symbol family {fam!r}"
+                            for fam in sorted(fams - symbols)
+                        )
             if tiling:
                 tiles[kind, tiling[0]] = tiling[1:]
-    if len(flagged) > 1:  # found family by family, each ordered by n: put back in file order
-        ids = set(map(id, flagged))
-        flagged = [e for e in db.records if id(e) in ids]
-    for entry in flagged:
-        for check in _record_checks(entry)[2]:
-            if isinstance(check, str):
-                problems.append(check)
-                continue
-            name, fams = check
-            for fam in sorted(fams - symbols):
-                problems.append(
-                    f"{entry.context}: generator {name!r} references "
-                    f"unregistered symbol family {fam!r}"
-                )
-
-    primes.sort(key=itemgetter(0, 1, 2))  # stable: families of a kind in order
-    problems.extend(problem for *_, problem in primes)
     for k in sorted({k for _, k in tiles}):
         spans = {}
         for kind in _TILED:

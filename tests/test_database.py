@@ -1101,19 +1101,33 @@ class TestFamilyChecks:
         clear_memos()
         assert validate_db(loads_db(text)) == got
 
-    def test_records_are_listed_in_file_order(self, db_text):
-        """The problems of each record alone come in file order, though the
-        records are found family by family: two families that interleave,
-        and four more that name the family of a removed symbol."""
+    def test_records_are_listed_in_family_order(self, db_text):
+        """The problems of each record alone come in the order of
+        ``db.families``, records by n as ``find`` returns them, though the
+        file interleaves two of the families: the odd-part rows of k=6 at
+        p=3 and p=5, and four more families that name the family of a
+        removed symbol.  A record's problem with the primes of its group
+        comes after its other problems."""
         text = edited(db_text, interleaved_edits(db_text))
         validate_db(loads_db(db_text))
         for _ in ("warm", "cold"):
+            db = loads_db(text)
+            problems = validate_db(db)
             listed = [
-                problem.split(": ")[0] for problem in validate_db(loads_db(text))
+                problem.split(": ")[0] for problem in problems
                 if "disagree" in problem or "unregistered" in problem
             ]
             assert len(listed) == 7
-            assert listed == sorted(listed, key=lambda c: text.index(f"context = {c}\n"))
+            order = [
+                str(e.context)
+                for of_kind in db.families.values() for family in of_kind.values()
+                for _, _, e in family
+            ]
+            assert listed == sorted(listed, key=order.index)
+            assert [p for p in problems if p.startswith("odd-part k=6 n=2 p=5: ")] == [
+                "odd-part k=6 n=2 p=5: generator orders disagree with the group (Z/5 vs Z/7)",
+                "odd-part k=6 n=2 p=5: entry is not a 5-group",
+            ]
             clear_memos()
 
 
@@ -1479,6 +1493,21 @@ class TestFamilyOrder:
         assert kinds == sorted(kinds)
         for _, keys in orders[0]:
             assert keys == sorted(keys, key=sorted)
+
+    def test_a_reversed_invalid_text_lists_the_same_problems(self, db_text):
+        """With the ``[symbol]`` record of eta renamed, the shipped text and
+        its block reversal list the same 57 problems in one order, each from
+        a cold load and from a load of it after the other."""
+        broken = db_text.replace("[symbol]\nname = eta\n", "[symbol]\nname = etaX\n")
+        assert broken != db_text
+        reversed_text = "\n\n".join(reversed(broken.strip("\n").split("\n\n"))) + "\n"
+        lists = []
+        for first, second in ((broken, reversed_text), (reversed_text, broken)):
+            clear_memos()
+            lists.append(validate_db(loads_db(first)))
+            lists.append(validate_db(loads_db(second)))
+        assert len(lists[0]) == 57
+        assert all(problems == lists[0] for problems in lists)
 
     def test_a_record_moved_between_families_keeps_their_order(self, db_text):
         """A context edit that moves a record from one family to another,
