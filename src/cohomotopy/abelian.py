@@ -507,13 +507,6 @@ class FinAbGroup:
             [q for p, powers, _ in _primary_parts(self.torsion) if p != 2 for q in powers]
         )
 
-    def exponents_at(self, p: int) -> tuple[int, ...]:
-        """Descending partition of p-exponents (the 'type' at p)."""
-        for q, _, exps in _primary_parts(self.torsion):
-            if q == p:
-                return exps
-        return ()
-
     def __str__(self) -> str:
         return render_group(self)
 
@@ -587,9 +580,6 @@ class Presentation:
         """The diagonal relation rows, one per finite-order generator."""
         g = self.num_generators
         return [[o if i == j else 0 for j in range(g)] for i, o in enumerate(self.orders) if o]
-
-    def group(self) -> FinAbGroup:
-        return FinAbGroup.from_factors(self.orders)
 
     def element_order(self, vec):
         """Order of the class of ``vec``; None if infinite."""

@@ -461,9 +461,6 @@ class ComputedRow:
     cites: tuple[str, ...] = ()
     evidence_used: tuple = ()
 
-    def generator_names(self) -> tuple[str, ...]:
-        return tuple(name for _, name in self.generators)
-
 
 def _label(item) -> str:
     """An evidence item's kind with its lift name or citation, for messages."""

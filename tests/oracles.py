@@ -79,11 +79,20 @@ from math import gcd
 from cohomotopy.abelian import (
     FinAbGroup,
     IntMatrix,
+    _primary_parts,
     group_from_presentation,
     smith_diagonal,
     smith_normal_form,
 )
 from cohomotopy.extensions import partitions
+
+
+def exponents_at(g, p) -> tuple[int, ...]:
+    """Descending partition of the p-exponents of ``g`` (its 'type' at p)."""
+    for q, _, exps in _primary_parts(g.torsion):
+        if q == p:
+            return exps
+    return ()
 
 
 def conjugate_partition(lam) -> tuple[int, ...]:
@@ -264,7 +273,7 @@ def _solve_rows_over(h_rows, lam, p):
 
 def _type_of(rows, p):
     g = group_from_presentation(rows, len(rows))
-    return g.exponents_at(p)
+    return exponents_at(g, p)
 
 
 def _subgroup_quotient_types_bruteforce(p, lam):
@@ -322,7 +331,7 @@ def oracle_middle_groups(a, c):
     of FinAbGroup values, by exhaustive subgroup search."""
     assert not a.free_rank and not c.free_rank
     per_prime = [
-        _shapes(p, a.exponents_at(p), c.exponents_at(p))
+        _shapes(p, exponents_at(a, p), exponents_at(c, p))
         for p in a.primary_decomposition().keys() | c.primary_decomposition().keys()
     ]
     return {

@@ -62,7 +62,7 @@ class TestComputeGroup:
     def test_retraction_row(self, db):
         row = compute_group(db, 6, 6)
         assert row.group == G("Z/12 + Z/36")
-        names = row.generator_names()
+        names = [name for _, name in row.generators]
         assert "nu_6 . sigma_9 . S^12 p" in names
         assert "nubar_6 . coext(2 iota_14)" in names
 
